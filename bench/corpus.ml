@@ -4,10 +4,9 @@
     profile-guided rule order) has something measurable to move.
 
     Every generator returns complete, annotated C source that the
-    frontend accepts and the checker verifies; the benchmark harness and
-    [test/test_memo.ml] both consume these, so each family doubles as a
-    semantics fixture — any engine configuration must produce the same
-    verdict on all of them.
+    frontend accepts and the checker verifies; the test suites consume
+    these as semantics fixtures — any engine or cache configuration must
+    produce the same verdict on all of them.
 
     Families (mirroring the shapes the case studies exhibit in miniature):
     - {!diamond_chain}: k sequential if/else diamonds whose join blocks
@@ -58,8 +57,7 @@ let diamond_chain ~(k : int) : string =
   buf_add b "  return x;\n}\n";
   Buffer.contents b
 
-(** Single-function edits for the incremental-verification benchmarks
-    and tests.  Every edit keeps the program verifying — the point is to
+(** Single-function edits for the incremental-verification tests.  Every edit keeps the program verifying — the point is to
     move exactly one function's body digest ([`Body i]: a semantically
     transparent rewrite), one function's spec signature ([`Spec i]: an
     extra tautological [rc::requires]), or one loop invariant ([`Inv i])
@@ -80,14 +78,9 @@ let inv_edited edit i =
     callee's specification.  [?edit]: [`Body i] rewrites [fi]'s body
     without touching its spec (expected dirty cone: [fi] alone — early
     cutoff); [`Spec i] adds a tautological precondition to [fi]
-    (expected dirty cone: [fi] and its direct caller [f(i-1)]).
-    [?weight] prepends that many if/else diamonds to every body, giving
-    each function a realistic per-function proof-search cost (the
-    incremental benchmarks use it so the frontend's whole-file parse
-    does not drown out the verification being saved); 0 keeps the
-    original pure-plumbing chain. *)
-let call_chain ?edit ?(weight = 0) ~(n : int) () : string =
-  let b = Buffer.create (256 + (n * (160 + (weight * 96)))) in
+    (expected dirty cone: [fi] and its direct caller [f(i-1)]). *)
+let call_chain ?edit ~(n : int) () : string =
+  let b = Buffer.create (256 + (n * 160)) in
   buf_add b "// generated: call_chain n=";
   buf_add b (string_of_int n);
   buf_add b "\n";
@@ -96,16 +89,6 @@ let call_chain ?edit ?(weight = 0) ~(n : int) () : string =
     buf_add b "[[rc::args(\"n @ int<int>\")]]\n";
     if spec_edited edit i then buf_add b "[[rc::requires(\"{0 <= 0}\")]]\n";
     buf_add b "[[rc::returns(\"n @ int<int>\")]]\n";
-    let ballast = Buffer.create (64 + (weight * 96)) in
-    if weight > 0 then begin
-      buf_add ballast "  int x = 0;\n";
-      for j = 0 to weight - 1 do
-        buf_add ballast
-          (Printf.sprintf
-             "  if (n > %d) {\n    x = %d;\n  } else {\n    x = %d;\n  }\n" j j
-             j)
-      done
-    end;
     let body =
       if i = n - 1 then
         if body_edited edit i then "  int m = n;\n  return m;\n"
@@ -114,9 +97,7 @@ let call_chain ?edit ?(weight = 0) ~(n : int) () : string =
         Printf.sprintf "  int m = n;\n  return f%d(m);\n" (i + 1)
       else Printf.sprintf "  return f%d(n);\n" (i + 1)
     in
-    buf_add b
-      (Printf.sprintf "int f%d(int n) {\n%s%s}\n" i (Buffer.contents ballast)
-         body)
+    buf_add b (Printf.sprintf "int f%d(int n) {\n%s}\n" i body)
   done;
   Buffer.contents b
 
@@ -293,11 +274,9 @@ let lock_farm ?(racy = 0) ?(hoisted = 0) ~(functions : int) () : string =
 (** One named stress program: [(name, c_source)]. *)
 type program = { p_name : string; p_src : string }
 
-(** The standard stress corpus at a given [scale] (1 = the CI smoke
-    size, 2 = the BENCH_pr7 size).  Sizes are chosen so the diamond
-    family's exponential blow-up stays around a second at scale 2 with
-    memoization off — large enough to measure, small enough to run four
-    configurations interleaved. *)
+(** The standard stress corpus at a given [scale] (1 = the test size).
+    Sizes are chosen so the diamond family's exponential blow-up stays
+    around a second at scale 2 with memoization off. *)
 let stress_corpus ~(scale : int) : program list =
   let s = max 1 scale in
   [
@@ -311,21 +290,3 @@ let stress_corpus ~(scale : int) : program list =
     { p_name = "wide_exprs.c"; p_src = wide_exprs ~stmts:(10 * s) ~width:3 };
     { p_name = "loop_farm.c"; p_src = loop_farm ~functions:(8 * s) () };
   ]
-
-(** The diamond sizes for the speedup-curve section of the perf record:
-    memo-off cost doubles per step, so the curve makes the asymptotic
-    gap visible rather than a single point. *)
-let curve_sizes ~(scale : int) : int list =
-  if scale <= 1 then [ 4; 6; 8 ] else [ 6; 8; 10; 12 ]
-
-(** Write a corpus to [dir] (created if missing); returns the file
-    paths in corpus order. *)
-let materialize ~(dir : string) (progs : program list) : string list =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  List.map
-    (fun p ->
-      let path = Filename.concat dir p.p_name in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc p.p_src);
-      path)
-    progs

@@ -120,17 +120,6 @@ let check_cmd =
              them.  Ignored under $(b,--cert), which must re-check real \
              derivations.")
   in
-  let no_incremental =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:
-            "Disable dependency-cone incremental verification: key the \
-             cache on the whole file's spec digest (any spec edit \
-             re-proves every function) and dispatch in source order \
-             instead of cost-model order.  Verdicts are identical either \
-             way.")
-  in
   let explain_cache =
     Arg.(
       value & flag
@@ -331,10 +320,10 @@ let check_cmd =
              Query it with $(b,refinedc stats).")
   in
   let run file deriv stats cert semtest fuel timeout max_depth fail_fast json
-      jobs cache no_incremental explain_cache cache_stats cache_max_mb memo
-      pgo default_only no_goal_simp trace profile no_lint lint_werror deadline
-      retries fault_seed fault_rate fault_sites fault_max explain_failure
-      profile_out runlog =
+      jobs cache explain_cache cache_stats cache_max_mb memo pgo default_only
+      no_goal_simp trace profile no_lint lint_werror deadline retries
+      fault_seed fault_rate fault_sites fault_max explain_failure profile_out
+      runlog =
     let budget = { Rc_util.Budget.fuel; timeout; max_depth } in
     (* the cache-family flags share --cache's fate under --cert (and are
        inert without --cache): warn once each, with the same phrasing
@@ -409,7 +398,9 @@ let check_cmd =
     in
     let interrupted = Atomic.make false in
     install_interrupt_handlers interrupted;
-    let jobs = if jobs <= 0 then Rc_util.Pool.default_jobs () else jobs in
+    let jobs =
+      if jobs <= 0 then Rc_util.Supervisor.recommended_jobs () else jobs
+    in
     (* the persistent supervised pool: spawned once per invocation, owned
        here, threaded to the driver through the session.  [-j] is
        clamped to the core count — oversubscribed worker domains only
@@ -433,14 +424,7 @@ let check_cmd =
           }
         ?fault ?deadline ~retries ?pool
         ~cancel:(fun () -> Atomic.get interrupted)
-        ~memo ~incremental:(not no_incremental) ~forensics:explain_failure
-        ~profile:rule_profile ()
-    in
-    let session =
-      if explain_cache then
-        Rc_refinedc.Session.with_inc session
-          { session.Rc_refinedc.Session.inc with Rc_refinedc.Session.in_explain = true }
-      else session
+        ~memo ~forensics:explain_failure ~profile:rule_profile ()
     in
     (* resolve the ledger directory before [cache] is shadowed by the
        store handle: a bare --runlog rides in the --cache directory *)
@@ -718,11 +702,11 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc:"Verify the specified functions of FILE.")
     Term.(
       const run $ file $ deriv $ stats $ cert $ semtest $ fuel $ timeout
-      $ max_depth $ fail_fast $ json $ jobs $ cache $ no_incremental
-      $ explain_cache $ cache_stats $ cache_max_mb $ memo $ pgo
-      $ default_only $ no_goal_simp $ trace $ profile $ no_lint $ lint_werror
-      $ deadline $ retries $ fault_seed $ fault_rate $ fault_sites
-      $ fault_max $ explain_failure $ profile_out $ runlog)
+      $ max_depth $ fail_fast $ json $ jobs $ cache $ explain_cache
+      $ cache_stats $ cache_max_mb $ memo $ pgo $ default_only $ no_goal_simp
+      $ trace $ profile $ no_lint $ lint_werror $ deadline $ retries
+      $ fault_seed $ fault_rate $ fault_sites $ fault_max $ explain_failure
+      $ profile_out $ runlog)
 
 let lint_cmd =
   let file = Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE") in
@@ -1042,16 +1026,15 @@ let stats_cmd =
       ("cache_hit_rate", nested "cache" "hit_rate");
       ("fn_p50_s", nested "fn_wall" "p50_s");
       ("fn_p95_s", nested "fn_wall" "p95_s");
-      ("warm_speedup", num "warm_speedup");
     ]
   in
   let run dir json last window threshold gate =
     let lg = Rc_util.Runlog.create dir in
     let records = Rc_util.Runlog.load lg in
     let corrupt = Rc_util.Runlog.corrupt_lines lg in
-    (* the regression series: apps/sec of "check" runs, chronological —
-       bench backfill records chart the trajectory but use different
-       workloads, so they never enter the gate *)
+    (* the regression series: apps/sec of "check" runs, chronological;
+       records of any other kind (ledgers written by older builds) never
+       enter the gate *)
     let apps_series =
       List.filter_map
         (fun r ->
@@ -1151,8 +1134,8 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Report throughput trends and flag regressions from the \
-          persistent run ledger written by $(b,refinedc check --runlog) \
-          and $(b,bench --trajectory).")
+          persistent run ledger written by $(b,refinedc check \
+          --runlog).")
     Term.(const run $ dir $ json $ last $ window $ threshold $ gate)
 
 let () =

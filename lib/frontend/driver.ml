@@ -40,16 +40,14 @@ type check_result = {
   why : string option;
       (** why the cache behaved as it did for this function: ["hit"], a
           {!Rc_util.Vercache.reason_label} miss explanation
-          (["new"], ["changed:body+callee:f"], …), or legacy-mode
-          ["miss"]/["corrupt"]; [None] without a cache *)
+          (["new"], ["changed:body+callee:f"], …), or ["corrupt"] for an
+          entry whose payload this build cannot read; [None] without a
+          cache *)
 }
 
-(* Where a freshly proved verdict will be stored: under the legacy
-   whole-file key, or as a cone-keyed entry with its manifest. *)
-type store_plan =
-  | No_store
-  | Legacy of string
-  | Keyed of string * (string * string) list  (* manifest id, components *)
+(* Where a freshly proved verdict will be stored: the manifest id and
+   cone components of its keyed entry, or [None] without a cache. *)
+type store_plan = (string * (string * string) list) option
 
 (** How the run ended: normally, stopped by the whole-run deadline, or
     stopped by cooperative cancellation (SIGINT/SIGTERM).  Either early
@@ -67,7 +65,7 @@ type t = {
       (** the dirty functions in the order they were dispatched:
           longest-measured-job first from [costs.prof], topological
           (callees first) for unmeasured ties, source order under
-          [~fail_fast] or with incrementality off *)
+          [~fail_fast] *)
   results : check_result list;
   skipped : string list;
       (** functions not attempted: under [~fail_fast], after the
@@ -194,7 +192,7 @@ let replay_result (data : string) :
     the seeded stream in hit order).
 
     [~cache] replays previously-proved verdicts (see the cache-key
-    definition in {!Rc_refinedc.Typecheck.cache_key}); the campaign's
+    components in {!Rc_refinedc.Depgraph.components}); the campaign's
     ["cache.read"]/["cache.write"] sites are armed on every cache
     access, and an injection there degrades to a miss or a skipped
     store — never a wrong verdict, never an abort.
@@ -242,7 +240,6 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
   let jobs = max 1 jobs in
   let campaign = Session.fault session in
   let exec = session.Session.exec in
-  let incr_on = session.Session.inc.Session.in_enabled in
   (* the function-level dependency graph: direct spec-level references
      extracted from Caesium bodies + spec/invariant types, with content
      digests per node.  Built unconditionally — it is a cheap syntactic
@@ -252,18 +249,6 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
   (* absolute whole-run deadline, measured from here; the supervisor
      measures its own from dispatch, a few microseconds later *)
   let deadline_watch = Rc_util.Budget.stopwatch () in
-  (* the legacy whole-file key component, used only with incrementality
-     off: digests ALL sibling specs, so any spec edit dirties the file *)
-  let specs_digest =
-    match cache with
-    | Some _ when not incr_on ->
-        Vercache.fingerprint
-          (List.sort compare
-             (List.map
-                (fun (_, s) -> Rc_refinedc.Rtype.spec_signature s)
-                specs))
-    | _ -> ""
-  in
   let children =
     Array.of_list
       (List.mapi (fun i _ -> Obs.child obs ~tid:(i + 1)) elaborated.to_check)
@@ -280,9 +265,8 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
   (* ---- probe the verification cache up-front (the dirty cone) ----
      Probing is a cheap sequential pass over digests: hits replay
      immediately, misses become the dirty set handed to the scheduler.
-     Incremental mode keys each function on its dependency cone
-     ({!Depgraph.components}) with a manifest-diff miss explanation;
-     legacy mode keeps the whole-file spec-digest key. *)
+     Each function is keyed on its dependency cone
+     ({!Depgraph.components}), with a manifest-diff miss explanation. *)
   let probe ((idx, f) : int * Rc_refinedc.Typecheck.fn_to_check) :
       check_result option * (string option * store_plan) =
     let co = children.(idx) in
@@ -294,7 +278,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
         Obs.instant co ~cat:"cache" ~args:[ ("fn", name) ] ("cache:" ^ kind)
       end
     in
-    let hit data why =
+    let hit data =
       (* a readable entry whose payload this build cannot unmarshal
          (e.g. written by a different compiler) degrades to a
          corrupt-entry skip: re-prove and overwrite *)
@@ -311,48 +295,30 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
             Obs.observe_ns co ("fn.ns." ^ name)
               (Int64.of_float (watch () *. 1e9))
           end;
-          { name; outcome; time_s = watch (); cached = true; why = Some why })
+          { name; outcome; time_s = watch (); cached = true; why = Some "hit" })
         (replay_result data)
     in
     match cache with
-    | None -> (None, (None, No_store))
-    | Some vc ->
-        if incr_on then begin
-          let id = Depgraph.cache_id ~file name in
-          let components = Depgraph.components ~session graph f in
-          match Vercache.find_keyed ?fault:campaign vc ~id ~components with
-          | Vercache.KHit data -> (
-              match hit data "hit" with
-              | Some r -> (Some r, (None, No_store))
-              | None ->
-                  cache_event "corrupt";
-                  (None, (Some "corrupt", Keyed (id, components))))
-          | Vercache.KMiss reason ->
-              cache_event
-                (match reason with
-                | Vercache.Collision -> "corrupt"
-                | Vercache.Fresh | Vercache.Changed _ | Vercache.Evicted ->
-                    "miss");
-              ( None,
-                ( Some (Vercache.reason_label reason),
-                  Keyed (id, components) ) )
-        end
-        else begin
-          let key = Rc_refinedc.Typecheck.cache_key ~session ~specs_digest f in
-          match Vercache.find_detailed ?fault:campaign vc ~key with
-          | Vercache.Hit data -> (
-              match hit data "hit" with
-              | Some r -> (Some r, (None, No_store))
-              | None ->
-                  cache_event "corrupt";
-                  (None, (Some "corrupt", Legacy key)))
-          | Vercache.Absent ->
-              cache_event "miss";
-              (None, (Some "miss", Legacy key))
-          | Vercache.Corrupt ->
-              cache_event "corrupt";
-              (None, (Some "corrupt", Legacy key))
-        end
+    | None -> (None, (None, None))
+    | Some vc -> (
+        let id = Depgraph.cache_id ~file name in
+        let components = Depgraph.components ~session graph f in
+        match Vercache.find_keyed ?fault:campaign vc ~id ~components with
+        | Vercache.KHit data -> (
+            match hit data with
+            | Some r -> (Some r, (None, None))
+            | None ->
+                Vercache.unreadable vc;
+                cache_event "corrupt";
+                (None, (Some "corrupt", Some (id, components))))
+        | Vercache.KMiss reason ->
+            cache_event
+              (match reason with
+              | Vercache.Collision -> "corrupt"
+              | Vercache.Fresh | Vercache.Changed _ | Vercache.Evicted ->
+                  "miss");
+            ( None,
+              (Some (Vercache.reason_label reason), Some (id, components)) ))
   in
   let hits_rev, dirty_rev =
     List.fold_left
@@ -372,13 +338,13 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
      failure", which only means anything in a fixed order. *)
   let costs_store =
     match cache with
-    | Some vc when incr_on && not (Vercache.disabled vc) ->
+    | Some vc when not (Vercache.disabled vc) ->
         Some (Rc_util.Profstore.create ~file:"costs.prof" vc.Vercache.dir)
     | _ -> None
   in
   let dirty =
     let dirty = List.rev dirty_rev in
-    if fail_fast || not incr_on then dirty
+    if fail_fast then dirty
     else begin
       let topo_pos = Hashtbl.create 16 in
       List.iteri
@@ -419,7 +385,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
       Obs.instant co ~cat:"sched"
         ~args:
           [ ("fn", name);
-            ("domain", string_of_int (Rc_util.Pool.worker_id ())) ]
+            ("domain", string_of_int (Supervisor.worker_id ())) ]
         "task:begin";
       Obs.span_begin co ~cat:"check" ~args:[ ("fn", name) ] ("fn:" ^ name)
     end;
@@ -444,10 +410,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
     in
     let outcome = check_fn_isolated ~obs:co ~session ~specs f in
     (match (cache, plan, outcome) with
-    | Some vc, Legacy key, Ok res ->
-        Vercache.store ?fault:campaign vc ~key
-          (cache_payload res.Rc_refinedc.Lang.E.stats)
-    | Some vc, Keyed (id, components), Ok res ->
+    | Some vc, Some (id, components), Ok res ->
         Vercache.store_keyed ?fault:campaign vc ~id ~components
           (cache_payload res.Rc_refinedc.Lang.E.stats)
     | _ -> ());
@@ -466,7 +429,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
       Obs.instant co ~cat:"sched"
         ~args:
           [ ("fn", name);
-            ("domain", string_of_int (Rc_util.Pool.worker_id ())) ]
+            ("domain", string_of_int (Supervisor.worker_id ())) ]
         "task:end"
     end;
     r

@@ -41,12 +41,13 @@ module type LANG = sig
   val pp_atom : Format.formatter -> atom -> unit
 
   val head_of_f : f -> string
-  (** judgment head, used for rule indexing, stats and certificates *)
+  (** judgment head name: the reference {!head_id_of_f} and
+      {!head_names} must agree with *)
 
   val head_id_of_f : f -> int
   (** the same head as a dense id into {!head_names} — one constructor
-      match instead of a string, so the hot-path dispatch is an array
-      access rather than a string-keyed hash lookup *)
+      match instead of a string, so dispatch is an array access rather
+      than a string-keyed hash lookup *)
 
   val head_names : string array
   (** id ↦ head name; [head_names.(head_id_of_f f) = head_of_f f] *)
@@ -124,16 +125,12 @@ module Make (L : LANG) = struct
       Looking up the rules for a basic goal is O(bucket) instead of
       O(all rules). *)
   type index = {
-    idx_buckets : (string, rule list) Hashtbl.t;
-        (** head ↦ rules declaring that head plus the wildcard rules,
-            in priority order — exactly the subsequence of the sorted
-            rule list that can fire on this head *)
     idx_by_id : rule list array;
-        (** the same buckets keyed by {!L.head_id_of_f} — the hot-path
-            lookup is one array access, no string hashing *)
-    idx_wild : rule list;
-        (** priority-sorted wildcard rules: the bucket for heads no rule
-            declares explicitly *)
+        (** {!L.head_id_of_f} ↦ rules declaring that head plus the
+            wildcard rules, in priority order — exactly the subsequence
+            of the sorted rule list that can fire on this head.  Heads no
+            rule declares get the wildcard rules alone.  The lookup is
+            one array access, no string hashing. *)
     idx_fingerprint : string;
         (** digest of (name, priority, heads) of every rule in order —
             a component of the verification-cache key.  Computed from
@@ -191,27 +188,16 @@ module Make (L : LANG) = struct
                      | Some hs -> String.concat "," hs))
                  sorted)))
     in
-    let idx_wild = List.filter (fun r -> r.heads = None) sorted in
+    let wild = List.filter (fun r -> r.heads = None) sorted in
     let idx_by_id =
       Array.map
         (fun h ->
           match Hashtbl.find_opt idx_buckets h with
           | Some bucket -> bucket
-          | None -> idx_wild)
+          | None -> wild)
         L.head_names
     in
-    {
-      idx_buckets;
-      idx_by_id;
-      idx_wild;
-      idx_fingerprint;
-      idx_size = List.length sorted;
-    }
-
-  let rules_for (idx : index) (head : string) : rule list =
-    match Hashtbl.find_opt idx.idx_buckets head with
-    | Some bucket -> bucket
-    | None -> idx.idx_wild
+    { idx_by_id; idx_fingerprint; idx_size = List.length sorted }
 
   (* ---------------------------------------------------------------- *)
   (* Interpreter state                                                 *)
@@ -304,7 +290,6 @@ module Make (L : LANG) = struct
   type memo = {
     m_intern : Goal.Intern.t;  (** key strings ↦ dense table ids *)
     m_table : (int, memo_entry) Hashtbl.t;
-    m_max : int;  (** stop storing (not hitting) beyond this size *)
     mutable m_frames : frame list;  (** innermost first *)
   }
 
@@ -334,22 +319,18 @@ module Make (L : LANG) = struct
     mutable fx_ring_n : int;  (** total pushes; head = n mod size *)
   }
 
-  (** Engine tuning knobs.  [o_memo] is the [--memo] flag; [o_hashcons]
-      switches the interned-id head dispatch and exists so the benchmark
-      harness can A/B it against the string path — it never changes
-      results, only speed.  [o_fx] enables proof-failure forensics
-      ([--explain-failure]): a bounded derivation snapshot attached to
-      the failure report.  Like the speed knobs it never changes
+  (** Engine tuning knobs.  [o_memo] is the [--memo] flag: it never
+      changes results, only speed.  [o_fx] enables proof-failure
+      forensics ([--explain-failure]): a bounded derivation snapshot
+      attached to the failure report.  Like memoization it never changes
       verdicts — it only enriches failure diagnostics. *)
-  type opts = {
-    o_hashcons : bool;
-    o_memo : bool;
-    o_memo_max : int;
-    o_fx : Report.fx_limits option;
-  }
+  type opts = { o_memo : bool; o_fx : Report.fx_limits option }
 
-  let default_opts =
-    { o_hashcons = true; o_memo = false; o_memo_max = 4096; o_fx = None }
+  let default_opts = { o_memo = false; o_fx = None }
+
+  (** Per-function memo-table bound: beyond it, lookups still hit but no
+      new entry is stored. *)
+  let memo_max = 4096
 
   type st = {
     evars : Evar.t;
@@ -365,7 +346,6 @@ module Make (L : LANG) = struct
     obs : Rc_util.Obs.t;
         (** this check's observability handle ({!Rc_util.Obs.off} when
             disabled — every guard below is then one pattern match) *)
-    hashcons : bool;  (** dispatch on {!L.head_id_of_f} ids *)
     memo : memo option;  (** [Some] iff within-run memoization is on *)
     fx : fx_state option;  (** [Some] iff forensics capture is on *)
     mutable cur_loc : Rc_util.Srcloc.t option;
@@ -726,7 +706,7 @@ module Make (L : LANG) = struct
     let storable =
       (not fr.fr_poisoned)
       && frame_min >= fr.fr_evar0
-      && Hashtbl.length m.m_table < m.m_max
+      && Hashtbl.length m.m_table < memo_max
     in
     if storable then begin
       Hashtbl.replace m.m_table fr.fr_key
@@ -1012,15 +992,8 @@ module Make (L : LANG) = struct
   (* goal case 5 proper: rule lookup and first-match-commits application *)
   and solve_basic (st : st) (depth : int) (ctx : ctx) (f : L.f) : Deriv.node =
     (match L.loc_of_f f with Some l -> st.cur_loc <- Some l | None -> ());
-    let bucket, head =
-      if st.hashcons then begin
-        let id = L.head_id_of_f f in
-        (st.index.idx_by_id.(id), L.head_names.(id))
-      end
-      else
-        let head = L.head_of_f f in
-        (rules_for st.index head, head)
-    in
+    let id = L.head_id_of_f f in
+    let bucket = st.index.idx_by_id.(id) and head = L.head_names.(id) in
     st.cur_head <- Some head;
     Rc_util.Faultsim.point st.registry.Registry.fault "rule_lookup";
     let ri = rule_input st ctx in
@@ -1100,14 +1073,12 @@ module Make (L : LANG) = struct
         tactics;
         budget = Rc_util.Budget.start budget;
         obs;
-        hashcons = opts.o_hashcons;
         memo =
           (if opts.o_memo then
              Some
                {
                  m_intern = Goal.Intern.create ();
                  m_table = Hashtbl.create 256;
-                 m_max = opts.o_memo_max;
                  m_frames = [];
                }
            else None);

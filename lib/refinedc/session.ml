@@ -55,41 +55,6 @@ type exec_cfg = {
 let default_exec : exec_cfg =
   { x_deadline = None; x_retries = 0; x_pool = None; x_cancel = None }
 
-(** Engine speed configuration ([--memo]): within-run subgoal
-    memoization.  Part of the session because it is part of the *proof
-    search* configuration — it never changes verdicts (the engine
-    revalidates every Γ interaction before accepting a hit), but it does
-    change derivation sharing, so the certificate path refuses it (the
-    driver disables memoization under [--cert]). *)
-type memo_cfg = {
-  mm_enabled : bool;
-  mm_max : int;  (** per-function memo-table bound *)
-  mm_hashcons : bool;
-      (** id-indexed head dispatch (on by default; the benchmark harness
-          turns it off to measure the string-keyed baseline) *)
-}
-
-let default_memo : memo_cfg =
-  { mm_enabled = false; mm_max = 4096; mm_hashcons = true }
-
-(** Incremental-verification configuration: how the driver keys the
-    on-disk cache and schedules dirty work.  Like {!exec_cfg} this never
-    changes verdicts — cone keying decides what is *re-verified*, and
-    the early-cutoff argument (DESIGN.md §12) shows the cone covers
-    every input a check reads — but unlike [exec] the choice of key
-    *family* is visible in the cache directory, so incremental and
-    whole-file entries never alias (the keys carry distinct tags). *)
-type inc_cfg = {
-  in_enabled : bool;
-      (** cone-keyed entries + cost-ordered dirty scheduling (default);
-          off = legacy whole-file spec-digest keys in source order *)
-  in_explain : bool;
-      (** collect per-function dirty reasons even when not printed (the
-          driver always records them; this gates the CLI's report) *)
-}
-
-let default_inc : inc_cfg = { in_enabled = true; in_explain = false }
-
 (** Proof-failure forensics configuration ([--explain-failure]): when
     enabled, the engine attaches a bounded derivation snapshot — goal
     stack, candidate rules with rejection reasons, evar state, recent
@@ -124,8 +89,13 @@ type t = {
           per function, so shared-session [-j N] runs stay race-free. *)
   lint : lint_cfg;  (** pre-verification static analysis configuration *)
   exec : exec_cfg;  (** execution robustness: pool, deadline, retries *)
-  memo : memo_cfg;  (** within-run subgoal memoization *)
-  inc : inc_cfg;  (** incremental verification: cone keys + scheduling *)
+  memo : bool;
+      (** within-run subgoal memoization ([--memo]).  Part of the session
+          because it is part of the *proof search* configuration — it
+          never changes verdicts (the engine revalidates every Γ
+          interaction before accepting a hit), but it does change
+          derivation sharing, so the certificate path refuses it (the
+          driver disables memoization under [--cert]). *)
   fx : fx_cfg;  (** proof-failure forensics capture *)
   profile : (string * int) list;
       (** the rule-hit profile the index was compiled with ([--pgo]);
@@ -139,8 +109,8 @@ type t = {
 let create ?(rules = []) ?(registry = Rc_pure.Registry.default)
     ?(gs = Rc_lithium.Evar.default_simp_cfg) ?tenv
     ?(budget = Rc_util.Budget.unlimited) ?(obs = Rc_util.Obs.cfg_off)
-    ?(lint = default_lint) ?(exec = default_exec) ?(memo = default_memo)
-    ?(inc = default_inc) ?(fx = default_fx) ?(profile = []) () : t =
+    ?(lint = default_lint) ?(exec = default_exec) ?(memo = false)
+    ?(fx = default_fx) ?(profile = []) () : t =
   {
     index = Rules.make ~extra:rules ~profile ();
     extra_rules = rules;
@@ -152,7 +122,6 @@ let create ?(rules = []) ?(registry = Rc_pure.Registry.default)
     lint;
     exec;
     memo;
-    inc;
     fx;
     profile;
   }
@@ -177,13 +146,8 @@ let with_lint (s : t) lint : t = { s with lint }
     like {!with_budget}). *)
 let with_exec (s : t) exec : t = { s with exec }
 
-(** Replace the memoization configuration (a CLI convenience, like
-    {!with_budget}). *)
+(** Switch memoization (a CLI convenience, like {!with_budget}). *)
 let with_memo (s : t) memo : t = { s with memo }
-
-(** Replace the incremental-verification configuration (a CLI
-    convenience, like {!with_budget}). *)
-let with_inc (s : t) inc : t = { s with inc }
 
 (** Replace the forensics configuration (a CLI convenience, like
     {!with_budget}). *)

@@ -154,9 +154,7 @@ let check_fn ?(globals = []) ?(obs = Rc_util.Obs.off) ~(session : Session.t)
   in
   let opts =
     {
-      E.o_memo = session.Session.memo.Session.mm_enabled;
-      o_memo_max = session.Session.memo.Session.mm_max;
-      o_hashcons = session.Session.memo.Session.mm_hashcons;
+      E.o_memo = session.Session.memo;
       o_fx =
         (if session.Session.fx.Session.f_enabled then
            Some session.Session.fx.Session.f_limits
@@ -174,8 +172,9 @@ let check_fn ?(globals = []) ?(obs = Rc_util.Obs.off) ~(session : Session.t)
 (* A check's outcome is a pure function of the function body, its spec,
    the loop invariants, the specs it may call, the rule set + solver
    registry + type definitions + ablation switches, and the resource
-   budget.  Everything below prints those deterministically; the driver
-   digests the concatenation into the on-disk cache key. *)
+   budget.  Everything below prints those deterministically;
+   {!Depgraph.components} turns them into a function's cache-key
+   components. *)
 
 let type_defs_signature (te : Rtype.tenv) : string =
   (* definition *content* via a one-step unfold at canonical arguments,
@@ -253,22 +252,6 @@ let invs_signature (invs : (string * loop_inv) list) : string =
       i.li_constraints
   in
   Fmt.str "%a" Fmt.(list ~sep:semi inv) invs
-
-(** The cache key for one function's check.  [specs_digest] covers the
-    specifications of *all* functions in the file: a call's premise
-    depends on the callee's spec, so any spec edit conservatively
-    invalidates the whole file's entries (bodies of siblings do not). *)
-let cache_key ~(session : Session.t) ~(specs_digest : string)
-    (ftc : fn_to_check) : string =
-  String.concat "\x00"
-    [
-      toolchain_fingerprint session;
-      specs_digest;
-      Syntax.show_func ftc.func;
-      Rtype.spec_signature ftc.spec;
-      invs_signature ftc.invs;
-      budget_signature session.Session.budget;
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program checking                                              *)

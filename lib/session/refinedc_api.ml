@@ -52,10 +52,6 @@ type session = Session.t
       are conveniences that build it field-wise;
     - [memo]: enable within-run subgoal memoization ([--memo]) — see
       README "Engine speed";
-    - [incremental]: cone-keyed incremental caching and cost-ordered
-      dirty scheduling (on by default) — [Some false] reverts to the
-      legacy whole-file cache key and source-order dispatch (see README
-      "Incremental verification");
     - [forensics]: attach a bounded derivation snapshot (goal stack,
       candidate rules with rejection reasons, evar state, recent rule
       applications) to every failure report ([--explain-failure]) — see
@@ -65,7 +61,7 @@ type session = Session.t
 let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
     ?(lemmas = []) ?hooks ?(default_only = false) ?(no_goal_simp = false)
     ?(type_defs = []) ?budget ?fault ?obs ?lint ?exec ?deadline ?retries ?pool
-    ?cancel ?memo ?incremental ?forensics ?profile () : session =
+    ?cancel ?memo ?forensics ?profile () : session =
   let hooks =
     match hooks with
     | Some h -> h
@@ -96,23 +92,13 @@ let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
         (match cancel with Some _ -> cancel | None -> base.Session.x_cancel);
     }
   in
-  let memo =
-    match memo with
-    | Some true -> Some { Session.default_memo with Session.mm_enabled = true }
-    | Some false | None -> None
-  in
-  let inc =
-    Option.map
-      (fun on -> { Session.default_inc with Session.in_enabled = on })
-      incremental
-  in
   let fx =
     Option.map
       (fun on -> { Session.default_fx with Session.f_enabled = on })
       forensics
   in
-  Session.create ~rules ~registry ~gs ~tenv ?budget ?obs ?lint ~exec ?memo
-    ?inc ?fx ?profile ()
+  Session.create ~rules ~registry ~gs ~tenv ?budget ?obs ?lint ~exec ?memo ?fx
+    ?profile ()
 
 (** Check every specified function of a C file under [session]. *)
 let check_file ?session ?fail_fast ?jobs ?cache (path : string) : Driver.t =

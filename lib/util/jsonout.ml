@@ -1,11 +1,11 @@
 (** Minimal JSON for machine-readable diagnostics ([--json]) and the
     run ledger.
 
-    Historically output-only; the run ledger ({!Runlog}) and the bench
-    trajectory backfill made the toolchain a *reader* of its own records
-    too, so a small recursive-descent {!parse} joins the printer.  Still
-    no external dependency: the reader accepts exactly the JSON this
-    module (and the bench harness) emits, plus standard escapes. *)
+    Historically output-only; the run ledger ({!Runlog}) made the
+    toolchain a *reader* of its own records too, so a small
+    recursive-descent {!parse} joins the printer.  Still no external
+    dependency: the reader accepts exactly the JSON this module emits,
+    plus standard escapes. *)
 
 type t =
   | Null
@@ -61,7 +61,7 @@ let to_line (v : t) : string =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Parsing (the run ledger and the bench trajectory backfill)          *)
+(* Parsing (the run ledger)                                            *)
 (* ------------------------------------------------------------------ *)
 
 exception Parse_error of string

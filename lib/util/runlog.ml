@@ -1,5 +1,5 @@
 (** The persistent run ledger: an append-only NDJSON file of one record
-    per check/bench run, living beside the verification cache
+    per check run, living beside the verification cache
     ([runs.jsonl] in the cache directory by convention).
 
     The ledger is the cross-run telemetry substrate: each record carries

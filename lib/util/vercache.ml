@@ -335,6 +335,15 @@ let find_keyed ?fault (t : t) ~(id : string)
           | [] -> KMiss Evicted
           | changed -> KMiss (Changed changed)))
 
+(** [unreadable t] re-counts the last lookup, a hit, as a corrupt skip:
+    the caller could not decode its payload (e.g. one written by a
+    different compiler), so the entry is re-proved and overwritten like
+    any other corrupt entry. *)
+let unreadable (t : t) : unit =
+  t.hits <- t.hits - 1;
+  t.misses <- t.misses + 1;
+  t.corrupt_skips <- t.corrupt_skips + 1
+
 (** Store a keyed entry and its manifest.  Storage failures degrade
     exactly as {!store}'s do; the manifest is only written when the
     payload store succeeded, so a manifest never describes an entry that

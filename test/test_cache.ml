@@ -8,8 +8,7 @@
    callees (a call's premise reads the callee's spec; transitive callees
    are covered inductively), the rule-set fingerprint, the solver and
    lemma registry, registered type definitions, ablation switches, and
-   the resource budget.  With [~incremental:false] the key digests every
-   sibling spec instead (whole-file invalidation). *)
+   the resource budget. *)
 
 module Driver = Rc_frontend.Driver
 module Api = Rc_session.Refinedc_api
@@ -105,18 +104,7 @@ let cache_tests =
            at spec granularity; exhaustive cone tests live in
            test_incremental.ml) *)
         expect "after spec edit" ~hits:1 ~misses:1
-          (check ~cache src_spec_edit);
-        (* legacy whole-file keying (--no-incremental) still
-           conservatively invalidates everything: its key digests ALL
-           sibling specs *)
-        let legacy () = Api.create_session ~incremental:false () in
-        let cache2 = Rc_util.Vercache.create (fresh_cache_dir ()) in
-        expect "legacy cold" ~hits:0 ~misses:2
-          (check ~session:(legacy ()) ~cache:cache2 src);
-        expect "legacy warm hits" ~hits:2 ~misses:0
-          (check ~session:(legacy ()) ~cache:cache2 src);
-        expect "legacy spec edit misses everything" ~hits:0 ~misses:2
-          (check ~session:(legacy ()) ~cache:cache2 src_spec_edit));
+          (check ~cache src_spec_edit));
     Alcotest.test_case "rule-set change misses" `Quick (fun () ->
         let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
         expect "cold" ~hits:0 ~misses:2 (check ~cache src);
@@ -242,6 +230,39 @@ let cache_tests =
           (Sys.readdir dir);
         expect "corrupt entries re-prove" ~hits:0 ~misses:2
           (check ~cache src));
+    Alcotest.test_case "unreadable payload counts as a corrupt skip" `Quick
+      (fun () ->
+        (* an entry whose outer record reads fine but whose payload the
+           driver cannot unmarshal: the function is re-proved, and the
+           store's counters must say so — a corrupt skip, not a hit *)
+        let src = Rc_benchgen.Corpus.call_chain ~n:3 () in
+        let file = "chain.c" in
+        let check cache = Driver.check_source ~cache ~file src in
+        let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
+        expect "cold" ~hits:0 ~misses:3 (check cache);
+        let session = Rc_refinedc.Session.create () in
+        let el = Driver.parse_and_elab ~session ~file src in
+        let graph = Rc_refinedc.Depgraph.build el.Rc_frontend.Elab.to_check in
+        List.iter
+          (fun (f : Rc_refinedc.Typecheck.fn_to_check) ->
+            let name = f.spec.Rc_refinedc.Rtype.fs_name in
+            Rc_util.Vercache.store_keyed cache
+              ~id:(Rc_refinedc.Depgraph.cache_id ~file name)
+              ~components:(Rc_refinedc.Depgraph.components ~session graph f)
+              "garbage")
+          el.Rc_frontend.Elab.to_check;
+        let cache = Rc_util.Vercache.create cache.Rc_util.Vercache.dir in
+        let t = check cache in
+        expect "unreadable payloads re-prove" ~hits:0 ~misses:3 t;
+        Alcotest.(check (list (option string)))
+          "cache_why" (List.init 3 (fun _ -> Some "corrupt"))
+          (List.map (fun (r : Driver.check_result) -> r.why) t.Driver.results);
+        Alcotest.(check int) "corrupt skips" 3
+          (Rc_util.Vercache.stats cache).Rc_util.Vercache.st_corrupt_skips;
+        Alcotest.(check (float 0.)) "hit rate" 0.
+          (Rc_util.Vercache.hit_rate cache);
+        (* the re-proved verdicts overwrite the unreadable entries *)
+        expect "rewritten entries hit" ~hits:3 ~misses:0 (check cache));
   ]
 
 (* Regression tests for the degradation contract (ISSUE 6): failed

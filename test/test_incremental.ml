@@ -12,8 +12,8 @@
      reports and size-caps itself;
    - the driver end-to-end: a warm cache plus a single edit re-verifies
      *exactly* the edit's cone (early cutoff for body edits), verdicts
-     are identical with incrementality on, off, replayed, and at any
-     [-j], and the [--json] output is byte-identical across [-j].
+     are identical cached, replayed and uncached, and at any [-j], and
+     the [--json] output is byte-identical across [-j].
 
    The synthetic fixtures come from [Rc_benchgen.Corpus], whose [?edit]
    parameter moves exactly one function's body digest, spec signature,
@@ -361,33 +361,26 @@ let cone_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Equivalence: incremental on/off, cold/warm, -j1/-j4                 *)
+(* Equivalence: cached/uncached, cold/warm, -j1/-j4                    *)
 (* ------------------------------------------------------------------ *)
 
-let legacy_session () = Api.create_session ~incremental:false ()
-
-(* cold+cached, warm replay, legacy whole-file keying, and uncached:
-   four runs whose verdict surfaces must be equal *)
+(* cold+cached, warm replay and uncached: three runs whose verdict
+   surfaces must be equal; the uncached run is the from-scratch
+   reference.  All three use the case-study session, as the CLI does:
+   lock_farm needs its [lock_t] type. *)
 let assert_equivalent name src =
+  let session () = Api.create_session ~case_studies:true () in
   let cache = Vercache.create (fresh_cache_dir ()) in
-  let cold = check ~cache src in
-  let warm = check ~cache src in
-  let legacy =
-    check ~session:(legacy_session ())
-      ~cache:(Vercache.create (fresh_cache_dir ()))
-      src
-  in
+  let cold = check ~session:(session ()) ~cache src in
+  let warm = check ~session:(session ()) ~cache src in
   let uncached =
-    Driver.check_source ~session:(Api.create_session ()) ~file:"inc_test.c"
-      src
+    Driver.check_source ~session:(session ()) ~file:"inc_test.c" src
   in
   let expected = verdict_sig uncached in
   Alcotest.(check (list string)) (name ^ ": cold ≡ uncached") expected
     (verdict_sig cold);
   Alcotest.(check (list string)) (name ^ ": warm ≡ uncached") expected
-    (verdict_sig warm);
-  Alcotest.(check (list string)) (name ^ ": legacy ≡ uncached") expected
-    (verdict_sig legacy)
+    (verdict_sig warm)
 
 let stress_equivalence_tests =
   List.map
@@ -400,10 +393,11 @@ let stress_equivalence_tests =
       ("struct_nest", Corpus.struct_nest ~depth:4);
       ("wide_exprs", Corpus.wide_exprs ~stmts:4 ~width:3);
       ("loop_farm", Corpus.loop_farm ~functions:3 ());
+      ("lock_farm", Corpus.lock_farm ~functions:3 ());
     ]
 
-(* The 13-study corpus: incremental on (cold, then warm replay) must
-   agree with incremental off, per study. *)
+(* The 13-study corpus: a cached check (cold, then warm replay) must
+   agree with the uncached check, per study. *)
 let case_dir =
   List.find Sys.file_exists
     [
@@ -416,23 +410,15 @@ let studies_equivalence_tests =
     (fun file ->
       Alcotest.test_case ("verdicts agree: " ^ file) `Quick (fun () ->
           let path = Filename.concat case_dir file in
-          let inc () = Rc_studies.Studies.session () in
-          let legacy () =
-            Rc_refinedc.Session.with_inc
-              (Rc_studies.Studies.session ())
-              {
-                Rc_refinedc.Session.default_inc with
-                Rc_refinedc.Session.in_enabled = false;
-              }
-          in
+          let session () = Rc_studies.Studies.session () in
           let cache = Vercache.create (fresh_cache_dir ()) in
-          let cold = Driver.check_file ~session:(inc ()) ~cache path in
-          let warm = Driver.check_file ~session:(inc ()) ~cache path in
-          let off = Driver.check_file ~session:(legacy ()) path in
-          let expected = verdict_sig off in
-          Alcotest.(check (list string)) "cold ≡ off" expected
+          let cold = Driver.check_file ~session:(session ()) ~cache path in
+          let warm = Driver.check_file ~session:(session ()) ~cache path in
+          let uncached = Driver.check_file ~session:(session ()) path in
+          let expected = verdict_sig uncached in
+          Alcotest.(check (list string)) "cold ≡ uncached" expected
             (verdict_sig cold);
-          Alcotest.(check (list string)) "warm ≡ off" expected
+          Alcotest.(check (list string)) "warm ≡ uncached" expected
             (verdict_sig warm)))
     [
       "mem_alloc.c"; "free_list.c"; "linked_list.c"; "queue.c";

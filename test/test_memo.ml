@@ -26,15 +26,11 @@ let corpus_files =
     "mpool.c"; "spinlock.c"; "barrier.c";
   ]
 
-let memo_on = { Session.default_memo with Session.mm_enabled = true }
-
 let studies_session ?(memo = false) () =
-  let s = Rc_studies.Studies.session () in
-  if memo then Session.with_memo s memo_on else s
+  Session.with_memo (Rc_studies.Studies.session ()) memo
 
 let plain_session ?(memo = false) () =
-  let s = Rc_session.Refinedc_api.create_session () in
-  if memo then Session.with_memo s memo_on else s
+  Rc_session.Refinedc_api.create_session ~memo ()
 
 let json t = Rc_util.Jsonout.to_string (Driver.to_json ~timings:false t)
 
@@ -66,6 +62,62 @@ let test_intern_bounds () =
     (fun () -> ignore (Goal.Intern.name t 1));
   Alcotest.check_raises "negative" (Invalid_argument "Intern.name")
     (fun () -> ignore (Goal.Intern.name t (-1)))
+
+(* Dispatch reads a goal's rule bucket and head name through
+   [head_id_of_f]; [head_of_f] is the reference it must agree with.  A
+   wildcard spy rule, tried first on every basic goal and never firing,
+   records both for every goal the case studies reach.  The case
+   studies have no negation, cast or switch, so a small extra program
+   supplies those heads. *)
+let heads_src =
+  {|
+[[rc::parameters("x: int")]]
+[[rc::args("x @ int<int>")]]
+[[rc::requires("{0 <= x}", "{x <= 100}")]]
+[[rc::returns("x @ int<int>")]]
+int heads(int n) {
+  long m = (long)n;
+  int k = -n;
+  switch (n) {
+  case 0:
+    return n;
+  default:
+    return n;
+  }
+}
+|}
+
+let test_head_ids () =
+  let module Lang = Rc_refinedc.Lang in
+  let seen = Hashtbl.create 16 in
+  let spy =
+    {
+      Lang.E.rname = "TEST-HEAD-SPY";
+      prio = min_int;
+      heads = None;
+      apply =
+        (fun _ f ->
+          Hashtbl.replace seen (Lang.head_of_f f)
+            Lang.head_names.(Lang.head_id_of_f f);
+          None);
+    }
+  in
+  let session () = Rc_studies.Studies.session ~rules:[ spy ] () in
+  List.iter
+    (fun (file, src) ->
+      let t = Driver.check_source ~session:(session ()) ~file src in
+      Alcotest.(check bool) (file ^ " verifies") true (Driver.errors t = []))
+    (("heads.c", heads_src)
+    :: List.map
+         (fun file ->
+           let path = Filename.concat case_dir file in
+           (path, In_channel.with_open_bin path In_channel.input_all))
+         corpus_files);
+  List.iter
+    (fun head ->
+      Alcotest.(check (option string))
+        ("head " ^ head) (Some head) (Hashtbl.find_opt seen head))
+    Lang.all_heads
 
 (* ------------------------------------------------------------------ *)
 (* Observational equivalence of memo-on and memo-off                   *)
@@ -111,7 +163,8 @@ let corpus_equiv_tests =
     corpus_files
 
 (* A sample of each stress-corpus family, checked from in-memory source
-   so the test leaves no files behind. *)
+   so the test leaves no files behind.  They run under the case-study
+   session, as the CLI does: lock_farm needs its [lock_t] type. *)
 let stress_sample =
   [
     ("diamonds.c", Corpus.diamond_chain ~k:6);
@@ -119,6 +172,7 @@ let stress_sample =
     ("struct_nest.c", Corpus.struct_nest ~depth:4);
     ("wide_exprs.c", Corpus.wide_exprs ~stmts:4 ~width:3);
     ("loop_farm.c", Corpus.loop_farm ~functions:3 ());
+    ("lock_farm.c", Corpus.lock_farm ~functions:3 ());
   ]
 
 let stress_equiv_tests =
@@ -126,11 +180,11 @@ let stress_equiv_tests =
     (fun (name, src) ->
       Alcotest.test_case name `Quick (fun () ->
           let off =
-            Driver.check_source ~session:(plain_session ()) ~file:name src
+            Driver.check_source ~session:(studies_session ()) ~file:name src
           in
           let on =
             Driver.check_source
-              ~session:(plain_session ~memo:true ())
+              ~session:(studies_session ~memo:true ())
               ~file:name src
           in
           Alcotest.(check (list string))
@@ -173,7 +227,7 @@ let parallel_memo_tests =
   List.map
     (fun file ->
       Alcotest.test_case file `Quick (fun () ->
-          if not Rc_util.Pool.parallelism_available then Alcotest.skip ();
+          if not Rc_util.Supervisor.parallelism_available then Alcotest.skip ();
           let path = Filename.concat case_dir file in
           let seq =
             Driver.check_file ~session:(studies_session ~memo:true ()) ~jobs:1
@@ -258,6 +312,8 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_intern_roundtrip;
           Alcotest.test_case "bounds" `Quick test_intern_bounds;
+          Alcotest.test_case "head ids round-trip to head names" `Quick
+            test_head_ids;
         ] );
       ("corpus memo-on = memo-off", corpus_equiv_tests);
       ("stress memo-on = memo-off", stress_equiv_tests);

@@ -2,8 +2,9 @@
    study, a [-j 4] run must be observably identical to the sequential
    [-j 1] run — same per-function verdicts in the same order, the same
    Figure-7 statistics, the same exit code.  On an OCaml 4.x build the
-   domain pool degrades to [List.map], which makes these tests trivially
-   true; they skip rather than pretend to have tested parallelism. *)
+   supervisor degrades to sequential execution, which makes these tests
+   trivially true; they skip rather than pretend to have tested
+   parallelism. *)
 
 module Driver = Rc_frontend.Driver
 module Stats = Rc_lithium.Stats
@@ -43,7 +44,7 @@ let determinism_tests =
   List.map
     (fun file ->
       Alcotest.test_case file `Quick (fun () ->
-          if not Rc_util.Pool.parallelism_available then
+          if not Rc_util.Supervisor.parallelism_available then
             Alcotest.skip ();
           let path = Filename.concat case_dir file in
           let seq = Driver.check_file ~session:(session ()) ~jobs:1 path in
@@ -80,30 +81,19 @@ let determinism_tests =
                seq.Driver.diagnostics par.Driver.diagnostics)))
     corpus
 
-let pool_tests =
+(* Worker domains beyond the core count only add overhead, so the
+   driver clamps [-j] to the hardware before sizing its pool. *)
+let clamp_tests =
   [
-    Alcotest.test_case "map preserves input order" `Quick (fun () ->
-        let xs = List.init 100 Fun.id in
-        Alcotest.(check (list int))
-          "order" (List.map succ xs)
-          (Rc_util.Pool.map ~jobs:4 succ xs));
-    Alcotest.test_case "map re-raises worker exceptions" `Quick (fun () ->
-        match
-          Rc_util.Pool.map ~jobs:4
-            (fun i -> if i = 37 then failwith "boom" else i)
-            (List.init 100 Fun.id)
-        with
-        | _ -> Alcotest.fail "expected Failure"
-        | exception Failure msg -> Alcotest.(check string) "msg" "boom" msg);
-    Alcotest.test_case "jobs=1 is exactly List.map" `Quick (fun () ->
-        let xs = [ 3; 1; 4; 1; 5 ] in
-        Alcotest.(check (list int))
-          "same" (List.map (( * ) 2) xs)
-          (Rc_util.Pool.map ~jobs:1 (( * ) 2) xs));
-    Alcotest.test_case "default_jobs is positive" `Quick (fun () ->
-        Alcotest.(check bool) "positive" true (Rc_util.Pool.default_jobs () > 0));
+    Alcotest.test_case "-j beyond the cores is clamped" `Quick (fun () ->
+        let path = Filename.concat case_dir "queue.c" in
+        let t = Driver.check_file ~session:(session ()) ~jobs:64 path in
+        Alcotest.(check bool)
+          "1 <= jobs used <= recommended" true
+          (1 <= t.Driver.jobs
+          && t.Driver.jobs <= Rc_util.Supervisor.recommended_jobs ()));
   ]
 
 let () =
   Alcotest.run "parallel"
-    [ ("determinism", determinism_tests); ("pool", pool_tests) ]
+    [ ("determinism", determinism_tests); ("clamp", clamp_tests) ]

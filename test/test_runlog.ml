@@ -115,7 +115,7 @@ let ledger_tests =
             Runlog.append lg (sample_record ((w * 1000) + i))
           done
         in
-        if Rc_util.Pool.parallelism_available then
+        if Rc_util.Supervisor.parallelism_available then
           List.init workers (fun w -> Domain.spawn (work w))
           |> List.iter Domain.join
         else List.init workers work |> List.iteri (fun _ f -> f ());
