@@ -68,6 +68,9 @@ let rule_table (session : Rc_refinedc.Session.t) : string list =
 let check ?(obs = Rc_util.Obs.off) ~(session : Rc_refinedc.Session.t)
     (d : Deriv.node) : report =
   let table = rule_table session in
+  (* one solver scope for the whole derivation, as in the engine; it
+     caches simplification and linearisation, never a verdict *)
+  let registry = Registry.scoped session.Rc_refinedc.Session.registry in
   let nodes = ref 0 in
   let apps = ref 0 in
   let sides = ref 0 in
@@ -91,8 +94,8 @@ let check ?(obs = Rc_util.Obs.off) ~(session : Rc_refinedc.Session.t)
         if Term.has_evars_prop p then flag (Evars_remain p)
         else
           match
-            Registry.solve session.Rc_refinedc.Session.registry
-              ~tactics:n.Deriv.d_tactics ~hyps:n.Deriv.d_hyps p
+            Registry.solve registry ~tactics:n.Deriv.d_tactics
+              ~hyps:n.Deriv.d_hyps p
           with
           | Registry.Unsolved -> flag (Side_condition_failed p)
           | _ -> ())
@@ -115,6 +118,7 @@ let check ?(obs = Rc_util.Obs.off) ~(session : Rc_refinedc.Session.t)
       issues = List.rev !issues;
     }
   in
+  Registry.flush_scope registry obs;
   if Rc_util.Obs.on obs then begin
     Rc_util.Obs.counter obs ~by:report.nodes "cert.nodes";
     Rc_util.Obs.counter obs ~by:report.side_conditions "cert.sides";

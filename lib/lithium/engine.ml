@@ -1061,6 +1061,9 @@ module Make (L : LANG) = struct
       ?(budget = Rc_util.Budget.unlimited) ?(obs = Rc_util.Obs.off)
       ?(opts = default_opts) ?(ctx = empty_ctx) (g : goal) :
       (result, Report.t) Stdlib.result =
+    (* one solver scope per check: the function's side conditions share
+       their hypotheses, which are then prepared once *)
+    let registry = Registry.scoped registry in
     let st =
       {
         evars = Evar.create ?fault:registry.Registry.fault ~obs ();
@@ -1098,17 +1101,21 @@ module Make (L : LANG) = struct
         cur_head = None;
       }
     in
-    match solve st 0 ctx g with
-    | d ->
-        st.stats.Stats.evar_insts <- st.evars.Evar.instantiations;
-        Ok { deriv = d; stats = st.stats }
-    | exception Report.Error e -> Error e
-    | exception Stack_overflow ->
-        (* catch here (rather than only in the driver) so the diagnostic
-           still carries the source location of the judgment in flight *)
-        Error
-          (Report.make ?loc:st.cur_loc
-             (Report.Checker_fault "Stack_overflow during proof search"))
+    let outcome =
+      match solve st 0 ctx g with
+      | d ->
+          st.stats.Stats.evar_insts <- st.evars.Evar.instantiations;
+          Ok { deriv = d; stats = st.stats }
+      | exception Report.Error e -> Error e
+      | exception Stack_overflow ->
+          (* catch here (rather than only in the driver) so the diagnostic
+             still carries the source location of the judgment in flight *)
+          Error
+            (Report.make ?loc:st.cur_loc
+               (Report.Checker_fault "Stack_overflow during proof search"))
+    in
+    Registry.flush_scope registry obs;
+    outcome
 
   (** One-shot entry point: indexes [cfg.rules] and runs.  Callers that
       check many functions against the same rule set should build the

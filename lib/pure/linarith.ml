@@ -23,6 +23,7 @@ open Term
 (* ------------------------------------------------------------------ *)
 
 module IMap = Map.Make (Int)
+module ISet = Set.Make (Int)
 
 type lin = { coeffs : int IMap.t; const : int }
 
@@ -45,32 +46,152 @@ let lin_sub a b = lin_add a (lin_scale (-1) b)
 let lin_is_const a = IMap.is_empty a.coeffs
 
 (* ------------------------------------------------------------------ *)
-(* Atomization environment                                             *)
+(* The solver scope                                                     *)
 (* ------------------------------------------------------------------ *)
+
+type literal = Ge of lin  (* lin >= 0 *) | EqZ of lin  (* lin = 0 *)
+type branch = literal list
+
+(* Structural hashing that looks deeper than [Hashtbl.hash] (10
+   meaningful words), which cannot tell apart two hypotheses that differ
+   only below their first few leaves.  Equality tries physical identity
+   first: the hypotheses of consecutive queries are mostly the same
+   shared values. *)
+module TTbl = Hashtbl.Make (struct
+  type t = term
+
+  let equal a b = a == b || equal_term a b
+  let hash = Hashtbl.hash_param 32 128
+end)
+
+module PTbl = Hashtbl.Make (struct
+  type t = prop
+
+  let equal a b = a == b || equal_prop a b
+  let hash = Hashtbl.hash_param 32 128
+end)
+
+(* A proposition's linearisation: its DNF, with the sort axioms of the
+   non-negative atoms its literals mention, or [Skip] when it lies
+   outside the fragment (non-linear, or more than [max_branches] DNF
+   branches). *)
+type dnf = Dnf of branch list * branch | Skip
+
+(* [List.map f] over hypothesis lists, remembering the last list mapped.
+   Contexts grow by prepending, so consecutive queries of one function
+   share most of their hypothesis list physically; only the elements in
+   front of the shared suffix are mapped again.  The result shares that
+   suffix too, so maps compose. *)
+type ('a, 'b) last_map = { mutable src : 'a list; mutable dst : 'b list }
+
+let last_map () = { src = []; dst = [] }
+
+(* [map_last m f l] is [List.map f l], applying [f] head first to the
+   elements before the suffix [l] shares with [m.src]; returns the
+   result and the number of elements reused *)
+let map_last m f l =
+  let n = List.length l and k = List.length m.src in
+  let rec drop i l =
+    if i <= 0 then l else match l with [] -> [] | _ :: t -> drop (i - 1) t
+  in
+  let rec lead acc i l =
+    if i <= 0 then (acc, l)
+    else match l with x :: t -> lead (f x :: acc) (i - 1) t | [] -> (acc, l)
+  in
+  let rec walk acc l src dst =
+    if l == src then (List.rev_append acc dst, List.length dst)
+    else
+      match (l, src, dst) with
+      | x :: l, _ :: src, _ :: dst -> walk (f x :: acc) l src dst
+      | _ -> (List.rev_append acc (List.map f l), 0)
+  in
+  let acc, l' = lead [] (n - k) l in
+  let r, reused = walk acc l' (drop (k - n) m.src) (drop (k - n) m.dst) in
+  m.src <- l;
+  m.dst <- r;
+  (r, reused)
 
 (* Non-linear subterms (variables, lengths, applications, opaque ite…) are
    mapped to atom ids; syntactically equal subterms share an id, giving a
-   cheap congruence closure sufficient for the case studies. *)
-
-type env = {
-  mutable atoms : (term * int) list;  (* canonical term -> id *)
+   cheap congruence closure sufficient for the case studies.  The atom
+   table lives as long as the scope, so a hypothesis linearised once
+   keeps its meaning across every later query of the same scope. *)
+type scope = {
+  atoms : int TTbl.t;
   mutable next : int;
-  mutable side : branch list -> branch list;
-      (* extra literal sets to conjoin into every branch *)
+  mutable nonneg : ISet.t;  (** atoms carrying a sort axiom [a >= 0] *)
+  mutable simps : (Simp.hooks * prop PTbl.t * (prop, prop) last_map) list;
+      (** [Simp.simp_prop] memo, one per hooks value *)
+  dnfs : dnf PTbl.t;
+  dnf_last : (prop, dnf) last_map;
+  (* counters, flushed into an [Obs] handle by [flush] *)
+  mutable n_queries : int;
+  mutable n_refuted : int;
+  mutable n_generated : int;
+  mutable n_kept : int;
+  mutable n_memo_hits : int;
+  mutable n_exhausted : int;
 }
 
-and literal = Ge of lin  (* lin >= 0 *) | EqZ of lin  (* lin = 0 *)
-and branch = literal list
+let scope () =
+  {
+    atoms = TTbl.create 64;
+    next = 0;
+    nonneg = ISet.empty;
+    simps = [];
+    dnfs = PTbl.create 64;
+    dnf_last = last_map ();
+    n_queries = 0;
+    n_refuted = 0;
+    n_generated = 0;
+    n_kept = 0;
+    n_memo_hits = 0;
+    n_exhausted = 0;
+  }
 
-let new_env () = { atoms = []; next = 0; side = (fun b -> b) }
+let flush sc obs =
+  if Rc_util.Obs.on obs then
+    List.iter
+      (fun (name, n) ->
+        if n > 0 then Rc_util.Obs.counter obs ~by:n ("solver.lia." ^ name))
+      [
+        ("queries", sc.n_queries);
+        ("refuted", sc.n_refuted);
+        ("fm_generated", sc.n_generated);
+        ("fm_kept", sc.n_kept);
+        ("memo_hits", sc.n_memo_hits);
+        ("exhausted", sc.n_exhausted);
+      ]
 
-let atom_id env t =
-  match List.find_opt (fun (u, _) -> equal_term u t) env.atoms with
-  | Some (_, id) -> id
+let simp_memo sc hooks =
+  match List.find_opt (fun (h, _, _) -> h == hooks) sc.simps with
+  | Some (_, tbl, last) -> (tbl, last)
   | None ->
-      let id = env.next in
-      env.next <- id + 1;
-      env.atoms <- (t, id) :: env.atoms;
+      let tbl = PTbl.create 64 and last = last_map () in
+      sc.simps <- (hooks, tbl, last) :: sc.simps;
+      (tbl, last)
+
+let simp_in tbl hooks p =
+  match PTbl.find_opt tbl p with
+  | Some q -> q
+  | None ->
+      let q = Simp.simp_prop ~hooks p in
+      PTbl.add tbl p q;
+      q
+
+let simp sc hooks p = simp_in (fst (simp_memo sc hooks)) hooks p
+
+let simp_hyps sc hooks hyps =
+  let tbl, last = simp_memo sc hooks in
+  fst (map_last last (simp_in tbl hooks) hyps)
+
+let atom_id sc t =
+  match TTbl.find_opt sc.atoms t with
+  | Some id -> id
+  | None ->
+      let id = sc.next in
+      sc.next <- id + 1;
+      TTbl.add sc.atoms t id;
       (* sort-based axioms *)
       let nonneg =
         match t with
@@ -79,12 +200,7 @@ let atom_id env t =
         | Mod (_, Num m) when m > 0 -> true
         | _ -> false
       in
-      if nonneg then (
-        let prev = env.side in
-        env.side <-
-          fun branches ->
-            prev branches
-            |> List.map (fun b -> Ge (lin_atom id) :: b));
+      if nonneg then sc.nonneg <- ISet.add id sc.nonneg;
       id
 
 exception Too_many_branches
@@ -92,27 +208,27 @@ exception Nonlinear
 
 let max_branches = 512
 
-(* [linof env t] converts a numeric term to a list of (guard-branch, lin)
+(* [linof sc t] converts a numeric term to a list of (guard-branch, lin)
    pairs: case splits arising inside the term produce several pairs whose
    guards must be conjoined into the enclosing branch. *)
-let rec linof env (t : term) : (branch * lin) list =
+let rec linof sc (t : term) : (branch * lin) list =
   match t with
   | Num n -> [ ([], lin_const n) ]
-  | Add (a, b) -> lift2 env lin_add a b
-  | Sub (a, b) -> lift2 env lin_sub a b
+  | Add (a, b) -> lift2 sc lin_add a b
+  | Sub (a, b) -> lift2 sc lin_sub a b
   | Mul (Num k, a) | Mul (a, Num k) ->
-      List.map (fun (g, l) -> (g, lin_scale k l)) (linof env a)
+      List.map (fun (g, l) -> (g, lin_scale k l)) (linof sc a)
   | Mul (a, b) -> (
       (* try constant folding after recursion *)
-      match (linof env a, linof env b) with
+      match (linof sc a, linof sc b) with
       | [ ([], la) ], _ when lin_is_const la ->
-          List.map (fun (g, l) -> (g, lin_scale la.const l)) (linof env b)
+          List.map (fun (g, l) -> (g, lin_scale la.const l)) (linof sc b)
       | _, [ ([], lb) ] when lin_is_const lb ->
-          List.map (fun (g, l) -> (g, lin_scale lb.const l)) (linof env a)
-      | _ -> [ ([], lin_atom (atom_id env t)) ])
+          List.map (fun (g, l) -> (g, lin_scale lb.const l)) (linof sc a)
+      | _ -> [ ([], lin_atom (atom_id sc t)) ])
   | NatSub (a, b) ->
       (* d = a ∸ b:  (b ≤ a ∧ d = a - b) ∨ (a ≤ b ∧ d = 0) *)
-      let la = linof env a and lb = linof env b in
+      let la = linof sc a and lb = linof sc b in
       List.concat_map
         (fun (ga, xa) ->
           List.concat_map
@@ -126,7 +242,7 @@ let rec linof env (t : term) : (branch * lin) list =
         la
   | Min (a, b) | Max (a, b) ->
       let is_min = match t with Min _ -> true | _ -> false in
-      let la = linof env a and lb = linof env b in
+      let la = linof sc a and lb = linof sc b in
       List.concat_map
         (fun (ga, xa) ->
           List.concat_map
@@ -140,11 +256,11 @@ let rec linof env (t : term) : (branch * lin) list =
             lb)
         la
   | Ite (c, a, b) -> (
-      match lits_of_prop env c with
-      | exception Nonlinear -> [ ([], lin_atom (atom_id env t)) ]
+      match lits_of_prop sc c with
+      | exception Nonlinear -> [ ([], lin_atom (atom_id sc t)) ]
       | cpos ->
-          let cneg = lits_of_prop env (PNot c) in
-          let la = linof env a and lb = linof env b in
+          let cneg = lits_of_prop sc (PNot c) in
+          let la = linof sc a and lb = linof sc b in
           List.concat_map
             (fun gc -> List.map (fun (g, l) -> (gc @ g, l)) la)
             cpos
@@ -154,8 +270,8 @@ let rec linof env (t : term) : (branch * lin) list =
   | Mod (a, Num m) when m > 0 ->
       (* r = a mod m with 0 <= r < m and a - r divisible: introduce
          quotient atom q with a = q*m + r.  We encode via fresh atoms. *)
-      let r_id = atom_id env t in
-      let q_id = atom_id env (App ("__div", [ a; Num m ])) in
+      let r_id = atom_id sc t in
+      let q_id = atom_id sc (App ("__div", [ a; Num m ])) in
       List.map
         (fun (g, la) ->
           let r = lin_atom r_id and q = lin_atom q_id in
@@ -164,10 +280,10 @@ let rec linof env (t : term) : (branch * lin) list =
              :: EqZ (lin_sub la (lin_add (lin_scale m q) r))
              :: g),
             r ))
-        (linof env a)
+        (linof sc a)
   | Div (a, Num m) when m > 0 ->
-      let q_id = atom_id env (App ("__div", [ a; Num m ])) in
-      let r_id = atom_id env (Mod (a, Num m)) in
+      let q_id = atom_id sc (App ("__div", [ a; Num m ])) in
+      let r_id = atom_id sc (Mod (a, Num m)) in
       List.map
         (fun (g, la) ->
           let r = lin_atom r_id and q = lin_atom q_id in
@@ -176,58 +292,58 @@ let rec linof env (t : term) : (branch * lin) list =
              :: EqZ (lin_sub la (lin_add (lin_scale m q) r))
              :: g),
             q ))
-        (linof env a)
-  | _ -> [ ([], lin_atom (atom_id env t)) ]
+        (linof sc a)
+  | _ -> [ ([], lin_atom (atom_id sc t)) ]
 
-and lift2 env f a b =
-  let la = linof env a and lb = linof env b in
+and lift2 sc f a b =
+  let la = linof sc a and lb = linof sc b in
   if List.length la * List.length lb > max_branches then
     raise Too_many_branches;
   List.concat_map
     (fun (ga, xa) -> List.map (fun (gb, xb) -> (ga @ gb, f xa xb)) lb)
     la
 
-(* [lits_of_prop env p] converts a proposition to DNF over literals:
+(* [lits_of_prop sc p] converts a proposition to DNF over literals:
    the result is a list of branches; [p] holds iff some branch's literals
    all hold.  Raises [Nonlinear] when [p] is outside the fragment. *)
-and lits_of_prop env (p : prop) : branch list =
+and lits_of_prop sc (p : prop) : branch list =
   match p with
   | PTrue -> [ [] ]
   | PFalse -> []
   | PAnd (a, b) ->
-      let ba = lits_of_prop env a and bb = lits_of_prop env b in
+      let ba = lits_of_prop sc a and bb = lits_of_prop sc b in
       if List.length ba * List.length bb > max_branches then
         raise Too_many_branches;
       List.concat_map (fun x -> List.map (fun y -> x @ y) bb) ba
-  | POr (a, b) -> lits_of_prop env a @ lits_of_prop env b
-  | PImp (a, b) -> lits_of_prop env (POr (PNot a, b))
-  | PNot (PAnd (a, b)) -> lits_of_prop env (POr (PNot a, PNot b))
-  | PNot (POr (a, b)) -> lits_of_prop env (PAnd (PNot a, PNot b))
-  | PNot (PNot a) -> lits_of_prop env a
-  | PNot (PImp (a, b)) -> lits_of_prop env (PAnd (a, PNot b))
+  | POr (a, b) -> lits_of_prop sc a @ lits_of_prop sc b
+  | PImp (a, b) -> lits_of_prop sc (POr (PNot a, b))
+  | PNot (PAnd (a, b)) -> lits_of_prop sc (POr (PNot a, PNot b))
+  | PNot (POr (a, b)) -> lits_of_prop sc (PAnd (PNot a, PNot b))
+  | PNot (PNot a) -> lits_of_prop sc a
+  | PNot (PImp (a, b)) -> lits_of_prop sc (PAnd (a, PNot b))
   | PNot PTrue -> []
   | PNot PFalse -> [ [] ]
-  | PLe (a, b) -> cmp env a b (fun d -> [ Ge d ])
-  | PLt (a, b) -> cmp env a b (fun d -> [ Ge (lin_add d (lin_const (-1))) ])
-  | PNot (PLe (a, b)) -> lits_of_prop env (PLt (b, a))
-  | PNot (PLt (a, b)) -> lits_of_prop env (PLe (b, a))
+  | PLe (a, b) -> cmp sc a b (fun d -> [ Ge d ])
+  | PLt (a, b) -> cmp sc a b (fun d -> [ Ge (lin_add d (lin_const (-1))) ])
+  | PNot (PLe (a, b)) -> lits_of_prop sc (PLt (b, a))
+  | PNot (PLt (a, b)) -> lits_of_prop sc (PLe (b, a))
   | PEq (a, b) when Sort.is_numeric (sort_of a) || Sort.is_numeric (sort_of b)
     ->
-      cmp env a b (fun d -> [ EqZ d ])
+      cmp sc a b (fun d -> [ EqZ d ])
   | PNot (PEq (a, b))
     when Sort.is_numeric (sort_of a) || Sort.is_numeric (sort_of b) ->
-      lits_of_prop env (POr (PLt (a, b), PLt (b, a)))
-  | PIsTrue (TProp q) -> lits_of_prop env q
+      lits_of_prop sc (POr (PLt (a, b), PLt (b, a)))
+  | PIsTrue (TProp q) -> lits_of_prop sc q
   | PIsTrue _ -> raise Nonlinear
   | PEq (BoolLit true, TProp q) | PEq (TProp q, BoolLit true) ->
-      lits_of_prop env q
+      lits_of_prop sc q
   | PEq (BoolLit false, TProp q) | PEq (TProp q, BoolLit false) ->
-      lits_of_prop env (PNot q)
+      lits_of_prop sc (PNot q)
   | _ -> raise Nonlinear
 
-and cmp env a b mk =
+and cmp sc a b mk =
   (* literal(s) for "b - a within mk" *)
-  let la = linof env a and lb = linof env b in
+  let la = linof sc a and lb = linof sc b in
   if List.length la * List.length lb > max_branches then
     raise Too_many_branches;
   List.concat_map
@@ -241,13 +357,56 @@ and cmp env a b mk =
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-(* returns [true] if the branch (conjunction of literals) is unsat *)
-let branch_unsat (lits : branch) : bool =
+exception Refuted
+
+(* FM constraints keyed on their coefficient vector.  The key is
+   [IMap.bindings], not the map: structural equality on a balanced tree
+   depends on its shape, not only on its bindings. *)
+module VTbl = Hashtbl.Make (struct
+  type t = (int * int) list
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 32 128
+end)
+
+(* [prune ges] drops the redundant constraints of a conjunction of
+   [l >= 0]: satisfied constant ones, and of the constraints sharing a
+   coefficient vector all but the tightest (smallest constant), kept at
+   the position of the vector's first occurrence.  Raises [Refuted] on a
+   violated constant constraint.  The result has the same rational
+   solutions as the input. *)
+let prune (ges : lin list) : lin list =
+  let best = VTbl.create 16 in
+  List.fold_left
+    (fun acc l ->
+      if lin_is_const l then if l.const < 0 then raise Refuted else acc
+      else
+        let key = IMap.bindings l.coeffs in
+        match VTbl.find_opt best key with
+        | Some c ->
+            if l.const < !c then c := l.const;
+            acc
+        | None ->
+            let c = ref l.const in
+            VTbl.add best key c;
+            (l, c) :: acc)
+    [] ges
+  |> List.rev_map (fun (l, c) -> if !c = l.const then l else { l with const = !c })
+
+(* the FM bounds: combined constraints per elimination step, and steps *)
+let max_combined = 4096
+let max_steps = 64
+
+(* returns [true] if the branch (the conjunction of the literals of
+   [parts]) is unsat *)
+let branch_unsat sc (parts : branch list) : bool =
   (* Split into equalities and inequalities *)
-  let eqs = List.filter_map (function EqZ l -> Some l | _ -> None) lits in
-  let ges = List.filter_map (function Ge l -> Some l | _ -> None) lits in
+  let eqs = ref [] and ges = ref [] in
+  List.iter
+    (List.iter (function EqZ l -> eqs := l :: !eqs | Ge l -> ges := l :: !ges))
+    parts;
+  let eqs = List.rev !eqs and ges = List.rev !ges in
   (* Gaussian elimination on equalities with divisibility check. *)
-  let exception Unsat in
   try
     let subst_in l (x, piv) =
       (* piv: a*x + r = 0 with a = coefficient of x in piv *)
@@ -258,20 +417,17 @@ let branch_unsat (lits : branch) : bool =
           (* a * l - c * piv removes x; keep sign of l's direction by
              multiplying by sign(a) *)
           let s = if a > 0 then 1 else -1 in
-          let l' = lin_sub (lin_scale (s * a) l) (lin_scale (s * c) piv) in
-          l'
+          lin_sub (lin_scale (s * a) l) (lin_scale (s * c) piv)
     in
-    let rec elim_eqs eqs ges acc_ges =
+    let rec elim_eqs eqs ges =
       match eqs with
-      | [] -> (ges, acc_ges)
+      | [] -> ges
       | e :: rest ->
           if lin_is_const e then
-            if e.const <> 0 then raise Unsat else elim_eqs rest ges acc_ges
+            if e.const <> 0 then raise Refuted else elim_eqs rest ges
           else
-            let g =
-              IMap.fold (fun _ c acc -> gcd acc c) e.coeffs 0
-            in
-            if g <> 0 && e.const mod g <> 0 then raise Unsat
+            let g = IMap.fold (fun _ c acc -> gcd acc c) e.coeffs 0 in
+            if g <> 0 && e.const mod g <> 0 then raise Refuted
             else
               (* pick pivot var with smallest |coeff| *)
               let x, _ =
@@ -282,38 +438,35 @@ let branch_unsat (lits : branch) : bool =
               in
               let rest = List.map (fun l -> subst_in l (x, e)) rest in
               let ges = List.map (fun l -> subst_in l (x, e)) ges in
-              elim_eqs rest ges acc_ges
+              elim_eqs rest ges
     in
-    let ges, _ = elim_eqs eqs ges [] in
     (* Fourier–Motzkin on inequalities (rational relaxation: sound for
-       refutation). *)
+       refutation), pruned after every step. *)
     let rec fm ges fuel =
-      if fuel <= 0 then false
-      else if
-        List.exists (fun l -> lin_is_const l && l.const < 0) ges
-      then true
-      else
-        (* pick a variable occurring in some inequality *)
-        let var =
-          List.fold_left
-            (fun acc l ->
-              match acc with
-              | Some _ -> acc
-              | None -> IMap.choose_opt l.coeffs |> Option.map fst)
-            None ges
-        in
-        match var with
-        | None -> false (* all constants, none negative: satisfiable *)
-        | Some x ->
-            let pos, neg, rest =
-              List.fold_left
-                (fun (p, n, r) l ->
-                  match IMap.find_opt x l.coeffs with
-                  | Some c when c > 0 -> (l :: p, n, r)
-                  | Some _ -> (p, l :: n, r)
-                  | None -> (p, n, l :: r))
-                ([], [], []) ges
-            in
+      match ges with
+      | [] -> false (* every constraint held: satisfiable *)
+      | _ when fuel <= 0 ->
+          sc.n_exhausted <- sc.n_exhausted + 1;
+          false
+      | l :: _ ->
+          (* pruned constraints are never constant: eliminate the first
+             one's smallest atom *)
+          let x = fst (IMap.min_binding l.coeffs) in
+          let pos, neg, rest =
+            List.fold_left
+              (fun (p, n, r) l ->
+                match IMap.find_opt x l.coeffs with
+                | Some c when c > 0 -> (l :: p, n, r)
+                | Some _ -> (p, l :: n, r)
+                | None -> (p, n, l :: r))
+              ([], [], []) ges
+          in
+          let generated = List.length pos * List.length neg in
+          if generated > max_combined then begin
+            sc.n_exhausted <- sc.n_exhausted + 1;
+            false
+          end
+          else
             let combined =
               List.concat_map
                 (fun lp ->
@@ -325,11 +478,17 @@ let branch_unsat (lits : branch) : bool =
                     neg)
                 pos
             in
-            if List.length combined > 4096 then false
-            else fm (combined @ rest) (fuel - 1)
+            sc.n_generated <- sc.n_generated + generated;
+            let ges = prune (combined @ rest) in
+            (* [rest] is already pruned: the excess is what [combined]
+               added *)
+            sc.n_kept <- sc.n_kept + List.length ges - List.length rest;
+            fm ges (fuel - 1)
     in
-    fm ges 64
-  with Unsat -> true
+    fm (prune (elim_eqs eqs ges)) max_steps
+  with Refuted ->
+    sc.n_refuted <- sc.n_refuted + 1;
+    true
 
 (* ------------------------------------------------------------------ *)
 (* Equality propagation on non-numeric hypotheses                       *)
@@ -337,7 +496,7 @@ let branch_unsat (lits : branch) : bool =
 
 (* Hypotheses like [x = t] for non-numeric [x] are substituted away so
    that syntactic congruence (shared atom ids) kicks in. *)
-let propagate_eqs hyps goal =
+let propagate_eqs sc hyps goal =
   let rec loop n hyps goal =
     if n = 0 then (hyps, goal)
     else
@@ -357,7 +516,7 @@ let propagate_eqs hyps goal =
       match pick with
       | None -> (hyps, goal)
       | Some (x, t) ->
-          let sub p = Simp.simp_prop (subst_prop [ (x, t) ] p) in
+          let sub p = simp sc Simp.no_hooks (subst_prop [ (x, t) ] p) in
           loop (n - 1) (List.map sub hyps) (sub goal)
   in
   loop 8 hyps goal
@@ -366,49 +525,90 @@ let propagate_eqs hyps goal =
 (* Entry point                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** [prove ~hyps goal]: try to establish [hyps ⊨ goal].  Quantified or
-    otherwise out-of-fragment hypotheses are ignored (sound). *)
-let prove ~hyps goal =
-  let hyps = List.map Simp.simp_prop hyps in
-  let goal = Simp.simp_prop goal in
+(* [dnf sc p]: [p]'s linearisation, computed once per scope *)
+let dnf sc p =
+  match PTbl.find_opt sc.dnfs p with
+  | Some d ->
+      sc.n_memo_hits <- sc.n_memo_hits + 1;
+      d
+  | None ->
+      let d =
+        match lits_of_prop sc p with
+        | exception (Nonlinear | Too_many_branches) -> Skip
+        | bs ->
+            let atoms =
+              List.fold_left
+                (List.fold_left (fun acc (Ge l | EqZ l) ->
+                     IMap.fold
+                       (fun id _ acc ->
+                         if ISet.mem id sc.nonneg then ISet.add id acc else acc)
+                       l.coeffs acc))
+                ISet.empty bs
+            in
+            let axioms =
+              ISet.fold (fun id acc -> Ge (lin_atom id) :: acc) atoms []
+            in
+            Dnf (bs, axioms)
+      in
+      PTbl.add sc.dnfs p d;
+      d
+
+(* [refute sc hyps goal]: every branch of [hyps ∧ ¬goal] is unsat *)
+let refute sc hyps goal =
+  let dnfs, reused = map_last sc.dnf_last (dnf sc) hyps in
+  sc.n_memo_hits <- sc.n_memo_hits + reused;
+  let exception Contradiction in
+  try
+    (* hypotheses: we take only those that are in the fragment and don't
+       blow up the case split, head first; a hypothesis whose DNF has
+       several branches forces a split *)
+    let _, taken =
+      List.fold_left
+        (fun ((width, taken) as keep) d ->
+          match d with
+          | Skip -> keep
+          | Dnf ([], _) -> raise Contradiction
+          | Dnf (bs, axioms) ->
+              let width = width * List.length bs in
+              if width > max_branches then keep
+              else (width, (bs, axioms) :: taken))
+        (1, []) dnfs
+    in
+    match dnf sc (PNot goal) with
+    | Skip -> false
+    | Dnf ([], _) -> true
+    | Dnf (goal_branches, goal_axioms) ->
+        (* each combination of the hypotheses' branches, in hypothesis
+           order, and the sort axioms of the atoms they mention *)
+        let combos, axioms =
+          List.fold_left
+            (fun (combos, axioms) (bs, ax) ->
+              ( List.concat_map (fun b -> List.map (fun c -> b :: c) combos) bs,
+                ax :: axioms ))
+            ([ [] ], [ goal_axioms ])
+            taken
+        in
+        (* unsat required for every combination *)
+        List.for_all
+          (fun c ->
+            let parts = axioms @ c in
+            List.for_all
+              (fun g -> branch_unsat sc (parts @ [ g ]))
+              goal_branches)
+          combos
+  with Contradiction -> true
+
+let prove ?scope:sc ~hyps goal =
+  let sc = match sc with Some sc -> sc | None -> scope () in
+  sc.n_queries <- sc.n_queries + 1;
+  let hyps = simp_hyps sc Simp.no_hooks hyps in
+  let goal = simp sc Simp.no_hooks goal in
   if goal = PTrue then true
   else if List.exists (fun h -> equal_prop h goal) hyps then true
-  else if List.exists (fun h -> Simp.simp_prop h = PFalse) hyps then true
+  else if List.mem PFalse hyps then true
   else
-    let hyps, goal = propagate_eqs hyps goal in
+    let hyps, goal = propagate_eqs sc hyps goal in
     if goal = PTrue then true
     else if List.exists (fun h -> equal_prop h goal) hyps then true
-    else if List.exists (fun h -> h = PFalse) hyps then true
-    else
-      let env = new_env () in
-      try
-        (* hypotheses: DNF each; we take only hypotheses that don't blow
-           up and conjoin them; a hypothesis whose DNF has several
-           branches forces a split. *)
-        let hyp_branches =
-          List.fold_left
-            (fun acc h ->
-              match lits_of_prop env h with
-              | exception Nonlinear -> acc
-              | [] -> raise Exit (* contradictory hypothesis *)
-              | bs ->
-                  if List.length acc * List.length bs > max_branches then acc
-                  else
-                    List.concat_map
-                      (fun a -> List.map (fun b -> a @ b) bs)
-                      acc)
-            [ [] ] hyps
-        in
-        let neg_goal_branches = lits_of_prop env (PNot goal) in
-        (* unsat required for every combination *)
-        let all =
-          List.concat_map
-            (fun h -> List.map (fun g -> h @ g) neg_goal_branches)
-            hyp_branches
-        in
-        let all = env.side all in
-        all <> [] && List.for_all branch_unsat all
-        || neg_goal_branches = []
-      with
-      | Exit -> true
-      | Nonlinear | Too_many_branches -> false
+    else if List.mem PFalse hyps then true
+    else refute sc hyps goal

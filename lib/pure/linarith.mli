@@ -7,14 +7,53 @@
     splitting over [∨], conditionals, truncated subtraction, [min]/[max]
     and disequalities, and every branch is refuted by Fourier–Motzkin
     elimination over the rationals plus an integer divisibility check on
-    equalities.  Non-linear subterms are atomized with congruence (equal
-    subterms share an atom) and sort axioms ([Nat] variables and lengths
-    are non-negative, [mod] by a positive literal is bounded).
+    equalities.  Redundant constraints (satisfied constants, and all but
+    the tightest of those sharing a coefficient vector) are pruned after
+    every elimination step.  Non-linear subterms are atomized with
+    congruence (equal subterms share an atom) and sort axioms ([Nat]
+    variables and lengths are non-negative, [mod] by a positive literal
+    is bounded).
 
     Soundness: a [true] answer is always valid over the integers.  The
     procedure is deliberately incomplete; goals it misses surface as
     unsolved side conditions — the paper's "manual" column. *)
 
-val prove : hyps:Term.prop list -> Term.prop -> bool
-(** quantified or otherwise out-of-fragment hypotheses are ignored
-    (which is sound) *)
+type scope
+(** The solver state of one function check.  A scope holds the atom
+    table, each proposition's simplified form (one memo per simplifier
+    hooks value) and each hypothesis's DNF, so a hypothesis shared by
+    many queries is prepared once.  It also counts the work done
+    (see {!flush}).
+
+    Answers never depend on what a scope has seen: a query answered in
+    a long-lived scope gets the same answer as in a fresh one.  Atom
+    numbering depends only on the queries asked in the scope, so a
+    scope per function keeps output identical at any [-j].  A scope is
+    single-writer; it must not be shared between domains. *)
+
+val scope : unit -> scope
+(** a fresh, empty scope *)
+
+val prove : ?scope:scope -> hyps:Term.prop list -> Term.prop -> bool
+(** [?scope] defaults to a fresh scope for this one query.  Quantified
+    or otherwise out-of-fragment hypotheses, and hypotheses whose own
+    DNF has more than 512 branches, are ignored (which is sound). *)
+
+val simp : scope -> Simp.hooks -> Term.prop -> Term.prop
+(** [simp sc hooks p] is [Simp.simp_prop ~hooks p], memoised in [sc]
+    per hooks value (by physical identity) *)
+
+val simp_hyps : scope -> Simp.hooks -> Term.prop list -> Term.prop list
+(** [simp_hyps sc hooks hyps] is [List.map (simp sc hooks) hyps]; it
+    only looks up the hypotheses in front of the suffix the list shares
+    (physically) with the previous list given with the same hooks *)
+
+val flush : scope -> Rc_util.Obs.t -> unit
+(** Add the scope's counters to [obs], when it is on; call it once, when
+    the scope's function check is done.  The counters:
+    [solver.lia.queries]; [.refuted] (branches refuted);
+    [.fm_generated] / [.fm_kept] (combined Fourier–Motzkin constraints,
+    and how many of them pruning kept); [.memo_hits] (hypothesis and
+    goal DNFs reused rather than recomputed); [.exhausted] (branches
+    given up at the combined-constraint cap or the step bound — the
+    only incompleteness that pruning could ever move). *)

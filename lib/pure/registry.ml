@@ -40,17 +40,18 @@ let is_manual = function Via_solver _ | Via_lemma _ -> true | _ -> false
 
 (** Resolve [Ite] terms whose condition the hypotheses decide (e.g. the
     refinement [(n ≤ a ? a - n : a)] under the branch fact [n ≤ a]). *)
-let resolve_ites ?(hooks = Simp.no_hooks) ~hyps (p : prop) : prop =
+let resolve_ites ?(scope = Linarith.scope ()) ?(hooks = Simp.no_hooks) ~hyps
+    (p : prop) : prop =
   let rec rt (t : term) : term =
     let t = map_term rt t in
     match t with
     | Ite (c, a, b) ->
-        if Linarith.prove ~hyps c then a
-        else if Linarith.prove ~hyps (PNot c) then b
+        if Linarith.prove ~scope ~hyps c then a
+        else if Linarith.prove ~scope ~hyps (PNot c) then b
         else t
     | t -> t
   in
-  Simp.simp_prop ~hooks (map_prop rt p)
+  Linarith.simp scope hooks (map_prop rt p)
 
 (* ------------------------------------------------------------------ *)
 (* Default solver                                                      *)
@@ -65,6 +66,7 @@ type t = {
   default_only : bool;
   hooks : Simp.hooks;
   fault : Rc_util.Faultsim.t option;
+  lia : Linarith.scope option;
 }
 
 and solver = { name : string; run : t -> hyps:prop list -> prop -> bool }
@@ -76,9 +78,22 @@ and lemma = {
   concl : prop;
 }
 
+let scoped reg = { reg with lia = Some (Linarith.scope ()) }
+
+(* the registry's scope, opening one for this call when it has none *)
+let in_scope reg =
+  match reg.lia with
+  | Some sc -> (reg, sc)
+  | None ->
+      let sc = Linarith.scope () in
+      ({ reg with lia = Some sc }, sc)
+
+let flush_scope reg obs = Option.iter (fun sc -> Linarith.flush sc obs) reg.lia
+
 let rec default_prove (reg : t) ~hyps goal =
-  let simp = Simp.simp_prop ~hooks:reg.hooks in
-  let goal = resolve_ites ~hooks:reg.hooks ~hyps (simp goal) in
+  let reg, scope = in_scope reg in
+  let simp = Linarith.simp scope reg.hooks in
+  let goal = resolve_ites ~scope ~hooks:reg.hooks ~hyps (simp goal) in
   match goal with
   | PTrue -> true
   | PAnd (a, b) -> default_prove reg ~hyps a && default_prove reg ~hyps b
@@ -90,10 +105,12 @@ let rec default_prove (reg : t) ~hyps goal =
       | None -> true
       | Some hs -> default_prove reg ~hyps:(hs @ hyps) b)
   | _ ->
-      List.exists (fun h -> equal_prop (simp h) goal) hyps
-      || Linarith.prove ~hyps goal
+      List.exists
+        (fun h -> equal_prop h goal)
+        (Linarith.simp_hyps scope reg.hooks hyps)
+      || Linarith.prove ~scope ~hyps goal
       || List_solver.prove ~hooks:reg.hooks
-           ~prove_pure:(fun ~hyps g -> Linarith.prove ~hyps g)
+           ~prove_pure:(Linarith.prove ~scope)
            ~hyps goal
 
 (* ------------------------------------------------------------------ *)
@@ -123,7 +140,10 @@ let builtin_solvers : solver list =
           List_solver.prove ~hooks:reg.hooks ~prove_pure:(default_prove reg)
             ~hyps g);
     };
-    { name = "lia"; run = (fun _reg ~hyps g -> Linarith.prove ~hyps g) };
+    {
+      name = "lia";
+      run = (fun reg ~hyps g -> Linarith.prove ?scope:reg.lia ~hyps g);
+    };
   ]
 
 let default : t =
@@ -133,11 +153,19 @@ let default : t =
     default_only = false;
     hooks = Simp.no_hooks;
     fault = None;
+    lia = None;
   }
 
 let create ?(solvers = []) ?(lemmas = []) ?(default_only = false)
     ?(hooks = Simp.no_hooks) ?fault () : t =
-  { solvers = builtin_solvers @ solvers; lemmas; default_only; hooks; fault }
+  {
+    solvers = builtin_solvers @ solvers;
+    lemmas;
+    default_only;
+    hooks;
+    fault;
+    lia = None;
+  }
 
 let add_solver reg s = { reg with solvers = reg.solvers @ [ s ] }
 let add_lemma reg l = { reg with lemmas = reg.lemmas @ [ l ] }
@@ -226,6 +254,8 @@ let binds_ok l binds =
     binds
 
 let try_lemma (reg : t) ~hyps goal (l : lemma) =
+  let reg, scope = in_scope reg in
+  let simp = Linarith.simp scope reg.hooks in
   try
     let binds = match_prop [] l.concl goal in
     if not (binds_ok l binds) then false
@@ -251,10 +281,7 @@ let try_lemma (reg : t) ~hyps goal (l : lemma) =
               let rec try_hyps = function
                 | [] -> false
                 | h :: hs -> (
-                    match
-                      match_prop binds prem
-                        (Simp.simp_prop ~hooks:reg.hooks h)
-                    with
+                    match match_prop binds prem (simp h) with
                     | binds' when binds_ok l binds' -> prems binds' rest
                     | _ -> try_hyps hs
                     | exception No_match -> try_hyps hs)
@@ -292,10 +319,15 @@ let fingerprint (reg : t) : string =
     timer ([solver.calls.*] / [solver.ns.*] — the [--profile] solver
     breakdown), plus one [solve] trace event carrying the goal and the
     verdict.  With the default disabled handle the function body is
-    unchanged: the guards cost one pattern match each. *)
+    unchanged: the guards cost one pattern match each.
+
+    Outside a scoped registry the call opens its own solver scope and
+    flushes that scope's counters into [obs] on return. *)
 let solve (reg : t) ?(obs = Rc_util.Obs.off) ?(tactics = []) ~hyps goal :
     verdict =
   Rc_util.Faultsim.point reg.fault "solver";
+  let own_scope = reg.lia = None in
+  let reg, scope = in_scope reg in
   let live = Rc_util.Obs.on obs in
   let t_solve = if live then Rc_util.Trace.now_ns () else 0L in
   let attempt name f =
@@ -313,7 +345,7 @@ let solve (reg : t) ?(obs = Rc_util.Obs.off) ?(tactics = []) ~hyps goal :
   let verdict =
     if attempt "default" (fun () -> default_prove reg ~hyps goal) then Auto
     else
-      let goal = resolve_ites ~hooks:reg.hooks ~hyps goal in
+      let goal = resolve_ites ~scope ~hooks:reg.hooks ~hyps goal in
       let named =
         List.find_opt
           (fun name ->
@@ -343,4 +375,5 @@ let solve (reg : t) ?(obs = Rc_util.Obs.off) ?(tactics = []) ~hyps goal :
           ("verdict", Fmt.str "%a" pp_verdict verdict);
         ]
       "solve";
+  if own_scope then Linarith.flush scope obs;
   verdict

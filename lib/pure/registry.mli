@@ -22,9 +22,14 @@ val pp_verdict : Format.formatter -> verdict -> unit
 val is_manual : verdict -> bool
 
 val resolve_ites :
-  ?hooks:Simp.hooks -> hyps:Term.prop list -> Term.prop -> Term.prop
+  ?scope:Linarith.scope ->
+  ?hooks:Simp.hooks ->
+  hyps:Term.prop list ->
+  Term.prop ->
+  Term.prop
 (** resolve conditionals whose condition the hypotheses decide, e.g. the
-    refinement [(n ≤ a ? a - n : a)] under the branch fact [n ≤ a] *)
+    refinement [(n ≤ a ? a - n : a)] under the branch fact [n ≤ a];
+    [?scope] defaults to a fresh one *)
 
 (** {1 The registry value} *)
 
@@ -37,6 +42,10 @@ type t = {
   hooks : Simp.hooks;  (** expert simplifier extensions *)
   fault : Rc_util.Faultsim.t option;
       (** this session's fault-injection campaign, if any *)
+  lia : Linarith.scope option;
+      (** the solver scope of the function check in progress ({!scoped});
+          [None] in a session's registry, where every {!solve} and
+          {!default_prove} call opens a scope of its own *)
 }
 
 and solver = {
@@ -73,6 +82,16 @@ val create :
   t
 (** [create ()] = {!default}; [?solvers] are appended after the builtin
     ones *)
+
+val scoped : t -> t
+(** [scoped reg] is [reg] with a fresh solver scope: the per-function
+    copy that the Lithium engine and the certificate checker make for
+    each function they check, so the hypotheses shared by the
+    function's side conditions are simplified and linearised once *)
+
+val flush_scope : t -> Rc_util.Obs.t -> unit
+(** add the scope's [solver.lia.*] counters to [obs]
+    ({!Linarith.flush}); nothing without a scope *)
 
 val add_solver : t -> solver -> t
 val add_lemma : t -> lemma -> t

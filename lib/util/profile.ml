@@ -8,7 +8,8 @@
       column sums to real time spent *in* each rule's premises and side
       conditions rather than on the stack);
     - the solver breakdown (default solver, named solvers, lemma
-      matching) with call counts and verdict-relevant time;
+      matching) with call counts and verdict-relevant time, and the
+      linear-arithmetic work counters ([solver.lia.*]);
     - the top-N hottest functions by wall-clock;
     - cache, evar and budget counters. *)
 
@@ -60,6 +61,15 @@ let pp ?(top = 10) ppf (m : Metrics.t) =
            (fun (_, _, a) (_, _, b) -> Int64.compare b a)
            solvers)
     end;
+    (* the default solver's linear arithmetic (Linarith's scope counters) *)
+    let lia name = Metrics.counter m ("solver.lia." ^ name) in
+    if lia "queries" > 0 then
+      Fmt.pf ppf
+        "@.linear arithmetic: %d queries, %d branches refuted, %d given up \
+         at a bound@.  Fourier-Motzkin constraints: %d generated, %d kept; \
+         DNFs reused: %d@."
+        (lia "queries") (lia "refuted") (lia "exhausted") (lia "fm_generated")
+        (lia "fm_kept") (lia "memo_hits");
     (* hottest functions *)
     let fns = Metrics.timers_with_prefix m ~prefix:"fn.ns." in
     if fns <> [] then begin
@@ -113,6 +123,9 @@ let to_json (m : Metrics.t) : Jsonout.t =
       [ "side.auto"; "side.manual"; "evar.insts"; "cache.hit"; "cache.miss";
         "cache.corrupt"; "memo.hit"; "memo.miss"; "memo.store";
         "memo.invalid" ]
+      @ List.map
+          (fun (name, _) -> "solver.lia." ^ name)
+          (Metrics.counters_with_prefix m ~prefix:"solver.lia.")
       |> List.filter_map (fun name ->
              let n = Metrics.counter m name in
              if n = 0 then None else Some (name, Int n))

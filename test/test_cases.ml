@@ -147,6 +147,48 @@ let mutation_tests =
       ~fn:"page_free";
   ]
 
+(* --------------------------------------------------------------- *)
+(* Pinned Figure-7 columns                                          *)
+(* --------------------------------------------------------------- *)
+
+(* The proof-search columns of Figure 7 — distinct rules / rule
+   applications, evars instantiated, side conditions auto / manual — for
+   every case study and the scale-1 stress corpus.  [figure7.expected]
+   pins them, so a solver or engine change that moves any column fails
+   here, not only in the printed bench table. *)
+let figure7_row name (t : Driver.t) =
+  let s = Driver.stats t in
+  Fmt.str "%s rules=%d/%d evars=%d side=%d/%d" name
+    (Rc_lithium.Stats.distinct_rules s)
+    s.Rc_lithium.Stats.rule_apps s.Rc_lithium.Stats.evar_insts
+    s.Rc_lithium.Stats.side_auto s.Rc_lithium.Stats.side_manual
+
+let figure7_table () =
+  List.map
+    (fun file ->
+      figure7_row file
+        (Driver.check_file ~session:(session ()) (Filename.concat case_dir file)))
+    corpus
+  @ List.map
+      (fun (p : Rc_benchgen.Corpus.program) ->
+        figure7_row ("stress/" ^ p.p_name)
+          (Driver.check_source ~session:(session ()) ~file:p.p_name p.p_src))
+      (Rc_benchgen.Corpus.stress_corpus ~scale:1)
+
+let figure7_tests =
+  [
+    Alcotest.test_case "columns match figure7.expected" `Quick (fun () ->
+        let expected =
+          In_channel.with_open_bin "figure7.expected" In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+        in
+        let actual = figure7_table () in
+        if actual <> expected then
+          Alcotest.failf "Figure-7 columns moved; the table is now:@.%s"
+            (String.concat "\n" actual));
+  ]
+
 let () =
   Alcotest.run "case-studies"
     [
@@ -154,4 +196,5 @@ let () =
       ("certificates", cert_tests);
       ("semantic-soundness", semtest_tests);
       ("mutations-rejected", mutation_tests);
+      ("figure7", figure7_tests);
     ]

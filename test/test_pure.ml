@@ -134,6 +134,20 @@ let linarith_tests =
       [ PEq (Var ("xs", Sort.List Sort.Int), Nil Sort.Int) ]
       (PEq (Length (Var ("xs", Sort.List Sort.Int)), Num 0))
       true;
+    (* a hypothesis whose own DNF has more than 512 branches (the 10
+       nested maxes give 1024) is ignored like any out-of-fragment one,
+       not a reason to give up on the whole query *)
+    check_prove "over-branching hyp ignored"
+      [
+        PLe (int_v "x", Num 5);
+        PLe
+          ( List.fold_left
+              (fun acc k -> Max (acc, int_v (Printf.sprintf "z%d" k)))
+              (int_v "w") (List.init 10 Fun.id),
+            int_v "y" );
+      ]
+      (PLe (int_v "x", Num 6))
+      true;
   ]
 
 let default = Registry.default_prove Registry.default
@@ -348,7 +362,110 @@ let eval_term env t =
   in
   go t
 
+(* Random linear-arithmetic queries over nat and int variables, with
+   the constructs that make the solver case-split (truncated
+   subtraction, min/max, disequalities) and equalities with non-unit
+   coefficients, which exercise the integer divisibility check. *)
+let gen_query_term =
+  let open QCheck.Gen in
+  let var = oneofl [ a; b; n; i; j ] in
+  let leaf = oneof [ var; map (fun k -> Num k) (int_range (-6) 6) ] in
+  fix
+    (fun self depth ->
+      if depth <= 0 then leaf
+      else
+        let sub = self (depth - 1) in
+        frequency
+          [
+            (4, leaf);
+            (2, map2 (fun x y -> Add (x, y)) sub sub);
+            (1, map2 (fun x y -> Sub (x, y)) sub sub);
+            (1, map (fun x -> Mul (Num 2, x)) sub);
+            (1, map2 (fun x y -> NatSub (x, y)) sub sub);
+            (1, map2 (fun x y -> Min (x, y)) sub sub);
+            (1, map2 (fun x y -> Max (x, y)) sub sub);
+          ])
+    2
+
+let gen_query_prop =
+  let open QCheck.Gen in
+  let t = gen_query_term in
+  frequency
+    [
+      (3, map2 (fun x y -> PLe (x, y)) t t);
+      (2, map2 (fun x y -> PLt (x, y)) t t);
+      (2, map2 (fun x y -> PEq (x, y)) t t);
+      (1, map2 (fun x y -> PNot (PEq (x, y))) t t);
+    ]
+
+let gen_query =
+  QCheck.Gen.(pair (list_size (int_range 0 5) gen_query_prop) gen_query_prop)
+
+let print_query (hyps, goal) =
+  String.concat "; " (List.map prop_to_string hyps)
+  ^ " |- " ^ prop_to_string goal
+
+(* [dominated k p] is [p] loosened by [k]: the same coefficients, a
+   looser constant *)
+let dominated k = function
+  | PLe (x, y) -> Some (PLe (x, Add (y, Num k)))
+  | PLt (x, y) -> Some (PLt (x, Add (y, Num k)))
+  | _ -> None
+
 let prop_tests =
+  let redundant_hyps =
+    QCheck.Test.make ~count:300
+      ~name:"duplicated and dominated hypotheses change no answer"
+      QCheck.(pair (make ~print:print_query gen_query) (int_range 1 5))
+      (fun ((hyps, goal), k) ->
+        Linarith.prove ~hyps goal
+        = Linarith.prove
+            ~hyps:(hyps @ hyps @ List.filter_map (dominated k) hyps)
+            goal)
+  in
+  let scope_independent =
+    (* the queries share their hypothesis lists physically, as the
+       engine's contexts do, so the scope's suffix reuse is exercised *)
+    QCheck.Test.make ~count:100
+      ~name:"answers in one scope equal answers in fresh scopes"
+      QCheck.(
+        make
+          ~print:(fun (hyps, goals) ->
+            print_query (hyps, PTrue)
+            ^ " goals: "
+            ^ String.concat ", " (List.map prop_to_string goals))
+          Gen.(
+            pair
+              (list_size (int_range 0 6) gen_query_prop)
+              (list_size (int_range 1 8) gen_query_prop)))
+      (fun (hyps, goals) ->
+        let rec tails = function [] -> [ [] ] | _ :: t as l -> l :: tails t in
+        let queries =
+          List.concat_map
+            (fun g -> List.map (fun h -> (h, g)) (tails hyps))
+            goals
+        in
+        let fresh =
+          List.map (fun (hyps, g) -> Linarith.prove ~hyps g) queries
+        in
+        let shared order =
+          let scope = Linarith.scope () in
+          let reg = Registry.scoped Registry.default in
+          List.map
+            (fun (hyps, g) ->
+              ( Linarith.prove ~scope ~hyps g,
+                Registry.default_prove reg ~hyps g ))
+            order
+        in
+        let registry_fresh =
+          List.map
+            (fun (hyps, g) -> Registry.default_prove Registry.default ~hyps g)
+            queries
+        in
+        let expect = List.combine fresh registry_fresh in
+        shared queries = expect
+        && List.rev (shared (List.rev queries)) = expect)
+  in
   let lin_sound =
     QCheck.Test.make ~count:300 ~name:"linarith is sound on random goals"
       QCheck.(
@@ -375,7 +492,8 @@ let prop_tests =
         let env = [ ("a", va); ("b", vb); ("n", vn) ] in
         eval_term env t = eval_term env (Simp.simp_term t))
   in
-  List.map QCheck_alcotest.to_alcotest [ lin_sound; simp_sound ]
+  List.map QCheck_alcotest.to_alcotest
+    [ lin_sound; simp_sound; redundant_hyps; scope_independent ]
 
 let extension_tests =
   let t name f = Alcotest.test_case name `Quick f in
