@@ -241,10 +241,11 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
   let campaign = Session.fault session in
   let exec = session.Session.exec in
   (* the function-level dependency graph: direct spec-level references
-     extracted from Caesium bodies + spec/invariant types, with content
-     digests per node.  Built unconditionally — it is a cheap syntactic
-     pass, it keys the incremental cache, and it orders the cold-run
-     schedule (callees first) *)
+     extracted from Caesium bodies + spec/invariant types.  Built
+     unconditionally because it orders the cold-run schedule (callees
+     first); building it only walks the syntax for edges.  The content
+     digests that key the incremental cache are computed on first use,
+     so an uncached run never pays for them *)
   let graph = Depgraph.build elaborated.to_check in
   (* absolute whole-run deadline, measured from here; the supervisor
      measures its own from dispatch, a few microseconds later *)
@@ -262,8 +263,16 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
       elaborated.to_check
   end;
   let indexed = List.mapi (fun i f -> (i, f)) elaborated.to_check in
+  (* the cache and its key builder: [Depgraph.components ~session]
+     computes the session-wide components (toolchain fingerprint,
+     budget) once here, not once per probed function *)
+  let keyed_cache =
+    Option.map (fun vc -> (vc, Depgraph.components ~session graph)) cache
+  in
   (* ---- probe the verification cache up-front (the dirty cone) ----
-     Probing is a cheap sequential pass over digests: hits replay
+     Probing is a sequential pass that computes each function's
+     digests (the graph's lazy nodes are forced here, on one domain,
+     before any dispatch) and looks them up: hits replay
      immediately, misses become the dirty set handed to the scheduler.
      Each function is keyed on its dependency cone
      ({!Depgraph.components}), with a manifest-diff miss explanation. *)
@@ -298,11 +307,11 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
           { name; outcome; time_s = watch (); cached = true; why = Some "hit" })
         (replay_result data)
     in
-    match cache with
+    match keyed_cache with
     | None -> (None, (None, None))
-    | Some vc -> (
+    | Some (vc, components_of) -> (
         let id = Depgraph.cache_id ~file name in
-        let components = Depgraph.components ~session graph f in
+        let components = components_of f in
         match Vercache.find_keyed ?fault:campaign vc ~id ~components with
         | Vercache.KHit data -> (
             match hit data with

@@ -7,9 +7,17 @@
     [fc_specs] lookups happen only at [FnAddr f] expressions and at
     [VarLoc x] names that are not stack slots — see [Rules_expr] and
     [Rules_stmt.direct_callee]).  This module makes that input cone
-    explicit: a per-file graph whose nodes carry content digests of the
-    body/invariants and of the exported interface (the spec signature),
-    and whose edges are the direct spec-level dependencies.
+    explicit: a per-file graph whose edges are the direct spec-level
+    dependencies and whose nodes carry content digests of the
+    body/invariants and of the exported interface (the spec signature).
+
+    Edges are extracted eagerly — the driver's cold-run schedule
+    ({!topo_order}) and the lockset analysis need them on every run.
+    Digests are computed on first use, i.e. only when a verification
+    cache asks for a key.  The body digest hashes a hand-written
+    structural encoding of the Caesium function ([enc_func]:
+    constructor tags, length-prefixed strings, every [Layout.t] in
+    full), never printed text.
 
     The graph is what the driver keys the verification cache on
     ({!components}): a function's cache key digests its own body + spec
@@ -23,6 +31,8 @@
     checker itself only ever reads one level of specs. *)
 
 module Syntax = Rc_caesium.Syntax
+module Layout = Rc_caesium.Layout
+module Int_type = Rc_caesium.Int_type
 module SS = Set.Make (String)
 
 type node = {
@@ -31,8 +41,10 @@ type node = {
   n_deps : string list;
       (** direct dependencies: spec'd siblings this function's body or
           spec references, sorted, self-reference removed *)
-  n_body_digest : string;  (** Caesium body + loop invariants *)
-  n_iface_digest : string;
+  n_body_digest : string Lazy.t;
+      (** Caesium body + loop invariants; forced by the (sequential)
+          cache probe, never from several domains at once *)
+  n_iface_digest : string Lazy.t;
       (** the exported interface: the spec signature — the only part of
           this function a caller's check can observe *)
 }
@@ -140,12 +152,236 @@ let refs_of_invs (invs : (string * Lang.loop_inv) list) : SS.t =
 
 (* ---- digests ------------------------------------------------------ *)
 
+(* The body encoding is injective: each value is written as a
+   constructor tag followed by its fields, ints as decimal terminated by
+   [';'], strings and lists prefixed by their length, so no two distinct
+   functions share an encoding.  Every [Layout.t] is written in full —
+   struct name, fields, offsets, size and alignment — wherever it
+   occurs; a layout edit therefore always moves the digest.  Any change
+   to this encoding must bump the cache tag in
+   [Typecheck.toolchain_fingerprint] (a golden digest in
+   test_incremental pins it). *)
+
+let enc_int b n =
+  Buffer.add_string b (string_of_int n);
+  Buffer.add_char b ';'
+
+let enc_str b s =
+  enc_int b (String.length s);
+  Buffer.add_string b s
+
+let enc_bool b x = Buffer.add_char b (if x then 't' else 'f')
+
+let enc_list enc b xs =
+  enc_int b (List.length xs);
+  List.iter (enc b) xs
+
+let enc_option enc b = function
+  | None -> Buffer.add_char b 'N'
+  | Some x ->
+      Buffer.add_char b 'S';
+      enc b x
+
+let enc_pair enc1 enc2 b (x, y) =
+  enc1 b x;
+  enc2 b y
+
+let enc_int_type b (it : Int_type.t) =
+  enc_str b it.Int_type.it_name;
+  enc_int b it.Int_type.size;
+  Buffer.add_char b
+    (match it.Int_type.signedness with
+    | Int_type.Signed -> 's'
+    | Int_type.Unsigned -> 'u')
+
+let rec enc_layout b (l : Layout.t) =
+  match l with
+  | Layout.Int it ->
+      Buffer.add_char b 'I';
+      enc_int_type b it
+  | Layout.Ptr -> Buffer.add_char b 'P'
+  | Layout.FnPtr -> Buffer.add_char b 'F'
+  | Layout.Struct sl ->
+      Buffer.add_char b 'S';
+      enc_struct b sl
+  | Layout.Array (l, n) ->
+      Buffer.add_char b 'A';
+      enc_layout b l;
+      enc_int b n
+  | Layout.Void -> Buffer.add_char b 'V'
+
+and enc_struct b (sl : Layout.struct_layout) =
+  enc_str b sl.Layout.sl_name;
+  enc_list
+    (fun b (f : Layout.field) ->
+      enc_str b f.Layout.fld_name;
+      enc_int b f.Layout.fld_ofs;
+      enc_layout b f.Layout.fld_layout)
+    b sl.Layout.sl_fields;
+  enc_int b sl.Layout.sl_size;
+  enc_int b sl.Layout.sl_align
+
+let enc_ot b = function
+  | Syntax.OInt it ->
+      Buffer.add_char b 'I';
+      enc_int_type b it
+  | Syntax.OPtr -> Buffer.add_char b 'P'
+
+let enc_binop b (op : Syntax.binop) =
+  let tag c = Buffer.add_char b c in
+  match op with
+  | Syntax.AddOp -> tag '+'
+  | Syntax.SubOp -> tag '-'
+  | Syntax.MulOp -> tag '*'
+  | Syntax.DivOp -> tag '/'
+  | Syntax.ModOp -> tag '%'
+  | Syntax.AndOp -> tag '&'
+  | Syntax.OrOp -> tag '|'
+  | Syntax.XorOp -> tag '^'
+  | Syntax.ShlOp -> tag '<'
+  | Syntax.ShrOp -> tag '>'
+  | Syntax.EqOp -> tag '='
+  | Syntax.NeOp -> tag '!'
+  | Syntax.LtOp -> tag 'l'
+  | Syntax.LeOp -> tag 'L'
+  | Syntax.GtOp -> tag 'g'
+  | Syntax.GeOp -> tag 'G'
+  | Syntax.PtrPlusOp l ->
+      tag 'p';
+      enc_layout b l
+  | Syntax.PtrDiffOp l ->
+      tag 'd';
+      enc_layout b l
+
+let enc_unop b (op : Syntax.unop) =
+  Buffer.add_char b
+    (match op with
+    | Syntax.NegOp -> '-'
+    | Syntax.BitNotOp -> '~'
+    | Syntax.LogNotOp -> '!')
+
+let rec enc_expr b (e : Syntax.expr) =
+  let tag c = Buffer.add_char b c in
+  match e with
+  | Syntax.IntConst (n, it) ->
+      tag 'i';
+      enc_int b n;
+      enc_int_type b it
+  | Syntax.NullConst -> tag 'n'
+  | Syntax.FnAddr f ->
+      tag 'a';
+      enc_str b f
+  | Syntax.VarLoc x ->
+      tag 'v';
+      enc_str b x
+  | Syntax.Use { atomic; layout; arg } ->
+      tag 'u';
+      enc_bool b atomic;
+      enc_layout b layout;
+      enc_expr b arg
+  | Syntax.FieldOfs { arg; struct_; field } ->
+      tag 'f';
+      enc_expr b arg;
+      enc_struct b struct_;
+      enc_str b field
+  | Syntax.BinOp { op; ot1; ot2; e1; e2 } ->
+      tag 'b';
+      enc_binop b op;
+      enc_ot b ot1;
+      enc_ot b ot2;
+      enc_expr b e1;
+      enc_expr b e2
+  | Syntax.UnOp { op; ot; arg } ->
+      tag 'o';
+      enc_unop b op;
+      enc_ot b ot;
+      enc_expr b arg
+  | Syntax.CastIntInt { from_; to_; arg } ->
+      tag 'c';
+      enc_int_type b from_;
+      enc_int_type b to_;
+      enc_expr b arg
+  | Syntax.CastPtrPtr arg ->
+      tag 'p';
+      enc_expr b arg
+
+let enc_dest b = enc_option (enc_pair enc_layout enc_expr) b
+
+let enc_stmt b (s : Syntax.stmt) =
+  let tag c = Buffer.add_char b c in
+  match s with
+  | Syntax.Assign { atomic; layout; lhs; rhs } ->
+      tag 'A';
+      enc_bool b atomic;
+      enc_layout b layout;
+      enc_expr b lhs;
+      enc_expr b rhs
+  | Syntax.Call { dest; fn; args } ->
+      tag 'C';
+      enc_dest b dest;
+      enc_expr b fn;
+      enc_list (enc_pair enc_layout enc_expr) b args
+  | Syntax.Cas { layout; obj; expected; desired; dest } ->
+      tag 'X';
+      enc_layout b layout;
+      enc_expr b obj;
+      enc_expr b expected;
+      enc_expr b desired;
+      enc_dest b dest
+  | Syntax.Skip -> tag 'S'
+  | Syntax.ExprStmt e ->
+      tag 'E';
+      enc_expr b e
+  | Syntax.Free e ->
+      tag 'F';
+      enc_expr b e
+
+let enc_term b (t : Syntax.terminator) =
+  let tag c = Buffer.add_char b c in
+  match t with
+  | Syntax.Goto l ->
+      tag 'g';
+      enc_str b l
+  | Syntax.CondGoto { ot; cond; if_true; if_false } ->
+      tag 'c';
+      enc_ot b ot;
+      enc_expr b cond;
+      enc_str b if_true;
+      enc_str b if_false
+  | Syntax.Switch { ot; scrut; cases; default } ->
+      tag 's';
+      enc_ot b ot;
+      enc_expr b scrut;
+      enc_list (enc_pair enc_int enc_str) b cases;
+      enc_str b default
+  | Syntax.Return e ->
+      tag 'r';
+      enc_option enc_expr b e
+  | Syntax.Unreachable -> tag 'u'
+
+let enc_block b (blk : Syntax.block) =
+  enc_list enc_stmt b blk.Syntax.stmts;
+  enc_term b blk.Syntax.term
+
+let enc_slots = enc_list (enc_pair enc_str enc_layout)
+
+let enc_func b (f : Syntax.func) =
+  enc_str b f.Syntax.fname;
+  enc_slots b f.Syntax.args;
+  enc_slots b f.Syntax.locals;
+  enc_layout b f.Syntax.ret_layout;
+  enc_list (enc_pair enc_str enc_block) b f.Syntax.blocks;
+  enc_str b f.Syntax.entry
+
 let digest (s : string) : string = Digest.to_hex (Digest.string s)
 
+(** The body digest: the structural encoding of the Caesium function
+    followed by the loop-invariant signature. *)
 let body_digest (ftc : Typecheck.fn_to_check) : string =
-  digest
-    (Syntax.show_func ftc.Typecheck.func
-    ^ "\x00" ^ Typecheck.invs_signature ftc.Typecheck.invs)
+  let b = Buffer.create 1024 in
+  enc_func b ftc.Typecheck.func;
+  enc_str b (Typecheck.invs_signature ftc.Typecheck.invs);
+  digest (Buffer.contents b)
 
 let iface_digest (ftc : Typecheck.fn_to_check) : string =
   digest (Rtype.spec_signature ftc.Typecheck.spec)
@@ -182,8 +418,8 @@ let build (fns : Typecheck.fn_to_check list) : t =
             n_name = name;
             n_index = i;
             n_deps = deps;
-            n_body_digest = body_digest f;
-            n_iface_digest = iface_digest f;
+            n_body_digest = lazy (body_digest f);
+            n_iface_digest = lazy (iface_digest f);
           } ))
       fns
   in
@@ -260,37 +496,49 @@ let cone (g : t) (roots : string list) : string list =
     body, spec, invariants, then callees sorted by name) so the digested
     concatenation is deterministic; the component *names* let a miss be
     explained by diffing against the last stored manifest
-    ({!Rc_util.Vercache.find_keyed}). *)
-let components ~(session : Session.t) (g : t) (ftc : Typecheck.fn_to_check) :
+    ({!Rc_util.Vercache.find_keyed}).
+
+    The config and budget components depend on the session only, and
+    the toolchain fingerprint prints every registered type definition:
+    [components ~session] computes both once, and the function it
+    returns reuses them for every function it keys — the driver applies
+    it once per check. *)
+let components ~(session : Session.t) : t -> Typecheck.fn_to_check ->
     (string * string) list =
-  let name = ftc.Typecheck.spec.Rtype.fs_name in
-  let n =
-    match node g name with
-    | Some n -> n
-    | None ->
-        (* a function checked outside its file graph (API single-function
-           checks): degrade to an edgeless node — correct, never stale,
-           just without sibling sharing *)
-        {
-          n_name = name;
-          n_index = 0;
-          n_deps = [];
-          n_body_digest = body_digest ftc;
-          n_iface_digest = iface_digest ftc;
-        }
+  let shared =
+    [
+      ("config", Typecheck.toolchain_fingerprint session);
+      ("budget", Typecheck.budget_signature session.Session.budget);
+    ]
   in
-  [
-    ("config", Typecheck.toolchain_fingerprint session);
-    ("budget", Typecheck.budget_signature session.Session.budget);
-    ("body", n.n_body_digest);
-    ("spec", n.n_iface_digest);
-  ]
-  @ List.filter_map
-      (fun dep ->
-        Option.map
-          (fun dn -> ("callee:" ^ dep, dn.n_iface_digest))
-          (node g dep))
-      n.n_deps
+  fun g ftc ->
+    let name = ftc.Typecheck.spec.Rtype.fs_name in
+    let n =
+      match node g name with
+      | Some n -> n
+      | None ->
+          (* a function checked outside its file graph (API
+             single-function checks): degrade to an edgeless node —
+             correct, never stale, just without sibling sharing *)
+          {
+            n_name = name;
+            n_index = 0;
+            n_deps = [];
+            n_body_digest = lazy (body_digest ftc);
+            n_iface_digest = lazy (iface_digest ftc);
+          }
+    in
+    shared
+    @ [
+        ("body", Lazy.force n.n_body_digest);
+        ("spec", Lazy.force n.n_iface_digest);
+      ]
+    @ List.filter_map
+        (fun dep ->
+          Option.map
+            (fun dn -> ("callee:" ^ dep, Lazy.force dn.n_iface_digest))
+            (node g dep))
+        n.n_deps
 
 (** The stable cache identity of one function: what the manifest (the
     miss explainer) is keyed on.  Per (file, function) so two files

@@ -265,6 +265,67 @@ let loc_of_f = function
   | FCas { src; _ } ->
       src
 
+let binop_symbol : Syntax.binop -> string = function
+  | Syntax.AddOp | Syntax.PtrPlusOp _ -> "+"
+  | Syntax.SubOp | Syntax.PtrDiffOp _ -> "-"
+  | Syntax.MulOp -> "*"
+  | Syntax.DivOp -> "/"
+  | Syntax.ModOp -> "%"
+  | Syntax.AndOp -> "&"
+  | Syntax.OrOp -> "|"
+  | Syntax.XorOp -> "^"
+  | Syntax.ShlOp -> "<<"
+  | Syntax.ShrOp -> ">>"
+  | Syntax.EqOp -> "=="
+  | Syntax.NeOp -> "!="
+  | Syntax.LtOp -> "<"
+  | Syntax.LeOp -> "<="
+  | Syntax.GtOp -> ">"
+  | Syntax.GeOp -> ">="
+
+(** ⊢EXPR renders its expression on one line, C-like, with Caesium's
+    layout annotations in braces: [&x] is the location of [x] (or the
+    address of function [x]), [*{L}e] loads an [L] from [e] ([*atomic{L}e]
+    atomically), [&e->s.f] is the address of field [f] of struct [s] at
+    [e], and [+{L}]/[-{L}] are pointer arithmetic scaled by [L].  Layouts
+    print by name ({!Layout.pp}), so a judgment's text grows with the
+    expression only — never with the struct definitions it mentions.
+    Compound operands are parenthesized. *)
+let rec pp_expr ppf (e : Syntax.expr) =
+  match e with
+  | Syntax.IntConst (n, _) -> Fmt.int ppf n
+  | Syntax.NullConst -> Fmt.string ppf "NULL"
+  | Syntax.FnAddr x | Syntax.VarLoc x -> Fmt.pf ppf "&%s" x
+  | Syntax.Use { atomic; layout; arg } ->
+      Fmt.pf ppf "*%s{%a}%a"
+        (if atomic then "atomic" else "")
+        Layout.pp layout pp_operand arg
+  | Syntax.FieldOfs { arg; struct_; field } ->
+      Fmt.pf ppf "&%a->%s.%s" pp_operand arg struct_.Layout.sl_name field
+  | Syntax.BinOp { op; e1; e2; _ } -> (
+      match op with
+      | Syntax.PtrPlusOp l | Syntax.PtrDiffOp l ->
+          Fmt.pf ppf "%a %s{%a} %a" pp_operand e1 (binop_symbol op) Layout.pp
+            l pp_operand e2
+      | _ -> Fmt.pf ppf "%a %s %a" pp_operand e1 (binop_symbol op) pp_operand e2)
+  | Syntax.UnOp { op; arg; _ } ->
+      Fmt.pf ppf "%s%a"
+        (match op with
+        | Syntax.NegOp -> "-"
+        | Syntax.BitNotOp -> "~"
+        | Syntax.LogNotOp -> "!")
+        pp_operand arg
+  | Syntax.CastIntInt { to_; arg; _ } ->
+      Fmt.pf ppf "(%a)%a" Int_type.pp to_ pp_operand arg
+  | Syntax.CastPtrPtr arg -> Fmt.pf ppf "(void*)%a" pp_operand arg
+
+and pp_operand ppf (e : Syntax.expr) =
+  match e with
+  | Syntax.IntConst (n, _) when n < 0 -> Fmt.pf ppf "(%d)" n
+  | Syntax.IntConst _ | Syntax.NullConst | Syntax.FnAddr _ | Syntax.VarLoc _ ->
+      pp_expr ppf e
+  | _ -> Fmt.pf ppf "(%a)" pp_expr e
+
 let pp_f ppf (j : f) =
   let p fmt = Fmt.pf ppf fmt in
   match j with
@@ -272,7 +333,7 @@ let pp_f ppf (j : f) =
       p "%a <: %a" pp_atom sub pp_atom super
   | FBlock { label; idx; _ } -> p "⊢STMT %s[%d]" label idx
   | FGoto { target; _ } -> p "⊢GOTO %s" target
-  | FExpr { expr; _ } -> p "⊢EXPR %s" (Syntax.show_expr expr)
+  | FExpr { expr; _ } -> p "⊢EXPR %a" pp_expr expr
   | FReadLoc { loc_term; _ } -> p "⊢READ-LOC %a" pp_term loc_term
   | FReadTy { loc_term; ty; _ } ->
       p "⊢READ %a : %a" pp_term loc_term pp_rtype ty

@@ -221,8 +221,10 @@ let toolchain_fingerprint (session : Session.t) : string =
          tag orphans every v3 whole-file entry so the two key families
          can never alias.  v5: the lint registry gained the concurrency
          passes (race/lockrel/lockord) — cached diagnostics from the
-         five-pass registry would silently miss RC-L03x reports *)
-      "refinedc-check-v5";
+         five-pass registry would silently miss RC-L03x reports.  v6:
+         the body digest became a structural encoding that keys every
+         layout in full (it was printed text) *)
+      "refinedc-check-v6";
       Sys.ocaml_version;
       Rules.fingerprint session.Session.index;
       Registry.fingerprint session.Session.registry;

@@ -189,6 +189,38 @@ let figure7_tests =
             (String.concat "\n" actual));
   ]
 
+(* --------------------------------------------------------------- *)
+(* Struct nesting stays linear                                      *)
+(* --------------------------------------------------------------- *)
+
+(* [struct_nest ~depth:d] proves in 4d + 14 rule applications.  Its
+   cost used to grow as d³: every ⊢EXPR derivation node printed each
+   field access's struct layout in full.  Minor-heap allocation is a
+   deterministic stand-in for that cost; doubling the depth may at most
+   triple it (it was 6x when the layouts were printed). *)
+let struct_nest_words depth =
+  let session = session () in
+  let src = Rc_benchgen.Corpus.struct_nest ~depth in
+  let w0 = Gc.minor_words () in
+  let t = Driver.check_source ~session ~file:"struct_nest.c" src in
+  let words = Gc.minor_words () -. w0 in
+  if Driver.errors t <> [] then Alcotest.failf "struct_nest %d failed" depth;
+  ((Driver.stats t).Rc_lithium.Stats.rule_apps, words)
+
+let struct_nest_tests =
+  [
+    Alcotest.test_case "depth 24 allocates at most 3x depth 12" `Quick
+      (fun () ->
+        let apps12, words12 = struct_nest_words 12 in
+        let apps24, words24 = struct_nest_words 24 in
+        Alcotest.(check (pair int int)) "rule applications" (62, 110)
+          (apps12, apps24);
+        let ratio = words24 /. words12 in
+        if ratio > 3. then
+          Alcotest.failf "minor words grew %.1fx from depth 12 to 24 (%.0f -> %.0f)"
+            ratio words12 words24);
+  ]
+
 let () =
   Alcotest.run "case-studies"
     [
@@ -197,4 +229,5 @@ let () =
       ("semantic-soundness", semtest_tests);
       ("mutations-rejected", mutation_tests);
       ("figure7", figure7_tests);
+      ("struct-nest", struct_nest_tests);
     ]

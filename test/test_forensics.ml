@@ -19,6 +19,13 @@ module Driver = Rc_frontend.Driver
 module Api = Rc_session.Refinedc_api
 module Report = Rc_lithium.Report
 
+let case_dir =
+  List.find Sys.file_exists
+    [
+      "case_studies"; "../case_studies"; "../../case_studies";
+      "../../../case_studies";
+    ]
+
 let fx_session () = Api.create_session ~case_studies:true ~forensics:true ()
 
 let check ?session ?jobs ~file src =
@@ -69,6 +76,19 @@ let sole_failure (t : Driver.t) : Report.t =
   | [ { outcome = Error e; _ } ] -> e
   | [ { outcome = Ok _; _ } ] -> Alcotest.fail "fixture unexpectedly verified"
   | _ -> Alcotest.fail "expected exactly one function"
+
+(* the failure report of function [name] in a file with several *)
+let sole_failure_in (t : Driver.t) name : Report.t =
+  match
+    List.filter_map
+      (fun (r : Driver.check_result) ->
+        match r.outcome with
+        | Error e when r.name = name -> Some e
+        | _ -> None)
+      t.Driver.results
+  with
+  | [ e ] -> e
+  | _ -> Alcotest.failf "expected %s to fail" name
 
 let forensics_of (e : Report.t) : Report.forensics =
   match e.Report.forensics with
@@ -250,13 +270,6 @@ let off_tests =
           "same exit code" (Driver.exit_code off) (Driver.exit_code on));
     Alcotest.test_case "forensics do not change verified outcomes" `Quick
       (fun () ->
-        let case_dir =
-          List.find Sys.file_exists
-            [
-              "case_studies"; "../case_studies"; "../../case_studies";
-              "../../../case_studies";
-            ]
-        in
         let file = Filename.concat case_dir "binary_search.c" in
         let src = In_channel.with_open_bin file In_channel.input_all in
         let off =
@@ -271,6 +284,47 @@ let off_tests =
           "identical reports" (json_of off) (json_of on));
   ]
 
+(* The §2.1 buggy allocator: [alloc] promises a block only when n < a.
+   Its forensic passes through ⊢EXPR goals over struct field accesses,
+   which once printed the whole [mem_t] layout on several lines. *)
+let mem_alloc_bug_src () =
+  let src =
+    In_channel.with_open_bin
+      (Filename.concat case_dir "mem_alloc.c")
+      In_channel.input_all
+  in
+  Rc_util.Xstring.replace_first src
+    ~sub:"[[rc::returns(\"{n <= a} @ optional"
+    ~by:"[[rc::returns(\"{n < a} @ optional"
+
+let golden_tests =
+  [
+    Alcotest.test_case "mem_alloc_bug forensic matches the golden" `Quick
+      (fun () ->
+        let t = check ~file:"mem_alloc_bug.c" (mem_alloc_bug_src ()) in
+        let fx = forensics_of (sole_failure_in t "alloc") in
+        let exprs =
+          List.filter
+            (fun g -> contains ~sub:"⊢EXPR" g)
+            fx.Report.fx_goal_stack
+        in
+        Alcotest.(check bool) "the goal stack has ⊢EXPR goals" true
+          (exprs <> []);
+        List.iter
+          (fun g ->
+            Alcotest.(check bool) ("one line: " ^ g) false
+              (String.contains g '\n');
+            Alcotest.(check bool) ("no printed layout: " ^ g) false
+              (contains ~sub:"sl_fields" g))
+          exprs;
+        let expected =
+          In_channel.with_open_bin "mem_alloc_bug.forensics.expected"
+            In_channel.input_all
+        in
+        Alcotest.(check string) "--explain-failure --json report" expected
+          (json_of t ^ "\n"));
+  ]
+
 let () =
   Alcotest.run "forensics"
     [
@@ -278,4 +332,5 @@ let () =
       ("bounding", bounding_tests);
       ("determinism", determinism_tests);
       ("disabled", off_tests);
+      ("golden", golden_tests);
     ]

@@ -81,6 +81,20 @@ let verdict_sig (t : Driver.t) : string list =
              Fmt.str "%s:err:%s" r.Driver.name (Rc_lithium.Report.to_string e))
        t.Driver.results
 
+let case_dir =
+  List.find Sys.file_exists
+    [
+      "case_studies"; "../case_studies"; "../../case_studies";
+      "../../../case_studies";
+    ]
+
+let study_files =
+  [
+    "mem_alloc.c"; "free_list.c"; "linked_list.c"; "queue.c";
+    "binary_search.c"; "talloc.c"; "page_alloc.c"; "bst_layered.c";
+    "bst_direct.c"; "hashmap.c"; "mpool.c"; "spinlock.c"; "barrier.c";
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Depgraph structure                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -163,11 +177,13 @@ let depgraph_tests =
             Alcotest.(check bool)
               (name ^ " body digest moved iff edited")
               (name = "f2")
-              (n.Depgraph.n_body_digest <> n'.Depgraph.n_body_digest);
+              (Lazy.force n.Depgraph.n_body_digest
+               <> Lazy.force n'.Depgraph.n_body_digest);
             (* a body edit is invisible at the interface: early cutoff *)
             Alcotest.(check string)
               (name ^ " iface digest unchanged")
-              n.Depgraph.n_iface_digest n'.Depgraph.n_iface_digest)
+              (Lazy.force n.Depgraph.n_iface_digest)
+              (Lazy.force n'.Depgraph.n_iface_digest))
           (Depgraph.names g));
     Alcotest.test_case "spec edit moves only that interface digest" `Quick
       (fun () ->
@@ -180,10 +196,12 @@ let depgraph_tests =
             Alcotest.(check bool)
               (name ^ " iface digest moved iff edited")
               (name = "f2")
-              (n.Depgraph.n_iface_digest <> n'.Depgraph.n_iface_digest);
+              (Lazy.force n.Depgraph.n_iface_digest
+               <> Lazy.force n'.Depgraph.n_iface_digest);
             Alcotest.(check string)
               (name ^ " body digest unchanged")
-              n.Depgraph.n_body_digest n'.Depgraph.n_body_digest)
+              (Lazy.force n.Depgraph.n_body_digest)
+              (Lazy.force n'.Depgraph.n_body_digest))
           (Depgraph.names g));
   ]
 
@@ -358,6 +376,298 @@ let cone_tests =
         Alcotest.(check (list string)) "dirty schedule"
           (List.sort compare [ "f3"; "f2" ])
           (List.sort compare t.Driver.schedule));
+    Alcotest.test_case "struct layout edit misses a warm cache" `Quick
+      (fun () ->
+        (* [p + 4] scales by [struct s]'s size: 4 * 8 bytes stay inside
+           the 32-byte block, 4 * 16 do not.  Nothing else moves — not
+           the spec, not the statement text — so only a key that holds
+           the layout's content can tell the two files apart. *)
+        let src fields =
+          Printf.sprintf
+            {|struct s { %s };
+
+[[rc::parameters("p: loc")]]
+[[rc::args("p @ &own<uninit<32>>")]]
+[[rc::returns("int<int>")]]
+[[rc::ensures("own p : uninit<32>")]]
+int f(struct s* p) { struct s* q = p + 4; return 0; }
+|}
+            fields
+        in
+        let cache = Vercache.create (fresh_cache_dir ()) in
+        expect "cold" ~hits:0 ~misses:1 (check ~cache (src "long a;"));
+        let t = check ~cache (src "long a; long b;") in
+        Alcotest.(check (pair int int)) "the edit misses" (0, 1) (counters t);
+        Alcotest.(check string) "explained" "changed:body" (why_of t "f");
+        Alcotest.(check bool) "and fails as it does uncached" false
+          (all_ok t);
+        Alcotest.(check (list string)) "same verdict as uncached"
+          (verdict_sig
+             (Driver.check_source ~file:"inc_test.c" (src "long a; long b;")))
+          (verdict_sig t));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The body digest's structural encoding                               *)
+(* ------------------------------------------------------------------ *)
+
+module Syntax = Rc_caesium.Syntax
+module Layout = Rc_caesium.Layout
+
+(* One pass of the single-node mutator: rewrite the [k]-th mutable site
+   met in a fixed traversal order of [f], and name its kind ([None] when
+   [f] has at most [k] sites).  Every rewrite yields a structurally
+   different function. *)
+let mutate_site (f : Syntax.func) (k : int) : string option * Syntax.func =
+  let seen = ref 0 and kind = ref None in
+  let site name x change =
+    let i = !seen in
+    incr seen;
+    if i = k then begin
+      kind := Some name;
+      change x
+    end
+    else x
+  in
+  let name kind x = site kind x (fun x -> x ^ "'") in
+  let label l = name "label" l in
+  let int_type kind (it : Rc_caesium.Int_type.t) =
+    site kind it (fun it -> { it with Rc_caesium.Int_type.size = it.size + 1 })
+  in
+  let rec layout (l : Layout.t) : Layout.t =
+    match l with
+    | Layout.Int it -> Layout.Int (int_type "layout size" it)
+    | Layout.Struct sl -> Layout.Struct (struct_ sl)
+    | Layout.Array (el, n) ->
+        let el = layout el in
+        Layout.Array (el, site "layout size" n succ)
+    | Layout.Ptr | Layout.FnPtr | Layout.Void -> l
+  and struct_ (sl : Layout.struct_layout) : Layout.struct_layout =
+    let sl_fields =
+      List.map
+        (fun (fd : Layout.field) ->
+          let fld_layout = layout fd.Layout.fld_layout in
+          let fld_name = name "field name" fd.Layout.fld_name in
+          let fld_ofs = site "field offset" fd.Layout.fld_ofs succ in
+          { Layout.fld_name; fld_ofs; fld_layout })
+        sl.Layout.sl_fields
+    in
+    let sl_name = name "struct name" sl.Layout.sl_name in
+    let sl_size = site "layout size" sl.Layout.sl_size succ in
+    let sl_align = site "layout align" sl.Layout.sl_align succ in
+    { Layout.sl_name; sl_fields; sl_size; sl_align }
+  in
+  let ot (o : Syntax.ot) =
+    match o with
+    | Syntax.OInt it -> Syntax.OInt (int_type "operand type" it)
+    | Syntax.OPtr -> site "operand type" o (fun _ -> Syntax.OInt Rc_caesium.Int_type.i32)
+  in
+  let binop (op : Syntax.binop) =
+    match op with
+    | Syntax.PtrPlusOp l ->
+        let l = layout l in
+        site "operator" (Syntax.PtrPlusOp l) (fun _ -> Syntax.PtrDiffOp l)
+    | Syntax.PtrDiffOp l ->
+        let l = layout l in
+        site "operator" (Syntax.PtrDiffOp l) (fun _ -> Syntax.PtrPlusOp l)
+    | op ->
+        site "operator" op (function
+          | Syntax.AddOp -> Syntax.SubOp
+          | _ -> Syntax.AddOp)
+  in
+  let rec expr (e : Syntax.expr) : Syntax.expr =
+    match e with
+    | Syntax.IntConst (n, it) ->
+        let it = int_type "operand type" it in
+        Syntax.IntConst (site "constant" n succ, it)
+    | Syntax.NullConst -> e
+    | Syntax.FnAddr x -> Syntax.FnAddr (name "name" x)
+    | Syntax.VarLoc x -> Syntax.VarLoc (name "name" x)
+    | Syntax.Use { atomic; layout = l; arg } ->
+        let arg = expr arg in
+        let l = layout l in
+        Syntax.Use { atomic = site "atomic flag" atomic not; layout = l; arg }
+    | Syntax.FieldOfs { arg; struct_ = sl; field } ->
+        let arg = expr arg in
+        let sl = struct_ sl in
+        Syntax.FieldOfs { arg; struct_ = sl; field = name "field name" field }
+    | Syntax.BinOp { op; ot1; ot2; e1; e2 } ->
+        let e1 = expr e1 in
+        let e2 = expr e2 in
+        let ot1 = ot ot1 in
+        let ot2 = ot ot2 in
+        Syntax.BinOp { op = binop op; ot1; ot2; e1; e2 }
+    | Syntax.UnOp { op; ot = o; arg } ->
+        let arg = expr arg in
+        let o = ot o in
+        Syntax.UnOp
+          {
+            op =
+              site "operator" op (function
+                | Syntax.NegOp -> Syntax.BitNotOp
+                | _ -> Syntax.NegOp);
+            ot = o;
+            arg;
+          }
+    | Syntax.CastIntInt { from_; to_; arg } ->
+        let arg = expr arg in
+        let from_ = int_type "cast type" from_ in
+        Syntax.CastIntInt { from_; to_ = int_type "cast type" to_; arg }
+    | Syntax.CastPtrPtr arg -> Syntax.CastPtrPtr (expr arg)
+  in
+  let slot (l, e) =
+    let l = layout l in
+    (l, expr e)
+  in
+  let stmt (st : Syntax.stmt) : Syntax.stmt =
+    match st with
+    | Syntax.Assign { atomic; layout = l; lhs; rhs } ->
+        let l = layout l in
+        let lhs = expr lhs in
+        let rhs = expr rhs in
+        Syntax.Assign { atomic = site "atomic flag" atomic not; layout = l; lhs; rhs }
+    | Syntax.Call { dest; fn; args } ->
+        let dest = Option.map slot dest in
+        let fn = expr fn in
+        Syntax.Call { dest; fn; args = List.map slot args }
+    | Syntax.Cas { layout = l; obj; expected; desired; dest } ->
+        let l = layout l in
+        let obj = expr obj in
+        let expected = expr expected in
+        let desired = expr desired in
+        Syntax.Cas { layout = l; obj; expected; desired; dest = Option.map slot dest }
+    | Syntax.Skip -> st
+    | Syntax.ExprStmt e -> Syntax.ExprStmt (expr e)
+    | Syntax.Free e -> Syntax.Free (expr e)
+  in
+  let term (t : Syntax.terminator) : Syntax.terminator =
+    match t with
+    | Syntax.Goto l -> Syntax.Goto (label l)
+    | Syntax.CondGoto { ot = o; cond; if_true; if_false } ->
+        let o = ot o in
+        let cond = expr cond in
+        let if_true = label if_true in
+        Syntax.CondGoto { ot = o; cond; if_true; if_false = label if_false }
+    | Syntax.Switch { ot = o; scrut; cases; default } ->
+        let o = ot o in
+        let scrut = expr scrut in
+        let cases =
+          List.map
+            (fun (n, l) ->
+              let n = site "constant" n succ in
+              (n, label l))
+            cases
+        in
+        Syntax.Switch { ot = o; scrut; cases; default = label default }
+    | Syntax.Return e -> Syntax.Return (Option.map expr e)
+    | Syntax.Unreachable -> t
+  in
+  let slots =
+    List.map (fun (x, l) ->
+        let l = layout l in
+        (name "name" x, l))
+  in
+  let fname = name "name" f.Syntax.fname in
+  let args = slots f.Syntax.args in
+  let locals = slots f.Syntax.locals in
+  let ret_layout = layout f.Syntax.ret_layout in
+  let blocks =
+    List.map
+      (fun (lbl, (b : Syntax.block)) ->
+        let lbl = label lbl in
+        let stmts = List.map stmt b.Syntax.stmts in
+        (lbl, { Syntax.stmts; term = term b.Syntax.term }))
+      f.Syntax.blocks
+  in
+  let entry = label f.Syntax.entry in
+  (!kind, { Syntax.fname; args; locals; ret_layout; blocks; entry })
+
+(* every single-node mutant of [f], with its kind *)
+let mutants (f : Syntax.func) : (string * Syntax.func) list =
+  let rec go k acc =
+    match mutate_site f k with
+    | None, _ -> List.rev acc
+    | Some kind, f' -> go (k + 1) ((kind, f') :: acc)
+  in
+  go 0 []
+
+let study_fns ?(session = Rc_studies.Studies.session ()) file =
+  let src =
+    In_channel.with_open_bin (Filename.concat case_dir file) In_channel.input_all
+  in
+  (Driver.parse_and_elab ~session ~file src).Rc_frontend.Elab.to_check
+
+let fn_name (f : Rc_refinedc.Typecheck.fn_to_check) =
+  f.Rc_refinedc.Typecheck.spec.Rc_refinedc.Rtype.fs_name
+
+let digest_tests =
+  [
+    Alcotest.test_case "every single-node mutation moves the body digest"
+      `Quick (fun () ->
+        let kinds = Hashtbl.create 16 in
+        List.iter
+          (fun file ->
+            List.iter
+              (fun (ftc : Rc_refinedc.Typecheck.fn_to_check) ->
+                let func = ftc.Rc_refinedc.Typecheck.func in
+                let d0 = Depgraph.body_digest ftc in
+                (* digest ↦ function: distinct mutants never share one *)
+                let seen = Hashtbl.create 64 in
+                Hashtbl.replace seen d0 func;
+                List.iter
+                  (fun (kind, f') ->
+                    Hashtbl.replace kinds kind ();
+                    let d = Depgraph.body_digest { ftc with func = f' } in
+                    match Hashtbl.find_opt seen d with
+                    | Some g when g <> f' ->
+                        Alcotest.failf "%s/%s: a %s mutation %s" file
+                          (fn_name ftc) kind
+                          (if g = func then "left the digest unchanged"
+                           else "collided with another mutant")
+                    | _ -> Hashtbl.replace seen d f')
+                  (mutants func))
+              (study_fns file))
+          study_files;
+        List.iter
+          (fun kind ->
+            Alcotest.(check bool) ("mutated some " ^ kind) true
+              (Hashtbl.mem kinds kind))
+          [
+            "constant"; "field name"; "layout size"; "field offset"; "label";
+            "operator"; "atomic flag"; "struct name";
+          ]);
+    Alcotest.test_case "elaborating twice gives the same digests" `Quick
+      (fun () ->
+        List.iter
+          (fun file ->
+            let digests () =
+              List.map
+                (fun f -> (fn_name f, Depgraph.body_digest f))
+                (study_fns file)
+            in
+            Alcotest.(check (list (pair string string))) file (digests ())
+              (digests ()))
+          study_files);
+    Alcotest.test_case "golden body digest" `Quick (fun () ->
+        (* Pins the encoding.  If this moves, the encoding changed: bump
+           the cache tag in Typecheck.toolchain_fingerprint, then update
+           the digest here. *)
+        let fns =
+          elab
+            {|struct pt { int x; long y; };
+
+[[rc::parameters("p: loc")]]
+[[rc::args("p @ &own<uninit<16>>")]]
+[[rc::returns("int<int>")]]
+int get(struct pt* p) {
+  int r = p->x;
+  if (r > 100) return 0;
+  return r + 1;
+}
+|}
+        in
+        Alcotest.(check string) "digest" "4c5a80376b695e9e2c2f7c3426f2884e"
+          (Depgraph.body_digest (List.hd fns)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -398,13 +708,6 @@ let stress_equivalence_tests =
 
 (* The 13-study corpus: a cached check (cold, then warm replay) must
    agree with the uncached check, per study. *)
-let case_dir =
-  List.find Sys.file_exists
-    [
-      "case_studies"; "../case_studies"; "../../case_studies";
-      "../../../case_studies";
-    ]
-
 let studies_equivalence_tests =
   List.map
     (fun file ->
@@ -420,11 +723,7 @@ let studies_equivalence_tests =
             (verdict_sig cold);
           Alcotest.(check (list string)) "warm ≡ uncached" expected
             (verdict_sig warm)))
-    [
-      "mem_alloc.c"; "free_list.c"; "linked_list.c"; "queue.c";
-      "binary_search.c"; "talloc.c"; "page_alloc.c"; "bst_layered.c";
-      "bst_direct.c"; "hashmap.c"; "mpool.c"; "spinlock.c"; "barrier.c";
-    ]
+    study_files
 
 let jobs_tests =
   [
@@ -552,6 +851,7 @@ let () =
   Alcotest.run "incremental"
     [
       ("depgraph", depgraph_tests);
+      ("digest", digest_tests);
       ("keyed-cache", keyed_tests);
       ("dirty-cones", cone_tests);
       ("equivalence", stress_equivalence_tests @ studies_equivalence_tests);
