@@ -1,7 +1,7 @@
 (** The stress-corpus generator: parameterized synthetic C programs that
     scale the proof-search load far beyond the ~25ms case-study corpus,
-    so engine-speed work (hash-consed dispatch, subgoal memoization,
-    profile-guided rule order) has something measurable to move.
+    so engine-speed work (head-indexed dispatch, subgoal memoization)
+    has something measurable to move.
 
     Every generator returns complete, annotated C source that the
     frontend accepts and the checker verifies; the test suites consume

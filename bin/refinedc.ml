@@ -104,10 +104,10 @@ let check_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Check up to $(docv) functions in parallel (OCaml 5 domains; \
-             on OCaml 4.x the checks run sequentially).  $(b,-j 0) uses \
-             the runtime's recommended worker count.  Results, statistics \
-             and exit codes are identical to $(b,-j 1).")
+            "Check up to $(docv) functions in parallel on OCaml domains, \
+             at most one per core.  $(b,-j 0) uses the runtime's \
+             recommended worker count.  Results, statistics and exit \
+             codes are identical to $(b,-j 1).")
   in
   let cache =
     Arg.(
@@ -161,19 +161,6 @@ let check_cmd =
              recorded sub-derivation instead of re-proving it.  Verdicts \
              and statistics are identical to an unmemoized run.  Ignored \
              under $(b,--cert), which must re-check real derivations.")
-  in
-  let pgo =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "pgo" ] ~docv:"DIR"
-          ~doc:
-            "Profile-guided dispatch: load accumulated rule-hit counts \
-             from the profile store in $(docv) (created if missing) to \
-             order equal-priority typing rules by measured hit rate, and \
-             merge this run's counts back in afterwards.  Semantics are \
-             unchanged; the reordered rule index is fingerprinted into \
-             the verification-cache key.")
   in
   let default_only =
     Arg.(
@@ -320,7 +307,7 @@ let check_cmd =
              Query it with $(b,refinedc stats).")
   in
   let run file deriv stats cert semtest fuel timeout max_depth fail_fast json
-      jobs cache explain_cache cache_stats cache_max_mb memo pgo default_only
+      jobs cache explain_cache cache_stats cache_max_mb memo default_only
       no_goal_simp trace profile no_lint lint_werror deadline retries
       fault_seed fault_rate fault_sites fault_max explain_failure profile_out
       runlog =
@@ -360,22 +347,6 @@ let check_cmd =
       end
       else memo
     in
-    let profstore =
-      match pgo with
-      | None -> None
-      | Some dir ->
-          let ps = Rc_util.Profstore.create dir in
-          if Rc_util.Profstore.disabled ps then begin
-            Fmt.epr
-              "warning: cannot open profile store %s; running unprofiled@."
-              dir;
-            None
-          end
-          else Some ps
-    in
-    let rule_profile =
-      match profstore with None -> [] | Some ps -> Rc_util.Profstore.load ps
-    in
     let obs =
       {
         Rc_util.Obs.c_trace = trace <> None;
@@ -409,9 +380,7 @@ let check_cmd =
        at all). *)
     let jobs = min jobs (Rc_util.Supervisor.recommended_jobs ()) in
     let pool =
-      if jobs > 1 && Rc_util.Supervisor.parallelism_available then
-        Some (Rc_util.Supervisor.create ~jobs ())
-      else None
+      if jobs > 1 then Some (Rc_util.Supervisor.create ~jobs ()) else None
     in
     let session =
       Api.create_session ~case_studies:true ~default_only ~no_goal_simp
@@ -424,7 +393,7 @@ let check_cmd =
           }
         ?fault ?deadline ~retries ?pool
         ~cancel:(fun () -> Atomic.get interrupted)
-        ~memo ~forensics:explain_failure ~profile:rule_profile ()
+        ~memo ~forensics:explain_failure ()
     in
     (* resolve the ledger directory before [cache] is shadowed by the
        store handle: a bare --runlog rides in the --cache directory *)
@@ -673,27 +642,6 @@ let check_cmd =
         List.iter
           (fun d -> Fmt.epr "%a@." Rc_util.Diagnostic.pp d)
           t.Driver.diagnostics;
-        (* feed this run's per-rule application counts back into the
-           profile store, so the next --pgo run dispatches sharper *)
-        (match profstore with
-        | None -> ()
-        | Some ps ->
-            let counts = Hashtbl.create 64 in
-            List.iter
-              (fun (r : Driver.check_result) ->
-                match r.outcome with
-                | Ok res ->
-                    Hashtbl.iter
-                      (fun name n ->
-                        Hashtbl.replace counts name
-                          (n
-                          + Option.value ~default:0
-                              (Hashtbl.find_opt counts name)))
-                      res.Rc_refinedc.Lang.E.stats.Rc_lithium.Stats.rules_used
-                | Error _ -> ())
-              t.Driver.results;
-            Rc_util.Profstore.accumulate ps
-              (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []));
         (* the exit-code contract: faults trump verification failures;
            cert/semtest regressions count as verification failures *)
         let code = Driver.exit_code t in
@@ -703,7 +651,7 @@ let check_cmd =
     Term.(
       const run $ file $ deriv $ stats $ cert $ semtest $ fuel $ timeout
       $ max_depth $ fail_fast $ json $ jobs $ cache $ explain_cache
-      $ cache_stats $ cache_max_mb $ memo $ pgo $ default_only $ no_goal_simp
+      $ cache_stats $ cache_max_mb $ memo $ default_only $ no_goal_simp
       $ trace $ profile $ no_lint $ lint_werror $ deadline $ retries
       $ fault_seed $ fault_rate $ fault_sites $ fault_max $ explain_failure
       $ profile_out $ runlog)

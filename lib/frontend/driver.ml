@@ -340,15 +340,15 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
   let hits = List.rev hits_rev in
   (* ---- schedule the dirty set ----
      Longest measured job first (per-function wall-clock samples kept in
-     [costs.prof] next to the cache — Profstore format, last sample
-     wins), unmeasured ties in topological order (callees first, so a
+     the cache directory's [costs.prof], see {!Rc_util.Profstore}),
+     unmeasured ties in topological order (callees first, so a
      cold run proves leaves while callers wait on workers).  [~fail_fast]
      keeps source order: its contract is "nothing after the first
      failure", which only means anything in a fixed order. *)
   let costs_store =
     match cache with
     | Some vc when not (Vercache.disabled vc) ->
-        Some (Rc_util.Profstore.create ~file:"costs.prof" vc.Vercache.dir)
+        Some (Rc_util.Profstore.create vc.Vercache.dir)
     | _ -> None
   in
   let dirty =
@@ -465,7 +465,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
            *slower* than [-j 1]).  A session-supplied pool is exempt —
            its owner sized it deliberately. *)
         let jobs = min jobs (Supervisor.recommended_jobs ()) in
-        if jobs > 1 && Supervisor.parallelism_available then
+        if jobs > 1 then
           (* no session pool: spin up a per-call one (the historical
              behaviour; callers that care about spawn cost carry a
              persistent pool in the session instead) *)
@@ -538,9 +538,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
      *measured* checks only); a degraded store drops them silently *)
   (match costs_store with
   | Some st ->
-      Rc_util.Profstore.accumulate
-        ~merge:(fun _ fresh -> fresh)
-        st
+      Rc_util.Profstore.update st
         (List.filter_map
            (fun (_, r) ->
              if r.cached || r.time_s <= 0. then None

@@ -133,37 +133,18 @@ module Make (L : LANG) = struct
             one array access, no string hashing. *)
     idx_fingerprint : string;
         (** digest of (name, priority, heads) of every rule in order —
-            a component of the verification-cache key.  Computed from
-            the *final* order, so a profile that reorders ties yields a
-            different fingerprint and never shares cache entries with an
-            unprofiled run. *)
+            a component of the verification-cache key. *)
     idx_size : int;  (** number of rules in the set *)
   }
 
-  (** [index_rules ?profile rules] compiles the rule set.  [profile]
-      maps rule names to accumulated application counts ([--pgo]); rules
-      with higher counts are tried first — but only within equal-priority
-      ties, because the first-match-commits contract (§5) makes rule
-      order across priorities semantically significant.  Within a tie
-      the rule authors guarantee disjoint guards (checked by lint
-      RC-L022), so tie order is a pure performance knob. *)
-  let index_rules ?(profile : (string * int) list = []) (rules : rule list) :
-      index =
-    let hits =
-      if profile = [] then fun _ -> 0
-      else begin
-        let h = Hashtbl.create (List.length profile * 2) in
-        List.iter (fun (k, v) -> Hashtbl.replace h k v) profile;
-        fun name -> Option.value ~default:0 (Hashtbl.find_opt h name)
-      end
-    in
-    let sorted =
-      List.stable_sort
-        (fun a b ->
-          let c = compare a.prio b.prio in
-          if c <> 0 then c else compare (hits b.rname) (hits a.rname))
-        rules
-    in
+  (** [index_rules rules] compiles the rule set, sorted by priority.
+      The sort is stable, so equal-priority ties keep their input order.
+      Order across priorities is semantically significant (the
+      first-match-commits contract, §5); within a tie the rule authors
+      guarantee disjoint guards (checked by lint RC-L022), so tie order
+      can only change speed, never a verdict. *)
+  let index_rules (rules : rule list) : index =
+    let sorted = List.stable_sort (fun a b -> compare a.prio b.prio) rules in
     let declared =
       List.concat_map (fun r -> Option.value ~default:[] r.heads) sorted
       |> List.sort_uniq compare

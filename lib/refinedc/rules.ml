@@ -15,13 +15,9 @@ let builtin () : Lang.E.rule list =
   @ Rules_call.all @ Rules_subsume.all
 
 (** Compile a rule set (standard library plus [extra] session rules)
-    into the engine's head-indexed dispatch structure.  [profile] is
-    accumulated [--pgo] hit-rate data: it reorders rules within
-    equal-priority ties only (see {!Lang.E.index_rules}) and changes the
-    index fingerprint, so profiled runs never share cache entries with
-    unprofiled ones. *)
-let make ?(extra = []) ?(profile = []) () : Lang.E.index =
-  Lang.E.index_rules ~profile (builtin () @ extra)
+    into the engine's head-indexed dispatch structure. *)
+let make ?(extra = []) () : Lang.E.index =
+  Lang.E.index_rules (builtin () @ extra)
 
 (** Digest of a compiled rule set (names, priorities, head declarations,
     in order) — a component of the verification-cache key. *)

@@ -97,9 +97,6 @@ type t = {
           derivation sharing, so the certificate path refuses it (the
           driver disables memoization under [--cert]). *)
   fx : fx_cfg;  (** proof-failure forensics capture *)
-  profile : (string * int) list;
-      (** the rule-hit profile the index was compiled with ([--pgo]);
-          kept for reporting — the dispatch effect lives in [index] *)
 }
 
 (** Build a session.  Omitted components default to the standard
@@ -110,9 +107,9 @@ let create ?(rules = []) ?(registry = Rc_pure.Registry.default)
     ?(gs = Rc_lithium.Evar.default_simp_cfg) ?tenv
     ?(budget = Rc_util.Budget.unlimited) ?(obs = Rc_util.Obs.cfg_off)
     ?(lint = default_lint) ?(exec = default_exec) ?(memo = false)
-    ?(fx = default_fx) ?(profile = []) () : t =
+    ?(fx = default_fx) () : t =
   {
-    index = Rules.make ~extra:rules ~profile ();
+    index = Rules.make ~extra:rules ();
     extra_rules = rules;
     registry;
     gs;
@@ -123,7 +120,6 @@ let create ?(rules = []) ?(registry = Rc_pure.Registry.default)
     exec;
     memo;
     fx;
-    profile;
   }
 
 let fault (s : t) : Rc_util.Faultsim.t option = s.registry.Rc_pure.Registry.fault

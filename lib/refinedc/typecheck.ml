@@ -212,8 +212,7 @@ let lint_signature (l : Session.lint_cfg) : string =
    changes (it serializes [Stats.t]); "v3" added the memo counters.  The
    memo configuration itself is deliberately *not* part of the key: a
    hit never changes verdicts or Figure-7 counts, so memo-on and
-   memo-off runs may share entries.  A [--pgo] profile does enter the
-   key, via the reordered index's fingerprint. *)
+   memo-off runs may share entries. *)
 let toolchain_fingerprint (session : Session.t) : string =
   Rc_util.Vercache.fingerprint
     [

@@ -55,13 +55,11 @@ type session = Session.t
     - [forensics]: attach a bounded derivation snapshot (goal stack,
       candidate rules with rejection reasons, evar state, recent rule
       applications) to every failure report ([--explain-failure]) — see
-      README "Observability";
-    - [profile]: accumulated rule-hit counts ([--pgo]) used to order
-      equal-priority rules inside each head bucket. *)
+      README "Observability". *)
 let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
     ?(lemmas = []) ?hooks ?(default_only = false) ?(no_goal_simp = false)
     ?(type_defs = []) ?budget ?fault ?obs ?lint ?exec ?deadline ?retries ?pool
-    ?cancel ?memo ?forensics ?profile () : session =
+    ?cancel ?memo ?forensics () : session =
   let hooks =
     match hooks with
     | Some h -> h
@@ -98,7 +96,7 @@ let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
       forensics
   in
   Session.create ~rules ~registry ~gs ~tenv ?budget ?obs ?lint ~exec ?memo ?fx
-    ?profile ()
+    ()
 
 (** Check every specified function of a C file under [session]. *)
 let check_file ?session ?fail_fast ?jobs ?cache (path : string) : Driver.t =

@@ -1,52 +1,39 @@
-(** The on-disk rule-profile store behind profile-guided dispatch
-    ([--pgo]).
+(** The on-disk store behind the driver's per-function cost model.
 
-    A store is a directory (conventionally living next to the
-    verification cache) holding one small text file, [rules.prof],
-    mapping typing-rule names to accumulated application counts.  Each
-    [--pgo] run loads the counts, lets the engine order equal-priority
-    rules within a head bucket by measured hit-rate (see
-    [Engine.index_rules]'s [~profile]), and merges its own per-rule
-    counts back in afterwards — so the profile sharpens as runs
-    accumulate, exactly like the verification cache warms.
+    A store is a directory (the verification cache's) holding one small
+    text file, [costs.prof], mapping ["file:function"] keys to the
+    latest measured wall-clock of that function's check, in
+    microseconds.  The driver schedules its dirty set longest-job-first
+    from these samples and writes this run's measurements back
+    afterwards; a new sample replaces the stored one.
 
     The robustness contract mirrors {!Vercache}: writes go to a temp
     file and are [Sys.rename]d into place, a corrupt or unreadable store
-    degrades to the empty profile (static-priority dispatch), and a
-    failed write is dropped silently — the profile is a performance
-    hint, never part of a verdict.  The *effect* of a loaded profile on
-    dispatch order is still observable (the engine folds the final rule
-    order into [idx_fingerprint], which keys the verification cache), so
-    two runs with different profiles never share a cache entry by
-    accident. *)
+    degrades to no samples (topological order), and a failed write is
+    dropped silently — the store only orders work, it never touches a
+    verdict. *)
 
 type t = {
   dir : string;
-  file : string;  (** store file name inside [dir] *)
   mutable disabled : bool;  (** set when the directory is unusable *)
 }
 
-let file_name = "rules.prof"
-let path (t : t) = Filename.concat t.dir t.file
+let file_name = "costs.prof"
+let path (t : t) = Filename.concat t.dir file_name
 
-(** [?file] names the store inside [dir] (default ["rules.prof"]); the
-    driver's per-function cost model keeps its wall-clock samples in a
-    sibling ["costs.prof"] with the same format and degradation
-    contract. *)
-let create ?(file = file_name) (dir : string) : t =
+let create (dir : string) : t =
   match
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
     else if not (Sys.is_directory dir) then failwith "not a directory"
   with
-  | () -> { dir; file; disabled = false }
-  | exception _ -> { dir; file; disabled = true }
+  | () -> { dir; disabled = false }
+  | exception _ -> { dir; disabled = true }
 
 let disabled (t : t) = t.disabled
 
-(* One line per rule: "<count> <name>".  The name may contain any
-   character but a newline (rule names are OCaml identifiers plus
-   punctuation like "T-GOTO"), so the count comes first and the name is
-   the rest of the line. *)
+(* One line per key: "<count> <name>".  The name may contain any
+   character but a newline (a file path, then a function name), so the
+   count comes first and the name is the rest of the line. *)
 let parse_line (l : string) : (string * int) option =
   match String.index_opt l ' ' with
   | None -> None
@@ -57,8 +44,8 @@ let parse_line (l : string) : (string * int) option =
           if name = "" then None else Some (name, n)
       | _ -> None)
 
-(** Load the accumulated counts; an absent, corrupt or unreadable store
-    is the empty profile. *)
+(** Load the stored samples; an absent, corrupt or unreadable store
+    has none. *)
 let load (t : t) : (string * int) list =
   if t.disabled then []
   else
@@ -67,23 +54,16 @@ let load (t : t) : (string * int) list =
         String.split_on_char '\n' contents |> List.filter_map parse_line
     | exception _ -> []
 
-(** Merge [counts] into the store and write the result atomically.
-    [?merge old new] combines an incoming count with a stored one —
-    addition by default (rule-hit accumulation); the cost model passes
-    [fun _ fresh -> fresh] so the latest wall-clock sample wins.
-    Failures disable the store for the rest of the run — a profile
-    write must never abort a verification run. *)
-let accumulate ?(merge = ( + )) (t : t) (counts : (string * int) list) : unit =
+(** Merge [counts] into the store, each replacing the stored sample of
+    its key, and write the result atomically.  Failures disable the
+    store for the rest of the run — a cost-model write must never abort
+    a verification run. *)
+let update (t : t) (counts : (string * int) list) : unit =
   if (not t.disabled) && counts <> [] then begin
     let tbl = Hashtbl.create 64 in
     List.iter (fun (k, v) -> Hashtbl.replace tbl k v) (load t);
     List.iter
-      (fun (k, v) ->
-        if v > 0 then
-          Hashtbl.replace tbl k
-            (match Hashtbl.find_opt tbl k with
-            | None -> v
-            | Some old -> merge old v))
+      (fun (k, v) -> if v > 0 then Hashtbl.replace tbl k v)
       counts;
     let lines =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []

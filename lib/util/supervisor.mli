@@ -40,35 +40,26 @@
       — same isolation, retry and deadline semantics, no parallelism.
       A degraded run never changes any verdict, only the wall-clock.
 
-    The implementation is selected at build time ([dune] copies the
-    matching [supervisor_*.ml.in] into [supervisor.ml]): on OCaml 5 it
-    fans out across domains ([supervisor_domains.ml.in]); on 4.x it
-    degrades to the same sequential engine used by the degraded path
-    ([supervisor_seq.ml.in]), with an identical API.
-
     Concurrency contract: one [run] at a time per supervisor (batches
     are not re-entrant); any number of supervisors may coexist.  The
     handle is a resource owned by whoever created it — a CLI invocation,
     a bench harness, a server session — and travels inside the
     verification session like every other piece of configuration. *)
 
-val parallelism_available : bool
-(** [true] iff this build can actually run work items concurrently. *)
-
 val recommended_jobs : unit -> int
 (** The number of workers the hardware can actually run concurrently
-    (the runtime's recommended domain count; [1] on sequential builds).
-    Policy layers (the CLI, the driver) clamp a requested [-j N] to this
-    before sizing a pool: worker domains beyond the core count only add
-    scheduling and GC-synchronisation overhead — on a single-core host a
-    [-j 4] request degrades all the way to inline sequential execution,
-    which is the fastest thing that host can do.  {!create} itself does not clamp, so tests and embedders can
-    deliberately oversubscribe. *)
+    (the runtime's recommended domain count).  Policy layers (the CLI,
+    the driver) clamp a requested [-j N] to this before sizing a pool:
+    worker domains beyond the core count only add scheduling and
+    GC-synchronisation overhead — on a single-core host a [-j 4] request
+    degrades all the way to inline sequential execution, which is the
+    fastest thing that host can do.  {!create} itself does not clamp, so
+    tests and embedders can deliberately oversubscribe. *)
 
 val worker_id : unit -> int
-(** The calling domain's runtime id on OCaml 5, [0] on a sequential
-    build.  Observability only (task placement events): the value is
-    scheduling-dependent, never part of any deterministic output. *)
+(** The calling domain's runtime id.  Observability only (task
+    placement events): the value is scheduling-dependent, never part of
+    any deterministic output. *)
 
 type t
 
@@ -80,7 +71,7 @@ type health =
 
 val create : ?jobs:int -> ?max_respawns:int -> unit -> t
 (** Spawn a pool of [jobs] persistent worker domains (default: the
-    runtime's recommended count; sequential builds spawn none).
+    runtime's recommended count).
     [max_respawns] (default 16) caps worker respawns over the pool's
     lifetime before it degrades. *)
 
@@ -144,13 +135,13 @@ val run :
     (default 0) caps re-attempts per task; a re-attempt happens when
     [should_retry] accepts the returned value or [is_transient] accepts
     the raised exception.  [?fault] arms the ["pool.dispatch"] chaos
-    site at the worker dispatch boundary (domain builds only): an
-    injection there kills the worker itself, exercising the respawn and
-    redispatch machinery rather than the per-task isolation.
+    site at the worker dispatch boundary: an injection there kills the
+    worker itself, exercising the respawn and redispatch machinery
+    rather than the per-task isolation.
 
-    On a sequential build — or on a {!Degraded} pool — the same engine
-    runs every task on the calling domain; semantics are identical
-    except that nothing runs concurrently. *)
+    On a {!Degraded} pool the same engine runs every task on the
+    calling domain; semantics are identical except that nothing runs
+    concurrently. *)
 
 val run_seq :
   ?deadline:float ->
@@ -163,5 +154,4 @@ val run_seq :
   'b outcome list * run_stats
 (** The pool-less sequential engine: [run] semantics on the calling
     domain, without creating a supervisor.  This is what [jobs <= 1]
-    drivers use, what degraded pools fall back to, and the whole
-    implementation on OCaml 4.x. *)
+    drivers use and what degraded pools fall back to. *)

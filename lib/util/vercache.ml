@@ -2,15 +2,17 @@
 
     The checker's results are a pure function of (function body, its
     specification, the sibling specifications it may call, the rule-set
-    and solver fingerprint, the resource budget).  The driver digests all
-    of that into a [key] string; this module maps keys to opaque byte
-    payloads on disk so an unchanged function can be verdict-replayed
-    instead of re-proved — the Foundational-VeriFast-style "certify once,
-    re-check cheaply" economy, applied at the toolchain level.
+    and solver fingerprint, the resource budget).  The driver digests
+    each of those into a named component; this module maps a function's
+    component list to an opaque byte payload on disk so an unchanged
+    function can be verdict-replayed instead of re-proved — the
+    Foundational-VeriFast-style "certify once, re-check cheaply"
+    economy, applied at the toolchain level.
 
-    Entries are write-once: a file named by the MD5 of its key, written
-    to a temp file and [Sys.rename]d into place, so concurrent writers
-    (checker domains) cannot expose a torn entry.  The full key is stored
+    Entries are write-once: a file named by the MD5 of its key (the
+    concatenated components, see {!keyed_key}), written to a temp file
+    and [Sys.rename]d into place, so concurrent writers (checker
+    domains) cannot expose a torn entry.  The full key is stored
     inside the entry and compared on read, so a digest collision degrades
     to a miss, never to a wrong verdict.
 
@@ -23,9 +25,9 @@
     no point paying the syscalls), which a driver can surface as a
     diagnostic via {!disabled}.
 
-    The hit/miss counters are only maintained by {!find}/{!store} calls
-    made from a single domain; parallel drivers count hits from their own
-    per-item results instead. *)
+    The hit/miss counters are only maintained by {!find_keyed} /
+    {!store_keyed} calls made from a single domain; parallel drivers
+    count hits from their own per-item results instead. *)
 
 type t = {
   dir : string;
@@ -52,12 +54,12 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.file_exists dir -> ()
   end
 
-(* A [store] interrupted between temp-file creation and rename (crash,
-   injected fault) leaves an orphan [*.tmp]; collect them on open.  A
-   concurrent writer's live temp file could in principle be swept too —
-   that store then fails and is skipped, which the degradation contract
-   already allows — but in practice pools share one handle created
-   before any checking starts. *)
+(* A [store_keyed] interrupted between temp-file creation and rename
+   (crash, injected fault) leaves an orphan [*.tmp]; collect them on
+   open.  A concurrent writer's live temp file could in principle be
+   swept too — that store then fails and is skipped, which the
+   degradation contract already allows — but in practice pools share
+   one handle created before any checking starts. *)
 let sweep_stale_tmp (dir : string) : unit =
   match Sys.readdir dir with
   | files ->
@@ -142,76 +144,6 @@ let disabled (t : t) = t.disabled
 let entry_path t (key : string) =
   Filename.concat t.dir (Digest.to_hex (Digest.string key) ^ ".vc")
 
-(** Outcome of a detailed lookup: a corrupt entry (present on disk but
-    unreadable, truncated, wrong format version, or a digest collision)
-    is distinguished from a plain absence so the observability layer can
-    count skips separately — both behave as misses. *)
-type lookup = Hit of string | Absent | Corrupt
-
-(** [find_detailed t ~key] classifies the lookup; any non-[Hit] outcome
-    is a miss for the counters.  [?fault] arms the ["cache.read"] chaos
-    site: an injection is absorbed here as [Corrupt] — by contract the
-    cache never lets a fault escape. *)
-let find_detailed ?fault (t : t) ~(key : string) : lookup =
-  let path = entry_path t key in
-  let outcome =
-    match Faultsim.point fault "cache.read" with
-    | exception Faultsim.Injected _ -> Corrupt
-    | () -> (
-        if not (Sys.file_exists path) then Absent
-        else
-          match
-            In_channel.with_open_bin path (fun ic ->
-                (Marshal.from_channel ic : string * string * string))
-          with
-          | v, k, payload when v = format_version && k = key -> Hit payload
-          | _ -> Corrupt
-          | exception _ -> Corrupt)
-  in
-  (match outcome with
-  | Hit _ -> t.hits <- t.hits + 1
-  | Absent -> t.misses <- t.misses + 1
-  | Corrupt ->
-      t.misses <- t.misses + 1;
-      t.corrupt_skips <- t.corrupt_skips + 1);
-  outcome
-
-(** [find t ~key] returns the stored payload for [key], or [None].  Any
-    unreadable, truncated or mismatched entry is a miss. *)
-let find ?fault (t : t) ~(key : string) : string option =
-  match find_detailed ?fault t ~key with
-  | Hit p -> Some p
-  | Absent | Corrupt -> None
-
-(** [store t ~key payload] persists the entry atomically.  I/O errors
-    (and injected ["cache.write"] faults) are swallowed: a cache that
-    cannot write is merely cold, never fatal.  The temp file is removed
-    on any failure so an unwritable target directory cannot accumulate
-    orphans, and after {!max_write_failures} consecutive failures the
-    cache stops attempting writes altogether. *)
-let store ?fault (t : t) ~(key : string) (payload : string) : unit =
-  if not t.disabled then begin
-    let tmp = ref None in
-    match
-      Faultsim.point fault "cache.write";
-      let path = entry_path t key in
-      let tf = Filename.temp_file ~temp_dir:t.dir "entry" ".tmp" in
-      tmp := Some tf;
-      Out_channel.with_open_bin tf (fun oc ->
-          Marshal.to_channel oc (format_version, key, payload) []);
-      Sys.rename tf path
-    with
-    | () ->
-        t.stores <- t.stores + 1;
-        t.write_failures <- 0
-    | exception (Sys_error _ | Faultsim.Injected _) ->
-        (match !tmp with
-        | Some tf -> ( try Sys.remove tf with Sys_error _ -> ())
-        | None -> ());
-        t.write_failures <- t.write_failures + 1;
-        if t.write_failures >= max_write_failures then t.disabled <- true
-  end
-
 (** Number of entries currently on disk. *)
 let entries (t : t) : int =
   match Sys.readdir t.dir with
@@ -225,7 +157,7 @@ let entries (t : t) : int =
 (* Keyed (dependency-cone) entries                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A keyed entry is still a content-addressed, write-once [*.vc] file —
+(* A keyed entry is a content-addressed, write-once [*.vc] file —
    its key is the concatenation of named component digests — but each
    store also records a *manifest* for the entry's stable identity [id]
    (for the driver: one id per (file, function)).  The manifest holds
@@ -320,20 +252,42 @@ let diff_components (old_cs : (string * string) list)
 
 (** [find_keyed t ~id ~components] looks up the entry whose key is the
     digest of [components]; on a miss, the manifest for [id] explains
-    *why* (which components moved since the last verify stored here). *)
+    *why* (which components moved since the last verify stored here).
+    An unreadable, truncated or mismatched entry (wrong format version,
+    digest collision) is a [Collision] miss and counts as a corrupt
+    skip.  [?fault] arms the ["cache.read"] chaos site: an injection is
+    absorbed here as a [Collision] — by contract the cache never lets a
+    fault escape. *)
 let find_keyed ?fault (t : t) ~(id : string)
     ~(components : (string * string) list) : keyed_lookup =
   let key = keyed_key ~id components in
-  match find_detailed ?fault t ~key with
-  | Hit payload -> KHit payload
-  | Corrupt -> KMiss Collision
-  | Absent -> (
-      match read_manifest t id with
-      | None -> KMiss Fresh
-      | Some old_cs -> (
-          match diff_components old_cs components with
-          | [] -> KMiss Evicted
-          | changed -> KMiss (Changed changed)))
+  let path = entry_path t key in
+  let outcome =
+    match Faultsim.point fault "cache.read" with
+    | exception Faultsim.Injected _ -> KMiss Collision
+    | () -> (
+        if not (Sys.file_exists path) then
+          match read_manifest t id with
+          | None -> KMiss Fresh
+          | Some old_cs -> (
+              match diff_components old_cs components with
+              | [] -> KMiss Evicted
+              | changed -> KMiss (Changed changed))
+        else
+          match
+            In_channel.with_open_bin path (fun ic ->
+                (Marshal.from_channel ic : string * string * string))
+          with
+          | v, k, payload when v = format_version && k = key -> KHit payload
+          | _ | (exception _) -> KMiss Collision)
+  in
+  (match outcome with
+  | KHit _ -> t.hits <- t.hits + 1
+  | KMiss Collision ->
+      t.misses <- t.misses + 1;
+      t.corrupt_skips <- t.corrupt_skips + 1
+  | KMiss _ -> t.misses <- t.misses + 1);
+  outcome
 
 (** [unreadable t] re-counts the last lookup, a hit, as a corrupt skip:
     the caller could not decode its payload (e.g. one written by a
@@ -344,15 +298,39 @@ let unreadable (t : t) : unit =
   t.misses <- t.misses + 1;
   t.corrupt_skips <- t.corrupt_skips + 1
 
-(** Store a keyed entry and its manifest.  Storage failures degrade
-    exactly as {!store}'s do; the manifest is only written when the
+(** [store_keyed t ~id ~components payload] persists the entry
+    atomically, then its manifest.  I/O errors (and injected
+    ["cache.write"] faults) are swallowed: a cache that cannot write is
+    merely cold, never fatal.  The temp file is removed on any failure
+    so an unwritable target directory cannot accumulate orphans, and
+    after {!max_write_failures} consecutive failures the cache stops
+    attempting writes altogether.  The manifest is only written when the
     payload store succeeded, so a manifest never describes an entry that
     was not persisted. *)
 let store_keyed ?fault (t : t) ~(id : string)
     ~(components : (string * string) list) (payload : string) : unit =
-  let before = t.stores in
-  store ?fault t ~key:(keyed_key ~id components) payload;
-  if t.stores > before then write_manifest t id components
+  if not t.disabled then begin
+    let key = keyed_key ~id components in
+    let tmp = ref None in
+    match
+      Faultsim.point fault "cache.write";
+      let tf = Filename.temp_file ~temp_dir:t.dir "entry" ".tmp" in
+      tmp := Some tf;
+      Out_channel.with_open_bin tf (fun oc ->
+          Marshal.to_channel oc (format_version, key, payload) []);
+      Sys.rename tf (entry_path t key)
+    with
+    | () ->
+        t.stores <- t.stores + 1;
+        t.write_failures <- 0;
+        write_manifest t id components
+    | exception (Sys_error _ | Faultsim.Injected _) ->
+        (match !tmp with
+        | Some tf -> ( try Sys.remove tf with Sys_error _ -> ())
+        | None -> ());
+        t.write_failures <- t.write_failures + 1;
+        if t.write_failures >= max_write_failures then t.disabled <- true
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Store statistics (--cache-stats)                                    *)

@@ -275,9 +275,17 @@ let tmp_files dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".tmp")
 
-(* the on-disk name [store] will rename onto, mirroring [entry_path] *)
-let entry_file dir key =
-  Filename.concat dir (Digest.to_hex (Digest.string key) ^ ".vc")
+(* Every entry below has the same one-component key; [id] tells them
+   apart, as the driver's (file, function) ids do. *)
+let components = [ ("body", "b") ]
+
+let store ?fault cache id =
+  Rc_util.Vercache.store_keyed ?fault cache ~id ~components "v"
+
+let find ?fault cache id =
+  Rc_util.Vercache.find_keyed ?fault cache ~id ~components
+
+let hit = Rc_util.Vercache.KHit "v"
 
 let robustness_tests =
   [
@@ -300,27 +308,28 @@ let robustness_tests =
         let cache = Rc_util.Vercache.create dir in
         (* a directory squatting on the entry path makes the final
            [Sys.rename] fail after the temp file was already written *)
-        Sys.mkdir (entry_file dir "key1") 0o755;
-        Rc_util.Vercache.store cache ~key:"key1" "payload";
+        Sys.mkdir
+          (Rc_util.Vercache.entry_path cache
+             (Rc_util.Vercache.keyed_key ~id:"key1" components))
+          0o755;
+        store cache "key1";
         Alcotest.(check (list string)) "tmp removed on failure" []
           (tmp_files dir);
         (* the squatted path reads as corrupt: a miss, never an error *)
         Alcotest.(check bool) "lookup degrades to miss" true
-          (Rc_util.Vercache.find cache ~key:"key1" = None));
+          (find cache "key1" = KMiss Collision));
     Alcotest.test_case "injected read fault degrades to miss" `Quick
       (fun () ->
         let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
-        Rc_util.Vercache.store cache ~key:"k" "v";
-        Alcotest.(check bool) "entry is there" true
-          (Rc_util.Vercache.find cache ~key:"k" = Some "v");
+        store cache "k";
+        Alcotest.(check bool) "entry is there" true (find cache "k" = hit);
         let fault =
           Rc_util.Faultsim.create ~rate:1.0 ~sites:[ "cache.read" ] 11
         in
         Alcotest.(check bool) "faulted read misses" true
-          (Rc_util.Vercache.find ~fault cache ~key:"k" = None);
+          (find ~fault cache "k" = KMiss Collision);
         (* the entry itself is untouched *)
-        Alcotest.(check bool) "entry survives" true
-          (Rc_util.Vercache.find cache ~key:"k" = Some "v"));
+        Alcotest.(check bool) "entry survives" true (find cache "k" = hit));
     Alcotest.test_case "injected write fault skips the store" `Quick
       (fun () ->
         let dir = fresh_cache_dir () in
@@ -328,14 +337,15 @@ let robustness_tests =
         let fault =
           Rc_util.Faultsim.create ~rate:1.0 ~sites:[ "cache.write" ] 12
         in
-        Rc_util.Vercache.store ~fault cache ~key:"k" "v";
+        store ~fault cache "k";
         Alcotest.(check int) "nothing written" 0
           (Rc_util.Vercache.entries cache);
         Alcotest.(check (list string)) "no orphans" [] (tmp_files dir);
+        Alcotest.(check bool) "no manifest either" true
+          (find cache "k" = KMiss Fresh);
         (* an unfaulted store afterwards works normally *)
-        Rc_util.Vercache.store cache ~key:"k" "v";
-        Alcotest.(check bool) "recovers" true
-          (Rc_util.Vercache.find cache ~key:"k" = Some "v"));
+        store cache "k";
+        Alcotest.(check bool) "recovers" true (find cache "k" = hit));
     Alcotest.test_case "persistent write failure disables the cache" `Quick
       (fun () ->
         let dir = fresh_cache_dir () in
@@ -344,19 +354,17 @@ let robustness_tests =
           Rc_util.Faultsim.create ~rate:1.0 ~sites:[ "cache.write" ] 13
         in
         for i = 1 to 8 do
-          Rc_util.Vercache.store ~fault cache
-            ~key:(string_of_int i)
-            "v"
+          store ~fault cache (string_of_int i)
         done;
         Alcotest.(check bool) "disabled after threshold" true
           (Rc_util.Vercache.disabled cache);
         (* once disabled, even a healthy store is a no-op *)
-        Rc_util.Vercache.store cache ~key:"healthy" "v";
+        store cache "healthy";
         Alcotest.(check int) "no writes once disabled" 0
           (Rc_util.Vercache.entries cache);
         (* reads still work (for entries written before the failures) *)
         Alcotest.(check bool) "reads unaffected" true
-          (Rc_util.Vercache.find cache ~key:"healthy" = None));
+          (find cache "healthy" = KMiss Fresh));
     Alcotest.test_case "a success resets the failure streak" `Quick
       (fun () ->
         let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
@@ -364,14 +372,14 @@ let robustness_tests =
           Rc_util.Faultsim.create ~rate:1.0 ~sites:[ "cache.write" ] 14
         in
         for i = 1 to 7 do
-          Rc_util.Vercache.store ~fault cache ~key:(string_of_int i) "v"
+          store ~fault cache (string_of_int i)
         done;
-        Rc_util.Vercache.store cache ~key:"ok" "v";
+        store cache "ok";
         let fault2 =
           Rc_util.Faultsim.create ~rate:1.0 ~sites:[ "cache.write" ] 15
         in
         for i = 8 to 14 do
-          Rc_util.Vercache.store ~fault:fault2 cache ~key:(string_of_int i) "v"
+          store ~fault:fault2 cache (string_of_int i)
         done;
         Alcotest.(check bool) "7 + success + 7 stays enabled" false
           (Rc_util.Vercache.disabled cache));

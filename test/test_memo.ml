@@ -1,7 +1,7 @@
 (* The engine-speed features must be semantically invisible: goal
-   interning, within-run subgoal memoization ([--memo]) and
-   profile-guided dispatch ([--pgo]) may change wall-clock time and the
-   memo counters, but never verdicts, Figure-7 statistics, diagnostics,
+   interning, within-run subgoal memoization ([--memo]) and the order of
+   equal-priority rules may change wall-clock time and the memo
+   counters, but never verdicts, Figure-7 statistics, diagnostics,
    exit codes or the [--json] report.  These tests pin that equivalence
    over the full case-study corpus and a sample of the generated stress
    corpus, plus the interning primitives themselves. *)
@@ -227,7 +227,6 @@ let parallel_memo_tests =
   List.map
     (fun file ->
       Alcotest.test_case file `Quick (fun () ->
-          if not Rc_util.Supervisor.parallelism_available then Alcotest.skip ();
           let path = Filename.concat case_dir file in
           let seq =
             Driver.check_file ~session:(studies_session ~memo:true ()) ~jobs:1
@@ -243,67 +242,37 @@ let parallel_memo_tests =
     [ "hashmap.c"; "bst_layered.c"; "talloc.c" ]
 
 (* ------------------------------------------------------------------ *)
-(* Profile-guided dispatch                                             *)
+(* Equal-priority tie order                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* An adversarial profile — every observed rule weighted by the
-   *inverse* of its real hit count — maximally perturbs the
-   equal-priority tie order, yet verdicts and reports must not move
-   (ties are only reorderable because their guards are disjoint). *)
-let test_pgo_equivalence () =
-  let path = Filename.concat case_dir "hashmap.c" in
-  let base = Driver.check_file ~session:(studies_session ()) path in
-  let counts : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Driver.check_result) ->
-      match r.outcome with
-      | Ok res ->
-          Hashtbl.iter
-            (fun name n ->
-              Hashtbl.replace counts name
-                (n + Option.value ~default:0 (Hashtbl.find_opt counts name)))
-            res.Rc_refinedc.Lang.E.stats.Stats.rules_used
-      | Error _ -> ())
-    base.Driver.results;
-  let most = Hashtbl.fold (fun _ n acc -> max n acc) counts 0 in
-  let profile =
-    Hashtbl.fold (fun name n acc -> (name, 1 + most - n) :: acc) counts []
-    |> List.sort compare
-  in
-  Alcotest.(check bool) "profile is non-trivial" true (List.length profile > 5);
-  let pgo_session () =
-    let s = Rc_studies.Studies.session () in
-    Session.create ~registry:s.Session.registry ~gs:s.Session.gs
-      ~tenv:(Rc_refinedc.Rtype.create_tenv ())
-      ~profile ()
-  in
-  (* the sessions differ where they should: the reordered index has a
-     different fingerprint, so profiled runs never share cache entries *)
-  Alcotest.(check bool)
-    "index fingerprint moved" true
-    (Rc_refinedc.Rules.fingerprint (studies_session ()).Session.index
-    <> Rc_refinedc.Rules.fingerprint (pgo_session ()).Session.index);
-  (* ... but not where they must not: same verdicts, stats, report *)
-  let studies_pgo () =
-    let s = Rc_studies.Studies.session () in
-    {
-      s with
-      Session.index =
-        Rc_refinedc.Rules.make ~extra:s.Session.extra_rules ~profile ();
-    }
-  in
-  check_equivalent
-    ~mk_off:(fun () -> studies_session ())
-    ~mk_on:(fun () -> studies_pgo ())
-    path
+(* Rules inside one priority tie have disjoint guards (lint RC-L022), so
+   their order may change speed but never a verdict.  The index sort is
+   stable, so compiling the reversed rule list reverses every tie at
+   once; verdicts, statistics and reports must not move. *)
+let reversed_ties_session () =
+  let s = Rc_studies.Studies.session () in
+  {
+    s with
+    Session.index =
+      Rc_refinedc.Lang.E.index_rules
+        (List.rev (Rc_refinedc.Rules.builtin () @ s.Session.extra_rules));
+  }
 
-(* An empty profile must be the identity: same fingerprint, so cached
-   verdicts from unprofiled runs stay valid. *)
-let test_pgo_empty_profile () =
-  Alcotest.(check string)
-    "empty profile preserves fingerprint"
-    (Rc_refinedc.Rules.fingerprint (Rc_refinedc.Rules.make ()))
-    (Rc_refinedc.Rules.fingerprint (Rc_refinedc.Rules.make ~profile:[] ()))
+let tie_order_tests =
+  let fingerprint (s : Session.t) = Rc_refinedc.Rules.fingerprint s.index in
+  Alcotest.test_case "index reordered" `Quick (fun () ->
+      Alcotest.(check bool)
+        "index fingerprint moved" true
+        (fingerprint (studies_session ())
+        <> fingerprint (reversed_ties_session ())))
+  :: List.map
+       (fun file ->
+         Alcotest.test_case file `Quick (fun () ->
+             check_equivalent
+               ~mk_off:(fun () -> studies_session ())
+               ~mk_on:reversed_ties_session
+               (Filename.concat case_dir file)))
+       ("free_list.c" :: "mem_alloc.c" :: corpus_files)
 
 let () =
   Alcotest.run "memo"
@@ -320,9 +289,5 @@ let () =
       ( "memo counters",
         [ Alcotest.test_case "diamond chain" `Quick test_memo_counters ] );
       ("parallel determinism (memo on)", parallel_memo_tests);
-      ( "profile-guided dispatch",
-        [
-          Alcotest.test_case "adversarial profile" `Quick test_pgo_equivalence;
-          Alcotest.test_case "empty profile" `Quick test_pgo_empty_profile;
-        ] );
+      ("reversed ties", tie_order_tests);
     ]

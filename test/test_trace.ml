@@ -200,7 +200,6 @@ let pipeline_tests =
         Alcotest.(check int) "rule.apps.*" s.Stats.rule_apps rule_apps_total);
     Alcotest.test_case "-j1 and -j4 traces are byte-identical normalized"
       `Quick (fun () ->
-        if not Rc_util.Supervisor.parallelism_available then Alcotest.skip ();
         let seq = check ~jobs:1 "hashmap.c" in
         let par = check ~jobs:4 "hashmap.c" in
         Alcotest.(check string)

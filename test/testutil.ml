@@ -14,15 +14,11 @@ let rec rm_rf path =
   | false -> ( try Sys.remove path with Sys_error _ -> ())
   | exception Sys_error _ -> ()
 
-(* [Filename.temp_dir] only exists from OCaml 5.1; temp_file + remove +
-   mkdir is the portable spelling.  Lazy so the directory (and its
-   cleanup hook) only materialize if a test actually asks for scratch
-   space. *)
+(* Lazy so the directory (and its cleanup hook) only materialize if a
+   test actually asks for scratch space. *)
 let root =
   lazy
-    (let base = Filename.temp_file "rc-test-scratch" "" in
-     Sys.remove base;
-     Unix.mkdir base 0o700;
+    (let base = Filename.temp_dir "rc-test-scratch" "" in
      at_exit (fun () -> rm_rf base);
      base)
 
