@@ -312,23 +312,36 @@ let check_cmd =
       fault_seed fault_rate fault_sites fault_max explain_failure profile_out
       runlog =
     let budget = { Rc_util.Budget.fuel; timeout; max_depth } in
-    (* the cache-family flags share --cache's fate under --cert (and are
-       inert without --cache): warn once each, with the same phrasing
-       --memo uses, so no combination is silently ignored *)
-    let cache_flag_on what on =
-      if not on then false
-      else if cert then begin
+    (* a --json report has no place for the trees *)
+    let deriv =
+      if deriv && json then begin
         Fmt.epr
-          "warning: %s is ignored under --cert (certificates must be \
-           re-derived)@."
-          what;
+          "warning: --deriv is ignored under --json (the report carries no \
+           derivation trees)@.";
         false
       end
-      else if cache = None then begin
-        Fmt.epr "warning: %s has no effect without --cache@." what;
-        false
-      end
-      else true
+      else deriv
+    in
+    (* --cert and --deriv both need the real derivations, which a cache
+       hit replaces by a one-node stub *)
+    let rederive =
+      if cert then Some "--cert (certificates must be re-derived)"
+      else if deriv then Some "--deriv (derivation trees must be re-derived)"
+      else None
+    in
+    (* the cache-family flags share --cache's fate under --cert/--deriv
+       (and are inert without --cache): warn once each, with the same
+       phrasing --memo uses, so no combination is silently ignored *)
+    let cache_flag_on what on =
+      match rederive with
+      | _ when not on -> false
+      | Some why ->
+          Fmt.epr "warning: %s is ignored under %s@." what why;
+          false
+      | None when cache = None ->
+          Fmt.epr "warning: %s has no effect without --cache@." what;
+          false
+      | None -> true
     in
     let explain_cache = cache_flag_on "--explain-cache" explain_cache in
     let cache_stats = cache_flag_on "--cache-stats" cache_stats in
@@ -393,7 +406,7 @@ let check_cmd =
           }
         ?fault ?deadline ~retries ?pool
         ~cancel:(fun () -> Atomic.get interrupted)
-        ~memo ~forensics:explain_failure ()
+        ~memo ~forensics:explain_failure ~judgments:deriv ()
     in
     (* resolve the ledger directory before [cache] is shadowed by the
        store handle: a bare --runlog rides in the --cache directory *)
@@ -411,13 +424,11 @@ let check_cmd =
       | Some dir -> Some dir
     in
     let cache =
-      match cache with
-      | Some _ when cert ->
-          Fmt.epr
-            "warning: --cache is ignored under --cert (certificates must \
-             be re-derived)@.";
+      match (cache, rederive) with
+      | Some _, Some why ->
+          Fmt.epr "warning: --cache is ignored under %s@." why;
           None
-      | Some dir -> (
+      | Some dir, None -> (
           (* an uncreatable cache directory degrades to an uncached run,
              never an abort *)
           match
@@ -432,7 +443,7 @@ let check_cmd =
                  uncached@."
                 dir msg;
               None)
-      | None -> None
+      | None, _ -> None
     in
     Fun.protect ~finally:(fun () ->
         Option.iter Rc_util.Supervisor.shutdown pool)
@@ -476,7 +487,7 @@ let check_cmd =
             | Ok res ->
                 say "%s: verified (%a)@." r.name Rc_lithium.Stats.pp
                   res.Rc_refinedc.Lang.E.stats;
-                if deriv && not json then
+                if deriv then
                   Fmt.pr "%a@." (Rc_lithium.Deriv.pp ~depth:0)
                     res.Rc_refinedc.Lang.E.deriv;
                 if stats then begin

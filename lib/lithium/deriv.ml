@@ -11,7 +11,10 @@
 type node = {
   d_case : string;
       (** interpreter case or ["rule:<name>"] for rule applications *)
-  d_info : string;  (** printed judgment / atom / binder *)
+  d_info : string;
+      (** printed judgment / atom / binder; empty unless the run asked
+          for judgments (the engine's [o_judgments]) or the node is a
+          branch label.  No checker reads it: it exists for [--deriv]. *)
   d_loc : Rc_util.Srcloc.t option;
   d_side : (Rc_pure.Term.prop * Rc_pure.Registry.verdict) list;
       (** side conditions discharged at this node, evar-free *)
@@ -29,23 +32,29 @@ let make ?(info = "") ?loc ?(side = []) ?(hyps = []) ?(tactics = []) case
 
 let rec size n = 1 + List.fold_left (fun a c -> a + size c) 0 n.d_children
 
+(** Nodes at depth [max_depth] and below are not printed; each cut
+    prints one line counting the nodes it elides instead. *)
+let max_depth = 40
+
+let indent depth = String.make (min depth 20 * 2) ' '
+
 let rec pp ?(depth = 0) ppf n =
-  if depth < 40 then begin
-    Fmt.pf ppf "%s%s%s%s@."
-      (String.make (min depth 20 * 2) ' ')
-      n.d_case
-      (if n.d_info = "" then "" else ": " ^ n.d_info)
-      (match n.d_side with
-      | [] -> ""
-      | side ->
-          Fmt.str " [%a]"
-            Fmt.(
-              list ~sep:comma (fun ppf (p, v) ->
-                  Fmt.pf ppf "%a (%a)" Rc_pure.Term.pp_prop p
-                    Rc_pure.Registry.pp_verdict v))
-            side);
+  Fmt.pf ppf "%s%s%s%s@." (indent depth) n.d_case
+    (if n.d_info = "" then "" else ": " ^ n.d_info)
+    (match n.d_side with
+    | [] -> ""
+    | side ->
+        Fmt.str " [%a]"
+          Fmt.(
+            list ~sep:comma (fun ppf (p, v) ->
+                Fmt.pf ppf "%a (%a)" Rc_pure.Term.pp_prop p
+                  Rc_pure.Registry.pp_verdict v))
+          side);
+  if depth + 1 < max_depth then
     List.iter (pp ~depth:(depth + 1) ppf) n.d_children
-  end
+  else if n.d_children <> [] then
+    Fmt.pf ppf "%s… %d nodes below depth %d elided@." (indent (depth + 1))
+      (size n - 1) max_depth
 
 (** All side conditions in the tree, with their verdicts. *)
 let rec side_conditions n =

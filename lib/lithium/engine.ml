@@ -304,10 +304,18 @@ module Make (L : LANG) = struct
       changes results, only speed.  [o_fx] enables proof-failure
       forensics ([--explain-failure]): a bounded derivation snapshot
       attached to the failure report.  Like memoization it never changes
-      verdicts — it only enriches failure diagnostics. *)
-  type opts = { o_memo : bool; o_fx : Report.fx_limits option }
+      verdicts — it only enriches failure diagnostics.  [o_judgments]
+      prints each derivation node's judgment, atom or binder into its
+      [d_info] ([--deriv]).  Off, the nodes carry exactly what the
+      certificate checker reads: the case, side conditions, hypotheses
+      and tactics, and branch labels. *)
+  type opts = {
+    o_memo : bool;
+    o_fx : Report.fx_limits option;
+    o_judgments : bool;
+  }
 
-  let default_opts = { o_memo = false; o_fx = None }
+  let default_opts = { o_memo = false; o_fx = None; o_judgments = false }
 
   (** Per-function memo-table bound: beyond it, lookups still hit but no
       new entry is stored. *)
@@ -329,6 +337,7 @@ module Make (L : LANG) = struct
             disabled — every guard below is then one pattern match) *)
     memo : memo option;  (** [Some] iff within-run memoization is on *)
     fx : fx_state option;  (** [Some] iff forensics capture is on *)
+    judgments : bool;  (** {!opts.o_judgments} *)
     mutable cur_loc : Rc_util.Srcloc.t option;
     mutable cur_head : string option;  (** head of the last basic goal *)
   }
@@ -401,6 +410,11 @@ module Make (L : LANG) = struct
       ri_peek =
         (fun pred -> List.find_opt (fun a -> pred (resolve_atom st a)) ctx.delta);
     }
+
+  (** A derivation node's [d_info]: [x] printed by [pp], or nothing when
+      the run did not ask for judgments. *)
+  let judgment st pp x =
+    if st.judgments then Some (Fmt.str "%a" pp x) else None
 
   let pp_delta ctx =
     List.map (fun a -> Fmt.str "%a" L.pp_atom a) ctx.delta
@@ -796,7 +810,7 @@ module Make (L : LANG) = struct
           (match verdict with
           | Registry.Unsolved ->
               fail st ctx (Report.Unsolved_side_condition phi)
-          | v -> Stats.record_side st.stats v (prop_to_string phi));
+          | v -> Stats.record_side st.stats v phi);
           record_probe st ctx ~poison:false (fun delta ->
               PSolve { delta; phi; verdict });
           if Rc_util.Obs.on st.obs then
@@ -843,12 +857,18 @@ module Make (L : LANG) = struct
         let y = Rc_util.Gensym.fresh ~hint:x st.gen in
         let ctx = { ctx with vars = (y, s) :: ctx.vars } in
         let d = solve ctx (body (Var (y, s))) in
-        Deriv.make ~info:(Rc_util.Gensym.base y) "intro-forall" [ d ]
+        Deriv.make
+          ?info:(if st.judgments then Some (Rc_util.Gensym.base y) else None)
+          "intro-forall" [ d ]
     (* case 4 *)
     | Goal.Ex (x, s, body) ->
         let e = Evar.fresh ~hint:x st.evars s in
         let d = solve ctx (body e) in
-        Deriv.make ~info:(term_to_string (resolve st e)) "intro-exists" [ d ]
+        Deriv.make
+          ?info:
+            (if st.judgments then Some (term_to_string (resolve st e))
+             else None)
+          "intro-exists" [ d ]
     (* case 5 *)
     | Goal.Basic f -> begin
         match st.memo with
@@ -913,7 +933,10 @@ module Make (L : LANG) = struct
                   solve ctx (Goal.Basic (L.mk_subsume (resolve_atom st a') a g'))
                 in
                 Deriv.make
-                  ~info:(Fmt.str "%a <: %a" L.pp_atom a' L.pp_atom a)
+                  ?info:
+                    (if st.judgments then
+                       Some (Fmt.str "%a <: %a" L.pp_atom a' L.pp_atom a)
+                     else None)
                   "ctx-lookup" [ d ])
       end
     (* case 7 *)
@@ -929,17 +952,17 @@ module Make (L : LANG) = struct
             match Simp.destruct_hyp ~hooks phi with
             | None ->
                 (* contradictory hypothesis: goal holds vacuously *)
-                Deriv.make ~info:(prop_to_string phi) "vacuous" []
+                Deriv.make ?info:(judgment st pp_prop phi) "vacuous" []
             | Some hyps ->
                 let ctx = { ctx with props = hyps @ ctx.props } in
                 let d = solve ctx g' in
-                Deriv.make ~info:(prop_to_string phi) "intro-hyp" [ d ]
+                Deriv.make ?info:(judgment st pp_prop phi) "intro-hyp" [ d ]
           end
         | Goal.LAtom a ->
             let a = resolve_atom st a in
             let ctx = { ctx with delta = a :: ctx.delta } in
             let d = solve ctx g' in
-            Deriv.make ~info:(Fmt.str "%a" L.pp_atom a) "intro-atom" [ d ]
+            Deriv.make ?info:(judgment st L.pp_atom a) "intro-atom" [ d ]
       end
     | Goal.FindOpt { descr; pred; cont } -> (
         match
@@ -949,12 +972,14 @@ module Make (L : LANG) = struct
         with
         | None ->
             let d = solve ctx (cont None) in
-            Deriv.make ~info:(descr ^ " (absent)") "find-opt" [ d ]
+            Deriv.make
+              ?info:(if st.judgments then Some (descr ^ " (absent)") else None)
+              "find-opt" [ d ]
         | Some (a, delta) ->
             let a = resolve_atom st a in
             let ctx = { ctx with delta } in
             let d = solve ctx (cont (Some a)) in
-            Deriv.make ~info:(Fmt.str "%a" L.pp_atom a) "find-opt" [ d ])
+            Deriv.make ?info:(judgment st L.pp_atom a) "find-opt" [ d ])
     (* find_in_context extension *)
     | Goal.Find { descr; pred; cont } ->
         let found =
@@ -968,7 +993,7 @@ module Make (L : LANG) = struct
             let a = resolve_atom st a in
             let ctx = { ctx with delta } in
             let d = solve ctx (cont a) in
-            Deriv.make ~info:(Fmt.str "%a" L.pp_atom a) "find" [ d ])
+            Deriv.make ?info:(judgment st L.pp_atom a) "find" [ d ])
 
   (* goal case 5 proper: rule lookup and first-match-commits application *)
   and solve_basic (st : st) (depth : int) (ctx : ctx) (f : L.f) : Deriv.node =
@@ -1009,9 +1034,7 @@ module Make (L : LANG) = struct
                 end
                 else solve st (depth + 1) ctx premise
               in
-              Deriv.make
-                ~info:(Fmt.str "%a" L.pp_f f)
-                ?loc:(L.loc_of_f f)
+              Deriv.make ?info:(judgment st L.pp_f f) ?loc:(L.loc_of_f f)
                 ("rule:" ^ r.rname) [ d ]
           | None ->
               fx_record_rejected fr r.rname;
@@ -1078,6 +1101,7 @@ module Make (L : LANG) = struct
                     Array.make (max 0 lim.Report.fxl_recent) "";
                   fx_ring_n = 0;
                 });
+        judgments = opts.o_judgments;
         cur_loc = None;
         cur_head = None;
       }

@@ -41,15 +41,18 @@ let record_rule t name =
   Hashtbl.replace t.rules_used name
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.rules_used name))
 
-let record_side t (v : Rc_pure.Registry.verdict) (printed : string) =
+(* the condition is printed only for the manual verdicts that keep it *)
+let record_side t (v : Rc_pure.Registry.verdict) (phi : Rc_pure.Term.prop) =
   match v with
   | Rc_pure.Registry.Auto -> t.side_auto <- t.side_auto + 1
   | Rc_pure.Registry.Via_solver s ->
       t.side_manual <- t.side_manual + 1;
-      t.manual_detail <- (s, printed) :: t.manual_detail
+      t.manual_detail <-
+        (s, Rc_pure.Term.prop_to_string phi) :: t.manual_detail
   | Rc_pure.Registry.Via_lemma s ->
       t.side_manual <- t.side_manual + 1;
-      t.manual_detail <- ("lemma " ^ s, printed) :: t.manual_detail
+      t.manual_detail <-
+        ("lemma " ^ s, Rc_pure.Term.prop_to_string phi) :: t.manual_detail
   | Rc_pure.Registry.Unsolved -> ()
 
 let distinct_rules t = Hashtbl.length t.rules_used

@@ -23,7 +23,10 @@ type t = {
 
 val create : unit -> t
 val record_rule : t -> string -> unit
-val record_side : t -> Rc_pure.Registry.verdict -> string -> unit
+val record_side : t -> Rc_pure.Registry.verdict -> Rc_pure.Term.prop -> unit
+(** counts the condition under its verdict; only a manual verdict prints
+    it, into [manual_detail] *)
+
 val distinct_rules : t -> int
 val merge : t -> t -> unit
 (** [merge acc x] adds [x]'s counters into [acc] *)

@@ -97,6 +97,12 @@ type t = {
           derivation sharing, so the certificate path refuses it (the
           driver disables memoization under [--cert]). *)
   fx : fx_cfg;  (** proof-failure forensics capture *)
+  judgments : bool;
+      (** print each derivation node's judgment ([--deriv]).  Like
+          {!exec_cfg} it is not fingerprinted into the verification-cache
+          key: it changes no verdict, only the [d_info] text of the
+          derivation nodes, which no checker reads and no cache entry
+          stores. *)
 }
 
 (** Build a session.  Omitted components default to the standard
@@ -107,7 +113,7 @@ let create ?(rules = []) ?(registry = Rc_pure.Registry.default)
     ?(gs = Rc_lithium.Evar.default_simp_cfg) ?tenv
     ?(budget = Rc_util.Budget.unlimited) ?(obs = Rc_util.Obs.cfg_off)
     ?(lint = default_lint) ?(exec = default_exec) ?(memo = false)
-    ?(fx = default_fx) () : t =
+    ?(fx = default_fx) ?(judgments = false) () : t =
   {
     index = Rules.make ~extra:rules ();
     extra_rules = rules;
@@ -120,6 +126,7 @@ let create ?(rules = []) ?(registry = Rc_pure.Registry.default)
     exec;
     memo;
     fx;
+    judgments;
   }
 
 let fault (s : t) : Rc_util.Faultsim.t option = s.registry.Rc_pure.Registry.fault

@@ -159,6 +159,7 @@ let check_fn ?(globals = []) ?(obs = Rc_util.Obs.off) ~(session : Session.t)
         (if session.Session.fx.Session.f_enabled then
            Some session.Session.fx.Session.f_limits
          else None);
+      o_judgments = session.Session.judgments;
     }
   in
   E.run_indexed session.Session.index ~registry:session.Session.registry

@@ -55,11 +55,15 @@ type session = Session.t
     - [forensics]: attach a bounded derivation snapshot (goal stack,
       candidate rules with rejection reasons, evar state, recent rule
       applications) to every failure report ([--explain-failure]) — see
-      README "Observability". *)
+      README "Observability";
+    - [judgments]: print every derivation node's judgment, atom or
+      binder, for a host that shows the trees ([--deriv]).  Off by
+      default: the derivations then carry only what the certificate
+      checker reads, and proof search allocates much less. *)
 let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
     ?(lemmas = []) ?hooks ?(default_only = false) ?(no_goal_simp = false)
     ?(type_defs = []) ?budget ?fault ?obs ?lint ?exec ?deadline ?retries ?pool
-    ?cancel ?memo ?forensics () : session =
+    ?cancel ?memo ?forensics ?judgments () : session =
   let hooks =
     match hooks with
     | Some h -> h
@@ -96,7 +100,7 @@ let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
       forensics
   in
   Session.create ~rules ~registry ~gs ~tenv ?budget ?obs ?lint ~exec ?memo ?fx
-    ()
+    ?judgments ()
 
 (** Check every specified function of a C file under [session]. *)
 let check_file ?session ?fail_fast ?jobs ?cache (path : string) : Driver.t =

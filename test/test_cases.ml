@@ -221,6 +221,79 @@ let struct_nest_tests =
             ratio words12 words24);
   ]
 
+(* --------------------------------------------------------------- *)
+(* Judgments are printed only on request                            *)
+(* --------------------------------------------------------------- *)
+
+(* The generator families of the engine-heavy benchmark workload, at
+   its sizes: rule dispatch takes the time, the solvers almost none. *)
+let engine_inputs =
+  let open Rc_benchgen.Corpus in
+  [
+    ("diamond_farm.c", diamond_farm ~functions:3 ~k:5 ());
+    ("call_chain.c", call_chain ~n:10 ());
+    ("struct_nest.c", struct_nest ~depth:10);
+    ("loop_farm.c", loop_farm ~functions:8 ());
+    ("lock_farm.c", lock_farm ~functions:6 ());
+  ]
+
+(* Check every input under a fresh session: the minor words the checks
+   allocated, and each function's result with its session. *)
+let check_engine_inputs ~judgments =
+  let w0 = Gc.minor_words () in
+  let checked =
+    List.map
+      (fun (file, src) ->
+        let s =
+          Rc_session.Refinedc_api.create_session ~case_studies:true ~judgments
+            ()
+        in
+        (file, s, Driver.check_source ~session:s ~file src))
+      engine_inputs
+  in
+  let words = Gc.minor_words () -. w0 in
+  let fns =
+    List.concat_map
+      (fun (file, s, (t : Driver.t)) ->
+        List.map
+          (fun (r : Driver.check_result) ->
+            match r.outcome with
+            | Ok res -> (file ^ ":" ^ r.name, s, res)
+            | Error _ -> Alcotest.failf "%s: %s failed" file r.name)
+          t.results)
+      checked
+  in
+  (words, fns)
+
+let judgment_tests =
+  [
+    Alcotest.test_case "default allocates at most 60% of --deriv" `Quick
+      (fun () ->
+        let on_words, on = check_engine_inputs ~judgments:true in
+        let off_words, off = check_engine_inputs ~judgments:false in
+        let stats =
+          List.map (fun (fn, _, res) ->
+              (fn, Rc_lithium.Stats.to_json res.Rc_refinedc.Lang.E.stats))
+        in
+        Alcotest.(check (list (pair string string)))
+          "same stats with and without judgments" (stats on) (stats off);
+        List.iter
+          (fun (fn, s, res) ->
+            let rep =
+              Rc_cert.Checker.check ~session:s res.Rc_refinedc.Lang.E.deriv
+            in
+            if not (Rc_cert.Checker.ok rep) then
+              Alcotest.failf "certificate for %s: %a" fn
+                Rc_cert.Checker.pp_report rep)
+          off;
+        let ratio = off_words /. on_words in
+        if ratio > 0.6 then
+          Alcotest.failf
+            "default checks allocated %.0f%% of the judgments run's minor \
+             words (%.0f / %.0f)"
+            (100. *. ratio) off_words on_words);
+  ]
+
 let () =
   Alcotest.run "case-studies"
     [
@@ -230,4 +303,5 @@ let () =
       ("mutations-rejected", mutation_tests);
       ("figure7", figure7_tests);
       ("struct-nest", struct_nest_tests);
+      ("judgments", judgment_tests);
     ]

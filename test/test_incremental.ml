@@ -845,6 +845,35 @@ let cli_tests =
                   (contains warm_err "cache plan: nothing dirty");
                 Alcotest.(check bool) "per-function hits reported" true
                   (contains warm_err "f0: hit")));
+    Alcotest.test_case "--deriv warns under --cache and --json" `Quick
+      (fun () ->
+        let dir = fresh_cache_dir () in
+        Rc_util.Vercache.create dir |> ignore;
+        let c = Filename.concat dir "t.c" in
+        Out_channel.with_open_bin c (fun oc ->
+            Out_channel.output_string oc (chain 2));
+        let cache_dir = fresh_cache_dir () in
+        let warns what args expected =
+          match run_cli (("check" :: args) @ [ c ]) with
+          | None -> ()
+          | Some (code, stderr) ->
+              Alcotest.(check int) (what ^ " still verifies") 0 code;
+              Alcotest.(check bool) (what ^ " warns") true
+                (contains stderr expected)
+        in
+        (* twice: a cache the first run filled would make the second a
+           hit, whose derivation is a one-node stub *)
+        for _ = 1 to 2 do
+          warns "--deriv --cache" [ "--deriv"; "--cache"; cache_dir ]
+            "--cache is ignored under --deriv"
+        done;
+        Alcotest.(check bool) "no cache written under --deriv" false
+          (Sys.file_exists cache_dir);
+        warns "--cache-stats under --deriv"
+          [ "--deriv"; "--cache"; cache_dir; "--cache-stats" ]
+          "--cache-stats is ignored under --deriv";
+        warns "--deriv --json" [ "--deriv"; "--json" ]
+          "--deriv is ignored under --json");
   ]
 
 let () =

@@ -44,7 +44,8 @@ let stats_merge_tests =
           let s = Stats.create () in
           List.iter
             (fun (solver, printed) ->
-              Stats.record_side s (Rc_pure.Registry.Via_solver solver) printed)
+              Stats.record_side s (Rc_pure.Registry.Via_solver solver)
+                (Rc_pure.Term.PPred (printed, [])))
             sides;
           s
         in
@@ -70,7 +71,8 @@ let stats_merge_tests =
       (fun () ->
         let mk tag =
           let s = Stats.create () in
-          Stats.record_side s (Rc_pure.Registry.Via_lemma tag) ("p" ^ tag);
+          Stats.record_side s (Rc_pure.Registry.Via_lemma tag)
+            (Rc_pure.Term.PPred ("p" ^ tag, []));
           s
         in
         let left = mk "1" in
