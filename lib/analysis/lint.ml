@@ -20,8 +20,9 @@ type ctx = {
   cx_funcs : (string * Syntax.func) list;  (** every function with a body *)
   cx_to_check : Rc_refinedc.Typecheck.fn_to_check list;
       (** the specified subset, with metadata *)
-  cx_metas : (string * Rc_refinedc.Lang.fn_meta) list;
-      (** source metadata for every body, specified or not *)
+  cx_indexes : (string * Rc_refinedc.Lang.fn_index) list;
+      (** block and source-metadata index of every body, specified or
+          not *)
 }
 
 type pass = {
@@ -89,7 +90,7 @@ let passes : pass list =
       p_sound = false;
       p_run =
         (fun cx ->
-          Pass_race.run_race ~metas:cx.cx_metas ~funcs:cx.cx_funcs
+          Pass_race.run_race ~indexes:cx.cx_indexes ~funcs:cx.cx_funcs
             ~to_check:cx.cx_to_check);
     };
     {
@@ -99,7 +100,7 @@ let passes : pass list =
       p_sound = false;
       p_run =
         (fun cx ->
-          Pass_race.run_release ~metas:cx.cx_metas ~funcs:cx.cx_funcs
+          Pass_race.run_release ~indexes:cx.cx_indexes ~funcs:cx.cx_funcs
             ~to_check:cx.cx_to_check);
     };
     {
@@ -111,7 +112,7 @@ let passes : pass list =
       p_sound = false;
       p_run =
         (fun cx ->
-          Pass_race.run_order ~metas:cx.cx_metas ~funcs:cx.cx_funcs
+          Pass_race.run_order ~indexes:cx.cx_indexes ~funcs:cx.cx_funcs
             ~to_check:cx.cx_to_check);
     };
   ]
@@ -144,13 +145,13 @@ let coverage ~(funcs : (string * Syntax.func) list)
     "lint", metrics [lint.<pass>] / [lint.diags.<pass>]); the result is
     sorted with {!Rc_util.Diagnostic.sort}, so it is deterministic and
     deduplicated regardless of pass order or parallelism. *)
-let run ?(obs = Obs.off) ?(metas = []) ~(session : Rc_refinedc.Session.t)
+let run ?(obs = Obs.off) ?(indexes = []) ~(session : Rc_refinedc.Session.t)
     ~(file : string) ~(funcs : (string * Syntax.func) list)
     ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) () :
     Diagnostic.t list =
   let cx =
     { cx_file = file; cx_session = session; cx_funcs = funcs;
-      cx_to_check = to_check; cx_metas = metas }
+      cx_to_check = to_check; cx_indexes = indexes }
   in
   let selected = select session.Rc_refinedc.Session.lint.l_passes in
   let all =

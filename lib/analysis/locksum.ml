@@ -403,27 +403,33 @@ end)
     arguments — no session state, no caching — so it is recomputed by
     each lint pass that needs it (the passes are independently
     selectable; the walk is linear in the unit). *)
-let analyze ?(metas : (string * Rc_refinedc.Lang.fn_meta) list = [])
+let analyze ?(indexes : (string * Rc_refinedc.Lang.fn_index) list = [])
     ~(funcs : (string * Syntax.func) list)
     ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) () :
     func_report list =
-  (* location side-tables: the frontend's per-body metadata when the
-     caller has it (covers unspecified functions too), falling back to
-     the [fn_to_check] copies *)
-  let metas =
-    metas
-    @ List.map
-        (fun (ftc : Rc_refinedc.Typecheck.fn_to_check) ->
+  (* location side-tables: the frontend's per-body index when the caller
+     has it (covers unspecified functions too), falling back to the
+     [fn_to_check] copies; the first index of a name wins *)
+  let index_of =
+    let tbl = Hashtbl.create 16 in
+    let add (name, ix) =
+      if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name ix
+    in
+    List.iter add indexes;
+    List.iter
+      (fun (ftc : Rc_refinedc.Typecheck.fn_to_check) ->
+        add
           (ftc.Rc_refinedc.Typecheck.func.Syntax.fname,
-           ftc.Rc_refinedc.Typecheck.meta))
-        to_check
+           ftc.Rc_refinedc.Typecheck.index))
+      to_check;
+    Hashtbl.find_opt tbl
   in
   let loc_of fname label idx =
-    match List.assoc_opt fname metas with
+    match index_of fname with
     | None -> Srcloc.dummy
-    | Some meta ->
+    | Some ix ->
         Option.value ~default:Srcloc.dummy
-          (List.assoc_opt (label, idx) meta.Rc_refinedc.Lang.fm_stmt_locs)
+          (Rc_refinedc.Lang.stmt_loc ix label idx)
   in
   let summaries : (string, summary) Hashtbl.t = Hashtbl.create 16 in
   let order = analysis_order ~funcs ~to_check in
@@ -519,12 +525,11 @@ let analyze ?(metas : (string * Rc_refinedc.Lang.fn_meta) list = [])
                           a_path = p;
                           a_write = false;
                           a_loc =
-                            (match List.assoc_opt name metas with
+                            (match index_of name with
                             | None -> Srcloc.dummy
-                            | Some meta ->
+                            | Some ix ->
                                 Option.value ~default:Srcloc.dummy
-                                  (List.assoc_opt label
-                                     meta.Rc_refinedc.Lang.fm_term_locs));
+                                  (Rc_refinedc.Lang.term_loc ix label));
                           a_locks = !cur;
                         }
                         :: !accesses)

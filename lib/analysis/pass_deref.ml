@@ -92,7 +92,7 @@ let term_loc_exprs (t : Syntax.terminator) : Syntax.expr list =
 let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
   let func = ftc.Rc_refinedc.Typecheck.func in
   let spec = ftc.Rc_refinedc.Typecheck.spec in
-  let meta = ftc.Rc_refinedc.Typecheck.meta in
+  let index = ftc.Rc_refinedc.Typecheck.index in
   (* argument name ↦ its spec type, positionally *)
   let arg_tys =
     if List.length spec.Rtype.fs_args = List.length func.Syntax.args then
@@ -103,11 +103,11 @@ let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
   in
   let stmt_loc label idx =
     Option.value ~default:Rc_util.Srcloc.dummy
-      (List.assoc_opt (label, idx) meta.Rc_refinedc.Lang.fm_stmt_locs)
+      (Rc_refinedc.Lang.stmt_loc index label idx)
   in
   let term_loc label =
     Option.value ~default:Rc_util.Srcloc.dummy
-      (List.assoc_opt label meta.Rc_refinedc.Lang.fm_term_locs)
+      (Rc_refinedc.Lang.term_loc index label)
   in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   let once key mk acc = (* one report per (kind, base) per function *)

@@ -89,7 +89,7 @@ let stmt_exprs (s : Syntax.stmt) : Syntax.expr list =
 
 let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
   let func = ftc.Rc_refinedc.Typecheck.func in
-  let meta = ftc.Rc_refinedc.Typecheck.meta in
+  let index = ftc.Rc_refinedc.Typecheck.index in
   let locals = SSet.of_list (List.map fst func.Syntax.locals) in
   (* flow-insensitive escape set: excluded from tracking entirely *)
   let escaped =
@@ -123,12 +123,11 @@ let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
     let inputs = Dataflow.Must_vars.run cfg ~entry:SSet.empty ~transfer in
     let stmt_loc label idx =
       Option.value ~default:Rc_util.Srcloc.dummy
-        (List.assoc_opt (label, idx)
-           meta.Rc_refinedc.Lang.fm_stmt_locs)
+        (Rc_refinedc.Lang.stmt_loc index label idx)
     in
     let term_loc label =
       Option.value ~default:Rc_util.Srcloc.dummy
-        (List.assoc_opt label meta.Rc_refinedc.Lang.fm_term_locs)
+        (Rc_refinedc.Lang.term_loc index label)
     in
     (* reporting sweep: earliest faulty read per variable *)
     let found : (string, Rc_util.Srcloc.t) Hashtbl.t = Hashtbl.create 4 in

@@ -26,17 +26,17 @@ module Syntax = Rc_caesium.Syntax
 module Diagnostic = Rc_util.Diagnostic
 module SSet = Dataflow.StringSet
 
-let reports ~metas ~(funcs : (string * Syntax.func) list)
+let reports ~indexes ~(funcs : (string * Syntax.func) list)
     ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) :
     Locksum.func_report list =
   if Locksum.unit_concurrent funcs then
-    Locksum.analyze ~metas ~funcs ~to_check ()
+    Locksum.analyze ~indexes ~funcs ~to_check ()
   else []
 
 (* ---- RC-L030: shared access with empty lockset -------------------- *)
 
-let run_race ~metas ~funcs ~to_check : Diagnostic.t list =
-  let reports = reports ~metas ~funcs ~to_check in
+let run_race ~indexes ~funcs ~to_check : Diagnostic.t list =
+  let reports = reports ~indexes ~funcs ~to_check in
   (* one report per (function, path, kind), at the earliest location *)
   let found :
       (string * string * bool, Locksum.access * Rc_util.Srcloc.t) Hashtbl.t =
@@ -76,8 +76,8 @@ let run_race ~metas ~funcs ~to_check : Diagnostic.t list =
 
 (* ---- RC-L031: lock not released on some path ---------------------- *)
 
-let run_release ~metas ~funcs ~to_check : Diagnostic.t list =
-  let reports = reports ~metas ~funcs ~to_check in
+let run_release ~indexes ~funcs ~to_check : Diagnostic.t list =
+  let reports = reports ~indexes ~funcs ~to_check in
   List.concat_map
     (fun (r : Locksum.func_report) ->
       List.map
@@ -93,8 +93,8 @@ let run_release ~metas ~funcs ~to_check : Diagnostic.t list =
 
 (* ---- RC-L032: inconsistent lock order ----------------------------- *)
 
-let run_order ~metas ~funcs ~to_check : Diagnostic.t list =
-  let reports = reports ~metas ~funcs ~to_check in
+let run_order ~indexes ~funcs ~to_check : Diagnostic.t list =
+  let reports = reports ~indexes ~funcs ~to_check in
   let edges =
     List.concat_map (fun (r : Locksum.func_report) -> r.Locksum.f_order)
       reports

@@ -25,15 +25,11 @@ let has_source_content (b : Syntax.block) : bool =
 
 let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
   let func = ftc.Rc_refinedc.Typecheck.func in
-  let meta = ftc.Rc_refinedc.Typecheck.meta in
+  let index = ftc.Rc_refinedc.Typecheck.index in
   let spec = ftc.Rc_refinedc.Typecheck.spec in
   let cfg = Cfg.build func in
-  let stmt_loc label idx =
-    List.assoc_opt (label, idx) meta.Rc_refinedc.Lang.fm_stmt_locs
-  in
-  let term_loc label =
-    List.assoc_opt label meta.Rc_refinedc.Lang.fm_term_locs
-  in
+  let stmt_loc = Rc_refinedc.Lang.stmt_loc index in
+  let term_loc = Rc_refinedc.Lang.term_loc index in
   let fallback_loc label =
     match term_loc label with
     | Some l -> l
@@ -41,7 +37,7 @@ let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
         Option.value ~default:Rc_util.Srcloc.dummy spec.Rc_refinedc.Rtype.fs_loc
   in
   let block_descr label =
-    match List.assoc_opt label meta.Rc_refinedc.Lang.fm_block_descr with
+    match Rc_refinedc.Lang.block_descr index label with
     | Some d -> Printf.sprintf " (%s)" d
     | None -> ""
   in

@@ -28,10 +28,7 @@ let make ?hint ~code msg =
   Diagnostic.make ?hint ~severity:Diagnostic.Warning ~code
     ~loc:Rc_util.Srcloc.dummy msg
 
-let run (session : Rc_refinedc.Session.t) : Diagnostic.t list =
-  let rules =
-    Rc_refinedc.Rules.builtin () @ session.Rc_refinedc.Session.extra_rules
-  in
+let check (rules : Lang.E.rule list) : Diagnostic.t list =
   (* RC-L020: duplicate rule names *)
   let dup_names =
     let seen = Hashtbl.create 64 and dups = ref [] in
@@ -119,3 +116,12 @@ let run (session : Rc_refinedc.Session.t) : Diagnostic.t list =
       Lang.all_heads
   in
   dup_names @ dead @ overlaps
+
+(* the standard library's findings, computed once when the program
+   starts: most sessions add no rules *)
+let std_diagnostics = check (Rc_refinedc.Rules.builtin ())
+
+let run (session : Rc_refinedc.Session.t) : Diagnostic.t list =
+  match session.Rc_refinedc.Session.extra_rules with
+  | [] -> std_diagnostics
+  | extra -> check (Rc_refinedc.Rules.builtin () @ extra)

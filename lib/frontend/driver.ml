@@ -220,7 +220,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
     if session.Session.lint.Session.l_enabled then
       Obs.timed obs ~cat:"phase" ~key:"phase.lint" ~args:[ ("file", file) ]
         "phase:lint" (fun () ->
-          Rc_analysis.Lint.run ~obs ~metas:elaborated.Elab.metas ~session
+          Rc_analysis.Lint.run ~obs ~indexes:elaborated.Elab.indexes ~session
             ~file ~funcs:elaborated.Elab.program.Syntax.funcs
             ~to_check:elaborated.Elab.to_check ())
     else []
@@ -641,7 +641,7 @@ let lint_elaborated ?(obs = Obs.off) ?passes ~(session : Session.t) ~file
   let lint_diags =
     Obs.timed obs ~cat:"phase" ~key:"phase.lint" ~args:[ ("file", file) ]
       "phase:lint" (fun () ->
-        Rc_analysis.Lint.run ~obs ~metas:elaborated.Elab.metas ~session
+        Rc_analysis.Lint.run ~obs ~indexes:elaborated.Elab.indexes ~session
           ~file ~funcs:elaborated.Elab.program.Syntax.funcs
           ~to_check:elaborated.Elab.to_check ())
   in

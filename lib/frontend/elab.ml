@@ -1024,11 +1024,11 @@ let elab_fun (g : genv) (fd : fun_decl) (body : Cabs.stmt list) :
 type elaborated = {
   program : Syntax.program;
   to_check : Rc_refinedc.Typecheck.fn_to_check list;
-  metas : (string * Rc_refinedc.Lang.fn_meta) list;
-      (** source metadata for {e every} function with a body, specified
-          or not — lint passes that analyze the whole unit (the
-          concurrency passes) use this to attach real locations to
-          diagnostics in unspecified functions *)
+  indexes : (string * Rc_refinedc.Lang.fn_index) list;
+      (** the block and source-metadata index of {e every} function with
+          a body, specified or not — lint passes that analyze the whole
+          unit (the concurrency passes) use this to attach real locations
+          to diagnostics in unspecified functions *)
   genv : genv;
   warnings : Rc_util.Diagnostic.t list;
 }
@@ -1077,18 +1077,19 @@ let elab_file ~(tenv : Rc_refinedc.Rtype.tenv) (file : Cabs.file) :
   (* pass 2: bodies *)
   let funcs = ref [] in
   let to_check = ref [] in
-  let metas = ref [] in
+  let indexes = ref [] in
   List.iter
     (fun d ->
       match d with
       | DFun ({ fn_body = Some body; _ } as fd) -> (
           let func, meta, invs = elab_fun g fd body in
+          let index = Rc_refinedc.Lang.index_fn func meta in
           funcs := (fd.fn_name, func) :: !funcs;
-          metas := (fd.fn_name, meta) :: !metas;
+          indexes := (fd.fn_name, index) :: !indexes;
           match List.assoc_opt fd.fn_name g.fn_specs with
           | Some spec ->
               to_check :=
-                { Rc_refinedc.Typecheck.func; spec; invs; meta } :: !to_check
+                { Rc_refinedc.Typecheck.func; spec; invs; index } :: !to_check
           | None -> ())
       | _ -> ())
     file.decls;
@@ -1100,7 +1101,7 @@ let elab_file ~(tenv : Rc_refinedc.Rtype.tenv) (file : Cabs.file) :
         structs = g.structs;
       };
     to_check = List.rev !to_check;
-    metas = List.rev !metas;
+    indexes = List.rev !indexes;
     genv = g;
     warnings = !warnings;
   }

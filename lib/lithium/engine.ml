@@ -125,12 +125,15 @@ module Make (L : LANG) = struct
       Looking up the rules for a basic goal is O(bucket) instead of
       O(all rules). *)
   type index = {
-    idx_by_id : rule list array;
+    idx_by_id : (int * rule) list array;
         (** {!L.head_id_of_f} ↦ rules declaring that head plus the
             wildcard rules, in priority order — exactly the subsequence
             of the sorted rule list that can fire on this head.  Heads no
             rule declares get the wildcard rules alone.  The lookup is
-            one array access, no string hashing. *)
+            one array access, no string hashing.  Each rule is paired
+            with its ordinal, its position in the sorted list, under
+            which a run counts its applications. *)
+    idx_names : string array;  (** ordinal ↦ rule name *)
     idx_fingerprint : string;
         (** digest of (name, priority, heads) of every rule in order —
             a component of the verification-cache key. *)
@@ -145,15 +148,16 @@ module Make (L : LANG) = struct
       can only change speed, never a verdict. *)
   let index_rules (rules : rule list) : index =
     let sorted = List.stable_sort (fun a b -> compare a.prio b.prio) rules in
+    let ranked = List.mapi (fun i r -> (i, r)) sorted in
     let declared =
       List.concat_map (fun r -> Option.value ~default:[] r.heads) sorted
       |> List.sort_uniq compare
     in
     let bucket_for h =
       List.filter
-        (fun r ->
+        (fun (_, r) ->
           match r.heads with None -> true | Some hs -> List.mem h hs)
-        sorted
+        ranked
     in
     let idx_buckets = Hashtbl.create (List.length declared * 2) in
     List.iter (fun h -> Hashtbl.replace idx_buckets h (bucket_for h)) declared;
@@ -169,7 +173,7 @@ module Make (L : LANG) = struct
                      | Some hs -> String.concat "," hs))
                  sorted)))
     in
-    let wild = List.filter (fun r -> r.heads = None) sorted in
+    let wild = List.filter (fun (_, r) -> r.heads = None) ranked in
     let idx_by_id =
       Array.map
         (fun h ->
@@ -178,16 +182,35 @@ module Make (L : LANG) = struct
           | None -> wild)
         L.head_names
     in
-    { idx_by_id; idx_fingerprint; idx_size = List.length sorted }
+    {
+      idx_by_id;
+      idx_names = Array.of_list (List.map (fun r -> r.rname) sorted);
+      idx_fingerprint;
+      idx_size = List.length sorted;
+    }
 
   (* ---------------------------------------------------------------- *)
   (* Interpreter state                                                 *)
   (* ---------------------------------------------------------------- *)
 
+  (** One atom of Δ.  [d_atom] is the atom as it entered Δ; [d_res] is
+      its resolved form ({!L.resolve_atom} under the evar store), valid
+      while the store's instantiation count still equals [d_at].  Every
+      instantiation bumps that count ({!Evar.t.instantiations}), so an
+      entry whose count matches needs no re-resolution; a stale one is
+      re-resolved from [d_atom] on its next read.  The store is shared by
+      all branches of a run and its count only grows, so entries shared
+      between forked contexts may be refreshed in place. *)
+  type dentry = {
+    d_atom : L.atom;
+    mutable d_res : L.atom;
+    mutable d_at : int;
+  }
+
   type ctx = {
     props : prop list;  (** Γ: pure facts *)
     vars : (string * Sort.t) list;  (** Γ: universals *)
-    delta : L.atom list;  (** Δ: owned atoms *)
+    delta : dentry list;  (** Δ: owned atoms *)
     trail : string list;  (** branch labels for error messages *)
   }
 
@@ -338,6 +361,10 @@ module Make (L : LANG) = struct
     memo : memo option;  (** [Some] iff within-run memoization is on *)
     fx : fx_state option;  (** [Some] iff forensics capture is on *)
     judgments : bool;  (** {!opts.o_judgments} *)
+    rule_counts : int array;
+        (** applications by rule ordinal ({!index.idx_names}) not yet
+            credited to [stats.rules_used] *)
+    mutable counted : int list;  (** ordinals with a nonzero count *)
     mutable cur_loc : Rc_util.Srcloc.t option;
     mutable cur_head : string option;  (** head of the last basic goal *)
   }
@@ -345,6 +372,35 @@ module Make (L : LANG) = struct
   let resolve st t = Evar.resolve st.evars t
   let resolve_prop st p = Evar.resolve_prop st.evars p
   let resolve_atom st a = L.resolve_atom (resolve st) a
+
+  (** A Δ entry of an atom resolved just now: fresh until the next
+      instantiation, since resolving a resolved atom changes nothing. *)
+  let resolved_entry st a =
+    { d_atom = a; d_res = a; d_at = st.evars.Evar.instantiations }
+
+  (** The entry's atom, resolved under the current evar store. *)
+  let resolved st (e : dentry) : L.atom =
+    let now = st.evars.Evar.instantiations in
+    if e.d_at <> now then begin
+      e.d_res <- resolve_atom st e.d_atom;
+      e.d_at <- now
+    end;
+    e.d_res
+
+  (** Credit the pending per-ordinal counts to [st.stats.rules_used]. *)
+  let flush_rule_counts st =
+    List.iter
+      (fun o ->
+        Stats.add_rule_uses st.stats st.index.idx_names.(o) st.rule_counts.(o);
+        st.rule_counts.(o) <- 0)
+      st.counted;
+    st.counted <- []
+
+  let count_rule st o =
+    st.stats.Stats.rule_apps <- st.stats.Stats.rule_apps + 1;
+    let n = st.rule_counts.(o) in
+    if n = 0 then st.counted <- o :: st.counted;
+    st.rule_counts.(o) <- n + 1
 
   (* [st.stats] only holds the innermost frame's counters while memo
      frames are open; diagnostics want the run total. *)
@@ -408,7 +464,10 @@ module Make (L : LANG) = struct
               PProve { delta; phi; result });
           result);
       ri_peek =
-        (fun pred -> List.find_opt (fun a -> pred (resolve_atom st a)) ctx.delta);
+        (fun pred ->
+          List.find_map
+            (fun e -> if pred (resolved st e) then Some e.d_atom else None)
+            ctx.delta);
     }
 
   (** A derivation node's [d_info]: [x] printed by [pp], or nothing when
@@ -417,7 +476,7 @@ module Make (L : LANG) = struct
     if st.judgments then Some (Fmt.str "%a" pp x) else None
 
   let pp_delta ctx =
-    List.map (fun a -> Fmt.str "%a" L.pp_atom a) ctx.delta
+    List.map (fun e -> Fmt.str "%a" L.pp_atom e.d_atom) ctx.delta
     @ List.map (fun p -> Fmt.str "⌜%a⌝" Term.pp_prop p) ctx.props
 
   (* ---------------------------------------------------------------- *)
@@ -626,9 +685,9 @@ module Make (L : LANG) = struct
         let b = Buffer.create 256 in
         Buffer.add_string b mk;
         List.iter
-          (fun a ->
+          (fun e ->
             Buffer.add_char b '|';
-            Buffer.add_string b (Fmt.str "%a" L.pp_atom (resolve_atom st a)))
+            Buffer.add_string b (Fmt.str "%a" L.pp_atom (resolved st e)))
           ctx.delta;
         (match Rc_util.Budget.depth_limit st.budget with
         | Some _ -> Buffer.add_string b (Printf.sprintf "|d%d" depth)
@@ -654,6 +713,7 @@ module Make (L : LANG) = struct
       e.e_probes
 
   let memo_open st (m : memo) (key : int) ctx : frame =
+    flush_rule_counts st;
     let fr =
       {
         fr_key = key;
@@ -682,6 +742,7 @@ module Make (L : LANG) = struct
     (match m.m_frames with
     | top :: rest when top == fr -> m.m_frames <- rest
     | _ -> invalid_arg "Engine.memo_pop: frame stack out of order");
+    flush_rule_counts st;
     let child = st.stats in
     st.stats <- fr.fr_saved_stats;
     Stats.merge st.stats child;
@@ -915,27 +976,27 @@ module Make (L : LANG) = struct
             let found =
               match
                 Rc_util.Xlist.find_remove
-                  (fun a' -> L.related ~exact:true (resolve_atom st a') a)
+                  (fun e -> L.related ~exact:true (resolved st e) a)
                   ctx.delta
               with
               | Some r -> Some r
               | None ->
                   Rc_util.Xlist.find_remove
-                    (fun a' -> L.related ~exact:false (resolve_atom st a') a)
+                    (fun e -> L.related ~exact:false (resolved st e) a)
                     ctx.delta
             in
             (match found with
             | None ->
                 fail st ctx (Report.No_ownership (Fmt.str "%a" L.pp_atom a))
-            | Some (a', delta) ->
+            | Some (e, delta) ->
                 let ctx = { ctx with delta } in
                 let d =
-                  solve ctx (Goal.Basic (L.mk_subsume (resolve_atom st a') a g'))
+                  solve ctx (Goal.Basic (L.mk_subsume (resolved st e) a g'))
                 in
                 Deriv.make
                   ?info:
                     (if st.judgments then
-                       Some (Fmt.str "%a <: %a" L.pp_atom a' L.pp_atom a)
+                       Some (Fmt.str "%a <: %a" L.pp_atom e.d_atom L.pp_atom a)
                      else None)
                   "ctx-lookup" [ d ])
       end
@@ -960,23 +1021,24 @@ module Make (L : LANG) = struct
           end
         | Goal.LAtom a ->
             let a = resolve_atom st a in
-            let ctx = { ctx with delta = a :: ctx.delta } in
+            let ctx = { ctx with delta = resolved_entry st a :: ctx.delta } in
             let d = solve ctx g' in
             Deriv.make ?info:(judgment st L.pp_atom a) "intro-atom" [ d ]
       end
     | Goal.FindOpt { descr; pred; cont } -> (
         match
           Rc_util.Xlist.find_remove
-            (fun a -> pred (resolve st) (resolve_atom st a))
+            (fun e -> pred (resolve st) (resolved st e))
             ctx.delta
         with
         | None ->
             let d = solve ctx (cont None) in
             Deriv.make
-              ?info:(if st.judgments then Some (descr ^ " (absent)") else None)
+              ?info:
+                (if st.judgments then Some (descr () ^ " (absent)") else None)
               "find-opt" [ d ]
-        | Some (a, delta) ->
-            let a = resolve_atom st a in
+        | Some (e, delta) ->
+            let a = resolved st e in
             let ctx = { ctx with delta } in
             let d = solve ctx (cont (Some a)) in
             Deriv.make ?info:(judgment st L.pp_atom a) "find-opt" [ d ])
@@ -984,20 +1046,21 @@ module Make (L : LANG) = struct
     | Goal.Find { descr; pred; cont } ->
         let found =
           Rc_util.Xlist.find_remove
-            (fun a -> pred (resolve st) (resolve_atom st a))
+            (fun e -> pred (resolve st) (resolved st e))
             ctx.delta
         in
         (match found with
-        | None -> fail st ctx (Report.No_ownership descr)
-        | Some (a, delta) ->
-            let a = resolve_atom st a in
+        | None -> fail st ctx (Report.No_ownership (descr ()))
+        | Some (e, delta) ->
+            let a = resolved st e in
             let ctx = { ctx with delta } in
             let d = solve ctx (cont a) in
             Deriv.make ?info:(judgment st L.pp_atom a) "find" [ d ])
 
   (* goal case 5 proper: rule lookup and first-match-commits application *)
   and solve_basic (st : st) (depth : int) (ctx : ctx) (f : L.f) : Deriv.node =
-    (match L.loc_of_f f with Some l -> st.cur_loc <- Some l | None -> ());
+    let loc = L.loc_of_f f in
+    (match loc with Some _ -> st.cur_loc <- loc | None -> ());
     let id = L.head_id_of_f f in
     let bucket = st.index.idx_by_id.(id) and head = L.head_names.(id) in
     st.cur_head <- Some head;
@@ -1006,10 +1069,10 @@ module Make (L : LANG) = struct
     let fr = fx_push st f in
     let rec try_rules = function
       | [] -> fail st ctx (Report.No_rule_applies (Fmt.str "%a" L.pp_f f))
-      | r :: rest -> (
+      | (o, r) :: rest -> (
           match r.apply ri f with
           | Some premise ->
-              Stats.record_rule st.stats r.rname;
+              count_rule st o;
               fx_record_matched st fr r.rname;
               let d =
                 if Rc_util.Obs.on st.obs then begin
@@ -1034,7 +1097,7 @@ module Make (L : LANG) = struct
                 end
                 else solve st (depth + 1) ctx premise
               in
-              Deriv.make ?info:(judgment st L.pp_f f) ?loc:(L.loc_of_f f)
+              Deriv.make ?info:(judgment st L.pp_f f) ?loc
                 ("rule:" ^ r.rname) [ d ]
           | None ->
               fx_record_rejected fr r.rname;
@@ -1102,6 +1165,8 @@ module Make (L : LANG) = struct
                   fx_ring_n = 0;
                 });
         judgments = opts.o_judgments;
+        rule_counts = Array.make index.idx_size 0;
+        counted = [];
         cur_loc = None;
         cur_head = None;
       }
@@ -1109,6 +1174,7 @@ module Make (L : LANG) = struct
     let outcome =
       match solve st 0 ctx g with
       | d ->
+          flush_rule_counts st;
           st.stats.Stats.evar_insts <- st.evars.Evar.instantiations;
           Ok { deriv = d; stats = st.stats }
       | exception Report.Error e -> Error e

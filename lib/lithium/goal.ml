@@ -31,7 +31,9 @@ type ('f, 'atom) goal =
   | All of string * Rc_pure.Sort.t * (Rc_pure.Term.term -> ('f, 'atom) goal)
   | Ex of string * Rc_pure.Sort.t * (Rc_pure.Term.term -> ('f, 'atom) goal)
   | Find of {
-      descr : string;
+      descr : unit -> string;
+          (** what is sought, printed only when a report or a [--deriv]
+              judgment reads it *)
       pred : (Rc_pure.Term.term -> Rc_pure.Term.term) -> 'atom -> bool;
           (** receives the current evar resolver, then the candidate atom *)
       cont : 'atom -> ('f, 'atom) goal;
@@ -41,7 +43,7 @@ type ('f, 'atom) goal =
           reads from), then continue.  Deterministic: Δ contains at most
           one atom per subject, so the first match is the only match. *)
   | FindOpt of {
-      descr : string;
+      descr : unit -> string;
       pred : (Rc_pure.Term.term -> Rc_pure.Term.term) -> 'atom -> bool;
       cont : 'atom option -> ('f, 'atom) goal;
     }

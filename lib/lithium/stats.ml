@@ -36,10 +36,9 @@ let create () =
     memo_saved_apps = 0;
   }
 
-let record_rule t name =
-  t.rule_apps <- t.rule_apps + 1;
+let add_rule_uses t name n =
   Hashtbl.replace t.rules_used name
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.rules_used name))
+    (n + Option.value ~default:0 (Hashtbl.find_opt t.rules_used name))
 
 (* the condition is printed only for the manual verdicts that keep it *)
 let record_side t (v : Rc_pure.Registry.verdict) (phi : Rc_pure.Term.prop) =
@@ -59,11 +58,7 @@ let distinct_rules t = Hashtbl.length t.rules_used
 
 let merge a b =
   a.rule_apps <- a.rule_apps + b.rule_apps;
-  Hashtbl.iter
-    (fun k v ->
-      Hashtbl.replace a.rules_used k
-        (v + Option.value ~default:0 (Hashtbl.find_opt a.rules_used k)))
-    b.rules_used;
+  Hashtbl.iter (add_rule_uses a) b.rules_used;
   a.evar_insts <- a.evar_insts + b.evar_insts;
   a.side_auto <- a.side_auto + b.side_auto;
   a.side_manual <- a.side_manual + b.side_manual;

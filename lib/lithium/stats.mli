@@ -22,7 +22,11 @@ type t = {
 }
 
 val create : unit -> t
-val record_rule : t -> string -> unit
+val add_rule_uses : t -> string -> int -> unit
+(** [add_rule_uses t name n] credits [n] applications of rule [name] to
+    [rules_used].  [rule_apps] is the caller's to count: the engine bumps
+    it at each application and credits [rules_used] in batches. *)
+
 val record_side : t -> Rc_pure.Registry.verdict -> Rc_pure.Term.prop -> unit
 (** counts the condition under its verdict; only a manual verdict prints
     it, into [manual_detail] *)

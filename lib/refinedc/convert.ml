@@ -199,7 +199,7 @@ let rec require_loc te (l : term) (ty : rtype) (g : goal) : goal =
              type, subsume directly; otherwise require field-wise *)
           G.FindOpt
             {
-              descr = Fmt.str "%a ◁ₗ %s (folded)" pp_term l n;
+              descr = (fun () -> Fmt.str "%a ◁ₗ %s (folded)" pp_term l n);
               pred =
                 (fun resolve a ->
                   match a with
@@ -219,7 +219,7 @@ let rec require_loc te (l : term) (ty : rtype) (g : goal) : goal =
          [l], from emp as the identity wand (loop entry, §2.2). *)
       G.FindOpt
         {
-          descr = Fmt.str "%a ◁ₗ wand" pp_term l;
+          descr = (fun () -> Fmt.str "%a ◁ₗ wand" pp_term l);
           pred =
             (fun resolve a ->
               match a with

@@ -25,6 +25,88 @@ type fn_meta = {
 
 let empty_meta = { fm_stmt_locs = []; fm_term_locs = []; fm_block_descr = [] }
 
+(** What a {!fn_index} knows about one block label. *)
+type block_entry = {
+  be_block : Syntax.block option;  (** [None]: the label has metadata only *)
+  be_stmts : Syntax.stmt array;  (** [be_block]'s statements *)
+  be_stmt_locs : Rc_util.Srcloc.t option array;  (** by statement index *)
+  be_term_loc : Rc_util.Srcloc.t option;
+  be_descr : string option;
+}
+
+(** A function's blocks and {!fn_meta} side tables, keyed by label and
+    built once per function ({!index_fn}).  Every lookup answers exactly
+    what [List.assoc_opt] over the function's lists answers (the first
+    entry of a label wins), in one hash lookup and an array access
+    instead of a scan that grows with the function. *)
+type fn_index = {
+  fi_meta : fn_meta;  (** the side tables the index was built from *)
+  fi_labels : (string, block_entry) Hashtbl.t;  (** read-only once built *)
+}
+
+let index_fn (func : Syntax.func) (meta : fn_meta) : fn_index =
+  let first tbl k v = if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k v in
+  let blocks = Hashtbl.create 16
+  and term_locs = Hashtbl.create 16
+  and descrs = Hashtbl.create 16
+  and widths = Hashtbl.create 16 in
+  List.iter (fun (l, b) -> first blocks l b) func.Syntax.blocks;
+  List.iter (fun (l, loc) -> first term_locs l loc) meta.fm_term_locs;
+  List.iter (fun (l, d) -> first descrs l d) meta.fm_block_descr;
+  List.iter
+    (fun ((l, i), _) ->
+      let w = Option.value ~default:0 (Hashtbl.find_opt widths l) in
+      if i >= w then Hashtbl.replace widths l (i + 1))
+    meta.fm_stmt_locs;
+  let fi_labels = Hashtbl.create (2 * Hashtbl.length blocks) in
+  let add l =
+    if not (Hashtbl.mem fi_labels l) then
+      let block = Hashtbl.find_opt blocks l in
+      Hashtbl.add fi_labels l
+        {
+          be_block = block;
+          be_stmts =
+            (match block with
+            | Some b -> Array.of_list b.Syntax.stmts
+            | None -> [||]);
+          be_stmt_locs =
+            Array.make (Option.value ~default:0 (Hashtbl.find_opt widths l)) None;
+          be_term_loc = Hashtbl.find_opt term_locs l;
+          be_descr = Hashtbl.find_opt descrs l;
+        }
+  in
+  let add_keys tbl = Hashtbl.iter (fun l _ -> add l) tbl in
+  add_keys blocks;
+  add_keys term_locs;
+  add_keys descrs;
+  add_keys widths;
+  List.iter
+    (fun ((l, i), loc) ->
+      let locs = (Hashtbl.find fi_labels l).be_stmt_locs in
+      if i >= 0 && locs.(i) = None then locs.(i) <- Some loc)
+    meta.fm_stmt_locs;
+  { fi_meta = meta; fi_labels }
+
+let block_entry (ix : fn_index) label = Hashtbl.find_opt ix.fi_labels label
+
+let entry_stmt_loc (e : block_entry) idx =
+  if idx >= 0 && idx < Array.length e.be_stmt_locs then e.be_stmt_locs.(idx)
+  else None
+
+(** [List.assoc_opt (label, idx) fm_stmt_locs] *)
+let stmt_loc (ix : fn_index) label idx =
+  match block_entry ix label with
+  | Some e -> entry_stmt_loc e idx
+  | None -> None
+
+(** [List.assoc_opt label fm_term_locs] *)
+let term_loc (ix : fn_index) label =
+  match block_entry ix label with Some e -> e.be_term_loc | None -> None
+
+(** [List.assoc_opt label fm_block_descr] *)
+let block_descr (ix : fn_index) label =
+  match block_entry ix label with Some e -> e.be_descr | None -> None
+
 (** Loop invariant (rc::exists / rc::inv_vars / rc::constraints, §2.2). *)
 type loop_inv = {
   li_exists : (string * Sort.t) list;
@@ -44,7 +126,7 @@ type fn_ctx = {
   fc_penv : (string * term) list;
       (** instantiation of the spec parameters with this branch's fresh
           universals — applied to loop-invariant annotations *)
-  fc_meta : fn_meta;
+  fc_index : fn_index;
   fc_depth : int;  (** goto-inlining depth guard (loops need invariants) *)
 }
 
@@ -239,17 +321,15 @@ let memo_key_of_f (resolve : term -> term) = function
       Some (Buffer.contents b)
   | _ -> None
 
-let stmt_loc sigma label idx =
-  List.assoc_opt (label, idx) sigma.fc_meta.fm_stmt_locs
-
-let term_loc sigma label = List.assoc_opt label sigma.fc_meta.fm_term_locs
-
 let loc_of_f = function
   | FSubsume _ -> None
   | FBlock { sigma; label; idx } -> (
-      match stmt_loc sigma label idx with
-      | Some l -> Some l
-      | None -> term_loc sigma label)
+      match block_entry sigma.fc_index label with
+      | None -> None
+      | Some e -> (
+          match entry_stmt_loc e idx with
+          | Some l -> Some l
+          | None -> e.be_term_loc))
   | FGoto _ -> None
   | FExpr _ -> None
   | FReadLoc { src; _ }

@@ -137,7 +137,7 @@ let optional_cases (ri : ri) (v : Rc_pure.Term.term) (ty : Rtype.rtype)
       Some
         (G.Find
            {
-             descr = Fmt.str "%a ◁ᵥ optional" Rc_pure.Term.pp_term v;
+             descr = (fun () -> Fmt.str "%a ◁ᵥ optional" Rc_pure.Term.pp_term v);
              pred = (fun _resolve a -> is_packed a);
              cont =
                (fun a ->

@@ -136,7 +136,7 @@ let o_add_uninit =
               Some
                 (G.Find
                    {
-                     descr = Fmt.str "%a ◁ₗ uninit" pp_term l;
+                     descr = (fun () -> Fmt.str "%a ◁ₗ uninit" pp_term l);
                      pred = (fun _resolve a -> covering a);
                      cont =
                        (fun a ->

@@ -108,7 +108,7 @@ let t_cas_unfold =
                 Some
                   (G.Find
                      {
-                       descr = Fmt.str "%a ◁ₗ named (CAS unfold)" pp_term vobj;
+                       descr = (fun () -> Fmt.str "%a ◁ₗ named (CAS unfold)" pp_term vobj);
                        pred = (fun _resolve a -> folded a);
                        cont =
                          (fun a ->
@@ -133,7 +133,7 @@ let t_cas =
               Some
                 (G.Find
                    {
-                     descr = Fmt.str "%a ◁ₗ atomicbool" pp_term vobj;
+                     descr = (fun () -> Fmt.str "%a ◁ₗ atomicbool" pp_term vobj);
                      pred =
                        (fun resolve a ->
                          match a with
@@ -148,8 +148,9 @@ let t_cas =
                              G.Find
                                {
                                  descr =
-                                   Fmt.str "%a ◁ₗ bool (CAS expected)"
-                                     pp_term vexp;
+                                   (fun () ->
+                                     Fmt.str "%a ◁ₗ bool (CAS expected)"
+                                       pp_term vexp);
                                  pred =
                                    (fun resolve a ->
                                      match a with

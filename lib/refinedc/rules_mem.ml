@@ -83,7 +83,7 @@ let unpack_packed_at ri (base : term) (retry : goal) : goal option =
       Some
         (G.Find
            {
-             descr = Fmt.str "%a ◁ᵥ optional (unpack)" pp_term base;
+             descr = (fun () -> Fmt.str "%a ◁ᵥ optional (unpack)" pp_term base);
              pred = (fun _resolve a -> is_packed a);
              cont =
                (fun a ->
@@ -108,7 +108,7 @@ let read_loc =
               Some
                 (G.Find
                    {
-                     descr = Fmt.str "%a ◁ₗ ?" pp_term loc_term;
+                     descr = (fun () -> Fmt.str "%a ◁ₗ ?" pp_term loc_term);
                      pred =
                        (fun resolve a ->
                          covers ri.E.ri_env (Simp.simp_term (resolve loc_term)) a);
@@ -292,7 +292,7 @@ let write_loc =
               Some
                 (G.Find
                    {
-                     descr = Fmt.str "%a ◁ₗ ?" pp_term loc_term;
+                     descr = (fun () -> Fmt.str "%a ◁ₗ ?" pp_term loc_term);
                      pred =
                        (fun resolve a ->
                          covers ri.E.ri_env (Simp.simp_term (resolve loc_term)) a);

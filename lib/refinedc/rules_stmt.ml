@@ -22,7 +22,7 @@ let next_stmt sigma label idx : goal =
 
 let goto_goal sigma target : goal = G.Basic (FGoto { sigma; target })
 
-let block_label sigma target = List.assoc_opt target sigma.fc_meta.fm_block_descr
+let block_label sigma target = block_descr sigma.fc_index target
 
 (** Resolve the callee of a [Call] statement when it is a direct call. *)
 let direct_callee sigma (fn : Syntax.expr) : fn_spec option =
@@ -38,12 +38,12 @@ let t_block =
   mk ~heads:[ "stmt" ] "T-STMT" 5 (fun ri j ->
       match j with
       | FBlock { sigma; label; idx } -> (
-          match Syntax.find_block sigma.fc_func label with
-          | None -> None
-          | Some block ->
-              let src = stmt_loc sigma label idx in
-              if idx < List.length block.Syntax.stmts then
-                let s = List.nth block.Syntax.stmts idx in
+          match block_entry sigma.fc_index label with
+          | None | Some { be_block = None; _ } -> None
+          | Some ({ be_block = Some block; be_stmts; _ } as e) ->
+              if idx < Array.length be_stmts then
+                let src = entry_stmt_loc e idx in
+                let s = be_stmts.(idx) in
                 let continue = next_stmt sigma label idx in
                 match s with
                 | Syntax.Skip -> Some continue
@@ -150,7 +150,8 @@ let t_block =
                                           G.Find
                                             {
                                               descr =
-                                                Fmt.str "%a ◁ᵥ fn" pp_term w;
+                                                (fun () ->
+                                                  Fmt.str "%a ◁ᵥ fn" pp_term w);
                                               pred =
                                                 (fun resolve a ->
                                                   match a with
@@ -280,8 +281,9 @@ let t_block =
                                   G.Find
                                     {
                                       descr =
-                                        Fmt.str "%a ◁ₗ ? (free)" pp_term
-                                          (loc_of v ty);
+                                        (fun () ->
+                                          Fmt.str "%a ◁ₗ ? (free)" pp_term
+                                            (loc_of v ty));
                                       pred =
                                         (fun resolve a ->
                                           match a with
@@ -295,7 +297,7 @@ let t_block =
                             }))
               else
                 (* terminator *)
-                let src = term_loc sigma label in
+                let src = e.be_term_loc in
                 match block.Syntax.term with
                 | Syntax.Goto target -> Some (goto_goal sigma target)
                 | Syntax.CondGoto { ot = _; cond; if_true; if_false } ->

@@ -21,7 +21,7 @@ type fn_to_check = {
   func : Syntax.func;
   spec : fn_spec;
   invs : (string * loop_inv) list;
-  meta : fn_meta;
+  index : fn_index;  (** {!Lang.index_fn} of [func] and its metadata *)
 }
 
 (** Location term of a C variable's stack slot. *)
@@ -55,7 +55,7 @@ let check_fn ?(globals = []) ?(obs = Rc_util.Obs.off) ~(session : Session.t)
       fc_invs = ftc.invs;
       fc_env = env;
       fc_penv = [];
-      fc_meta = ftc.meta;
+      fc_index = ftc.index;
       fc_depth = 0;
     }
   in

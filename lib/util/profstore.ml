@@ -8,10 +8,10 @@
     afterwards; a new sample replaces the stored one.
 
     The robustness contract mirrors {!Vercache}: writes go to a temp
-    file and are [Sys.rename]d into place, a corrupt or unreadable store
-    degrades to no samples (topological order), and a failed write is
-    dropped silently — the store only orders work, it never touches a
-    verdict. *)
+    file in the cache's {!Vercache.tmp_dir} and are [Sys.rename]d into
+    place, a corrupt or unreadable store degrades to no samples
+    (topological order), and a failed write is dropped silently — the
+    store only orders work, it never touches a verdict. *)
 
 type t = {
   dir : string;
@@ -23,8 +23,8 @@ let path (t : t) = Filename.concat t.dir file_name
 
 let create (dir : string) : t =
   match
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-    else if not (Sys.is_directory dir) then failwith "not a directory"
+    Vercache.mkdir_p (Vercache.tmp_dir dir);
+    if not (Sys.is_directory dir) then failwith "not a directory"
   with
   | () -> { dir; disabled = false }
   | exception _ -> { dir; disabled = true }
@@ -72,7 +72,9 @@ let update (t : t) (counts : (string * int) list) : unit =
     in
     let tmp = ref None in
     match
-      let tf = Filename.temp_file ~temp_dir:t.dir "prof" ".tmp" in
+      let tf =
+        Filename.temp_file ~temp_dir:(Vercache.tmp_dir t.dir) "prof" ".tmp"
+      in
       tmp := Some tf;
       Out_channel.with_open_bin tf (fun oc ->
           Out_channel.output_string oc (String.concat "\n" lines);

@@ -40,8 +40,8 @@ let disabled (t : t) = t.disabled
 
 let create ?(file = file_name) (dir : string) : t =
   match
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-    else if not (Sys.is_directory dir) then failwith "not a directory"
+    Vercache.mkdir_p dir;
+    if not (Sys.is_directory dir) then failwith "not a directory"
   with
   | () -> { dir; file; disabled = false }
   | exception _ -> { dir; file; disabled = true }

@@ -11,10 +11,10 @@
 
     Entries are write-once: a file named by the MD5 of its key (the
     concatenated components, see {!keyed_key}), written to a temp file
-    and [Sys.rename]d into place, so concurrent writers (checker
-    domains) cannot expose a torn entry.  The full key is stored
-    inside the entry and compared on read, so a digest collision degrades
-    to a miss, never to a wrong verdict.
+    under [<dir>/tmp/] ({!tmp_dir}) and [Sys.rename]d into place, so
+    concurrent writers (checker domains) cannot expose a torn entry.
+    The full key is stored inside the entry and compared on read, so a
+    digest collision degrades to a miss, never to a wrong verdict.
 
     Degradation contract: the cache is an accelerator, never an
     authority.  Every failure mode — unreadable entry, unwritable
@@ -47,12 +47,22 @@ let format_version = "rc-vercache-1"
 (** Consecutive store failures after which writes shut off. *)
 let max_write_failures = 8
 
+(** Create [dir] and its missing parents.  Tolerates losing a race:
+    another process or domain creating the same directory between the
+    existence check and the [mkdir] is success, not an error.  Raises
+    [Sys_error] when the path cannot be created. *)
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
     try Sys.mkdir dir 0o755
     with Sys_error _ when Sys.file_exists dir -> ()
   end
+
+(** Where every store in a cache directory writes its temp files (cache
+    entries, manifests and the {!Profstore}'s [costs.prof]): a
+    subdirectory, so that sweeping orphans on open lists only them and
+    not every entry ever stored. *)
+let tmp_dir (dir : string) = Filename.concat dir "tmp"
 
 (* A [store_keyed] interrupted between temp-file creation and rename
    (crash, injected fault) leaves an orphan [*.tmp]; collect them on
@@ -61,6 +71,7 @@ let rec mkdir_p dir =
    degradation contract already allows — but in practice pools share
    one handle created before any checking starts. *)
 let sweep_stale_tmp (dir : string) : unit =
+  let dir = tmp_dir dir in
   match Sys.readdir dir with
   | files ->
       Array.iter
@@ -114,12 +125,13 @@ let prune_to (t : t) ~(max_bytes : int) : int =
 
 (** Open (creating if needed) a cache rooted at [dir].  Raises
     [Sys_error] if the path cannot be created at all — callers that must
-    not abort (the CLI) catch this and run uncached.  [?max_bytes]
-    size-caps the store: on open, after the stale-temp sweep, the oldest
-    entries are pruned until the on-disk footprint fits (the moral
-    extension of the temp sweep — the store cleans up after itself). *)
+    not abort (the CLI) catch this and run uncached.  Opening lists only
+    {!tmp_dir}, whatever the number of entries.  [?max_bytes] size-caps
+    the store: on open, after the stale-temp sweep, the oldest entries
+    are pruned until the on-disk footprint fits (the moral extension of
+    the temp sweep — the store cleans up after itself). *)
 let create ?max_bytes (dir : string) : t =
-  mkdir_p dir;
+  mkdir_p (tmp_dir dir);
   sweep_stale_tmp dir;
   let t =
     {
@@ -217,7 +229,7 @@ let write_manifest (t : t) (id : string) (components : (string * string) list)
     : unit =
   let tmp = ref None in
   match
-    let tf = Filename.temp_file ~temp_dir:t.dir "manifest" ".tmp" in
+    let tf = Filename.temp_file ~temp_dir:(tmp_dir t.dir) "manifest" ".tmp" in
     tmp := Some tf;
     Out_channel.with_open_bin tf (fun oc ->
         Marshal.to_channel oc (format_version, id, components) []);
@@ -314,7 +326,7 @@ let store_keyed ?fault (t : t) ~(id : string)
     let tmp = ref None in
     match
       Faultsim.point fault "cache.write";
-      let tf = Filename.temp_file ~temp_dir:t.dir "entry" ".tmp" in
+      let tf = Filename.temp_file ~temp_dir:(tmp_dir t.dir) "entry" ".tmp" in
       tmp := Some tf;
       Out_channel.with_open_bin tf (fun oc ->
           Marshal.to_channel oc (format_version, key, payload) []);

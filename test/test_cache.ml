@@ -271,9 +271,16 @@ let cache_tests =
    persistently unwritable directory disables writes instead of paying
    for every store. *)
 
+(* temp files in the cache root or its temp directory *)
 let tmp_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".tmp")
+  let in_dir d =
+    match Sys.readdir d with
+    | files ->
+        Array.to_list files
+        |> List.filter (fun f -> Filename.check_suffix f ".tmp")
+    | exception Sys_error _ -> []
+  in
+  in_dir dir @ in_dir (Rc_util.Vercache.tmp_dir dir)
 
 (* Every entry below has the same one-component key; [id] tells them
    apart, as the driver's (file, function) ids do. *)
@@ -291,18 +298,49 @@ let robustness_tests =
   [
     Alcotest.test_case "stale tmp files are collected on open" `Quick
       (fun () ->
+        (* temp files live in [<dir>/tmp/]; an interrupted store leaves
+           its orphan there *)
         let dir = fresh_cache_dir () in
-        Sys.mkdir dir 0o755;
-        List.iter
-          (fun f ->
-            Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
-                Out_channel.output_string oc "orphan"))
-          [ "a.tmp"; "b.tmp"; "not_an_orphan.vc" ];
+        let tmp = Rc_util.Vercache.tmp_dir dir in
+        Rc_util.Vercache.mkdir_p tmp;
+        let touch path =
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc "orphan")
+        in
+        List.iter (fun f -> touch (Filename.concat tmp f)) [ "a.tmp"; "b.tmp" ];
+        touch (Filename.concat dir "not_an_orphan.vc");
         let cache = Rc_util.Vercache.create dir in
         Alcotest.(check (list string)) "orphans swept" [] (tmp_files dir);
         Alcotest.(check bool) "non-tmp files survive" true
           (Sys.file_exists (Filename.concat dir "not_an_orphan.vc"));
         ignore cache);
+    Alcotest.test_case "entries and the profile store through tmp/" `Quick
+      (fun () ->
+        let dir = fresh_cache_dir () in
+        let cache = Rc_util.Vercache.create dir in
+        List.iter (store cache) [ "k1"; "k2"; "k3" ];
+        store cache "k1";
+        Rc_util.Profstore.update
+          (Rc_util.Profstore.create dir)
+          [ ("f.c:g", 42) ];
+        Alcotest.(check (list string)) "no temp file left" [] (tmp_files dir);
+        Alcotest.(check int) "entries stored" 3
+          (Rc_util.Vercache.entries cache);
+        Alcotest.(check bool) "profile stored" true
+          (Sys.file_exists (Filename.concat dir Rc_util.Profstore.file_name)));
+    Alcotest.test_case "a cache without a temp directory still hits" `Quick
+      (fun () ->
+        (* a store written before temp files moved to [<dir>/tmp/] has
+           no such directory; its entries sit where they always did *)
+        let dir = fresh_cache_dir () in
+        let cache = Rc_util.Vercache.create dir in
+        List.iter (store cache) [ "k1"; "k2" ];
+        Sys.rmdir (Rc_util.Vercache.tmp_dir dir);
+        let cache = Rc_util.Vercache.create dir in
+        Alcotest.(check bool) "k1 hits" true (find cache "k1" = hit);
+        Alcotest.(check bool) "k2 hits" true (find cache "k2" = hit);
+        store cache "k3";
+        Alcotest.(check bool) "stores resume" true (find cache "k3" = hit));
     Alcotest.test_case "failed rename leaves no tmp orphan" `Quick (fun () ->
         let dir = fresh_cache_dir () in
         let cache = Rc_util.Vercache.create dir in

@@ -161,17 +161,17 @@ let engine_tests =
          ( atom "a" (Num 1),
            G.Find
              {
-               descr = "a";
+               descr = (fun () -> "a");
                pred = (fun _ (c, _) -> c = "a");
                cont = (fun _ -> G.Star (atom "a" (Num 1), G.True_) |> fun _ -> G.True_);
              } ));
     check_fail "find fails when absent"
       (G.Find
-         { descr = "a"; pred = (fun _ (c, _) -> c = "a"); cont = (fun _ -> G.True_) });
+         { descr = (fun () -> "a"); pred = (fun _ (c, _) -> c = "a"); cont = (fun _ -> G.True_) });
     check_ok "find-opt takes the absent branch"
       (G.FindOpt
          {
-           descr = "a";
+           descr = (fun () -> "a");
            pred = (fun _ (c, _) -> c = "a");
            cont =
              (function None -> G.True_ | Some _ -> G.Star (G.LProp PFalse, G.True_));
@@ -209,6 +209,93 @@ let stats_tests =
         | Error _ -> Alcotest.fail "failed");
   ]
 
+(* The toy language again, counting how often the engine resolves an
+   atom: Δ entries remember the instantiation count they were resolved
+   at, so a lookup re-resolves only the entries an instantiation made
+   stale. *)
+module Counted = struct
+  include Toy
+
+  let resolves = Atomic.make 0
+
+  let resolve_atom r a =
+    Atomic.incr resolves;
+    Toy.resolve_atom r a
+end
+
+module CE = Rc_lithium.Engine.Make (Counted)
+
+let counted_run g =
+  Atomic.set Counted.resolves 0;
+  let r = CE.run { CE.rules = []; tactics = [] } ~env:() g in
+  (r, Atomic.get Counted.resolves)
+
+let find name cont =
+  G.Find
+    {
+      descr = (fun () -> name);
+      pred = (fun _ (c, _) -> String.equal c name);
+      cont;
+    }
+
+let resolution_tests =
+  [
+    Alcotest.test_case "finds do not re-resolve a settled context" `Quick
+      (fun () ->
+        (* 64 atoms enter Δ (one resolution each), then 64 finds consume
+           them oldest first, each scanning every newer entry: re-resolving
+           on every lookup would cost 64·65/2 resolutions *)
+        let k = 64 in
+        let name i = Printf.sprintf "c%d" i in
+        let rec finds i =
+          if i = k then G.True_ else find (name i) (fun _ -> finds (i + 1))
+        in
+        let g =
+          List.fold_right
+            (fun i g -> G.Wand (atom (name i) (Num i), g))
+            (List.init k Fun.id) (finds 0)
+        in
+        match counted_run g with
+        | Ok _, n ->
+            if n > k + 8 then
+              Alcotest.failf "%d resolutions for %d atoms and %d finds" n k k
+        | Error e, _ -> Alcotest.failf "failed: %s" (Rc_lithium.Report.to_string e));
+    Alcotest.test_case "an atom instantiated after insertion is found resolved"
+      `Quick (fun () ->
+        (* [x] is still an evar when the atom enters Δ; the side
+           condition then instantiates it, so the entry is stale and the
+           find must see (and hand on) its resolved form *)
+        let g =
+          G.Ex
+            ( "x",
+              Sort.Int,
+              fun x ->
+                G.Wand
+                  ( atom "a" x,
+                    G.Star
+                      ( G.LProp (PEq (x, Num 5)),
+                        G.Find
+                          {
+                            descr = (fun () -> "a ◁ 5");
+                            pred =
+                              (fun _ (c, t) -> c = "a" && equal_term t (Num 5));
+                            cont =
+                              (fun (_, t) ->
+                                if equal_term t (Num 5) then G.True_
+                                else G.Star (G.LProp PFalse, G.True_));
+                          } ) ) )
+        in
+        match counted_run g with
+        | Ok { stats; _ }, _ ->
+            Alcotest.(check int) "one instantiation" 1
+              stats.Rc_lithium.Stats.evar_insts
+        | Error e, _ -> Alcotest.failf "failed: %s" (Rc_lithium.Report.to_string e));
+  ]
+
 let () =
   Alcotest.run "lithium"
-    [ ("engine", engine_tests); ("stats", stats_tests) ]
+    [
+      ("engine", engine_tests);
+      ("stats", stats_tests);
+      ("resolution", resolution_tests);
+    ]

@@ -175,7 +175,7 @@ let alloc_spec ?(name = "alloc") ?(cmp = PLe (n, a)) () : fn_spec =
 
 let check fn spec =
   Typecheck.check_fn ~session ~specs:[ (spec.fs_name, spec) ]
-    { func = fn; spec; invs = []; meta = Lang.empty_meta }
+    { func = fn; spec; invs = []; index = Lang.index_fn fn Lang.empty_meta }
 
 let expect_ok name fn spec =
   Alcotest.test_case name `Quick (fun () ->
@@ -283,10 +283,107 @@ let error_message_test =
             "message is non-empty" true
             (String.length msg > 10))
 
+(* -------------------------------------------------------------- *)
+(* The per-function index answers exactly as the assoc lists       *)
+(* -------------------------------------------------------------- *)
+
+let case_dir =
+  List.find Sys.file_exists
+    [
+      "case_studies"; "../case_studies"; "../../case_studies";
+      "../../../case_studies";
+    ]
+
+(* every label a lookup could ask about, one unknown label included *)
+let labels_of (func : Rc_caesium.Syntax.func) (m : Lang.fn_meta) =
+  List.sort_uniq compare
+    (("no-such-block" :: List.map fst func.blocks)
+    @ List.map (fun ((l, _), _) -> l) m.Lang.fm_stmt_locs
+    @ List.map fst m.Lang.fm_term_locs
+    @ List.map fst m.Lang.fm_block_descr)
+
+let check_index file (func : Rc_caesium.Syntax.func) (ix : Lang.fn_index) =
+  let m = ix.Lang.fi_meta in
+  let what label = Printf.sprintf "%s/%s/%s" file func.fname label in
+  List.iter
+    (fun label ->
+      let block = List.assoc_opt label func.blocks in
+      let last =
+        List.fold_left
+          (fun acc ((l, i), _) -> if l = label then max acc i else acc)
+          (match block with Some b -> List.length b.stmts | None -> 0)
+          m.Lang.fm_stmt_locs
+      in
+      (* every index up to one past the last known one *)
+      for idx = 0 to last + 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s[%d] stmt_loc" (what label) idx)
+          true
+          (Lang.stmt_loc ix label idx
+          = List.assoc_opt (label, idx) m.Lang.fm_stmt_locs)
+      done;
+      Alcotest.(check bool) (what label ^ " term_loc") true
+        (Lang.term_loc ix label = List.assoc_opt label m.Lang.fm_term_locs);
+      Alcotest.(check (option string)) (what label ^ " block_descr")
+        (List.assoc_opt label m.Lang.fm_block_descr)
+        (Lang.block_descr ix label);
+      let entry = Lang.block_entry ix label in
+      Alcotest.(check bool) (what label ^ " block") true
+        (Option.bind entry (fun e -> e.Lang.be_block) = block);
+      match (entry, block) with
+      | Some e, Some b ->
+          Alcotest.(check bool) (what label ^ " statements") true
+            (Array.to_list e.Lang.be_stmts = b.stmts)
+      | _ -> ())
+    (labels_of func m)
+
+let index_tests =
+  [
+    Alcotest.test_case "index answers as List.assoc_opt" `Quick (fun () ->
+        let studies =
+          Sys.readdir case_dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".c")
+          |> List.sort compare
+          |> List.map (fun f ->
+                 ( f,
+                   In_channel.with_open_bin (Filename.concat case_dir f)
+                     In_channel.input_all ))
+        in
+        Alcotest.(check int) "studies" 13 (List.length studies);
+        let stress =
+          List.map
+            (fun (p : Rc_benchgen.Corpus.program) -> (p.p_name, p.p_src))
+            (Rc_benchgen.Corpus.stress_corpus ~scale:1)
+        in
+        List.iter
+          (fun (file, src) ->
+            let session =
+              Rc_session.Refinedc_api.create_session ~case_studies:true ()
+            in
+            let el = Rc_frontend.Driver.parse_and_elab ~session ~file src in
+            let funcs = el.Rc_frontend.Elab.program.funcs in
+            Alcotest.(check int) (file ^ ": one index per body")
+              (List.length funcs)
+              (List.length el.Rc_frontend.Elab.indexes);
+            List.iter
+              (fun (name, ix) -> check_index file (List.assoc name funcs) ix)
+              el.Rc_frontend.Elab.indexes;
+            (* the checked functions carry the same index *)
+            List.iter
+              (fun (ftc : Typecheck.fn_to_check) ->
+                Alcotest.(check bool) (file ^ ": shared index") true
+                  (List.assq_opt ftc.index
+                     (List.map (fun (n, ix) -> (ix, n)) el.Rc_frontend.Elab.indexes)
+                  = Some ftc.func.fname))
+              el.Rc_frontend.Elab.to_check)
+          (studies @ stress));
+  ]
+
 let () =
   Alcotest.run "refinedc"
     [
       ("basic", basic_tests);
       ("alloc", alloc_tests);
       ("errors", [ error_message_test ]);
+      ("index", index_tests);
     ]

@@ -104,6 +104,28 @@ let ledger_tests =
         Runlog.append lg (sample_record 1);
         Alcotest.(check int) "load empty" 0 (List.length (Runlog.load lg));
         Sys.remove file);
+    Alcotest.test_case "concurrent creators of one directory all succeed"
+      `Quick (fun () ->
+        (* every store handle of a fresh cache directory races on its
+           creation; losing the race must not disable the handle *)
+        let domains = 8 and rounds = 50 in
+        for _ = 1 to rounds do
+          let dir = Filename.concat (Testutil.scratch_dir "mkdir") "cache" in
+          let open_all () =
+            let lg = Runlog.create dir in
+            let ps = Rc_util.Profstore.create dir in
+            ignore (Rc_util.Vercache.create dir);
+            Runlog.disabled lg || Rc_util.Profstore.disabled ps
+          in
+          let disabled =
+            List.init domains (fun _ -> Domain.spawn open_all)
+            |> List.map Domain.join
+          in
+          Alcotest.(check (list bool))
+            "no handle disabled"
+            (List.init domains (fun _ -> false))
+            disabled
+        done);
     Alcotest.test_case "concurrent appenders interleave whole lines" `Quick
       (fun () ->
         let dir = Testutil.scratch_dir "runlog" in
