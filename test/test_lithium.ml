@@ -297,5 +297,5 @@ let () =
     [
       ("engine", engine_tests);
       ("stats", stats_tests);
-      ("resolution", resolution_tests);
+      ("lookup", resolution_tests);
     ]
