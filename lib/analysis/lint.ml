@@ -23,6 +23,12 @@ type ctx = {
   cx_indexes : (string * Rc_refinedc.Lang.fn_index) list;
       (** block and source-metadata index of every body, specified or
           not *)
+  cx_cfg : Syntax.func -> Cfg.t;
+      (** the CFG of a body, built once per {!run} and shared by the
+          passes *)
+  cx_locksum : Locksum.func_report list Lazy.t;
+      (** the unit's lockset summary, computed once per {!run} by the
+          first concurrency pass that reads it *)
 }
 
 type pass = {
@@ -47,7 +53,7 @@ let passes : pass list =
       p_descr = "definite initialization of locals";
       p_codes = [ "RC-L001" ];
       p_sound = true;
-      p_run = (fun cx -> Pass_init.run cx.cx_to_check);
+      p_run = (fun cx -> Pass_init.run ~cfg_of:cx.cx_cfg cx.cx_to_check);
     };
     {
       p_name = "deref";
@@ -61,7 +67,7 @@ let passes : pass list =
       p_descr = "unreachable code and missing returns";
       p_codes = [ "RC-L003"; "RC-L004" ];
       p_sound = true;
-      p_run = (fun cx -> Pass_reach.run cx.cx_to_check);
+      p_run = (fun cx -> Pass_reach.run ~cfg_of:cx.cx_cfg cx.cx_to_check);
     };
     {
       p_name = "spec";
@@ -88,20 +94,14 @@ let passes : pass list =
          empty must-lockset (may-race)";
       p_codes = [ "RC-L030" ];
       p_sound = false;
-      p_run =
-        (fun cx ->
-          Pass_race.run_race ~indexes:cx.cx_indexes ~funcs:cx.cx_funcs
-            ~to_check:cx.cx_to_check);
+      p_run = (fun cx -> Pass_race.run_race (Lazy.force cx.cx_locksum));
     };
     {
       p_name = "lockrel";
       p_descr = "lock acquired but not released on some path to return";
       p_codes = [ "RC-L031" ];
       p_sound = false;
-      p_run =
-        (fun cx ->
-          Pass_race.run_release ~indexes:cx.cx_indexes ~funcs:cx.cx_funcs
-            ~to_check:cx.cx_to_check);
+      p_run = (fun cx -> Pass_race.run_release (Lazy.force cx.cx_locksum));
     };
     {
       p_name = "lockord";
@@ -110,10 +110,7 @@ let passes : pass list =
          deadlock)";
       p_codes = [ "RC-L032" ];
       p_sound = false;
-      p_run =
-        (fun cx ->
-          Pass_race.run_order ~indexes:cx.cx_indexes ~funcs:cx.cx_funcs
-            ~to_check:cx.cx_to_check);
+      p_run = (fun cx -> Pass_race.run_order (Lazy.force cx.cx_locksum));
     };
   ]
 
@@ -142,16 +139,31 @@ let coverage ~(funcs : (string * Syntax.func) list)
 
 (** Run the session's selected passes over one elaborated unit.  Each
     pass is individually timed and counted into [obs] (span category
-    "lint", metrics [lint.<pass>] / [lint.diags.<pass>]); the result is
-    sorted with {!Rc_util.Diagnostic.sort}, so it is deterministic and
-    deduplicated regardless of pass order or parallelism. *)
+    "lint", metrics [lint.<pass>] / [lint.diags.<pass>]); a CFG or the
+    lockset summary the passes share is timed under the pass that builds
+    it first.  The result is sorted with {!Rc_util.Diagnostic.sort}, so
+    it is deterministic and deduplicated regardless of pass order or
+    parallelism. *)
 let run ?(obs = Obs.off) ?(indexes = []) ~(session : Rc_refinedc.Session.t)
     ~(file : string) ~(funcs : (string * Syntax.func) list)
     ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) () :
     Diagnostic.t list =
+  (* keyed by name; a second body under the same name (a file may define
+     a function twice) gets its own graph, unshared *)
+  let cfgs : (string, Syntax.func * Cfg.t) Hashtbl.t = Hashtbl.create 16 in
+  let cfg_of (f : Syntax.func) =
+    match Hashtbl.find_opt cfgs f.Syntax.fname with
+    | Some (f', cfg) when f' == f -> cfg
+    | Some _ -> Cfg.build f
+    | None ->
+        let cfg = Cfg.build f in
+        Hashtbl.add cfgs f.Syntax.fname (f, cfg);
+        cfg
+  in
   let cx =
     { cx_file = file; cx_session = session; cx_funcs = funcs;
-      cx_to_check = to_check; cx_indexes = indexes }
+      cx_to_check = to_check; cx_indexes = indexes; cx_cfg = cfg_of;
+      cx_locksum = lazy (Pass_race.reports ~cfg_of ~indexes ~funcs ~to_check) }
   in
   let selected = select session.Rc_refinedc.Session.lint.l_passes in
   let all =

@@ -400,10 +400,12 @@ end)
 
 (** Analyze every function body of one unit bottom-up, returning the
     per-function reports in analysis order.  Pure function of its
-    arguments — no session state, no caching — so it is recomputed by
-    each lint pass that needs it (the passes are independently
-    selectable; the walk is linear in the unit). *)
-let analyze ?(indexes : (string * Rc_refinedc.Lang.fn_index) list = [])
+    arguments — no session state, no caching of its own: {!Lint.run}
+    computes it once per unit and shares it between the three
+    concurrency passes, and [cfg_of] hands out the CFGs the other passes
+    built. *)
+let analyze ~(cfg_of : Syntax.func -> Cfg.t)
+    ?(indexes : (string * Rc_refinedc.Lang.fn_index) list = [])
     ~(funcs : (string * Syntax.func) list)
     ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) () :
     func_report list =
@@ -449,7 +451,7 @@ let analyze ?(indexes : (string * Rc_refinedc.Lang.fn_index) list = [])
               e_summaries = summaries;
             }
           in
-          let cfg = Cfg.build f in
+          let cfg = cfg_of f in
           let must =
             Dataflow.Must_vars.run_edges cfg ~entry:SSet.empty
               ~transfer:(transfer env)

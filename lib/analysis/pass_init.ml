@@ -87,7 +87,8 @@ let stmt_exprs (s : Syntax.stmt) : Syntax.expr list =
 
 (* ---- the pass ----------------------------------------------------- *)
 
-let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
+let run_fn ~cfg_of (ftc : Rc_refinedc.Typecheck.fn_to_check) :
+    Diagnostic.t list =
   let func = ftc.Rc_refinedc.Typecheck.func in
   let index = ftc.Rc_refinedc.Typecheck.index in
   let locals = SSet.of_list (List.map fst func.Syntax.locals) in
@@ -112,7 +113,7 @@ let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
   let tracked = SSet.diff locals escaped in
   if SSet.is_empty tracked then []
   else begin
-    let cfg = Cfg.build func in
+    let cfg = cfg_of func in
     let transfer _label (b : Syntax.block) (st : SSet.t) : SSet.t =
       List.fold_left
         (fun st s ->
@@ -182,6 +183,7 @@ let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
       found []
   end
 
-let run (cx_to_check : Rc_refinedc.Typecheck.fn_to_check list) :
-    Diagnostic.t list =
-  List.concat_map run_fn cx_to_check
+let run ~(cfg_of : Syntax.func -> Cfg.t)
+    (cx_to_check : Rc_refinedc.Typecheck.fn_to_check list) : Diagnostic.t list
+    =
+  List.concat_map (run_fn ~cfg_of) cx_to_check

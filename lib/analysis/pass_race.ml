@@ -1,6 +1,7 @@
 (** The concurrency lint passes (codes RC-L030..RC-L032).
 
-    All three run on top of one {!Locksum.analyze} sweep:
+    All three read one {!Locksum.analyze} sweep per unit ({!reports},
+    shared through the lint context):
 
     - {b RC-L030} (warning, "race" pass): a shared, non-atomic access
       performed with an {e empty} must-lockset — the Eraser criterion.
@@ -26,17 +27,18 @@ module Syntax = Rc_caesium.Syntax
 module Diagnostic = Rc_util.Diagnostic
 module SSet = Dataflow.StringSet
 
-let reports ~indexes ~(funcs : (string * Syntax.func) list)
+(** The lockset summary the three passes share: {!Lint.run} computes it
+    once per unit, for whichever of them runs first. *)
+let reports ~cfg_of ~indexes ~(funcs : (string * Syntax.func) list)
     ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) :
     Locksum.func_report list =
   if Locksum.unit_concurrent funcs then
-    Locksum.analyze ~indexes ~funcs ~to_check ()
+    Locksum.analyze ~cfg_of ~indexes ~funcs ~to_check ()
   else []
 
 (* ---- RC-L030: shared access with empty lockset -------------------- *)
 
-let run_race ~indexes ~funcs ~to_check : Diagnostic.t list =
-  let reports = reports ~indexes ~funcs ~to_check in
+let run_race (reports : Locksum.func_report list) : Diagnostic.t list =
   (* one report per (function, path, kind), at the earliest location *)
   let found :
       (string * string * bool, Locksum.access * Rc_util.Srcloc.t) Hashtbl.t =
@@ -76,8 +78,7 @@ let run_race ~indexes ~funcs ~to_check : Diagnostic.t list =
 
 (* ---- RC-L031: lock not released on some path ---------------------- *)
 
-let run_release ~indexes ~funcs ~to_check : Diagnostic.t list =
-  let reports = reports ~indexes ~funcs ~to_check in
+let run_release (reports : Locksum.func_report list) : Diagnostic.t list =
   List.concat_map
     (fun (r : Locksum.func_report) ->
       List.map
@@ -93,8 +94,7 @@ let run_release ~indexes ~funcs ~to_check : Diagnostic.t list =
 
 (* ---- RC-L032: inconsistent lock order ----------------------------- *)
 
-let run_order ~indexes ~funcs ~to_check : Diagnostic.t list =
-  let reports = reports ~indexes ~funcs ~to_check in
+let run_order (reports : Locksum.func_report list) : Diagnostic.t list =
   let edges =
     List.concat_map (fun (r : Locksum.func_report) -> r.Locksum.f_order)
       reports

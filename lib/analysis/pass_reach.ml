@@ -23,11 +23,12 @@ let has_source_content (b : Syntax.block) : bool =
   List.exists (function Syntax.Skip -> false | _ -> true) b.Syntax.stmts
   || (match b.Syntax.term with Syntax.Return (Some _) -> true | _ -> false)
 
-let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
+let run_fn ~cfg_of (ftc : Rc_refinedc.Typecheck.fn_to_check) :
+    Diagnostic.t list =
   let func = ftc.Rc_refinedc.Typecheck.func in
   let index = ftc.Rc_refinedc.Typecheck.index in
   let spec = ftc.Rc_refinedc.Typecheck.spec in
-  let cfg = Cfg.build func in
+  let cfg = cfg_of func in
   let stmt_loc = Rc_refinedc.Lang.stmt_loc index in
   let term_loc = Rc_refinedc.Lang.term_loc index in
   let fallback_loc label =
@@ -79,6 +80,6 @@ let run_fn (ftc : Rc_refinedc.Typecheck.fn_to_check) : Diagnostic.t list =
   in
   unreachable @ missing_return
 
-let run (to_check : Rc_refinedc.Typecheck.fn_to_check list) :
-    Diagnostic.t list =
-  List.concat_map run_fn to_check
+let run ~(cfg_of : Syntax.func -> Cfg.t)
+    (to_check : Rc_refinedc.Typecheck.fn_to_check list) : Diagnostic.t list =
+  List.concat_map (run_fn ~cfg_of) to_check

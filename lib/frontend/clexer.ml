@@ -18,13 +18,15 @@ type token =
 
 type lexed = { tok : token; loc : Rc_util.Srcloc.t }
 
-let keywords =
-  [
-    "struct"; "typedef"; "if"; "else"; "while"; "for"; "do"; "return";
-    "break"; "continue"; "void"; "unsigned"; "signed"; "char"; "short";
-    "int"; "long"; "static"; "inline"; "const"; "sizeof"; "switch"; "case";
-    "default"; "goto"; "_Bool"; "bool"; "extern";
-  ]
+(* a match on string literals compiles to a compare tree: no list scan,
+   and no table (which would be top-level mutable state) *)
+let is_keyword = function
+  | "struct" | "typedef" | "if" | "else" | "while" | "for" | "do" | "return"
+  | "break" | "continue" | "void" | "unsigned" | "signed" | "char" | "short"
+  | "int" | "long" | "static" | "inline" | "const" | "sizeof" | "switch"
+  | "case" | "default" | "goto" | "_Bool" | "bool" | "extern" ->
+      true
+  | _ -> false
 
 exception Lex_error of string * Rc_util.Srcloc.t
 
@@ -115,7 +117,21 @@ let lex_string st =
   Buffer.contents buf
 
 let lex_number st =
-  let start = st.pos in
+  let start = st.pos and sl = st.line and sc = st.col in
+  (* located at the whole literal, not just where lexing stopped *)
+  let fail msg =
+    raise
+      (Lex_error
+         ( msg,
+           Rc_util.Srcloc.make ~file:st.file ~start_line:sl ~start_col:sc
+             ~end_line:st.line ~end_col:st.col ))
+  in
+  (* [int_of_string] wraps hex literals past [max_int] to negatives *)
+  let literal text =
+    match int_of_string_opt text with
+    | Some n when n >= 0 -> n
+    | _ -> fail "integer literal out of range"
+  in
   if peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') then begin
     advance st;
     advance st;
@@ -126,14 +142,15 @@ let lex_number st =
     do
       advance st
     done;
-    int_of_string (String.sub st.src start (st.pos - start))
+    if st.pos - start = 2 then fail "malformed hex literal";
+    literal (String.sub st.src start (st.pos - start))
   end
   else begin
     while match peek st with Some c -> is_digit c | None -> false do
       advance st
     done;
     (* swallow integer suffixes *)
-    let n = int_of_string (String.sub st.src start (st.pos - start)) in
+    let n = literal (String.sub st.src start (st.pos - start)) in
     while
       match peek st with
       | Some ('u' | 'U' | 'l' | 'L') -> true
@@ -218,7 +235,7 @@ let next (st : state) : lexed =
         advance st
       done;
       let s = String.sub st.src start (st.pos - start) in
-      if List.mem s keywords then fin (TKw s) else fin (TId s)
+      if is_keyword s then fin (TKw s) else fin (TId s)
   | Some c when is_digit c -> fin (TInt (lex_number st))
   | Some '"' -> fin (TString (lex_string st))
   | Some c ->

@@ -351,6 +351,13 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
         Some (Rc_util.Profstore.create vc.Vercache.dir)
     | _ -> None
   in
+  (* read once: the samples order the dirty set here and take this run's
+     samples at the end (a run with nothing dirty measures nothing) *)
+  let stored_costs =
+    match costs_store with
+    | Some st when dirty_rev <> [] -> Rc_util.Profstore.load st
+    | _ -> []
+  in
   let dirty =
     let dirty = List.rev dirty_rev in
     if fail_fast then dirty
@@ -360,12 +367,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
         (fun i n -> Hashtbl.replace topo_pos n i)
         (Depgraph.topo_order graph);
       let cost_tbl = Hashtbl.create 16 in
-      (match costs_store with
-      | Some st ->
-          List.iter
-            (fun (k, v) -> Hashtbl.replace cost_tbl k v)
-            (Rc_util.Profstore.load st)
-      | None -> ());
+      List.iter (fun (k, v) -> Hashtbl.replace cost_tbl k v) stored_costs;
       let cost n =
         Option.value ~default:0 (Hashtbl.find_opt cost_tbl (file ^ ":" ^ n))
       in
@@ -538,7 +540,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
      *measured* checks only); a degraded store drops them silently *)
   (match costs_store with
   | Some st ->
-      Rc_util.Profstore.update st
+      Rc_util.Profstore.update st ~stored:stored_costs
         (List.filter_map
            (fun (_, r) ->
              if r.cached || r.time_s <= 0. then None

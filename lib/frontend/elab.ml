@@ -379,7 +379,7 @@ type builder = {
   mutable nlab : int;
   mutable stmt_locs : ((string * int) * Rc_util.Srcloc.t) list;
   mutable term_locs : (string * Rc_util.Srcloc.t) list;
-  mutable block_descr : (string * string) list;
+  mutable block_descr : (string * Rc_refinedc.Lang.branch) list;
   mutable invs : (string * loop_inv) list;
   mutable break_targets : string list;
   mutable continue_targets : string list;
@@ -610,8 +610,7 @@ and lv (fe : fenv) (e : expr) : Syntax.expr =
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let loc_descr (kind : string) (l : Rc_util.Srcloc.t) : string =
-  Fmt.str "the %s at %a" kind Rc_util.Srcloc.pp l
+let branch br_kind br_loc = { Rc_refinedc.Lang.br_kind; br_loc }
 
 (** short-circuit condition elaboration *)
 let rec elab_cond (b : builder) (e : expr) ~(ltrue : string) ~(lfalse : string)
@@ -802,8 +801,8 @@ let rec elab_stmt (b : builder) (s : stmt) : unit =
         let lf = fresh_label b "else" in
         let lj = fresh_label b "join" in
         b.block_descr <-
-          (lt, loc_descr "then-branch of the if" loc)
-          :: (lf, loc_descr "else-branch of the if" loc)
+          (lt, branch Then_branch loc)
+          :: (lf, branch Else_branch loc)
           :: b.block_descr;
         elab_cond b c ~ltrue:lt ~lfalse:lf loc;
         let saved_vars = (fe ()).vars in
@@ -826,11 +825,11 @@ let rec elab_stmt (b : builder) (s : stmt) : unit =
         List.iter
           (fun (n, l) ->
             b.block_descr <-
-              (l, loc_descr (Printf.sprintf "case %d of the switch" n) loc)
+              (l, branch (Switch_case n) loc)
               :: b.block_descr)
           case_lbls;
         b.block_descr <-
-          (ldefault, loc_descr "default case of the switch" loc)
+          (ldefault, branch Switch_default loc)
           :: b.block_descr;
         close_block b ~loc
           (Syntax.Switch
@@ -871,8 +870,8 @@ and elab_loop b loc atts _ cond step body =
   let lbody = fresh_label b "body" in
   let lexit = fresh_label b "exit" in
   b.block_descr <-
-    (lbody, loc_descr "body of the loop" loc)
-    :: (lexit, loc_descr "exit of the loop" loc)
+    (lbody, branch Loop_body loc)
+    :: (lexit, branch Loop_exit loc)
     :: b.block_descr;
   (* loop invariant annotations *)
   with_spec_loc loc (fun () ->

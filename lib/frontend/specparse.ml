@@ -58,7 +58,10 @@ let tokenize (s : string) : tok list =
       while !i < n && s.[!i] >= '0' && s.[!i] <= '9' do
         incr i
       done;
-      toks := N (int_of_string (String.sub s start (!i - start))) :: !toks
+      let lit = String.sub s start (!i - start) in
+      match int_of_string_opt lit with
+      | Some n -> toks := N n :: !toks
+      | None -> fail "integer literal %s out of range in specification %S" lit s
     end
     else begin
       (* utf8 symbols *)

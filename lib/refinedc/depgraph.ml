@@ -162,8 +162,15 @@ let refs_of_invs (invs : (string * Lang.loop_inv) list) : SS.t =
    [Typecheck.toolchain_fingerprint] (a golden digest in
    test_incremental pins it). *)
 
+(* [string_of_int n ^ ";"], written straight into [b]: the digits come
+   from the non-positive [-|n|], which exists for [min_int] too *)
 let enc_int b n =
-  Buffer.add_string b (string_of_int n);
+  if n < 0 then Buffer.add_char b '-';
+  let rec digits m =
+    if m <= -10 then digits (m / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  digits (if n < 0 then n else -n);
   Buffer.add_char b ';'
 
 let enc_str b s =

@@ -14,13 +14,40 @@ module Layout = Rc_caesium.Layout
 module Int_type = Rc_caesium.Int_type
 open Rtype
 
+(** The construct a block label starts, for error trails (the "else
+    branch of if on line 11" of §2.1). *)
+type branch_kind =
+  | Then_branch
+  | Else_branch
+  | Switch_case of int
+  | Switch_default
+  | Loop_body
+  | Loop_exit
+
+type branch = { br_kind : branch_kind; br_loc : Rc_util.Srcloc.t }
+
+(** The human-readable text of a branch, e.g. ["the else-branch of the
+    if at f.c:11:3-20"]. *)
+let branch_text (br : branch) : string =
+  let kind =
+    match br.br_kind with
+    | Then_branch -> "then-branch of the if"
+    | Else_branch -> "else-branch of the if"
+    | Switch_case n -> Printf.sprintf "case %d of the switch" n
+    | Switch_default -> "default case of the switch"
+    | Loop_body -> "body of the loop"
+    | Loop_exit -> "exit of the loop"
+  in
+  Fmt.str "the %s at %a" kind Rc_util.Srcloc.pp br.br_loc
+
 (** Side tables produced by the frontend: source locations of statements
-    and terminators, and human-readable branch descriptions for error
-    trails (the "else branch of if on line 11" of §2.1). *)
+    and terminators, and the branch each label starts.  Branch texts are
+    rendered only when read ({!block_descr}): when the function is
+    re-proved, or when RC-L003 reports the label. *)
 type fn_meta = {
   fm_stmt_locs : ((string * int) * Rc_util.Srcloc.t) list;
   fm_term_locs : (string * Rc_util.Srcloc.t) list;
-  fm_block_descr : (string * string) list;
+  fm_block_descr : (string * branch) list;
 }
 
 let empty_meta = { fm_stmt_locs = []; fm_term_locs = []; fm_block_descr = [] }
@@ -31,7 +58,12 @@ type block_entry = {
   be_stmts : Syntax.stmt array;  (** [be_block]'s statements *)
   be_stmt_locs : Rc_util.Srcloc.t option array;  (** by statement index *)
   be_term_loc : Rc_util.Srcloc.t option;
-  be_descr : string option;
+  be_branch : branch option;
+  be_descr : string option Atomic.t;
+      (** [branch_text] of [be_branch], once read.  Two domains that race
+          on the first read both render the same string, so the slot is
+          safe to share; a [Lazy.t] would raise when forced from two
+          domains at once. *)
 }
 
 (** A function's blocks and {!fn_meta} side tables, keyed by label and
@@ -72,7 +104,8 @@ let index_fn (func : Syntax.func) (meta : fn_meta) : fn_index =
           be_stmt_locs =
             Array.make (Option.value ~default:0 (Hashtbl.find_opt widths l)) None;
           be_term_loc = Hashtbl.find_opt term_locs l;
-          be_descr = Hashtbl.find_opt descrs l;
+          be_branch = Hashtbl.find_opt descrs l;
+          be_descr = Atomic.make None;
         }
   in
   let add_keys tbl = Hashtbl.iter (fun l _ -> add l) tbl in
@@ -103,9 +136,18 @@ let stmt_loc (ix : fn_index) label idx =
 let term_loc (ix : fn_index) label =
   match block_entry ix label with Some e -> e.be_term_loc | None -> None
 
-(** [List.assoc_opt label fm_block_descr] *)
+(** [branch_text] of [List.assoc_opt label fm_block_descr], rendered on
+    the first read of this label *)
 let block_descr (ix : fn_index) label =
-  match block_entry ix label with Some e -> e.be_descr | None -> None
+  match block_entry ix label with
+  | Some { be_branch = Some br; be_descr; _ } -> (
+      match Atomic.get be_descr with
+      | Some _ as text -> text
+      | None ->
+          let text = Some (branch_text br) in
+          Atomic.set be_descr text;
+          text)
+  | _ -> None
 
 (** Loop invariant (rc::exists / rc::inv_vars / rc::constraints, §2.2). *)
 type loop_inv = {

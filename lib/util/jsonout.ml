@@ -16,49 +16,184 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+let needs_escape (c : char) = c = '"' || c = '\\' || Char.code c < 0x20
+
+(** [s] with JSON escapes; [s] itself when nothing needs escaping. *)
 let escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  if not (String.exists needs_escape s) then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
 
-let rec pp ppf (v : t) =
+let float_text (f : float) : string =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.6g" f
+
+(* ---- layout --------------------------------------------------------
+
+   The printer reproduces, byte for byte, what OCaml's [Format] printed
+   for ["[@[<hv>%a@]]"] / ["{@[<hv>%a@]}"] with [",@ "] separators at
+   margin 78 and maximum indentation 68 (DESIGN.md §17):
+
+   - a box opened at column [c] (just after its bracket) stays on one
+     line iff the flat width of its contents is strictly less than
+     [margin - c];
+   - a box that does not fit puts each element on its own line, at
+     column [min c 68];
+   - a box opened past column 68 inside a broken box whose column is
+     left of it first breaks the line to [min (that column) 68]; the
+     fit test still uses the column before that break.
+
+   Width counts stop at the space left, so each decision costs at most
+   a line's worth of the tree and the writer stays linear. *)
+
+let max_indent = 68
+
+let int_width (n : int) : int =
+  let rec go n w = if n > -10 && n < 10 then w else go (n / 10) (w + 1) in
+  go n (if n < 0 then 2 else 1)
+
+let escaped_width ~limit (acc : int) (s : string) : int =
+  let acc = ref acc and i = ref 0 in
+  while !acc < limit && !i < String.length s do
+    (acc :=
+       !acc
+       +
+       match s.[!i] with
+       | '"' | '\\' | '\n' | '\r' | '\t' -> 2
+       | c when Char.code c < 0x20 -> 6
+       | _ -> 1);
+    incr i
+  done;
+  !acc
+
+(* [acc] plus the flat width of [v], or some value [>= limit] once the
+   sum reaches [limit] *)
+let rec width ~limit (acc : int) (v : t) : int =
+  if acc >= limit then acc
+  else
+    match v with
+    | Null -> acc + 4
+    | Bool b -> acc + if b then 4 else 5
+    | Int i -> acc + int_width i
+    | Float f -> acc + String.length (float_text f)
+    | Str s -> escaped_width ~limit (acc + 2) s
+    | List vs -> 1 + items_width ~limit (acc + 1) (width ~limit) vs
+    | Obj fs -> 1 + items_width ~limit (acc + 1) (field_width ~limit) fs
+
+and field_width ~limit acc (k, v) =
+  width ~limit (escaped_width ~limit (acc + 3) k) v
+
+(* the contents of a box: the items joined by [", "] *)
+and items_width : 'a. limit:int -> int -> (int -> 'a -> int) -> 'a list -> int
+    =
+ fun ~limit acc item_width -> function
+  | [] -> acc
+  | x :: rest ->
+      List.fold_left
+        (fun acc x -> if acc >= limit then acc else item_width (acc + 2) x)
+        (item_width acc x) rest
+
+type writer = {
+  buf : Buffer.t;
+  margin : int;
+  mutable line_start : int;  (** buffer offset of the current line *)
+}
+
+let col (w : writer) = Buffer.length w.buf - w.line_start
+
+let newline (w : writer) (indent : int) =
+  Buffer.add_char w.buf '\n';
+  w.line_start <- Buffer.length w.buf;
+  for _ = 1 to indent do
+    Buffer.add_char w.buf ' '
+  done
+
+(* Where an item is written: inside a box that fits (then so does every
+   box nested in it), or inside a broken box opened at column [c] *)
+type mode = Fits | Broken of int
+
+let rec write (w : writer) (mode : mode) (v : t) : unit =
+  let b = w.buf in
   match v with
-  | Null -> Fmt.string ppf "null"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Fmt.pf ppf "%.1f" f
-      else Fmt.pf ppf "%.6g" f
-  | Str s -> Fmt.pf ppf "\"%s\"" (escape s)
-  | List vs ->
-      Fmt.pf ppf "[@[<hv>%a@]]" (Fmt.list ~sep:(Fmt.any ",@ ") pp) vs
-  | Obj fields ->
-      let field ppf (k, v) = Fmt.pf ppf "\"%s\":%a" (escape k) pp v in
-      Fmt.pf ppf "{@[<hv>%a@]}" (Fmt.list ~sep:(Fmt.any ",@ ") field) fields
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Float f -> Buffer.add_string b (float_text f)
+  | Str s ->
+      Buffer.add_char b '"';
+      Buffer.add_string b (escape s);
+      Buffer.add_char b '"'
+  | List vs -> box w mode '[' ']' width write vs
+  | Obj fs -> box w mode '{' '}' field_width write_field fs
 
-let to_string (v : t) : string = Fmt.str "%a" pp v
+and write_field w mode (k, v) =
+  Buffer.add_char w.buf '"';
+  Buffer.add_string w.buf (escape k);
+  Buffer.add_string w.buf "\":";
+  write w mode v
+
+and box :
+      'a.
+      writer ->
+      mode ->
+      char ->
+      char ->
+      (limit:int -> int -> 'a -> int) ->
+      (writer -> mode -> 'a -> unit) ->
+      'a list ->
+      unit =
+ fun w mode opening closing item_width write_item items ->
+  Buffer.add_char w.buf opening;
+  let inner =
+    match mode with
+    | Fits -> Fits
+    | Broken p ->
+        let c = col w in
+        let space = w.margin - c in
+        let fits =
+          items_width ~limit:space 0 (item_width ~limit:space) items < space
+        in
+        if c > max_indent && p < c then newline w (min p max_indent);
+        if fits then Fits else Broken (col w)
+  in
+  List.iteri
+    (fun i x ->
+      if i > 0 then begin
+        match inner with
+        | Fits -> Buffer.add_string w.buf ", "
+        | Broken c ->
+            Buffer.add_char w.buf ',';
+            newline w (min c max_indent)
+      end;
+      write_item w inner x)
+    items;
+  Buffer.add_char w.buf closing
+
+let render ~margin (v : t) : string =
+  let w = { buf = Buffer.create 1024; margin; line_start = 0 } in
+  (* the top level sits in a broken box at column 0, as in [Format] *)
+  write w (Broken 0) v;
+  Buffer.contents w.buf
+
+let to_string (v : t) : string = render ~margin:78 v
 
 (** Single-line serialization (no wrapping, whatever the width) — the
     NDJSON form {!Runlog} appends, where one record must be one line. *)
-let to_line (v : t) : string =
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  Format.pp_set_margin ppf 1_000_000_000;
-  pp ppf v;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
+let to_line (v : t) : string = render ~margin:max_int v
 
 (* ------------------------------------------------------------------ *)
 (* Parsing (the run ledger)                                            *)

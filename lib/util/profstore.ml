@@ -54,14 +54,16 @@ let load (t : t) : (string * int) list =
         String.split_on_char '\n' contents |> List.filter_map parse_line
     | exception _ -> []
 
-(** Merge [counts] into the store, each replacing the stored sample of
-    its key, and write the result atomically.  Failures disable the
-    store for the rest of the run — a cost-model write must never abort
-    a verification run. *)
-let update (t : t) (counts : (string * int) list) : unit =
+(** Merge [counts] into [stored] (what {!load} returned earlier in the
+    run: the caller reads the store once), each replacing the stored
+    sample of its key, and write the result atomically.  Failures
+    disable the store for the rest of the run — a cost-model write must
+    never abort a verification run. *)
+let update (t : t) ~(stored : (string * int) list)
+    (counts : (string * int) list) : unit =
   if (not t.disabled) && counts <> [] then begin
     let tbl = Hashtbl.create 64 in
-    List.iter (fun (k, v) -> Hashtbl.replace tbl k v) (load t);
+    List.iter (fun (k, v) -> Hashtbl.replace tbl k v) stored;
     List.iter
       (fun (k, v) -> if v > 0 then Hashtbl.replace tbl k v)
       counts;

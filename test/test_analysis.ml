@@ -567,6 +567,69 @@ let stress_corpus_tests =
                Str.string_match (Str.regexp ".*RC-L030.*") s 0)
              d1);
         Alcotest.(check (list string)) "byte-identical" d1 (diags 4));
+    Alcotest.test_case "each pass alone reports what the full run does"
+      `Slow (fun () ->
+        (* the passes share one CFG per function and one lockset summary
+           per unit; whichever runs first builds them, so no pass may
+           depend on another having run *)
+        let studies =
+          Sys.readdir case_dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".c")
+          |> List.sort compare
+          |> List.map (fun f ->
+                 let path = Filename.concat case_dir f in
+                 (path, In_channel.with_open_bin path In_channel.input_all))
+        in
+        let generated =
+          List.map
+            (fun (p : Rc_benchgen.Corpus.program) -> (p.p_name, p.p_src))
+            (Rc_benchgen.Corpus.stress_corpus ~scale:1)
+          @ [
+              ( "lock_farm_racy.c",
+                Rc_benchgen.Corpus.lock_farm ~functions:3 ~racy:2 ~hoisted:1
+                  () );
+              ( "lock_farm_clean.c",
+                Rc_benchgen.Corpus.lock_farm ~functions:3 () );
+              (* the pass fixtures, so init and reach report something *)
+              ("init_pos.c", init_pos);
+              ("deref_pos.c", deref_pos);
+              ("reach_pos.c", reach_pos);
+              ("missing_return_pos.c", missing_return_pos);
+            ]
+        in
+        Alcotest.(check int) "studies" 13 (List.length studies);
+        let seen = Hashtbl.create 16 in
+        List.iter
+          (fun (file, src) ->
+            let session = session () in
+            let elaborated = Driver.parse_and_elab ~session ~file src in
+            let of_codes codes ds =
+              List.filter_map
+                (fun (d : Diagnostic.t) ->
+                  if List.mem d.code codes then begin
+                    Hashtbl.replace seen d.code ();
+                    Some (Diagnostic.to_string d)
+                  end
+                  else None)
+                ds
+            in
+            let full = Driver.lint_elaborated ~session ~file elaborated in
+            List.iter
+              (fun (p : Rc_analysis.Lint.pass) ->
+                Alcotest.(check (list string))
+                  (file ^ ": " ^ p.p_name)
+                  (of_codes p.p_codes full)
+                  (of_codes p.p_codes
+                     (Driver.lint_elaborated ~passes:[ p.p_name ] ~session
+                        ~file elaborated)))
+              Rc_analysis.Lint.passes)
+          (studies @ generated);
+        (* the inputs make the CFG and lockset users report *)
+        List.iter
+          (fun code ->
+            Alcotest.(check bool) (code ^ " reported") true
+              (Hashtbl.mem seen code))
+          [ "RC-L001"; "RC-L002"; "RC-L003"; "RC-L004"; "RC-L030" ]);
   ]
 
 let verdict_tests =

@@ -251,6 +251,32 @@ int spin(int a) {
   return a;
 }
 |};
+    expect_located "out-of-range literal is located" ~category:"lexical error"
+      "int f(void) {\n  return 99999999999999999999;\n}";
+    expect_located "hex prefix without digits is located"
+      ~category:"lexical error" "int f(void) {\n  return 0x;\n}";
+    expect_located "out-of-range case label is located"
+      ~category:"lexical error"
+      "int f(int x) {\n  switch (x) {\n  case 4611686018427387904:\n    \
+       return 1;\n  }\n  return 0;\n}";
+    expect_located "out-of-range spec literal is located"
+      ~category:"specification error"
+      {|
+[[rc::parameters("n: int")]]
+[[rc::args("n @ int<int>")]]
+[[rc::returns("{n + 99999999999999999999} @ int<int>")]]
+int f(int x) { return x; }
+|};
+    Alcotest.test_case "the largest int literal still lexes" `Quick (fun () ->
+        let toks =
+          Rc_frontend.Clexer.tokenize ~file:"max.c"
+            "return 4611686018427387903; 0x3FFFFFFFFFFFFFFF"
+        in
+        Alcotest.(check (list int)) "literals" [ max_int; max_int ]
+          (List.filter_map
+             (fun (l : Rc_frontend.Clexer.lexed) ->
+               match l.tok with Rc_frontend.Clexer.TInt n -> Some n | _ -> None)
+             toks));
   ]
 
 let () =

@@ -669,6 +669,24 @@ int get(struct pt* p) {
         Alcotest.(check string) "digest" "4c5a80376b695e9e2c2f7c3426f2884e"
           (Depgraph.body_digest (List.hd fns)));
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        (* the encoding's ints are the bytes [string_of_int] wrote *)
+        QCheck.Test.make ~count:2000 ~name:"enc_int writes string_of_int"
+          QCheck.(
+            make ~print:string_of_int
+              Gen.(
+                oneof
+                  [
+                    int;
+                    small_signed_int;
+                    oneofl [ 0; -1; 9; 10; -10; min_int; max_int; min_int + 1 ];
+                  ]))
+          (fun n ->
+            let b = Buffer.create 24 in
+            Depgraph.enc_int b n;
+            Buffer.contents b = string_of_int n ^ ";");
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence: cached/uncached, cold/warm, -j1/-j4                    *)

@@ -302,6 +302,19 @@ let labels_of (func : Rc_caesium.Syntax.func) (m : Lang.fn_meta) =
     @ List.map fst m.Lang.fm_term_locs
     @ List.map fst m.Lang.fm_block_descr)
 
+(* the text elaboration used to format for every label up front *)
+let eager_descr (br : Lang.branch) =
+  let kind =
+    match br.Lang.br_kind with
+    | Lang.Then_branch -> "then-branch of the if"
+    | Lang.Else_branch -> "else-branch of the if"
+    | Lang.Switch_case n -> Printf.sprintf "case %d of the switch" n
+    | Lang.Switch_default -> "default case of the switch"
+    | Lang.Loop_body -> "body of the loop"
+    | Lang.Loop_exit -> "exit of the loop"
+  in
+  Fmt.str "the %s at %a" kind Rc_util.Srcloc.pp br.Lang.br_loc
+
 let check_index file (func : Rc_caesium.Syntax.func) (ix : Lang.fn_index) =
   let m = ix.Lang.fi_meta in
   let what label = Printf.sprintf "%s/%s/%s" file func.fname label in
@@ -325,7 +338,7 @@ let check_index file (func : Rc_caesium.Syntax.func) (ix : Lang.fn_index) =
       Alcotest.(check bool) (what label ^ " term_loc") true
         (Lang.term_loc ix label = List.assoc_opt label m.Lang.fm_term_locs);
       Alcotest.(check (option string)) (what label ^ " block_descr")
-        (List.assoc_opt label m.Lang.fm_block_descr)
+        (Option.map eager_descr (List.assoc_opt label m.Lang.fm_block_descr))
         (Lang.block_descr ix label);
       let entry = Lang.block_entry ix label in
       Alcotest.(check bool) (what label ^ " block") true
@@ -377,6 +390,50 @@ let index_tests =
                   = Some ftc.func.fname))
               el.Rc_frontend.Elab.to_check)
           (studies @ stress));
+    Alcotest.test_case "descriptions render once, from any domain" `Quick
+      (fun () ->
+        let src =
+          In_channel.with_open_bin
+            (Filename.concat case_dir "mem_alloc.c")
+            In_channel.input_all
+        in
+        let session =
+          Rc_session.Refinedc_api.create_session ~case_studies:true ()
+        in
+        let el =
+          Rc_frontend.Driver.parse_and_elab ~session ~file:"mem_alloc.c" src
+        in
+        (* a fresh index whose branch texts nobody has read yet *)
+        let ix, labels =
+          List.find_map
+            (fun (_, (ix : Lang.fn_index)) ->
+              match ix.Lang.fi_meta.Lang.fm_block_descr with
+              | [] -> None
+              | ds -> Some (ix, List.map fst ds))
+            el.Rc_frontend.Elab.indexes
+          |> Option.get
+        in
+        let ready = Atomic.make 0 in
+        let read () =
+          Atomic.incr ready;
+          while Atomic.get ready < 4 do
+            Domain.cpu_relax ()
+          done;
+          List.map (Lang.block_descr ix) labels
+        in
+        let texts =
+          List.map Domain.join (List.init 4 (fun _ -> Domain.spawn read))
+        in
+        let expected =
+          List.map
+            (fun l ->
+              Option.map eager_descr
+                (List.assoc_opt l ix.Lang.fi_meta.Lang.fm_block_descr))
+            labels
+        in
+        List.iter
+          (Alcotest.(check (list (option string))) "same text" expected)
+          texts);
   ]
 
 let () =

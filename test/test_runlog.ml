@@ -75,6 +75,137 @@ let parser_tests =
         Alcotest.check json "exponent is float" (J.Float 1e3) (parse_ok "1e3"));
   ]
 
+(* ---- the layout oracle ---------------------------------------------
+
+   The Format printer the writer replaced: [to_string] must equal
+   [Fmt.str "%a" pp] and [to_line] the same printer at margin 10^9, byte
+   for byte. *)
+
+let rec pp ppf (v : J.t) =
+  match v with
+  | J.Null -> Fmt.string ppf "null"
+  | J.Bool b -> Fmt.bool ppf b
+  | J.Int i -> Fmt.int ppf i
+  | J.Float f ->
+      if Float.is_integer f && Float.abs f < 1e15 then Fmt.pf ppf "%.1f" f
+      else Fmt.pf ppf "%.6g" f
+  | J.Str s -> Fmt.pf ppf "\"%s\"" (J.escape s)
+  | J.List vs ->
+      Fmt.pf ppf "[@[<hv>%a@]]" (Fmt.list ~sep:(Fmt.any ",@ ") pp) vs
+  | J.Obj fields ->
+      let field ppf (k, v) = Fmt.pf ppf "\"%s\":%a" (J.escape k) pp v in
+      Fmt.pf ppf "{@[<hv>%a@]}" (Fmt.list ~sep:(Fmt.any ",@ ") field) fields
+
+let oracle_string v = Fmt.str "%a" pp v
+
+let oracle_line v =
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  Format.pp_set_margin ppf 1_000_000_000;
+  pp ppf v;
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+(* Random trees whose lines land near the 68/78 columns: strings and
+   keys from 0 to 90 bytes (escapes and UTF-8 bytes included), extreme
+   ints and floats, and single-child chains up to 14 deep. *)
+let gen_tree : J.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let odd =
+    [| '"'; '\\'; '\n'; '\r'; '\t'; '\x01'; '\x1f'; ' ';
+       '\xc3'; '\xa4'; '\xe2'; '\x89' |]
+  in
+  let str =
+    let* len =
+      frequency
+        [ (4, int_range 0 8); (3, int_range 9 40); (2, int_range 40 90) ]
+    in
+    let+ cs =
+      list_repeat len (frequency [ (9, char_range 'a' 'z'); (2, oneofa odd) ])
+    in
+    String.of_seq (List.to_seq cs)
+  in
+  let leaf =
+    frequency
+      [
+        (1, pure J.Null);
+        (1, map (fun b -> J.Bool b) bool);
+        ( 2,
+          map
+            (fun i -> J.Int i)
+            (oneof
+               [ small_signed_int; int; oneofl [ min_int; max_int; 0; -1 ] ])
+        );
+        ( 1,
+          map
+            (fun f -> J.Float f)
+            (oneof
+               [
+                 float;
+                 map float_of_int small_signed_int;
+                 oneofl
+                   [ 0.5; -0.; 1e15; -1e15; 1e20; 123456.789; nan; infinity ];
+               ]) );
+        (4, map (fun s -> J.Str s) str);
+      ]
+  in
+  let rec tree budget depth st =
+    if budget <= 1 || depth >= 14 then leaf st
+    else
+      let sub k = tree ((budget - 1) / max 1 k) (depth + 1) in
+      frequency
+        [
+          (2, leaf);
+          ( 2,
+            let* k = int_range 0 6 in
+            map (fun vs -> J.List vs) (list_repeat k (sub k)) );
+          ( 2,
+            let* k = int_range 0 6 in
+            map (fun fs -> J.Obj fs) (list_repeat k (pair str (sub k))) );
+          (1, map (fun v -> J.List [ v ]) (tree (budget - 1) (depth + 1)));
+          ( 1,
+            map2
+              (fun k v -> J.Obj [ (k, v) ])
+              str
+              (tree (budget - 1) (depth + 1)) );
+        ]
+        st
+  in
+  let* budget = int_range 1 80 in
+  tree budget 0
+
+let arb_tree =
+  QCheck.make ~print:(fun v -> String.escaped (oracle_line v)) gen_tree
+
+let layout_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~count:3000 ~name:"to_string equals the Format printer"
+        arb_tree (fun v -> J.to_string v = oracle_string v);
+      QCheck.Test.make ~count:1000 ~name:"to_line equals the Format printer"
+        arb_tree (fun v -> J.to_line v = oracle_line v);
+    ]
+  @ [
+      Alcotest.test_case "boundary widths around columns 68 and 78" `Quick
+        (fun () ->
+          (* one string padded to every width that straddles the fit
+             test, alone, as a field value, and nested past column 68 *)
+          for pad = 0 to 90 do
+            let s = J.Str (String.make pad 'x') in
+            List.iter
+              (fun v ->
+                Alcotest.(check string)
+                  (Printf.sprintf "pad %d" pad) (oracle_string v)
+                  (J.to_string v))
+              [
+                J.List [ s; J.Int 1 ];
+                J.Obj [ ("k", s); ("l", J.List [ s ]) ];
+                J.Obj [ (String.make pad 'k', J.List [ J.Null; J.List [] ]) ];
+                J.List [ J.List [ s; J.Obj [ ("key", J.List [ s; s ]) ] ]; s ];
+              ]
+          done);
+    ]
+
 let ledger_tests =
   [
     Alcotest.test_case "append/load preserves order" `Quick (fun () ->
@@ -241,6 +372,7 @@ let () =
   Alcotest.run "runlog"
     [
       ("json parser", parser_tests);
+      ("json layout", layout_tests);
       ("ledger", ledger_tests);
       ("regression", regression_tests);
       ("driver record", record_tests);

@@ -126,6 +126,13 @@ let type_tests =
     ty "wand" "wand<{p : n @ int<int>}, a @ int<int>>"
       "wand<{p ◁ₗ n @ int<int>}, a @ int<int>>";
     ty "named with lock" "p @ lock_t" "p @ lock_t";
+    Alcotest.test_case "out-of-range literal is a spec error" `Quick
+      (fun () ->
+        match Sp.rtype ~env "{n + 99999999999999999999} @ int<int>" with
+        | _ -> Alcotest.fail "expected a parse error"
+        | exception Sp.Spec_error msg ->
+            Alcotest.(check bool) msg true
+              (Str.string_match (Str.regexp ".*out of range") msg 0));
   ]
 
 let misc_tests =
