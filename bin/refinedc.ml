@@ -32,6 +32,34 @@ let install_interrupt_handlers (flag : bool Atomic.t) : unit =
       try Sys.set_signal s h with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigint; Sys.sigterm ]
 
+(* [base] restricted to the values [ok] accepts: a negative budget, a
+   NaN duration or a probability outside [0, 1] is a usage error (exit
+   124), as a malformed number is. *)
+let checked base ~expected ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Fmt.str "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv base) (parse, Arg.conv_printer base)
+
+let count = checked Arg.int ~expected:"a non-negative integer" (fun n -> n >= 0)
+
+(* the cap in bytes must fit an [int]: a wrapped product prunes the
+   whole store *)
+let megabytes =
+  checked Arg.int ~expected:"a non-negative number of megabytes" (fun n ->
+      n >= 0 && n <= max_int / (1024 * 1024))
+
+(* [x >= 0.] is false for NaN *)
+let seconds =
+  checked Arg.float ~expected:"a non-negative number" (fun x -> x >= 0.)
+
+let probability =
+  checked Arg.float ~expected:"a probability in [0, 1]" (fun p ->
+      p >= 0. && p <= 1.)
+
 let check_cmd =
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
   let deriv =
@@ -57,14 +85,14 @@ let check_cmd =
   let fuel =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count) None
       & info [ "fuel" ] ~docv:"N"
           ~doc:"Per-function step budget for proof search.")
   in
   let timeout =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds) None
       & info [ "timeout" ] ~docv:"SECS"
           ~doc:
             "Per-function wall-clock budget in seconds (monotonic clock).")
@@ -72,7 +100,7 @@ let check_cmd =
   let max_depth =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count) None
       & info [ "max-depth" ] ~docv:"N"
           ~doc:"Per-function goal recursion depth limit.")
   in
@@ -144,7 +172,7 @@ let check_cmd =
   let cache_max_mb =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some megabytes) None
       & info [ "cache-max-mb" ] ~docv:"MB"
           ~doc:
             "Cap the verification cache at $(docv) megabytes: on open, \
@@ -216,7 +244,7 @@ let check_cmd =
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds) None
       & info [ "deadline" ] ~docv:"SECS"
           ~doc:
             "Whole-run wall-clock budget in seconds (monotonic clock).  \
@@ -226,7 +254,7 @@ let check_cmd =
   in
   let retries =
     Arg.(
-      value & opt int 0
+      value & opt count 0
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "Re-attempt a function up to $(docv) times when its check \
@@ -247,7 +275,7 @@ let check_cmd =
   in
   let fault_rate =
     Arg.(
-      value & opt float 0.01
+      value & opt probability 0.01
       & info [ "fault-rate" ] ~docv:"P"
           ~doc:"Injection probability per instrumented site (default 0.01).")
   in
@@ -449,7 +477,7 @@ let check_cmd =
         Option.iter Rc_util.Supervisor.shutdown pool)
     @@ fun () ->
     let run_watch = Rc_util.Budget.stopwatch () in
-    match Driver.check_file ~session ~fail_fast ~jobs ?cache file with
+    match Driver.check_file ~session ~fail_fast ?cache file with
     | exception Sys_error msg ->
         if json then
           Fmt.pr "%s@."

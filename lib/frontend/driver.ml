@@ -11,9 +11,9 @@
 
     Function checks are independent of each other (the frontend fixes
     every spec before checking starts), so the driver can fan
-    {!check_fn_isolated} out across a supervised worker pool ([~jobs],
-    or a persistent {!Rc_util.Supervisor} carried by the session) and/or
-    replay verdicts from a {!Rc_util.Vercache} ([~cache]); both are
+    {!check_fn_isolated} out across the supervised worker pool the
+    session carries ([x_pool]) and/or replay verdicts from a
+    {!Rc_util.Vercache} ([~cache]); both are
     observationally identical to the sequential, uncached run — same
     verdicts, same aggregate statistics, same exit code.
 
@@ -63,9 +63,8 @@ type t = {
           is cheap, and embedders use it for impact queries) *)
   schedule : string list;
       (** the dirty functions in the order they were dispatched:
-          longest-measured-job first from [costs.prof], topological
-          (callees first) for unmeasured ties, source order under
-          [~fail_fast] *)
+          {!Rc_refinedc.Depgraph.topo_order} (callees first), source
+          order under [~fail_fast] *)
   results : check_result list;
   skipped : string list;
       (** functions not attempted: under [~fail_fast], after the
@@ -74,7 +73,7 @@ type t = {
   exec_stats : Supervisor.run_stats;
       (** supervision counters (retries, crashes, respawns, …); all
           zero on a fault-free, deadline-free run *)
-  jobs : int;  (** worker count the check actually used *)
+  jobs : int;  (** the session pool's worker count, 1 without a pool *)
   cache_stats : (int * int) option;
       (** (hits, misses) when a verification cache was supplied *)
   obs : Obs.t;
@@ -180,16 +179,17 @@ let replay_result (data : string) :
 (** Verify every specified function of an already-elaborated file.
 
     Dispatch goes through {!Rc_util.Supervisor}: the session's
-    persistent pool if it carries one ([x_pool] — spawned once per CLI
-    invocation or bench session, the fix for the old spawn-per-run
-    slowdown), else a transient pool for [~jobs > 1], else the
-    sequential engine.  Results come back in source order regardless —
-    the workers share the session read-only, so parallelism is
-    race-free by construction.  A fault campaign on the session no
-    longer forces sequential checking: campaigns are domain-safe, and a
-    chaos run *wants* the parallel dispatch path exercised (sequential
-    replay determinism still holds at [jobs = 1], where hits draw from
-    the seeded stream in hit order).
+    persistent pool if it carries one ([x_pool] — its owner, e.g. the
+    CLI's [-j N], spawns and sizes it), else the sequential engine.  The
+    dirty set goes out in {!Rc_refinedc.Depgraph.topo_order} (callees
+    first); each function is checked against its callees' specs, so the
+    order never changes a verdict.  Results come back in source order
+    regardless — the workers share the session read-only, so
+    parallelism is race-free by construction.  A fault campaign on the
+    session does not force sequential checking: campaigns are
+    domain-safe, and a chaos run *wants* the parallel dispatch path
+    exercised (sequential replay determinism still holds without a
+    pool, where hits draw from the seeded stream in hit order).
 
     [~cache] replays previously-proved verdicts (see the cache-key
     components in {!Rc_refinedc.Depgraph.components}); the campaign's
@@ -198,7 +198,7 @@ let replay_result (data : string) :
     store — never a wrong verdict, never an abort.
 
     With [~fail_fast] the functions after the first failure are skipped
-    (and listed in {!field-skipped}); under [jobs > 1] they may already
+    (and listed in {!field-skipped}); under a pool they may already
     have been checked speculatively, but their results are discarded so
     the output is identical to the sequential run.
 
@@ -210,7 +210,7 @@ let replay_result (data : string) :
     metrics output deterministic across [-j N] and identical between a
     sequential fail-fast run and a parallel one that checked extra
     functions speculatively. *)
-let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
+let check_elaborated ?(fail_fast = false) ?cache ?(obs = Obs.off)
     ~(session : Session.t) ~file (elaborated : Elab.elaborated) : t =
   (* lint pre-pass: a pure analysis of the elaborated unit, before any
      proof search, so its findings arrive even when checking later
@@ -237,7 +237,6 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
   let fn_name (f : Rc_refinedc.Typecheck.fn_to_check) =
     f.spec.Rc_refinedc.Rtype.fs_name
   in
-  let jobs = max 1 jobs in
   let campaign = Session.fault session in
   let exec = session.Session.exec in
   (* the function-level dependency graph: direct spec-level references
@@ -339,25 +338,10 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
   in
   let hits = List.rev hits_rev in
   (* ---- schedule the dirty set ----
-     Longest measured job first (per-function wall-clock samples kept in
-     the cache directory's [costs.prof], see {!Rc_util.Profstore}),
-     unmeasured ties in topological order (callees first, so a
-     cold run proves leaves while callers wait on workers).  [~fail_fast]
-     keeps source order: its contract is "nothing after the first
-     failure", which only means anything in a fixed order. *)
-  let costs_store =
-    match cache with
-    | Some vc when not (Vercache.disabled vc) ->
-        Some (Rc_util.Profstore.create vc.Vercache.dir)
-    | _ -> None
-  in
-  (* read once: the samples order the dirty set here and take this run's
-     samples at the end (a run with nothing dirty measures nothing) *)
-  let stored_costs =
-    match costs_store with
-    | Some st when dirty_rev <> [] -> Rc_util.Profstore.load st
-    | _ -> []
-  in
+     Topological order (callees first, so a cold run proves leaves
+     while callers wait on workers).  [~fail_fast] keeps source order:
+     its contract is "nothing after the first failure", which only
+     means anything in a fixed order. *)
   let dirty =
     let dirty = List.rev dirty_rev in
     if fail_fast then dirty
@@ -366,21 +350,10 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
       List.iteri
         (fun i n -> Hashtbl.replace topo_pos n i)
         (Depgraph.topo_order graph);
-      let cost_tbl = Hashtbl.create 16 in
-      List.iter (fun (k, v) -> Hashtbl.replace cost_tbl k v) stored_costs;
-      let cost n =
-        Option.value ~default:0 (Hashtbl.find_opt cost_tbl (file ^ ":" ^ n))
+      let pos (_, f, _, _) =
+        Option.value ~default:max_int (Hashtbl.find_opt topo_pos (fn_name f))
       in
-      let pos n =
-        Option.value ~default:max_int (Hashtbl.find_opt topo_pos n)
-      in
-      List.stable_sort
-        (fun (_, f1, _, _) (_, f2, _, _) ->
-          let n1 = fn_name f1 and n2 = fn_name f2 in
-          match Int.compare (cost n2) (cost n1) with
-          | 0 -> Int.compare (pos n1) (pos n2)
-          | c -> c)
-        dirty
+      List.stable_sort (fun a b -> Int.compare (pos a) (pos b)) dirty
     end
   in
   let schedule = List.map (fun (_, f, _, _) -> fn_name f) dirty in
@@ -457,23 +430,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
     | Rc_util.Faultsim.Injected _ -> true
     | _ -> false
   in
-  let pool, transient =
-    match exec.Session.x_pool with
-    | Some p -> (Some p, false)
-    | None ->
-        (* clamp to what the hardware can actually run concurrently:
-           workers beyond the core count only add scheduling and GC-sync
-           overhead (on a single-core host, [-j 4] used to run ~3x
-           *slower* than [-j 1]).  A session-supplied pool is exempt —
-           its owner sized it deliberately. *)
-        let jobs = min jobs (Supervisor.recommended_jobs ()) in
-        if jobs > 1 then
-          (* no session pool: spin up a per-call one (the historical
-             behaviour; callers that care about spawn cost carry a
-             persistent pool in the session instead) *)
-          (Some (Supervisor.create ~jobs ()), true)
-        else (None, false)
-  in
+  let pool = exec.Session.x_pool in
   let jobs = match pool with Some p -> Supervisor.jobs p | None -> 1 in
   (* sequential fail-fast preserves the historical early exit — nothing
      after the first failure is even attempted — by feeding the failure
@@ -489,13 +446,9 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
   let outcomes, rstats =
     match pool with
     | Some p ->
-        let r =
-          Supervisor.run p ?deadline:exec.Session.x_deadline ~cancel ~retries
-            ~should_retry ~is_transient:is_transient_exn ?fault:campaign
-            check_one dirty
-        in
-        if transient then Supervisor.shutdown p;
-        r
+        Supervisor.run p ?deadline:exec.Session.x_deadline ~cancel ~retries
+          ~should_retry ~is_transient:is_transient_exn ?fault:campaign
+          check_one dirty
     | None ->
         Supervisor.run_seq ?deadline:exec.Session.x_deadline
           ~cancel:(fun () -> cancel () || !ff_hit)
@@ -536,18 +489,6 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
       (fun (a, _) (b, _) -> Int.compare a b)
       (hits @ List.rev kept_rev)
   in
-  (* feed this run's wall-clock samples back into the cost model (the
-     *measured* checks only); a degraded store drops them silently *)
-  (match costs_store with
-  | Some st ->
-      Rc_util.Profstore.update st ~stored:stored_costs
-        (List.filter_map
-           (fun (_, r) ->
-             if r.cached || r.time_s <= 0. then None
-             else
-               Some (file ^ ":" ^ r.name, max 1 (int_of_float (r.time_s *. 1e6))))
-           kept)
-  | None -> ());
   let kept, cut =
     if not fail_fast then (kept, [])
     else
@@ -660,16 +601,16 @@ let resolve_session ?session ?budget () : Session.t =
     observability configuration (see {!Session.with_obs}) decides
     whether a trace/metrics root is minted for this check; the root
     rides on the returned {!field-obs}. *)
-let check_source ?session ?budget ?fail_fast ?jobs ?cache ~file
+let check_source ?session ?budget ?fail_fast ?cache ~file
     (src : string) : t =
   let session = resolve_session ?session ?budget () in
   let obs = Obs.create ~tid:0 session.Session.obs in
   let elaborated = parse_and_elab ~obs ~session ~file src in
   Obs.timed obs ~cat:"phase" ~key:"phase.check" ~args:[ ("file", file) ]
     "phase:check" (fun () ->
-      check_elaborated ?fail_fast ?jobs ?cache ~obs ~session ~file elaborated)
+      check_elaborated ?fail_fast ?cache ~obs ~session ~file elaborated)
 
-let check_file ?session ?budget ?fail_fast ?jobs ?cache (path : string) : t =
+let check_file ?session ?budget ?fail_fast ?cache (path : string) : t =
   let session = resolve_session ?session ?budget () in
   (* the file-I/O boundary: both a real read failure and an injected
      ["io.read"] fault become a structured frontend error — the one
@@ -686,7 +627,7 @@ let check_file ?session ?budget ?fail_fast ?jobs ?cache (path : string) : t =
     | exception Sys_error msg ->
         raise (Frontend_error ("cannot read " ^ path ^ ": " ^ msg))
   in
-  check_source ~session ?fail_fast ?jobs ?cache ~file:path src
+  check_source ~session ?fail_fast ?cache ~file:path src
 
 (* ------------------------------------------------------------------ *)
 (* Outcome queries                                                     *)

@@ -463,8 +463,8 @@ let dependents (g : t) (name : string) : string list =
 
 (** Dependency-respecting order: callees before callers, source order
     within a stratum; cycles (mutual recursion) are broken at the
-    source-order-first member.  This is the cold-run scheduling
-    fallback — it is also simply a deterministic order. *)
+    source-order-first member.  The driver dispatches the dirty set in
+    this order. *)
 let topo_order (g : t) : string list =
   let visiting = Hashtbl.create 16 and done_ = Hashtbl.create 16 in
   let out = ref [] in

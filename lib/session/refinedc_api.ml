@@ -103,8 +103,8 @@ let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
     ?judgments ()
 
 (** Check every specified function of a C file under [session]. *)
-let check_file ?session ?fail_fast ?jobs ?cache (path : string) : Driver.t =
-  Driver.check_file ?session ?fail_fast ?jobs ?cache path
+let check_file ?session ?fail_fast ?cache (path : string) : Driver.t =
+  Driver.check_file ?session ?fail_fast ?cache path
 
 (** The file's function-level dependency graph (always built; see
     {!Rc_refinedc.Depgraph}).  Hosts use it for impact queries — e.g.
@@ -113,14 +113,14 @@ let check_file ?session ?fail_fast ?jobs ?cache (path : string) : Driver.t =
 let dependency_graph (t : Driver.t) : Rc_refinedc.Depgraph.t =
   t.Driver.graph
 
-(** The dirty functions of the last check in dispatch order (cost-model
-    descending, topological fallback); cache hits are not scheduled. *)
+(** The dirty functions of the last check in dispatch order
+    (topological, callees first; source order under [~fail_fast]); cache
+    hits are not scheduled. *)
 let schedule (t : Driver.t) : string list = t.Driver.schedule
 
 (** Check every specified function of an in-memory C source. *)
-let check_source ?session ?fail_fast ?jobs ?cache ~file (src : string) :
-    Driver.t =
-  Driver.check_source ?session ?fail_fast ?jobs ?cache ~file src
+let check_source ?session ?fail_fast ?cache ~file (src : string) : Driver.t =
+  Driver.check_source ?session ?fail_fast ?cache ~file src
 
 exception Unknown_function of string
 

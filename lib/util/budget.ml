@@ -55,16 +55,21 @@ let stopwatch () : unit -> float =
   let t0 = now_ns () in
   fun () -> Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9
 
+(** The monotonic instant [secs] seconds after [from_ns], saturating at
+    the end of the clock's range: a budget too long to represent (up to
+    [infinity]) never expires. *)
+let ns_after (from_ns : int64) (secs : float) : int64 =
+  let ns = secs *. 1e9 in
+  if ns >= Int64.to_float (Int64.sub Int64.max_int from_ns) then Int64.max_int
+  else Int64.add from_ns (Int64.of_float ns)
+
 let start (limits : limits) : t =
   let start_ns = now_ns () in
   {
     limits;
     no_limits = is_unlimited limits;
     start_ns;
-    deadline_ns =
-      Option.map
-        (fun s -> Int64.add start_ns (Int64.of_float (s *. 1e9)))
-        limits.timeout;
+    deadline_ns = Option.map (ns_after start_ns) limits.timeout;
     steps = 0;
   }
 

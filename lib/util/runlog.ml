@@ -9,14 +9,14 @@
     [refinedc serve] health endpoint) can report throughput trends and
     flag regressions without re-running anything.
 
-    Robustness mirrors {!Profstore}: a ledger is a performance artifact,
-    never part of a verdict.  An unusable directory degrades to a
-    disabled ledger, a failed append disables it for the rest of the
-    run, and the reader skips corrupt lines (a torn write from a crash,
-    a hand-edited line) instead of aborting.  Appends are atomic at the
-    line level: the whole record is serialized first and written with a
-    single [O_APPEND] write, so concurrent sessions appending to one
-    ledger interleave whole lines, never fragments.
+    Robustness: a ledger is a performance artifact, never part of a
+    verdict.  An unusable directory degrades to a disabled ledger, a
+    failed append disables it for the rest of the run, and the reader
+    skips corrupt lines (a torn write from a crash, a hand-edited line)
+    instead of aborting.  Appends are atomic at the line level: the
+    whole record is serialized first and written with a single
+    [O_APPEND] write, so concurrent sessions appending to one ledger
+    interleave whole lines, never fragments.
 
     Determinism note: ledger records contain wall-clock data by design.
     They are out-of-band — written to the ledger file, never to the

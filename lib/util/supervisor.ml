@@ -301,11 +301,7 @@ let zero_stats =
 let run_seq ?deadline ?(cancel = fun () -> false) ?(retries = 0)
     ?(should_retry = fun _ -> false) ?(is_transient = fun _ -> false)
     (f : 'a -> 'b) (items : 'a list) : 'b outcome list * run_stats =
-  let deadline_ns =
-    Option.map
-      (fun s -> Int64.add (now_ns ()) (Int64.of_float (s *. 1e9)))
-      deadline
-  in
+  let deadline_ns = Option.map (Budget.ns_after (now_ns ())) deadline in
   let expired () =
     match deadline_ns with
     | Some d -> Int64.compare (now_ns ()) d > 0
@@ -390,10 +386,7 @@ let run (t : t) ?deadline ?(cancel = fun () -> false) ?(retries = 0)
         q;
         total = n;
         completed = 0;
-        deadline_ns =
-          Option.map
-            (fun s -> Int64.add (now_ns ()) (Int64.of_float (s *. 1e9)))
-            deadline;
+        deadline_ns = Option.map (Budget.ns_after (now_ns ())) deadline;
         cancel;
         fault;
         stop = None;

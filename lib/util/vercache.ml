@@ -25,16 +25,12 @@
     no point paying the syscalls), which a driver can surface as a
     diagnostic via {!disabled}.
 
-    The hit/miss counters are only maintained by {!find_keyed} /
-    {!store_keyed} calls made from a single domain; parallel drivers
-    count hits from their own per-item results instead. *)
+    The store keeps no hit/miss counters: a driver counts hits from its
+    own per-item results. *)
 
 type t = {
   dir : string;
   max_bytes : int option;  (** size cap enforced by pruning on open *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable stores : int;
   mutable corrupt_skips : int;  (** unreadable/mismatched entries skipped *)
   mutable pruned : int;  (** entries evicted by the size cap this run *)
   mutable write_failures : int;  (** consecutive; reset on success *)
@@ -58,8 +54,7 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.file_exists dir -> ()
   end
 
-(** Where every store in a cache directory writes its temp files (cache
-    entries, manifests and the {!Profstore}'s [costs.prof]): a
+(** Where the cache writes its temp files (entries and manifests): a
     subdirectory, so that sweeping orphans on open lists only them and
     not every entry ever stored. *)
 let tmp_dir (dir : string) = Filename.concat dir "tmp"
@@ -137,9 +132,6 @@ let create ?max_bytes (dir : string) : t =
     {
       dir;
       max_bytes;
-      hits = 0;
-      misses = 0;
-      stores = 0;
       corrupt_skips = 0;
       pruned = 0;
       write_failures = 0;
@@ -294,21 +286,15 @@ let find_keyed ?fault (t : t) ~(id : string)
           | _ | (exception _) -> KMiss Collision)
   in
   (match outcome with
-  | KHit _ -> t.hits <- t.hits + 1
-  | KMiss Collision ->
-      t.misses <- t.misses + 1;
-      t.corrupt_skips <- t.corrupt_skips + 1
-  | KMiss _ -> t.misses <- t.misses + 1);
+  | KMiss Collision -> t.corrupt_skips <- t.corrupt_skips + 1
+  | KHit _ | KMiss _ -> ());
   outcome
 
-(** [unreadable t] re-counts the last lookup, a hit, as a corrupt skip:
+(** [unreadable t] counts the last lookup, a hit, as a corrupt skip:
     the caller could not decode its payload (e.g. one written by a
     different compiler), so the entry is re-proved and overwritten like
     any other corrupt entry. *)
-let unreadable (t : t) : unit =
-  t.hits <- t.hits - 1;
-  t.misses <- t.misses + 1;
-  t.corrupt_skips <- t.corrupt_skips + 1
+let unreadable (t : t) : unit = t.corrupt_skips <- t.corrupt_skips + 1
 
 (** [store_keyed t ~id ~components payload] persists the entry
     atomically, then its manifest.  I/O errors (and injected
@@ -333,7 +319,6 @@ let store_keyed ?fault (t : t) ~(id : string)
       Sys.rename tf (entry_path t key)
     with
     | () ->
-        t.stores <- t.stores + 1;
         t.write_failures <- 0;
         write_manifest t id components
     | exception (Sys_error _ | Faultsim.Injected _) ->
@@ -368,10 +353,6 @@ let stats (t : t) : store_stats =
     st_corrupt_skips = t.corrupt_skips;
     st_pruned = t.pruned;
   }
-
-let hit_rate (t : t) : float =
-  let total = t.hits + t.misses in
-  if total = 0 then 0. else float_of_int t.hits /. float_of_int total
 
 (** Digest a list of fingerprint components into a stable hex string. *)
 let fingerprint (parts : string list) : string =

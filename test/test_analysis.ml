@@ -555,8 +555,8 @@ let stress_corpus_tests =
         in
         let diags jobs =
           let t =
-            Driver.check_source ~session:(session ()) ~jobs
-              ~file:"lock_farm_jobs.c" src
+            Testutil.with_jobs ~jobs (session ()) (fun session ->
+                Driver.check_source ~session ~file:"lock_farm_jobs.c" src)
           in
           List.map Diagnostic.to_string t.Driver.diagnostics
         in

@@ -259,8 +259,6 @@ let cache_tests =
           (List.map (fun (r : Driver.check_result) -> r.why) t.Driver.results);
         Alcotest.(check int) "corrupt skips" 3
           (Rc_util.Vercache.stats cache).Rc_util.Vercache.st_corrupt_skips;
-        Alcotest.(check (float 0.)) "hit rate" 0.
-          (Rc_util.Vercache.hit_rate cache);
         (* the re-proved verdicts overwrite the unreadable entries *)
         expect "rewritten entries hit" ~hits:3 ~misses:0 (check cache));
   ]
@@ -294,33 +292,6 @@ let find ?fault cache id =
 
 let hit = Rc_util.Vercache.KHit "v"
 
-(* The profile store's former update, which read the store itself
-   right before rewriting it: the oracle for [update ~stored]. *)
-let load_merge_write dir counts =
-  let ps = Rc_util.Profstore.create dir in
-  if counts <> [] then begin
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (k, v) -> Hashtbl.replace tbl k v)
-      (Rc_util.Profstore.load ps);
-    List.iter (fun (k, v) -> if v > 0 then Hashtbl.replace tbl k v) counts;
-    let lines =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-      |> List.sort compare
-      |> List.map (fun (k, v) -> Printf.sprintf "%d %s" v k)
-    in
-    Out_channel.with_open_bin
-      (Filename.concat dir Rc_util.Profstore.file_name)
-      (fun oc ->
-        Out_channel.output_string oc (String.concat "\n" lines);
-        Out_channel.output_string oc "\n")
-  end
-
-let read_opt path =
-  if Sys.file_exists path then
-    Some (In_channel.with_open_bin path In_channel.input_all)
-  else None
-
 let robustness_tests =
   [
     Alcotest.test_case "stale tmp files are collected on open" `Quick
@@ -341,20 +312,14 @@ let robustness_tests =
         Alcotest.(check bool) "non-tmp files survive" true
           (Sys.file_exists (Filename.concat dir "not_an_orphan.vc"));
         ignore cache);
-    Alcotest.test_case "entries and the profile store through tmp/" `Quick
-      (fun () ->
+    Alcotest.test_case "entries through tmp/" `Quick (fun () ->
         let dir = fresh_cache_dir () in
         let cache = Rc_util.Vercache.create dir in
         List.iter (store cache) [ "k1"; "k2"; "k3" ];
         store cache "k1";
-        let ps = Rc_util.Profstore.create dir in
-        Rc_util.Profstore.update ps ~stored:(Rc_util.Profstore.load ps)
-          [ ("f.c:g", 42) ];
         Alcotest.(check (list string)) "no temp file left" [] (tmp_files dir);
         Alcotest.(check int) "entries stored" 3
-          (Rc_util.Vercache.entries cache);
-        Alcotest.(check bool) "profile stored" true
-          (Sys.file_exists (Filename.concat dir Rc_util.Profstore.file_name)));
+          (Rc_util.Vercache.entries cache));
     Alcotest.test_case "a cache without a temp directory still hits" `Quick
       (fun () ->
         (* a store written before temp files moved to [<dir>/tmp/] has
@@ -448,53 +413,6 @@ let robustness_tests =
         done;
         Alcotest.(check bool) "7 + success + 7 stays enabled" false
           (Rc_util.Vercache.disabled cache));
-    Alcotest.test_case "profile update from one load writes the old bytes"
-      `Quick (fun () ->
-        let stores =
-          [
-            None;
-            Some "";
-            Some "12 a.c:f\n7 a.c:g\n";
-            Some "12 a.c:f\ngarbage\n-3 a.c:neg\n\n99\n5 b.c:has space\n";
-            Some "\000\001\255 not a store at all";
-          ]
-        in
-        let counts =
-          [
-            [];
-            [ ("a.c:f", 40) ];
-            [ ("a.c:f", 0); ("a.c:h", 3); ("a.c:h", 8); ("c.c:x", -1) ];
-            [ ("b.c:has space", 1); ("a.c:g", 7) ];
-          ]
-        in
-        List.iter
-          (fun initial ->
-            List.iter
-              (fun cs ->
-                let prepare () =
-                  let dir = fresh_cache_dir () in
-                  Rc_util.Vercache.mkdir_p dir;
-                  Option.iter
-                    (fun text ->
-                      Out_channel.with_open_bin
-                        (Filename.concat dir Rc_util.Profstore.file_name)
-                        (fun oc -> Out_channel.output_string oc text))
-                    initial;
-                  dir
-                in
-                let old_dir = prepare () and new_dir = prepare () in
-                load_merge_write old_dir cs;
-                let ps = Rc_util.Profstore.create new_dir in
-                Rc_util.Profstore.update ps
-                  ~stored:(Rc_util.Profstore.load ps) cs;
-                let file d = Filename.concat d Rc_util.Profstore.file_name in
-                Alcotest.(check (option string))
-                  (Printf.sprintf "%s + %d samples"
-                     (Option.value ~default:"<absent>" initial)
-                     (List.length cs))
-                  (read_opt (file old_dir)) (read_opt (file new_dir)))
-              counts)
-          stores);
   ]
 
 let () =

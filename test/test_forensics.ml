@@ -28,11 +28,9 @@ let case_dir =
 
 let fx_session () = Api.create_session ~case_studies:true ~forensics:true ()
 
-let check ?session ?jobs ~file src =
-  let session =
-    match session with Some s -> s | None -> fx_session ()
-  in
-  Driver.check_source ~session ?jobs ~file src
+let check ?(session = fx_session ()) ?(jobs = 1) ~file src =
+  Testutil.with_jobs ~jobs session (fun session ->
+      Driver.check_source ~session ~file src)
 
 (* The committed rule's side condition (x + 2) ≤ max_int is unprovable
    for an unbounded refinement x. *)

@@ -35,8 +35,9 @@ let elab src =
 
 let graph_of src = Depgraph.build (elab src)
 
-let check ?session ?jobs ~cache src =
-  Driver.check_source ?session ?jobs ~cache ~file:"inc_test.c" src
+let check ?(session = Rc_refinedc.Session.create ()) ?(jobs = 1) ~cache src =
+  Testutil.with_jobs ~jobs session (fun session ->
+      Driver.check_source ~session ~cache ~file:"inc_test.c" src)
 
 let counters (t : Driver.t) =
   match t.Driver.cache_stats with
@@ -100,6 +101,19 @@ let study_files =
 (* ------------------------------------------------------------------ *)
 
 let chain n = Corpus.call_chain ~n ()
+
+(* [chain n] writes callees first; here f0 calls f1 … calls f(n-1), in
+   that source order, so source and topological order differ *)
+let callers_first n =
+  String.concat ""
+    (List.init n (fun i ->
+         Printf.sprintf
+           "[[rc::parameters(\"n : int\")]]\n\
+            [[rc::args(\"n @ int<int>\")]]\n\
+            [[rc::returns(\"n @ int<int>\")]]\n\
+            int f%d(int n) {\n  return %s;\n}\n"
+           i
+           (if i = n - 1 then "n" else Printf.sprintf "f%d(n)" (i + 1))))
 
 let depgraph_tests =
   [
@@ -368,14 +382,50 @@ let cone_tests =
         Alcotest.(check (list string)) "dirty set" [ "dia1" ] (reverified t));
     Alcotest.test_case "the schedule lists exactly the dirty set" `Quick
       (fun () ->
+        (* in [Depgraph.topo_order] cut to the dirty set, so every dirty
+           callee is dispatched before its callers *)
+        let topological src (t : Driver.t) =
+          let g = graph_of src in
+          let sched = t.Driver.schedule in
+          Alcotest.(check (list string)) "topo order of the dirty set"
+            (List.filter (fun n -> List.mem n sched) (Depgraph.topo_order g))
+            sched;
+          List.iteri
+            (fun i n ->
+              List.iter
+                (fun callee ->
+                  match List.find_index (String.equal callee) sched with
+                  | Some j when j > i ->
+                      Alcotest.failf "%s dispatched after its caller %s"
+                        callee n
+                  | _ -> ())
+                (Depgraph.direct_deps g n))
+            sched
+        in
         let cache = Vercache.create (fresh_cache_dir ()) in
         let cold = check ~cache (chain 6) in
-        Alcotest.(check int) "cold schedules everything" 6
-          (List.length cold.Driver.schedule);
-        let t = check ~cache (Corpus.call_chain ~edit:(`Spec 3) ~n:6 ()) in
-        Alcotest.(check (list string)) "dirty schedule"
-          (List.sort compare [ "f3"; "f2" ])
-          (List.sort compare t.Driver.schedule));
+        topological (chain 6) cold;
+        Alcotest.(check (list string)) "cold"
+          [ "f5"; "f4"; "f3"; "f2"; "f1"; "f0" ]
+          cold.Driver.schedule;
+        let edited = Corpus.call_chain ~edit:(`Spec 3) ~n:6 () in
+        let t = check ~cache edited in
+        topological edited t;
+        Alcotest.(check (list string)) "spec edit" [ "f3"; "f2" ]
+          t.Driver.schedule;
+        let src = callers_first 4 in
+        let t = Driver.check_source ~file:"inc_test.c" src in
+        topological src t;
+        Alcotest.(check (list string)) "callers written first"
+          [ "f3"; "f2"; "f1"; "f0" ] t.Driver.schedule);
+    Alcotest.test_case "fail-fast dispatches in source order" `Quick
+      (fun () ->
+        let t =
+          Driver.check_source ~fail_fast:true ~file:"inc_test.c"
+            (callers_first 4)
+        in
+        Alcotest.(check (list string)) "source order"
+          [ "f0"; "f1"; "f2"; "f3" ] t.Driver.schedule);
     Alcotest.test_case "struct layout edit misses a warm cache" `Quick
       (fun () ->
         (* [p + 4] scales by [struct s]'s size: 4 * 8 bytes stay inside
@@ -778,12 +828,8 @@ let jobs_tests =
 (* CLI: the cache-flag family warns consistently                       *)
 (* ------------------------------------------------------------------ *)
 
-let refinedc_exe =
-  List.find_opt Sys.file_exists
-    [ "../bin/refinedc.exe"; "bin/refinedc.exe"; "../../bin/refinedc.exe" ]
-
 let run_cli args =
-  match refinedc_exe with
+  match Testutil.refinedc_exe with
   | None -> None
   | Some exe ->
       let err = Filename.temp_file "rc-cli-err" ".txt" in
@@ -863,6 +909,51 @@ let cli_tests =
                   (contains warm_err "cache plan: nothing dirty");
                 Alcotest.(check bool) "per-function hits reported" true
                   (contains warm_err "f0: hit")));
+    Alcotest.test_case "numeric flags reject nonsense values" `Quick
+      (fun () ->
+        let dir = fresh_cache_dir () in
+        Rc_util.Vercache.create dir |> ignore;
+        let c = Filename.concat dir "t.c" in
+        Out_channel.with_open_bin c (fun oc ->
+            Out_channel.output_string oc (chain 2));
+        let cache_dir = fresh_cache_dir () in
+        let exits what args expected =
+          match run_cli (("check" :: args) @ [ c ]) with
+          | None -> ()
+          | Some (code, stderr) ->
+              Alcotest.(check int) what expected code;
+              if expected = 124 then
+                Alcotest.(check bool) (what ^ " names the value") true
+                  (contains stderr "invalid value")
+        in
+        List.iter
+          (fun args -> exits (String.concat " " args) args 124)
+          [
+            [ "--fuel=-1" ];
+            [ "--max-depth=-1" ];
+            [ "--retries=-1" ];
+            [ "--cache"; cache_dir; "--cache-max-mb=-1" ];
+            [ "--cache"; cache_dir; "--cache-max-mb=8796093022208" ];
+            [ "--timeout=-1" ];
+            [ "--timeout=nan" ];
+            [ "--deadline=-0.5" ];
+            [ "--deadline=nan" ];
+            [ "--fault-rate=2" ];
+            [ "--fault-rate=-0.1" ];
+            [ "--fault-rate=nan" ];
+          ];
+        (* documented meanings and edge values still verify; a budget
+           too long for the nanosecond clock never expires *)
+        List.iter
+          (fun args -> exits (String.concat " " args) args 0)
+          [
+            [ "-j"; "0" ];
+            [ "--fault-max=-1" ];
+            [ "--fault-seed=1"; "--fault-rate=0" ];
+            [ "--retries=0" ];
+            [ "--deadline=inf" ];
+            [ "--timeout=1e300" ];
+          ]);
     Alcotest.test_case "--deriv warns under --cache and --json" `Quick
       (fun () ->
         let dir = fresh_cache_dir () in

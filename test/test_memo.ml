@@ -228,14 +228,12 @@ let parallel_memo_tests =
     (fun file ->
       Alcotest.test_case file `Quick (fun () ->
           let path = Filename.concat case_dir file in
-          let seq =
-            Driver.check_file ~session:(studies_session ~memo:true ()) ~jobs:1
-              path
+          let check jobs =
+            Testutil.with_jobs ~jobs (studies_session ~memo:true ())
+              (fun session -> Driver.check_file ~session path)
           in
-          let par =
-            Driver.check_file ~session:(studies_session ~memo:true ()) ~jobs:4
-              path
-          in
+          let seq = check 1 in
+          let par = check 4 in
           Alcotest.(check string) "JSON output" (json seq) (json par);
           Alcotest.(check int) "exit code" (Driver.exit_code seq)
             (Driver.exit_code par)))

@@ -81,26 +81,48 @@ let determinism_tests =
   List.map
     (fun file ->
       determinism_test file (fun ~jobs ->
-          Driver.check_file ~session:(session ()) ~jobs
-            (Filename.concat case_dir file)))
+          Testutil.with_jobs ~jobs (session ()) (fun session ->
+              Driver.check_file ~session (Filename.concat case_dir file))))
     corpus
   @ List.map
       (fun (file, src) ->
         determinism_test file (fun ~jobs ->
-            Driver.check_source ~session:(session ()) ~jobs ~file src))
+            Testutil.with_jobs ~jobs (session ()) (fun session ->
+                Driver.check_source ~session ~file src)))
       generated
 
-(* Worker domains beyond the core count only add overhead, so the
-   driver clamps [-j] to the hardware before sizing its pool. *)
+(* Worker domains beyond the core count only add overhead, so the CLI
+   clamps [-j] to the hardware before sizing the session's pool; the
+   run ledger records the worker count the check used. *)
 let clamp_tests =
   [
     Alcotest.test_case "-j beyond the cores is clamped" `Quick (fun () ->
-        let path = Filename.concat case_dir "queue.c" in
-        let t = Driver.check_file ~session:(session ()) ~jobs:64 path in
-        Alcotest.(check bool)
-          "1 <= jobs used <= recommended" true
-          (1 <= t.Driver.jobs
-          && t.Driver.jobs <= Rc_util.Supervisor.recommended_jobs ()));
+        match Testutil.refinedc_exe with
+        | None -> () (* exe not built in this sandbox; covered by CI *)
+        | Some exe ->
+            let dir = Testutil.scratch_dir "clamp" in
+            let cmd =
+              String.concat " "
+                (List.map Filename.quote
+                   [
+                     exe; "check"; "-j"; "64"; "--runlog"; dir;
+                     Filename.concat case_dir "queue.c";
+                   ])
+              ^ " > /dev/null"
+            in
+            Alcotest.(check int) "queue.c verifies" 0 (Sys.command cmd);
+            let jobs =
+              match Rc_util.Runlog.load (Rc_util.Runlog.create dir) with
+              | [ r ] -> Rc_util.Jsonout.number_member "jobs" r
+              | rs -> Alcotest.failf "%d ledger records" (List.length rs)
+            in
+            Alcotest.(check bool)
+              "1 <= jobs used <= recommended" true
+              (match jobs with
+              | Some j ->
+                  1. <= j
+                  && j <= float_of_int (Rc_util.Supervisor.recommended_jobs ())
+              | None -> false));
   ]
 
 let () =

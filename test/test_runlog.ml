@@ -244,9 +244,8 @@ let ledger_tests =
           let dir = Filename.concat (Testutil.scratch_dir "mkdir") "cache" in
           let open_all () =
             let lg = Runlog.create dir in
-            let ps = Rc_util.Profstore.create dir in
             ignore (Rc_util.Vercache.create dir);
-            Runlog.disabled lg || Rc_util.Profstore.disabled ps
+            Runlog.disabled lg
           in
           let disabled =
             List.init domains (fun _ -> Domain.spawn open_all)

@@ -161,6 +161,26 @@ let unit_tests =
           (stats.Supervisor.rs_stop = Some Supervisor.Deadline);
         Alcotest.(check int) "accounted" (List.length not_run)
           stats.Supervisor.rs_not_run);
+    Alcotest.test_case "a deadline past the clock's range never expires"
+      `Quick (fun () ->
+        (* [s *. 1e9] nanoseconds past ~292 years does not fit an [int64] *)
+        List.iter
+          (fun deadline ->
+            let outs, stats =
+              Supervisor.run_seq ~deadline Fun.id (List.init 3 Fun.id)
+            in
+            Alcotest.(check (list int))
+              (Printf.sprintf "all ran under %g" deadline) [ 0; 1; 2 ]
+              (List.map value_exn outs);
+            Alcotest.(check bool) "no stop" true
+              (stats.Supervisor.rs_stop = None))
+          [ 1e10; 1e300; Float.infinity ];
+        let b =
+          Rc_util.Budget.start
+            { Rc_util.Budget.unlimited with timeout = Some Float.infinity }
+        in
+        Alcotest.(check bool) "an infinite timeout has room" true
+          (Rc_util.Budget.step b = None));
     Alcotest.test_case "cancel resolves the remainder as Not_run" `Quick
       (fun () ->
         let polls = ref 0 in
@@ -302,9 +322,9 @@ let chaos_session ?(retries = 0) ?pool ~sites ~rate ?max_faults seed =
       Session.x_pool = pool;
     }
 
-(* an explicit session pool: the driver honours it as-is (no hardware
-   clamp), so worker-crash injection is exercised even on a single-core
-   host where a plain [~jobs:4] would degrade to inline execution *)
+(* an unclamped session pool (unlike {!Testutil.with_jobs}), so
+   worker-crash injection is exercised even on a single-core host, where
+   a pool clamped to the cores would be no pool at all *)
 let with_session_pool k =
   let p = Supervisor.create ~jobs:4 () in
   Fun.protect ~finally:(fun () -> Supervisor.shutdown p) (fun () -> k p)
@@ -328,9 +348,7 @@ let verdict_equivalence_tests =
                   ~rate:0.3 ~max_faults:8 1234
               in
               let cache = fresh_cache ("eq_" ^ file) in
-              let chaos =
-                Driver.check_file ~session:s ~jobs:4 ~cache (path file)
-              in
+              let chaos = Driver.check_file ~session:s ~cache (path file) in
               Alcotest.(check (list string))
                 "verdicts identical under injection" (run_signature clean)
                 (run_signature chaos);
@@ -369,17 +387,17 @@ let jobs_equivalence_tests =
   List.map
     (fun file ->
       Alcotest.test_case file `Quick (fun () ->
-          let run ?pool jobs tag =
+          let run ?pool tag =
             let s =
               chaos_session ?pool
                 ~sites:[ "pool.dispatch"; "cache.read"; "cache.write" ]
                 ~rate:0.25 ~max_faults:6 555
             in
             let cache = fresh_cache (Fmt.str "j%s_%s" tag file) in
-            Driver.check_file ~session:s ~jobs ~cache (path file)
+            Driver.check_file ~session:s ~cache (path file)
           in
-          let seq = run 1 "1" in
-          let par = with_session_pool (fun pool -> run ~pool 4 "4") in
+          let seq = run "1" in
+          let par = with_session_pool (fun pool -> run ~pool "4") in
           Alcotest.(check (list string))
             "-j1 = -j4 under injection" (run_signature seq)
             (run_signature par);

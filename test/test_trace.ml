@@ -29,8 +29,9 @@ let obs_cfg = { Obs.c_trace = true; c_metrics = true }
 
 let session () = Session.with_obs (Rc_studies.Studies.session ()) obs_cfg
 
-let check ?(session = session ()) ?jobs ?cache file =
-  Driver.check_file ~session ?jobs ?cache (Filename.concat case_dir file)
+let check ?(session = session ()) ?(jobs = 1) ?cache file =
+  Testutil.with_jobs ~jobs session (fun session ->
+      Driver.check_file ~session ?cache (Filename.concat case_dir file))
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: Stats.merge must preserve source order of manual_detail  *)

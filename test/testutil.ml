@@ -1,4 +1,5 @@
-(** Shared scratch-space helper for the test executables.
+(** Shared helpers for the test executables: scratch space, the CLI
+    binary and a session worker pool.
 
     Every scratch directory a test asks for lives under one
     per-process directory inside the system temp dir, and the whole
@@ -29,3 +30,26 @@ let counter = ref 0
 let scratch_dir tag =
   incr counter;
   Filename.concat (Lazy.force root) (Printf.sprintf "%s_%d" tag !counter)
+
+(** The CLI binary, when the test runs from a build tree that has it. *)
+let refinedc_exe =
+  List.find_opt Sys.file_exists
+    [ "../bin/refinedc.exe"; "bin/refinedc.exe"; "../../bin/refinedc.exe" ]
+
+(** [with_jobs ~jobs session k] runs [k] on [session] carrying a
+    supervised worker pool of [jobs] workers, the way [refinedc check
+    -j N] sets one up: clamped to {!Rc_util.Supervisor.recommended_jobs}
+    so the suite never oversubscribes the host, and no pool at all when
+    that leaves one worker.  The pool is shut down when [k] returns or
+    raises. *)
+let with_jobs ~jobs (session : Rc_refinedc.Session.t) k =
+  let jobs = min jobs (Rc_util.Supervisor.recommended_jobs ()) in
+  if jobs <= 1 then k session
+  else
+    let pool = Rc_util.Supervisor.create ~jobs () in
+    Fun.protect
+      ~finally:(fun () -> Rc_util.Supervisor.shutdown pool)
+      (fun () ->
+        k
+          (Rc_refinedc.Session.with_exec session
+             { session.Rc_refinedc.Session.exec with x_pool = Some pool }))
