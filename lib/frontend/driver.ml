@@ -178,9 +178,9 @@ let replay_result (data : string) :
 
 (** Verify every specified function of an already-elaborated file.
 
-    Dispatch goes through {!Rc_util.Supervisor}: the session's
-    persistent pool if it carries one ([x_pool] — its owner, e.g. the
-    CLI's [-j N], spawns and sizes it), else the sequential engine.  The
+    Dispatch is one {!Rc_util.Supervisor.run} over the session's
+    [x_pool]: its persistent workers if it carries one (its owner, e.g.
+    the CLI's [-j N], spawns and sizes it), else the calling domain.  The
     dirty set goes out in {!Rc_refinedc.Depgraph.topo_order} (callees
     first); each function is checked against its callees' specs, so the
     order never changes a verdict.  Results come back in source order
@@ -197,19 +197,19 @@ let replay_result (data : string) :
     access, and an injection there degrades to a miss or a skipped
     store — never a wrong verdict, never an abort.
 
-    With [~fail_fast] the functions after the first failure are skipped
-    (and listed in {!field-skipped}); under a pool they may already
-    have been checked speculatively, but their results are discarded so
-    the output is identical to the sequential run.
+    With [~fail_fast] the dirty set goes out in source order and no
+    function starts once one's final verdict, after retries, is an
+    error; the functions after the first failure are skipped (and
+    listed in {!field-skipped}).  A pool may finish functions that were
+    already running beside the failing one; their results are cut, so
+    the report is the same with and without a pool.
 
     [~obs] is the observability root (lane 0).  Every function check
     writes trace events and metrics into a private child handle (lane =
     1 + source index, so each function is its own track in Perfetto);
     the children of the *kept* results — always a source-order prefix —
     are merged back into the root in source order, which makes trace and
-    metrics output deterministic across [-j N] and identical between a
-    sequential fail-fast run and a parallel one that checked extra
-    functions speculatively. *)
+    metrics output deterministic across [-j N], fail-fast included. *)
 let check_elaborated ?(fail_fast = false) ?cache ?(obs = Obs.off)
     ~(session : Session.t) ~file (elaborated : Elab.elaborated) : t =
   (* lint pre-pass: a pure analysis of the elaborated unit, before any
@@ -430,102 +430,68 @@ let check_elaborated ?(fail_fast = false) ?cache ?(obs = Obs.off)
     | Rc_util.Faultsim.Injected _ -> true
     | _ -> false
   in
-  let pool = exec.Session.x_pool in
-  let jobs = match pool with Some p -> Supervisor.jobs p | None -> 1 in
-  (* sequential fail-fast preserves the historical early exit — nothing
-     after the first failure is even attempted — by feeding the failure
-     flag to the supervisor's cancel poll; the stop is re-classified as
-     an ordinary fail-fast skip below.  Parallel fail-fast keeps the
-     historical speculative-check-then-truncate semantics. *)
-  let ff_hit = ref false in
-  let check_one_seq task =
-    let r = check_one task in
-    if fail_fast && Result.is_error r.outcome then ff_hit := true;
-    r
+  let jobs =
+    match exec.Session.x_pool with Some p -> Supervisor.jobs p | None -> 1
   in
-  let outcomes, rstats =
-    match pool with
-    | Some p ->
-        Supervisor.run p ?deadline:exec.Session.x_deadline ~cancel ~retries
-          ~should_retry ~is_transient:is_transient_exn ?fault:campaign
-          check_one dirty
-    | None ->
-        Supervisor.run_seq ?deadline:exec.Session.x_deadline
-          ~cancel:(fun () -> cancel () || !ff_hit)
-          ~retries ~should_retry ~is_transient:is_transient_exn check_one_seq
-          dirty
+  (* fail-fast: no function starts after one whose final verdict, after
+     retries, is an error (the dirty set is in source order then) *)
+  let outcomes, exec_stats =
+    Supervisor.run exec.Session.x_pool ?deadline:exec.Session.x_deadline
+      ~cancel ~retries ~should_retry ~is_transient:is_transient_exn
+      ~halt:(fun r -> fail_fast && Result.is_error r.outcome)
+      ?fault:campaign check_one dirty
   in
   (* ---- assemble results, faults and skips in source order ----
      Cache hits and dirty verdicts merge by source index: the output
-     order never depends on the dispatch schedule. *)
-  let kept_rev, not_run_rev =
-    List.fold_left2
-      (fun (ks, ns) (i, f, why, _plan) outcome ->
-        match outcome with
-        | Supervisor.Done r -> ((i, r) :: ks, ns)
-        | Supervisor.Fault fl ->
-            (* the task (or its worker) died [fl.f_attempts] times; the
-               verdict slot survives as a structured checker fault *)
-            let r =
-              {
-                name = fn_name f;
-                outcome =
-                  Error
-                    (Report.make
-                       (Report.Checker_fault
-                          (Fmt.str "worker fault after %d attempt(s): %s"
-                             fl.Supervisor.f_attempts fl.Supervisor.f_exn)));
-                time_s = 0.;
-                cached = false;
-                why;
-              }
-            in
-            ((i, r) :: ks, ns)
-        | Supervisor.Not_run _ -> (ks, (i, fn_name f) :: ns))
-      ([], []) dirty outcomes
-  in
-  let kept =
+     order never depends on the dispatch schedule.  Under fail-fast
+     everything after the first failure is skipped, also what a pool
+     finished beside it. *)
+  let slots =
     List.sort
-      (fun (a, _) (b, _) -> Int.compare a b)
-      (hits @ List.rev kept_rev)
+      (fun (a, _, _) (b, _, _) -> Int.compare a b)
+      (List.map (fun (i, r) -> (i, r.name, Some r)) hits
+      @ List.map2
+          (fun (i, f, why, _plan) outcome ->
+            ( i,
+              fn_name f,
+              match outcome with
+              | Supervisor.Done r -> Some r
+              | Supervisor.Fault fl ->
+                  (* the task (or its worker) died [fl.f_attempts] times;
+                     the verdict slot survives as a structured checker
+                     fault *)
+                  Some
+                    {
+                      name = fn_name f;
+                      outcome =
+                        Error
+                          (Report.make
+                             (Report.Checker_fault
+                                (Fmt.str "worker fault after %d attempt(s): %s"
+                                   fl.Supervisor.f_attempts
+                                   fl.Supervisor.f_exn)));
+                      time_s = 0.;
+                      cached = false;
+                      why;
+                    }
+              | Supervisor.Not_run _ -> None ))
+          dirty outcomes)
   in
-  let kept, cut =
-    if not fail_fast then (kept, [])
-    else
-      (* truncate after the first failure, exactly as sequential
-         fail-fast would have *)
-      let rec go acc = function
-        | [] -> (List.rev acc, [])
-        | (i, r) :: rest ->
-            if Result.is_error r.outcome then
-              (List.rev ((i, r) :: acc), List.map (fun (i, r) -> (i, r.name)) rest)
-            else go ((i, r) :: acc) rest
-      in
-      go [] kept
+  let kept_rev, skipped_rev, _ =
+    List.fold_left
+      (fun (ks, ss, cut) (i, name, r) ->
+        match r with
+        | Some r when not cut ->
+            ((i, r) :: ks, ss, fail_fast && Result.is_error r.outcome)
+        | _ -> (ks, name :: ss, cut))
+      ([], [], false) slots
   in
+  let kept = List.rev kept_rev and skipped = List.rev skipped_rev in
   let results = List.map snd kept in
-  let skipped =
-    List.map snd
-      (List.sort
-         (fun (a, _) (b, _) -> Int.compare a b)
-         (cut @ List.rev not_run_rev))
-  in
-  let interrupted = cancel () in
   let stop =
-    match rstats.Supervisor.rs_stop with
+    match exec_stats.Supervisor.rs_stop with
     | Some Supervisor.Deadline -> Deadline
-    | Some Supervisor.Cancelled ->
-        (* distinguish a real interrupt from the fail-fast early exit
-           routed through the same cancel poll *)
-        if interrupted then Interrupted else Completed
-    | None -> if interrupted then Interrupted else Completed
-  in
-  let exec_stats =
-    if stop = Completed && rstats.Supervisor.rs_stop <> None then
-      (* the early stop was fail-fast: an ordinary skip, not a
-         supervision event — keep the fault-free report all-zeros *)
-      { rstats with Supervisor.rs_stop = None; rs_not_run = 0 }
-    else rstats
+    | _ -> if cancel () then Interrupted else Completed
   in
   let diagnostics =
     if exec_stats.Supervisor.rs_degraded then
@@ -719,6 +685,45 @@ let result_to_json ?(timings = true) (r : check_result) : Rc_util.Jsonout.t =
             ("diagnostic", Report.to_json e);
           ])
 
+(* The blocks the [--json] report and the run ledger share. *)
+
+let cache_json (t : t) : Rc_util.Jsonout.t =
+  let open Rc_util.Jsonout in
+  match t.cache_stats with
+  | None -> Null
+  | Some (hits, misses) ->
+      Obj
+        [
+          ("hits", Int hits);
+          ("misses", Int misses);
+          ( "hit_rate",
+            Float
+              (if hits + misses = 0 then 0.
+               else float_of_int hits /. float_of_int (hits + misses)) );
+        ]
+
+(* supervision counters: all zero on a fault-free, deadline-free run,
+   which keeps -j1/-j4 reports byte-identical *)
+let exec_json (t : t) : Rc_util.Jsonout.t =
+  let open Rc_util.Jsonout in
+  let e = t.exec_stats in
+  Obj
+    [
+      ("retries", Int e.Supervisor.rs_retries);
+      ("task_faults", Int e.Supervisor.rs_task_faults);
+      ("worker_crashes", Int e.Supervisor.rs_crashes);
+      ("respawns", Int e.Supervisor.rs_respawns);
+      ("not_run", Int e.Supervisor.rs_not_run);
+      ("degraded", Bool e.Supervisor.rs_degraded);
+    ]
+
+let stop_json (t : t) : Rc_util.Jsonout.t =
+  Rc_util.Jsonout.Str
+    (match t.stop with
+    | Completed -> "completed"
+    | Deadline -> "deadline"
+    | Interrupted -> "interrupted")
+
 (** The report is a pure function of the session configuration and the
     source: run-environment inputs (the [-j N] worker count) are not
     echoed, and [~timings:false] zeroes the wall-clock fields — the only
@@ -731,42 +736,12 @@ let to_json ?(timings = true) (t : t) : Rc_util.Jsonout.t =
       ("file", Str t.file);
       ("ok", Bool (all_ok t));
       ("exit_code", Int (exit_code t));
-      ( "cache",
-        match t.cache_stats with
-        | None -> Null
-        | Some (hits, misses) ->
-            Obj
-              [
-                ("hits", Int hits);
-                ("misses", Int misses);
-                ( "hit_rate",
-                  Float
-                    (if hits + misses = 0 then 0.
-                     else float_of_int hits /. float_of_int (hits + misses))
-                );
-              ] );
+      ("cache", cache_json t);
       ("functions", List (List.map (result_to_json ~timings) t.results));
       ("skipped", List (List.map (fun s -> Str s) t.skipped));
-      ( "stop",
-        Str
-          (match t.stop with
-          | Completed -> "completed"
-          | Deadline -> "deadline"
-          | Interrupted -> "interrupted") );
+      ("stop", stop_json t);
       ("interrupted", Bool (t.stop = Interrupted));
-      (* supervision counters: all zero on a fault-free, deadline-free
-         run, which keeps -j1/-j4 reports byte-identical *)
-      ( "exec",
-        let e = t.exec_stats in
-        Obj
-          [
-            ("retries", Int e.Supervisor.rs_retries);
-            ("task_faults", Int e.Supervisor.rs_task_faults);
-            ("worker_crashes", Int e.Supervisor.rs_crashes);
-            ("respawns", Int e.Supervisor.rs_respawns);
-            ("not_run", Int e.Supervisor.rs_not_run);
-            ("degraded", Bool e.Supervisor.rs_degraded);
-          ] );
+      ("exec", exec_json t);
       ( "diagnostics",
         List (List.map Rc_util.Diagnostic.to_json t.diagnostics) );
       ( "coverage",
@@ -875,7 +850,6 @@ let runlog_record ~(session : Session.t) ~(wall_s : float) (t : t) :
                      ])) );
       ]
   in
-  let e = t.exec_stats in
   Obj
     ([
        ("schema", Str Rc_util.Runlog.schema_version);
@@ -898,20 +872,7 @@ let runlog_record ~(session : Session.t) ~(wall_s : float) (t : t) :
              ("faults", Int faults_n);
              ("skipped", Int (List.length t.skipped));
            ] );
-       ( "cache",
-         match t.cache_stats with
-         | None -> Null
-         | Some (hits, misses) ->
-             Obj
-               [
-                 ("hits", Int hits);
-                 ("misses", Int misses);
-                 ( "hit_rate",
-                   Float
-                     (if hits + misses = 0 then 0.
-                      else float_of_int hits /. float_of_int (hits + misses))
-                 );
-               ] );
+       ("cache", cache_json t);
        ("cache_why", Obj why_histogram);
        ( "fn_wall",
          Obj
@@ -920,22 +881,8 @@ let runlog_record ~(session : Session.t) ~(wall_s : float) (t : t) :
              ("p50_s", pct 0.5);
              ("p95_s", pct 0.95);
            ] );
-       ( "exec",
-         Obj
-           [
-             ("retries", Int e.Supervisor.rs_retries);
-             ("task_faults", Int e.Supervisor.rs_task_faults);
-             ("worker_crashes", Int e.Supervisor.rs_crashes);
-             ("respawns", Int e.Supervisor.rs_respawns);
-             ("not_run", Int e.Supervisor.rs_not_run);
-             ("degraded", Bool e.Supervisor.rs_degraded);
-           ] );
-       ( "stop",
-         Str
-           (match t.stop with
-           | Completed -> "completed"
-           | Deadline -> "deadline"
-           | Interrupted -> "interrupted") );
+       ("exec", exec_json t);
+       ("stop", stop_json t);
      ]
     @ metrics_fields)
 

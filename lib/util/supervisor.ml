@@ -1,21 +1,20 @@
 (* Supervised persistent domain pool.  See supervisor.mli.
 
-   Locking protocol: every mutable field of [t] and of the current batch
-   is guarded by [t.m].  Workers hold the lock while claiming work and
-   publishing completions, and release it around task execution (and
-   around the chaos-injection draw, which mutates only the campaign's
-   own atomics).  The supervisor (the domain inside [run]) holds it
-   while respawning and draining, releasing it around backoff sleeps and
+   Locking protocol: every mutable field of [t] is guarded by [t.m], and
+   every mutable field of a batch by its [bm] — which is [t.m] itself
+   when the batch runs on a pool.  Workers hold the lock while claiming
+   work (the chaos-injection draw included, which touches only the
+   campaign's own atomics) and publishing completions, and release it
+   around task execution.  The domain inside [run] holds it while
+   respawning and draining, releasing it around backoff sleeps and
    inline task execution. *)
 
 let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 let worker_id () = (Domain.self () :> int)
 
-type health = Healthy | Degraded of string
-
 type 'b outcome = Done of 'b | Fault of fault | Not_run of reason
 and fault = { f_exn : string; f_attempts : int }
-and reason = Deadline | Cancelled
+and reason = Deadline | Cancelled | Halted
 
 type run_stats = {
   rs_retries : int;
@@ -38,17 +37,21 @@ let respawn_backoff k =
   Unix.sleepf (Float.min 0.01 (0.00025 *. Float.of_int (1 lsl Stdlib.min k 6)))
 
 (* A queued task: type-erased closures over the caller's result array.
-   [t_exec] runs the full attempt loop and never raises (except
-   [Sys.Break], see the defensive handler at the call sites);
+   [t_exec] runs the full attempt loop, stores the outcome and says
+   whether its final value halts the run; it never raises (except
+   [Sys.Break], see the defensive handlers at the call sites).
    [t_fail]/[t_not_run] resolve the slot without running it. *)
 type task = {
-  t_exec : unit -> unit;
+  t_index : int;  (** position in the batch's input list *)
+  t_exec : unit -> bool;
   t_fail : exn -> unit;
   t_not_run : reason -> unit;
-  mutable t_redispatches : int;
 }
 
 type batch = {
+  bm : Mutex.t;
+      (** guards the batch: the pool's lock on a pool, a private one
+          otherwise *)
   q : task Queue.t;
   total : int;
   mutable completed : int;
@@ -57,6 +60,9 @@ type batch = {
   fault : Faultsim.t option;
   mutable stop : reason option;
   mutable not_run : int;
+  mutable halt_at : int;
+      (** the least index whose final value satisfied [~halt]
+          ([max_int] while none has) *)
 }
 
 type t = {
@@ -71,28 +77,59 @@ type t = {
   mutable crashed_pending : int;  (** crashes not yet handled by [run] *)
   mutable respawns : int;
   mutable crashes_total : int;
-  mutable health : health;
+  mutable degraded : bool;
   mutable domains : unit Domain.t list;
 }
-
-let expired (b : batch) =
-  match b.deadline_ns with
-  | Some d -> Int64.compare (now_ns ()) d > 0
-  | None -> false
 
 (* cancellation outranks the deadline: it is the more deliberate signal *)
 let stop_reason_of (b : batch) : reason option =
   if b.cancel () then Some Cancelled
-  else if expired b then Some Deadline
-  else None
+  else
+    match b.deadline_ns with
+    | Some d when Int64.compare (now_ns ()) d > 0 -> Some Deadline
+    | _ -> None
 
-(* Resolve one claimed task as not-run; caller holds [t.m]. *)
-let resolve_not_run t (b : batch) task (r : reason) =
-  if b.stop = None then b.stop <- Some r;
-  task.t_not_run r;
-  b.not_run <- b.not_run + 1;
-  b.completed <- b.completed + 1;
-  if b.completed = b.total then Condition.broadcast t.donec
+(* Pop [b]'s next task to start.  A task the run must not start — one
+   queued after a halting task, or any task once the run is cancelled
+   or past its deadline — is resolved not-run on the way.  A halt is
+   the caller's own early exit, not a supervision event, so it counts
+   in neither [not_run] nor [stop].  Caller holds [b.bm]. *)
+let rec claim (b : batch) : task option =
+  match Queue.take_opt b.q with
+  | None -> None
+  | Some task -> (
+      let r =
+        if task.t_index > b.halt_at then Some Halted else stop_reason_of b
+      in
+      match r with
+      | None -> Some task
+      | Some r ->
+          task.t_not_run r;
+          if r <> Halted then begin
+            if b.stop = None then b.stop <- Some r;
+            b.not_run <- b.not_run + 1
+          end;
+          b.completed <- b.completed + 1;
+          claim b)
+
+(* Run a claimed task with [b.bm] released, then record it; caller
+   holds [b.bm].  [t_exec] isolates everything itself; the handler is a
+   belt-and-suspenders guarantee that a leak resolves the slot rather
+   than hanging the batch forever.  [Sys.Break] propagates only from
+   the calling domain ([~inline]): a worker has no caller to tell. *)
+let execute ~inline (b : batch) (task : task) =
+  Mutex.unlock b.bm;
+  let halts =
+    match task.t_exec () with
+    | h -> h
+    | exception Sys.Break when inline -> raise Sys.Break
+    | exception e ->
+        task.t_fail e;
+        false
+  in
+  Mutex.lock b.bm;
+  if halts then b.halt_at <- Stdlib.min b.halt_at task.t_index;
+  b.completed <- b.completed + 1
 
 (* ------------------------------------------------------------------ *)
 (* Worker domains                                                      *)
@@ -107,21 +144,16 @@ let rec worker_loop (t : t) : unit =
   else
     match t.current with
     | Some b when not (Queue.is_empty b.q) -> (
-        let task = Queue.pop b.q in
-        match stop_reason_of b with
-        | Some r ->
-            resolve_not_run t b task r;
-            worker_loop t
-        | None -> (
-            Mutex.unlock t.m;
+        let claimed = claim b in
+        if b.completed = b.total then Condition.broadcast t.donec;
+        match claimed with
+        | None -> worker_loop t
+        | Some task -> (
             (* the dispatch boundary: a chaos injection here kills the
                *worker* between isolation scopes — the claimed task is
                re-queued and the supervisor respawns the domain *)
             match Faultsim.point b.fault "pool.dispatch" with
-            | exception e ->
-                Mutex.lock t.m;
-                ignore e;
-                task.t_redispatches <- task.t_redispatches + 1;
+            | exception _ ->
                 Queue.push task b.q;
                 t.live <- t.live - 1;
                 t.crashed_pending <- t.crashed_pending + 1;
@@ -131,14 +163,7 @@ let rec worker_loop (t : t) : unit =
                 Mutex.unlock t.m
                 (* the domain terminates (normally — join stays clean) *)
             | () ->
-                (* [t_exec] isolates everything itself; the handler is a
-                   belt-and-suspenders guarantee that a leak resolves
-                   the slot rather than hanging the batch forever *)
-                (match task.t_exec () with
-                | () -> ()
-                | exception e -> task.t_fail e);
-                Mutex.lock t.m;
-                b.completed <- b.completed + 1;
+                execute ~inline:false b task;
                 if b.completed = b.total then Condition.broadcast t.donec;
                 worker_loop t))
     | _ ->
@@ -175,7 +200,7 @@ let create ?jobs ?(max_respawns = 16) () : t =
       crashed_pending = 0;
       respawns = 0;
       crashes_total = 0;
-      health = Healthy;
+      degraded = false;
       domains = [];
     }
   in
@@ -187,12 +212,6 @@ let create ?jobs ?(max_respawns = 16) () : t =
   t
 
 let jobs (t : t) = t.n_jobs
-
-let health (t : t) : health =
-  Mutex.lock t.m;
-  let h = t.health in
-  Mutex.unlock t.m;
-  h
 
 let shutdown (t : t) =
   Mutex.lock t.m;
@@ -207,7 +226,7 @@ let shutdown (t : t) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Supervision (the caller's side of a batch)                          *)
+(* Running a batch                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Respawn crashed workers with capped exponential backoff; once the
@@ -223,39 +242,39 @@ let handle_crashes (t : t) =
       Mutex.lock t.m;
       if not t.stopping then spawn_worker t
     end
-    else if t.health = Healthy then
-      t.health <-
-        Degraded
-          (Printf.sprintf
-             "worker respawn allowance exhausted (%d crashes, %d respawns)"
-             t.crashes_total t.respawns)
+    else t.degraded <- true
   done
 
-(* Degraded (or worker-less) fallback: the calling domain drains the
-   queue itself — same isolation, deadline and cancel semantics, no
+(* The calling domain drains the queue itself: the whole run without a
+   pool, and the fallback of a degraded (or worker-less) one.  Same
+   isolation, halt, deadline and cancel semantics as a worker, no
    parallelism, and crucially no pool-dispatch chaos site, so a
-   degraded run always terminates.  Caller holds t.m. *)
-let drain_inline (t : t) (b : batch) =
-  while not (Queue.is_empty b.q) do
-    let task = Queue.pop b.q in
-    (match stop_reason_of b with
-    | Some r ->
-        if b.stop = None then b.stop <- Some r;
-        task.t_not_run r;
-        b.not_run <- b.not_run + 1
-    | None -> (
-        Mutex.unlock t.m;
-        (match task.t_exec () with
-        | () -> ()
-        | exception e -> task.t_fail e);
-        Mutex.lock t.m));
-    b.completed <- b.completed + 1
-  done;
-  if b.completed = b.total then Condition.broadcast t.donec
+   degraded run always terminates.  Caller holds [b.bm]. *)
+let rec drain_inline (b : batch) =
+  match claim b with
+  | None -> ()
+  | Some task ->
+      execute ~inline:true b task;
+      drain_inline b
 
-(* ------------------------------------------------------------------ *)
-(* The shared attempt loop (retry policy)                              *)
-(* ------------------------------------------------------------------ *)
+(* Hand [b] to the pool's workers and wait for it, draining inline once
+   no healthy worker is left.  Returns the crashes and respawns the
+   batch saw.  Caller holds [t.m] (which is [b.bm]). *)
+let supervise (t : t) (b : batch) : int * int =
+  let crashes0 = t.crashes_total and respawns0 = t.respawns in
+  t.current <- Some b;
+  Condition.broadcast t.work;
+  let rec wait () =
+    handle_crashes t;
+    if t.live = 0 || t.degraded then drain_inline b;
+    if b.completed < b.total then begin
+      Condition.wait t.donec t.m;
+      wait ()
+    end
+  in
+  wait ();
+  t.current <- None;
+  (t.crashes_total - crashes0, t.respawns - respawns0)
 
 (* [give_up] is polled before committing to another attempt, so a
    cancelled or past-deadline run stops retrying after the in-flight
@@ -287,148 +306,73 @@ let attempt_loop ~give_up ~retries ~should_retry ~is_transient ~retries_ctr
   in
   go 0
 
-let zero_stats =
-  {
-    rs_retries = 0;
-    rs_task_faults = 0;
-    rs_crashes = 0;
-    rs_respawns = 0;
-    rs_not_run = 0;
-    rs_degraded = false;
-    rs_stop = None;
-  }
-
-let run_seq ?deadline ?(cancel = fun () -> false) ?(retries = 0)
-    ?(should_retry = fun _ -> false) ?(is_transient = fun _ -> false)
+let run (pool : t option) ?deadline ?(cancel = fun () -> false)
+    ?(retries = 0) ?(should_retry = fun _ -> false)
+    ?(is_transient = fun _ -> false) ?(halt = fun _ -> false) ?fault
     (f : 'a -> 'b) (items : 'a list) : 'b outcome list * run_stats =
-  let deadline_ns = Option.map (Budget.ns_after (now_ns ())) deadline in
-  let expired () =
-    match deadline_ns with
-    | Some d -> Int64.compare (now_ns ()) d > 0
-    | None -> false
+  let input = Array.of_list items in
+  let n = Array.length input in
+  (* a slot no resolution path fills (unreachable) reads as lost *)
+  let out : 'b outcome array =
+    Array.make n (Fault { f_exn = "task lost by the pool"; f_attempts = 0 })
   in
   let retries_ctr = Atomic.make 0 and faults_ctr = Atomic.make 0 in
-  let not_run = ref 0 and stop = ref None in
-  let outcomes =
-    List.map
-      (fun item ->
-        match !stop with
-        | Some r ->
-            incr not_run;
-            Not_run r
-        | None ->
-            let r =
-              if cancel () then Some Cancelled
-              else if expired () then Some Deadline
-              else None
-            in
-            (match r with
-            | Some r ->
-                stop := Some r;
-                incr not_run;
-                Not_run r
-            | None ->
-                attempt_loop
-                  ~give_up:(fun () -> cancel () || expired ())
-                  ~retries ~should_retry ~is_transient ~retries_ctr
-                  ~faults_ctr f item))
-      items
-  in
-  ( outcomes,
+  let b =
     {
-      zero_stats with
-      rs_retries = Atomic.get retries_ctr;
-      rs_task_faults = Atomic.get faults_ctr;
-      rs_not_run = !not_run;
-      rs_stop = !stop;
-    } )
-
-let run (t : t) ?deadline ?(cancel = fun () -> false) ?(retries = 0)
-    ?(should_retry = fun _ -> false) ?(is_transient = fun _ -> false)
-    ?fault (f : 'a -> 'b) (items : 'a list) : 'b outcome list * run_stats =
-  let n = List.length items in
-  if n = 0 then ([], zero_stats)
-  else begin
-    let input = Array.of_list items in
-    let out : 'b outcome option array = Array.make n None in
-    let retries_ctr = Atomic.make 0 and faults_ctr = Atomic.make 0 in
-    (* forward ref: tasks are built before the batch record exists; once
-       [b] is live this polls its stop state (racy read, benign — a stale
-       [None] just means one more attempt) *)
-    let give_up = ref (fun () -> false) in
-    let mk_task i =
+      bm = (match pool with Some t -> t.m | None -> Mutex.create ());
+      q = Queue.create ();
+      total = n;
+      completed = 0;
+      deadline_ns = Option.map (Budget.ns_after (now_ns ())) deadline;
+      cancel;
+      fault;
+      stop = None;
+      not_run = 0;
+      halt_at = max_int;
+    }
+  in
+  (* racy read of [b.stop], benign: a stale [None] just means one more
+     attempt.  A halt deliberately does not give up: a task dispatched
+     before the halting one must still reach its own final value *)
+  let give_up () = b.stop <> None || stop_reason_of b <> None in
+  for i = 0 to n - 1 do
+    Queue.push
       {
+        t_index = i;
         t_exec =
           (fun () ->
-            out.(i) <-
-              Some
-                (attempt_loop
-                   ~give_up:(fun () -> !give_up ())
-                   ~retries ~should_retry ~is_transient ~retries_ctr
-                   ~faults_ctr f input.(i)));
+            let o =
+              attempt_loop ~give_up ~retries ~should_retry ~is_transient
+                ~retries_ctr ~faults_ctr f input.(i)
+            in
+            out.(i) <- o;
+            match o with Done v -> halt v | Fault _ | Not_run _ -> false);
         t_fail =
           (fun e ->
             Atomic.incr faults_ctr;
-            out.(i) <-
-              Some (Fault { f_exn = Printexc.to_string e; f_attempts = 1 }));
-        t_not_run = (fun r -> out.(i) <- Some (Not_run r));
-        t_redispatches = 0;
+            out.(i) <- Fault { f_exn = Printexc.to_string e; f_attempts = 1 });
+        t_not_run = (fun r -> out.(i) <- Not_run r);
       }
-    in
-    Mutex.lock t.m;
-    let crashes0 = t.crashes_total and respawns0 = t.respawns in
-    let q = Queue.create () in
-    for i = 0 to n - 1 do
-      Queue.push (mk_task i) q
-    done;
-    let b =
-      {
-        q;
-        total = n;
-        completed = 0;
-        deadline_ns = Option.map (Budget.ns_after (now_ns ())) deadline;
-        cancel;
-        fault;
-        stop = None;
-        not_run = 0;
-      }
-    in
-    (give_up := fun () -> b.stop <> None || stop_reason_of b <> None);
-    t.current <- Some b;
-    Condition.broadcast t.work;
-    let rec wait () =
-      handle_crashes t;
-      if
-        (t.live = 0 || t.health <> Healthy)
-        && not (Queue.is_empty b.q)
-      then drain_inline t b;
-      if b.completed < b.total then begin
-        Condition.wait t.donec t.m;
-        wait ()
-      end
-    in
-    wait ();
-    t.current <- None;
-    let stats =
-      {
-        rs_retries = Atomic.get retries_ctr;
-        rs_task_faults = Atomic.get faults_ctr;
-        rs_crashes = t.crashes_total - crashes0;
-        rs_respawns = t.respawns - respawns0;
-        rs_not_run = b.not_run;
-        rs_degraded = t.health <> Healthy;
-        rs_stop = b.stop;
-      }
-    in
-    Mutex.unlock t.m;
-    let outcomes =
-      Array.to_list
-        (Array.map
-           (function
-             | Some o -> o
-             (* unreachable: every resolution path fills the slot *)
-             | None -> Fault { f_exn = "task lost by the pool"; f_attempts = 0 })
-           out)
-    in
-    (outcomes, stats)
-  end
+      b.q
+  done;
+  Mutex.lock b.bm;
+  let crashes, respawns =
+    match pool with
+    | Some t -> supervise t b
+    | None ->
+        drain_inline b;
+        (0, 0)
+  in
+  let stats =
+    {
+      rs_retries = Atomic.get retries_ctr;
+      rs_task_faults = Atomic.get faults_ctr;
+      rs_crashes = crashes;
+      rs_respawns = respawns;
+      rs_not_run = b.not_run;
+      rs_degraded = (match pool with Some t -> t.degraded | None -> false);
+      rs_stop = b.stop;
+    }
+  in
+  Mutex.unlock b.bm;
+  (Array.to_list out, stats)

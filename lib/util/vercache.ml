@@ -33,8 +33,9 @@ type t = {
   max_bytes : int option;  (** size cap enforced by pruning on open *)
   mutable corrupt_skips : int;  (** unreadable/mismatched entries skipped *)
   mutable pruned : int;  (** entries evicted by the size cap this run *)
-  mutable write_failures : int;  (** consecutive; reset on success *)
-  mutable disabled : bool;
+  write_failures : int Atomic.t;  (** consecutive; reset on success *)
+  disabled : bool Atomic.t;
+      (** both atomic: pool workers store concurrently *)
 }
 
 (** Bump when the entry layout (or the meaning of payloads) changes. *)
@@ -134,8 +135,8 @@ let create ?max_bytes (dir : string) : t =
       max_bytes;
       corrupt_skips = 0;
       pruned = 0;
-      write_failures = 0;
-      disabled = false;
+      write_failures = Atomic.make 0;
+      disabled = Atomic.make false;
     }
   in
   (match max_bytes with
@@ -143,7 +144,7 @@ let create ?max_bytes (dir : string) : t =
   | _ -> ());
   t
 
-let disabled (t : t) = t.disabled
+let disabled (t : t) = Atomic.get t.disabled
 
 let entry_path t (key : string) =
   Filename.concat t.dir (Digest.to_hex (Digest.string key) ^ ".vc")
@@ -307,7 +308,7 @@ let unreadable (t : t) : unit = t.corrupt_skips <- t.corrupt_skips + 1
     was not persisted. *)
 let store_keyed ?fault (t : t) ~(id : string)
     ~(components : (string * string) list) (payload : string) : unit =
-  if not t.disabled then begin
+  if not (Atomic.get t.disabled) then begin
     let key = keyed_key ~id components in
     let tmp = ref None in
     match
@@ -319,14 +320,14 @@ let store_keyed ?fault (t : t) ~(id : string)
       Sys.rename tf (entry_path t key)
     with
     | () ->
-        t.write_failures <- 0;
+        Atomic.set t.write_failures 0;
         write_manifest t id components
     | exception (Sys_error _ | Faultsim.Injected _) ->
         (match !tmp with
         | Some tf -> ( try Sys.remove tf with Sys_error _ -> ())
         | None -> ());
-        t.write_failures <- t.write_failures + 1;
-        if t.write_failures >= max_write_failures then t.disabled <- true
+        if Atomic.fetch_and_add t.write_failures 1 + 1 >= max_write_failures
+        then Atomic.set t.disabled true
   end
 
 (* ------------------------------------------------------------------ *)

@@ -394,7 +394,32 @@ let robustness_tests =
           (Rc_util.Vercache.entries cache);
         (* reads still work (for entries written before the failures) *)
         Alcotest.(check bool) "reads unaffected" true
-          (find cache "healthy" = KMiss Fresh));
+          (find cache "healthy" = KMiss Fresh);
+        (* the same threshold when the failing stores race on pool
+           workers: ten dirty functions (five renamed copies of [src]),
+           four workers, every write faulted *)
+        let fns =
+          String.concat "\n"
+            (List.init 5 (fun i ->
+                 Str.global_replace (Str.regexp "\\([a-z_]+\\)(int ")
+                   (Printf.sprintf "\\1_%d(int " i) src))
+        in
+        let pool = Rc_util.Supervisor.create ~jobs:4 () in
+        let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
+        let fault =
+          Rc_util.Faultsim.create ~rate:1.0 ~sites:[ "cache.write" ] 16
+        in
+        let t =
+          Fun.protect
+            ~finally:(fun () -> Rc_util.Supervisor.shutdown pool)
+            (fun () ->
+              let session = Api.create_session ~pool ~fault () in
+              Driver.check_source ~session ~cache ~file:"many.c" fns)
+        in
+        Alcotest.(check bool) "all ten verify" true
+          (all_ok t && List.length t.Driver.results = 10);
+        Alcotest.(check bool) "disabled after threshold on a pool" true
+          (Rc_util.Vercache.disabled cache));
     Alcotest.test_case "a success resets the failure streak" `Quick
       (fun () ->
         let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in

@@ -125,6 +125,63 @@ let clamp_tests =
               | None -> false));
   ]
 
+(* Fail-fast has one rule at every [-j]: no function starts after one
+   whose final verdict, after retries, is an error, and the report keeps
+   the source-order prefix up to it.  So the report is the same with and
+   without a pool, also when a transient fault is retried away. *)
+let fail_fast_test name ?fault ~exit_code ~file src =
+  Alcotest.test_case name `Quick (fun () ->
+      let run ~jobs =
+        (* a fresh campaign per run, as it counts its injections *)
+        let s =
+          Rc_refinedc.Session.with_fault (session ())
+            (Option.map (fun f -> f ()) fault)
+        in
+        let s =
+          Rc_refinedc.Session.with_exec s
+            { s.Rc_refinedc.Session.exec with x_retries = 3 }
+        in
+        Testutil.with_jobs ~jobs s (fun session ->
+            Driver.check_source ~session ~fail_fast:true ~file src)
+      in
+      let json t =
+        Rc_util.Jsonout.to_string (Driver.to_json ~timings:false t)
+      in
+      let seq = run ~jobs:1 and par = run ~jobs:4 in
+      Alcotest.(check int) "exit code without a pool" exit_code
+        (Driver.exit_code seq);
+      Alcotest.(check string) "JSON output" (json seq) (json par))
+
+let fail_fast_tests =
+  [
+    (* verified and failing functions interleaved, two kinds of failure *)
+    fail_fast_test "several failing functions" ~exit_code:1 ~file:"multi.c"
+      (String.concat "\n"
+         (List.map
+            (fun (name, returns, body) ->
+              Printf.sprintf
+                {|[[rc::parameters("x: int")]] [[rc::args("x @ int<int>")]]
+[[rc::returns("%s @ int<int>")]] int %s(int n) { return %s; }|}
+                returns name body)
+            [
+              ("keep", "x", "n"); ("bump", "(x + 1)", "n + 2");
+              ("same", "x", "n"); ("weird", "x", "n ^ 1");
+              ("last", "(x + 1)", "n + 1");
+            ]));
+    (* the first solver call faults once, and its retry must verify *)
+    fail_fast_test "a retried transient fault" ~exit_code:0
+      ~fault:(fun () ->
+        Rc_util.Faultsim.create ~rate:1.0 ~sites:[ "solver" ] ~max_faults:1 1)
+      ~file:"binary_search.c"
+      (In_channel.with_open_bin
+         (Filename.concat case_dir "binary_search.c")
+         In_channel.input_all);
+  ]
+
 let () =
   Alcotest.run "parallel"
-    [ ("determinism", determinism_tests); ("clamp", clamp_tests) ]
+    [
+      ("determinism", determinism_tests);
+      ("clamp", clamp_tests);
+      ("fail-fast", fail_fast_tests);
+    ]

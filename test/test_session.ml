@@ -164,7 +164,7 @@ let independence_tests =
           Fun.protect
             ~finally:(fun () -> Rc_util.Supervisor.shutdown pool)
             (fun () ->
-              Rc_util.Supervisor.run pool
+              Rc_util.Supervisor.run (Some pool)
                 (fun ablate ->
                   if ablate then run (ablated ()) else run (full ()))
                 [ false; true ])

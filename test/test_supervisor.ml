@@ -9,6 +9,8 @@
    - whole-run deadlines and cooperative cancellation stop *starting*
      tasks, resolving the rest as [Not_run] — completed results are
      never discarded;
+   - a task whose final value satisfies [~halt] stops later tasks from
+     starting, with or without a pool, and is no supervision event;
    - an injected worker crash at the ["pool.dispatch"] chaos site is
      absorbed by respawn + redispatch; exhausting the respawn allowance
      degrades the pool to the calling domain, which still completes the
@@ -60,7 +62,7 @@ let unit_tests =
     Alcotest.test_case "run preserves input order" `Quick (fun () ->
         with_pool ~jobs:4 (fun p ->
             let xs = List.init 100 Fun.id in
-            let outs, stats = Supervisor.run p succ xs in
+            let outs, stats = Supervisor.run (Some p) succ xs in
             Alcotest.(check (list int))
               "order" (List.map succ xs) (List.map value_exn outs);
             Alcotest.(check int) "no retries" 0 stats.Supervisor.rs_retries;
@@ -71,7 +73,7 @@ let unit_tests =
       (fun () ->
         with_pool ~jobs:4 (fun p ->
             let outs, stats =
-              Supervisor.run p
+              Supervisor.run (Some p)
                 (fun i -> if i = 37 then failwith "boom" else i)
                 (List.init 100 Fun.id)
             in
@@ -90,7 +92,7 @@ let unit_tests =
         with_pool ~jobs:2 (fun p ->
             let rec blow (n : int) : int = 1 + blow (n + 1) in
             let outs, _ =
-              Supervisor.run p
+              Supervisor.run (Some p)
                 (fun i -> if i = 1 then blow 0 else i)
                 [ 0; 1; 2 ]
             in
@@ -103,7 +105,7 @@ let unit_tests =
       `Quick (fun () ->
         let attempts = Array.make 5 0 in
         let outs, stats =
-          Supervisor.run_seq ~retries:3
+          Supervisor.run None ~retries:3
             ~is_transient:(function Failure _ -> true | _ -> false)
             (fun i ->
               attempts.(i) <- attempts.(i) + 1;
@@ -117,7 +119,7 @@ let unit_tests =
     Alcotest.test_case "retry exhaustion reports the attempt count" `Quick
       (fun () ->
         let outs, stats =
-          Supervisor.run_seq ~retries:2
+          Supervisor.run None ~retries:2
             ~is_transient:(fun _ -> true)
             (fun () -> failwith "always")
             [ () ]
@@ -131,7 +133,7 @@ let unit_tests =
       (fun () ->
         let calls = ref 0 in
         let outs, stats =
-          Supervisor.run_seq ~retries:5
+          Supervisor.run None ~retries:5
             ~should_retry:(fun _ -> false)
             (fun i ->
               incr calls;
@@ -144,7 +146,7 @@ let unit_tests =
         Alcotest.(check int) "no retries" 0 stats.Supervisor.rs_retries);
     Alcotest.test_case "deadline stops starting tasks" `Quick (fun () ->
         let outs, stats =
-          Supervisor.run_seq ~deadline:0.02
+          Supervisor.run None ~deadline:0.02
             (fun i ->
               Unix.sleepf 0.03;
               i)
@@ -167,7 +169,7 @@ let unit_tests =
         List.iter
           (fun deadline ->
             let outs, stats =
-              Supervisor.run_seq ~deadline Fun.id (List.init 3 Fun.id)
+              Supervisor.run None ~deadline Fun.id (List.init 3 Fun.id)
             in
             Alcotest.(check (list int))
               (Printf.sprintf "all ran under %g" deadline) [ 0; 1; 2 ]
@@ -185,7 +187,7 @@ let unit_tests =
       (fun () ->
         let polls = ref 0 in
         let outs, stats =
-          Supervisor.run_seq
+          Supervisor.run None
             ~cancel:(fun () ->
               incr polls;
               !polls > 2)
@@ -207,7 +209,7 @@ let unit_tests =
            loop gives up and keeps the last attempt's outcome *)
         let attempts = ref 0 in
         let outs, stats =
-          Supervisor.run_seq ~retries:1_000_000
+          Supervisor.run None ~retries:1_000_000
             ~cancel:(fun () -> !attempts >= 5)
             ~is_transient:(fun _ -> true)
             (fun () ->
@@ -226,7 +228,7 @@ let unit_tests =
       (fun () ->
         let t0 = Unix.gettimeofday () in
         let outs, _ =
-          Supervisor.run_seq ~retries:1_000_000 ~deadline:0.02
+          Supervisor.run None ~retries:1_000_000 ~deadline:0.02
             ~is_transient:(fun _ -> true)
             (fun () -> failwith "persistent")
             [ () ]
@@ -236,6 +238,30 @@ let unit_tests =
         | [ Supervisor.Fault _ ] -> ()
         | _ -> Alcotest.fail "expected one fault");
         Alcotest.(check bool) "bounded by the deadline" true (elapsed < 2.));
+    Alcotest.test_case "halt starts nothing after the halting task" `Quick
+      (fun () ->
+        (* task 3's value halts the run: tasks 0-3 reach their values, a
+           later one may only resolve [Halted] (without a pool, all do),
+           and a halt is no supervision event *)
+        let check pool =
+          let outs, stats =
+            Supervisor.run pool ~halt:(( = ) 3) Fun.id (List.init 10 Fun.id)
+          in
+          Alcotest.(check bool) "not counted" true
+            (stats.Supervisor.rs_not_run = 0
+            && stats.Supervisor.rs_stop = None);
+          List.mapi (fun i o -> (i, o)) outs
+        in
+        let halted = Supervisor.Not_run Supervisor.Halted in
+        Alcotest.(check bool) "no pool: the rest halted" true
+          (List.for_all
+             (fun (i, o) -> o = if i <= 3 then Supervisor.Done i else halted)
+             (check None));
+        with_pool ~jobs:4 (fun p ->
+            Alcotest.(check bool) "pool: done, or halted after 3" true
+              (List.for_all
+                 (fun (i, o) -> o = Supervisor.Done i || (i > 3 && o = halted))
+                 (check (Some p)))));
     Alcotest.test_case "injected worker crashes respawn and redispatch"
       `Quick (fun () ->
         with_pool ~jobs:2 (fun p ->
@@ -244,7 +270,7 @@ let unit_tests =
                 ~max_faults:3 42
             in
             let outs, stats =
-              Supervisor.run p ~fault succ (List.init 20 Fun.id)
+              Supervisor.run (Some p) ~fault succ (List.init 20 Fun.id)
             in
             Alcotest.(check (list int))
               "every task completes"
@@ -254,8 +280,7 @@ let unit_tests =
             Alcotest.(check int) "three respawns" 3
               stats.Supervisor.rs_respawns;
             Alcotest.(check bool)
-              "still healthy" true
-              (Supervisor.health p = Supervisor.Healthy)));
+              "still healthy" false stats.Supervisor.rs_degraded));
     Alcotest.test_case
       "respawn exhaustion degrades but the batch still completes" `Quick
       (fun () ->
@@ -264,18 +289,17 @@ let unit_tests =
               Faultsim.create ~rate:1.0 ~sites:[ "pool.dispatch" ] 7
             in
             let outs, stats =
-              Supervisor.run p ~fault succ (List.init 10 Fun.id)
+              Supervisor.run (Some p) ~fault succ (List.init 10 Fun.id)
             in
             Alcotest.(check (list int))
               "inline drain completes the batch"
               (List.init 10 (fun i -> i + 1))
               (List.map value_exn outs);
             Alcotest.(check bool) "degraded" true stats.Supervisor.rs_degraded;
-            (match Supervisor.health p with
-            | Supervisor.Degraded _ -> ()
-            | Supervisor.Healthy -> Alcotest.fail "pool still healthy?");
             (* a degraded pool keeps working sequentially *)
-            let outs2, stats2 = Supervisor.run p ~fault succ [ 1; 2; 3 ] in
+            let outs2, stats2 =
+              Supervisor.run (Some p) ~fault succ [ 1; 2; 3 ]
+            in
             Alcotest.(check (list int))
               "subsequent runs too" [ 2; 3; 4 ] (List.map value_exn outs2);
             Alcotest.(check bool) "still degraded" true
@@ -284,7 +308,9 @@ let unit_tests =
         with_pool ~jobs:4 (fun p ->
             for round = 1 to 20 do
               let outs, _ =
-                Supervisor.run p (fun i -> (i * round) + 1) (List.init 8 Fun.id)
+                Supervisor.run (Some p)
+                  (fun i -> (i * round) + 1)
+                  (List.init 8 Fun.id)
               in
               Alcotest.(check (list int))
                 "round values"
