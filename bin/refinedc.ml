@@ -65,9 +65,6 @@ let check_cmd =
   let deriv =
     Arg.(value & flag & info [ "deriv" ] ~doc:"Print the derivation trees.")
   in
-  let stats =
-    Arg.(value & flag & info [ "stats" ] ~doc:"Print per-function statistics.")
-  in
   let cert =
     Arg.(
       value & flag
@@ -334,7 +331,7 @@ let check_cmd =
              no $(docv), the ledger lives in the $(b,--cache) directory.  \
              Query it with $(b,refinedc stats).")
   in
-  let run file deriv stats cert semtest fuel timeout max_depth fail_fast json
+  let run file deriv cert semtest fuel timeout max_depth fail_fast json
       jobs cache explain_cache cache_stats cache_max_mb memo default_only
       no_goal_simp trace profile no_lint lint_werror deadline retries
       fault_seed fault_rate fault_sites fault_max explain_failure profile_out
@@ -518,16 +515,6 @@ let check_cmd =
                 if deriv then
                   Fmt.pr "%a@." (Rc_lithium.Deriv.pp ~depth:0)
                     res.Rc_refinedc.Lang.E.deriv;
-                if stats then begin
-                  let s = res.Rc_refinedc.Lang.E.stats in
-                  say "  distinct rules: %d, applications: %d@."
-                    (Rc_lithium.Stats.distinct_rules s)
-                    s.Rc_lithium.Stats.rule_apps;
-                  say "  evars auto-instantiated: %d@."
-                    s.Rc_lithium.Stats.evar_insts;
-                  say "  side conditions auto/manual: %d/%d@."
-                    s.Rc_lithium.Stats.side_auto s.Rc_lithium.Stats.side_manual
-                end;
                 if cert then begin
                   let rep =
                     Rc_cert.Checker.check ~obs:t.Driver.obs ~session
@@ -688,7 +675,7 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc:"Verify the specified functions of FILE.")
     Term.(
-      const run $ file $ deriv $ stats $ cert $ semtest $ fuel $ timeout
+      const run $ file $ deriv $ cert $ semtest $ fuel $ timeout
       $ max_depth $ fail_fast $ json $ jobs $ cache $ explain_cache
       $ cache_stats $ cache_max_mb $ memo $ default_only $ no_goal_simp
       $ trace $ profile $ no_lint $ lint_werror $ deadline $ retries

@@ -317,7 +317,6 @@ module Make (L : LANG) = struct
       snapshot is taken inside {!fail}, before unwinding pops the
       frames. *)
   type fx_state = {
-    fx_lim : Report.fx_limits;
     mutable fx_stack : fx_frame list;
     fx_ring : string array;
     mutable fx_ring_n : int;  (** total pushes; head = n mod size *)
@@ -325,20 +324,20 @@ module Make (L : LANG) = struct
 
   (** Engine tuning knobs.  [o_memo] is the [--memo] flag: it never
       changes results, only speed.  [o_fx] enables proof-failure
-      forensics ([--explain-failure]): a bounded derivation snapshot
-      attached to the failure report.  Like memoization it never changes
-      verdicts — it only enriches failure diagnostics.  [o_judgments]
-      prints each derivation node's judgment, atom or binder into its
-      [d_info] ([--deriv]).  Off, the nodes carry exactly what the
-      certificate checker reads: the case, side conditions, hypotheses
-      and tactics, and branch labels. *)
+      forensics ([--explain-failure]): a derivation snapshot, bounded by
+      {!Report.default_fx_limits}, attached to the failure report.  Like
+      memoization it never changes verdicts — it only enriches failure
+      diagnostics.  [o_judgments] prints each derivation node's
+      judgment, atom or binder into its [d_info] ([--deriv]).  Off, the
+      nodes carry exactly what the certificate checker reads: the case,
+      side conditions, hypotheses and tactics, and branch labels. *)
   type opts = {
     o_memo : bool;
-    o_fx : Report.fx_limits option;
+    o_fx : bool;
     o_judgments : bool;
   }
 
-  let default_opts = { o_memo = false; o_fx = None; o_judgments = false }
+  let default_opts = { o_memo = false; o_fx = false; o_judgments = false }
 
   (** Per-function memo-table bound: beyond it, lookups still hit but no
       new entry is stored. *)
@@ -511,11 +510,8 @@ module Make (L : LANG) = struct
     match (st.fx, fr) with
     | Some fx, Some fr ->
         fr.fxf_matched <- Some rname;
-        let size = Array.length fx.fx_ring in
-        if size > 0 then begin
-          fx.fx_ring.(fx.fx_ring_n mod size) <- rname;
-          fx.fx_ring_n <- fx.fx_ring_n + 1
-        end
+        fx.fx_ring.(fx.fx_ring_n mod Array.length fx.fx_ring) <- rname;
+        fx.fx_ring_n <- fx.fx_ring_n + 1
     | _ -> ()
 
   (** Keep the first [keep - keep/2] and last [keep/2] of [l], with the
@@ -583,7 +579,7 @@ module Make (L : LANG) = struct
       (the frames are still on the stack; unwinding pops them after). *)
   let fx_snapshot st (fx : fx_state) (kind : Report.kind) : Report.forensics
       =
-    let lim = fx.fx_lim in
+    let lim = Report.default_fx_limits in
     let frames = List.rev fx.fx_stack in
     let goal_stack, stack_elided =
       bound_middle lim.Report.fxl_depth
@@ -611,13 +607,10 @@ module Make (L : LANG) = struct
     in
     let evars, evars_elided = fx_evar_lines st lim in
     let ring_size = Array.length fx.fx_ring in
+    let count = min fx.fx_ring_n ring_size in
     let recent =
-      if ring_size = 0 || fx.fx_ring_n = 0 then []
-      else begin
-        let count = min fx.fx_ring_n ring_size in
-        List.init count (fun i ->
-            fx.fx_ring.((fx.fx_ring_n - count + i) mod ring_size))
-      end
+      List.init count (fun i ->
+          fx.fx_ring.((fx.fx_ring_n - count + i) mod ring_size))
     in
     {
       Report.fx_goal_stack = goal_stack;
@@ -785,7 +778,6 @@ module Make (L : LANG) = struct
   (** Replay a validated entry: realign every observable side effect the
       subsumed search would have had, then return its derivation. *)
   let memo_hit st (m : memo) ctx (e : memo_entry) : Deriv.node =
-    if Rc_util.Obs.on st.obs then Rc_util.Obs.counter st.obs "memo.hit";
     (* rebase the entry's probes into the enclosing recordings: a frame
        stored from here must revalidate them too, against its own base *)
     if e.e_probes <> [] then
@@ -874,11 +866,6 @@ module Make (L : LANG) = struct
           | v -> Stats.record_side st.stats v phi);
           record_probe st ctx ~poison:false (fun delta ->
               PSolve { delta; phi; verdict });
-          if Rc_util.Obs.on st.obs then
-            Rc_util.Obs.counter st.obs
-              (match verdict with
-              | Registry.Auto -> "side.auto"
-              | _ -> "side.manual");
           [ (phi, verdict) ]
 
   (* ---------------------------------------------------------------- *)
@@ -1082,7 +1069,6 @@ module Make (L : LANG) = struct
                      handler keeps the trace balanced when a nested
                      goal fails or exhausts its budget. *)
                   let name = "rule:" ^ r.rname in
-                  Rc_util.Obs.counter st.obs ("rule.apps." ^ r.rname);
                   Rc_util.Obs.enter_span st.obs ~cat:"rule"
                     ~key:("rule.self_ns." ^ r.rname)
                     ~args:[ ("head", head) ]
@@ -1153,17 +1139,14 @@ module Make (L : LANG) = struct
                }
            else None);
         fx =
-          (match opts.o_fx with
-          | None -> None
-          | Some lim ->
-              Some
-                {
-                  fx_lim = lim;
-                  fx_stack = [];
-                  fx_ring =
-                    Array.make (max 0 lim.Report.fxl_recent) "";
-                  fx_ring_n = 0;
-                });
+          (if opts.o_fx then
+             Some
+               {
+                 fx_stack = [];
+                 fx_ring = Array.make Report.default_fx_limits.fxl_recent "";
+                 fx_ring_n = 0;
+               }
+           else None);
         judgments = opts.o_judgments;
         rule_counts = Array.make index.idx_size 0;
         counted = [];
@@ -1171,12 +1154,17 @@ module Make (L : LANG) = struct
         cur_head = None;
       }
     in
+    (* the run's proof work reaches the metrics only here, on every exit
+       path: [st.stats] is the root collector again once the unwinding
+       has closed every memo frame *)
+    let finish () =
+      flush_rule_counts st;
+      st.stats.Stats.evar_insts <- st.evars.Evar.instantiations;
+      Stats.flush st.stats obs
+    in
     let outcome =
       match solve st 0 ctx g with
-      | d ->
-          flush_rule_counts st;
-          st.stats.Stats.evar_insts <- st.evars.Evar.instantiations;
-          Ok { deriv = d; stats = st.stats }
+      | d -> Ok d
       | exception Report.Error e -> Error e
       | exception Stack_overflow ->
           (* catch here (rather than only in the driver) so the diagnostic
@@ -1184,9 +1172,14 @@ module Make (L : LANG) = struct
           Error
             (Report.make ?loc:st.cur_loc
                (Report.Checker_fault "Stack_overflow during proof search"))
+      | exception e ->
+          (* an injected fault: the driver classifies and may retry it *)
+          finish ();
+          raise e
     in
+    finish ();
     Registry.flush_scope registry obs;
-    outcome
+    Result.map (fun d -> { deriv = d; stats = st.stats }) outcome
 
   (** One-shot entry point: indexes [cfg.rules] and runs.  Callers that
       check many functions against the same rule set should build the

@@ -32,8 +32,9 @@ type t = {
       (** the owning session's fault campaign, for the evar_resolve site *)
   obs : Rc_util.Obs.t;
       (** the enclosing check's observability handle: every successful
-          instantiation emits an [evar] trace event and bumps the
-          [evar.insts] counter *)
+          instantiation emits an [evar] trace event (the [evar.insts]
+          counter is credited from [instantiations] at the end of the
+          run) *)
 }
 
 let create ?fault ?(obs = Rc_util.Obs.off) () =
@@ -87,14 +88,12 @@ let set (st : t) (id : int) (t : term) : unit =
       e.inst <- Some t;
       st.instantiations <- st.instantiations + 1;
       if id < st.min_inst then st.min_inst <- id;
-      if Rc_util.Obs.on st.obs then begin
-        Rc_util.Obs.counter st.obs "evar.insts";
+      if Rc_util.Obs.on st.obs then
         Rc_util.Obs.instant st.obs ~cat:"evar"
           ~args:
             [ ("evar", Printf.sprintf "?%s/%d" e.e_hint id);
               ("term", term_to_string t) ]
           "evar:inst"
-      end
   | Some _ -> invalid_arg "Evar.set: already instantiated"
   | None -> invalid_arg "Evar.set: unknown evar"
 

@@ -22,8 +22,8 @@ type t = {
   fault : Rc_util.Faultsim.t option;
       (** the owning session's fault campaign, for the evar_resolve site *)
   obs : Rc_util.Obs.t;
-      (** the enclosing check's observability handle ([evar] events and
-          the [evar.insts] counter on every instantiation) *)
+      (** the enclosing check's observability handle (an [evar] event
+          on every instantiation) *)
 }
 
 and entry = {

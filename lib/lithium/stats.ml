@@ -62,57 +62,29 @@ let merge a b =
   a.evar_insts <- a.evar_insts + b.evar_insts;
   a.side_auto <- a.side_auto + b.side_auto;
   a.side_manual <- a.side_manual + b.side_manual;
-  (* [manual_detail] is reverse-chronological; [to_json] reverses it.
-     Keeping [b]'s (later) entries at the head makes the serialized
-     order [a]'s entries then [b]'s — source order for a driver merging
-     per-function stats, regardless of [-j N]. *)
+  (* [manual_detail] is reverse-chronological.  Keeping [b]'s (later)
+     entries at the head makes its chronological order [a]'s entries then
+     [b]'s — source order for a driver merging per-function stats,
+     regardless of [-j N]. *)
   a.manual_detail <- b.manual_detail @ a.manual_detail;
   a.memo_hits <- a.memo_hits + b.memo_hits;
   a.memo_saved_apps <- a.memo_saved_apps + b.memo_saved_apps
 
-(** Deterministic JSON rendering: [rules_used] is emitted in sorted
-    order and [manual_detail] in chronological order, so two runs that
-    performed the same proof work — e.g. a [-j 1] and a [-j 4] run over
-    the same corpus, merged in source order — serialize byte-identically
-    regardless of hashtable iteration order or domain scheduling. *)
-let to_json t : string =
-  let b = Buffer.create 256 in
-  let esc s =
-    let eb = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string eb "\\\""
-        | '\\' -> Buffer.add_string eb "\\\\"
-        | '\n' -> Buffer.add_string eb "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string eb (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char eb c)
-      s;
-    Buffer.contents eb
-  in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"rule_apps\":%d,\"distinct_rules\":%d,\"evar_insts\":%d,\"side_auto\":%d,\"side_manual\":%d,\"memo_hits\":%d,\"memo_saved_apps\":%d,\"rules_used\":{"
-       t.rule_apps (distinct_rules t) t.evar_insts t.side_auto t.side_manual
-       t.memo_hits t.memo_saved_apps);
-  let rules =
-    List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) t.rules_used [])
-  in
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (esc k) v))
-    rules;
-  Buffer.add_string b "},\"manual\":[";
-  List.iteri
-    (fun i (who, what) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "[\"%s\",\"%s\"]" (esc who) (esc what)))
-    (List.rev t.manual_detail);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+(** Credit [t] to the metrics registry behind [obs]: [rules_used] to
+    [rule.apps.*], the side conditions to [side.*], [memo_hits] to
+    [memo.hit] and [evar_insts] to [evar.insts].  Only nonzero counts are
+    written.  The engine counts proof work only in [t] and calls this
+    once per run, so the counters equal the Figure-7 columns, memo
+    replays included. *)
+let flush t obs =
+  if Rc_util.Obs.on obs then begin
+    let credit name n = if n > 0 then Rc_util.Obs.counter obs ~by:n name in
+    Hashtbl.iter (fun rule n -> credit ("rule.apps." ^ rule) n) t.rules_used;
+    credit "side.auto" t.side_auto;
+    credit "side.manual" t.side_manual;
+    credit "memo.hit" t.memo_hits;
+    credit "evar.insts" t.evar_insts
+  end
 
 let pp ppf t =
   Fmt.pf ppf "rules %d/%d, ∃ %d, ⌜φ⌝ %d/%d" (distinct_rules t) t.rule_apps

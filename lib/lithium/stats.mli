@@ -35,8 +35,11 @@ val distinct_rules : t -> int
 val merge : t -> t -> unit
 (** [merge acc x] adds [x]'s counters into [acc] *)
 
-val to_json : t -> string
-(** deterministic rendering: sorted [rules_used], chronological
-    [manual_detail] — byte-identical across [-j N] for the same work *)
+val flush : t -> Rc_util.Obs.t -> unit
+(** [flush t obs] credits [t] to [obs]'s metrics, nonzero counts only:
+    [rules_used] to [rule.apps.*], [side_auto]/[side_manual] to
+    [side.auto]/[side.manual], [memo_hits] to [memo.hit] and
+    [evar_insts] to [evar.insts].  The engine calls it once per run, on
+    every exit path. *)
 
 val pp : Format.formatter -> t -> unit

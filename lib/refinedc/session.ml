@@ -55,22 +55,6 @@ type exec_cfg = {
 let default_exec : exec_cfg =
   { x_deadline = None; x_retries = 0; x_pool = None; x_cancel = None }
 
-(** Proof-failure forensics configuration ([--explain-failure]): when
-    enabled, the engine attaches a bounded derivation snapshot — goal
-    stack, candidate rules with rejection reasons, evar state, recent
-    rule applications — to every failure report.  Like {!exec_cfg} it is
-    not fingerprinted into the verification-cache key: only [Ok]
-    verdicts are cached, failures (the only reports that carry
-    forensics) never are, so two runs differing only in [fx] can share
-    entries. *)
-type fx_cfg = {
-  f_enabled : bool;
-  f_limits : Rc_lithium.Report.fx_limits;  (** capture depth/width caps *)
-}
-
-let default_fx : fx_cfg =
-  { f_enabled = false; f_limits = Rc_lithium.Report.default_fx_limits }
-
 type t = {
   index : Lang.E.index;  (** compiled typing rules (head-indexed) *)
   extra_rules : Lang.E.rule list;
@@ -96,7 +80,15 @@ type t = {
           interaction before accepting a hit), but it does change
           derivation sharing, so the certificate path refuses it (the
           driver disables memoization under [--cert]). *)
-  fx : fx_cfg;  (** proof-failure forensics capture *)
+  forensics : bool;
+      (** proof-failure forensics ([--explain-failure]): the engine
+          attaches a derivation snapshot — goal stack, candidate rules
+          with rejection reasons, evar state, recent rule applications —
+          bounded by {!Rc_lithium.Report.default_fx_limits}, to every
+          failure report.  Like {!exec_cfg} it is not fingerprinted into
+          the verification-cache key: only [Ok] verdicts are cached,
+          failures (the only reports that carry forensics) never are, so
+          two runs differing only here can share entries. *)
   judgments : bool;
       (** print each derivation node's judgment ([--deriv]).  Like
           {!exec_cfg} it is not fingerprinted into the verification-cache
@@ -113,7 +105,7 @@ let create ?(rules = []) ?(registry = Rc_pure.Registry.default)
     ?(gs = Rc_lithium.Evar.default_simp_cfg) ?tenv
     ?(budget = Rc_util.Budget.unlimited) ?(obs = Rc_util.Obs.cfg_off)
     ?(lint = default_lint) ?(exec = default_exec) ?(memo = false)
-    ?(fx = default_fx) ?(judgments = false) () : t =
+    ?(forensics = false) ?(judgments = false) () : t =
   {
     index = Rules.make ~extra:rules ();
     extra_rules = rules;
@@ -125,7 +117,7 @@ let create ?(rules = []) ?(registry = Rc_pure.Registry.default)
     lint;
     exec;
     memo;
-    fx;
+    forensics;
     judgments;
   }
 
@@ -151,7 +143,3 @@ let with_exec (s : t) exec : t = { s with exec }
 
 (** Switch memoization (a CLI convenience, like {!with_budget}). *)
 let with_memo (s : t) memo : t = { s with memo }
-
-(** Replace the forensics configuration (a CLI convenience, like
-    {!with_budget}). *)
-let with_fx (s : t) fx : t = { s with fx }

@@ -155,10 +155,7 @@ let check_fn ?(globals = []) ?(obs = Rc_util.Obs.off) ~(session : Session.t)
   let opts =
     {
       E.o_memo = session.Session.memo;
-      o_fx =
-        (if session.Session.fx.Session.f_enabled then
-           Some session.Session.fx.Session.f_limits
-         else None);
+      o_fx = session.Session.forensics;
       o_judgments = session.Session.judgments;
     }
   in

@@ -94,13 +94,8 @@ let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
         (match cancel with Some _ -> cancel | None -> base.Session.x_cancel);
     }
   in
-  let fx =
-    Option.map
-      (fun on -> { Session.default_fx with Session.f_enabled = on })
-      forensics
-  in
-  Session.create ~rules ~registry ~gs ~tenv ?budget ?obs ?lint ~exec ?memo ?fx
-    ?judgments ()
+  Session.create ~rules ~registry ~gs ~tenv ?budget ?obs ?lint ~exec ?memo
+    ?forensics ?judgments ()
 
 (** Check every specified function of a C file under [session]. *)
 let check_file ?session ?fail_fast ?cache (path : string) : Driver.t =

@@ -6,7 +6,9 @@
     - the top-N hottest typing rules by self-time, with application
       counts (self-time = span time minus nested rule spans, so the
       column sums to real time spent *in* each rule's premises and side
-      conditions rather than on the stack);
+      conditions rather than on the stack).  The count is the
+      [rule.self_ns.*] timer's: the applications actually run, which a
+      memo replay does not add to;
     - the solver breakdown (default solver, named solvers, lemma
       matching) with call counts and verdict-relevant time, and the
       linear-arithmetic work counters ([solver.lia.*]);
@@ -43,10 +45,8 @@ let pp ?(top = 10) ppf (m : Metrics.t) =
         (List.length rules);
       Fmt.pf ppf "  %-28s %10s %12s@." "rule" "apps" "self ms";
       List.iter
-        (fun (name, _, self) ->
-          Fmt.pf ppf "  %-28s %10d %12.3f@." name
-            (Metrics.counter m ("rule.apps." ^ name))
-            (ms self))
+        (fun (name, apps, self) ->
+          Fmt.pf ppf "  %-28s %10d %12.3f@." name apps (ms self))
         (top_n top by_self)
     end;
     (* solver breakdown *)
@@ -117,7 +117,7 @@ let to_json (m : Metrics.t) : Jsonout.t =
                   ("count", Int count);
                   ("total_ns", Float (Int64.to_float total_ns));
                 ]
-               @ extra name))
+               @ extra count))
     in
     let counters =
       [ "side.auto"; "side.manual"; "evar.insts"; "cache.hit"; "cache.miss";
@@ -137,9 +137,8 @@ let to_json (m : Metrics.t) : Jsonout.t =
         ("phases", List (timer_section "phase." (fun _ -> [])));
         ( "rules",
           List
-            (timer_section "rule.self_ns." (fun name ->
-                 [ ("apps", Int (Metrics.counter m ("rule.apps." ^ name))) ]))
-        );
+            (timer_section "rule.self_ns." (fun count ->
+                 [ ("apps", Int count) ])) );
         ("solvers", List (timer_section "solver.ns." (fun _ -> [])));
         ("functions", List (timer_section "fn.ns." (fun _ -> [])));
         ("counters", Obj counters);

@@ -272,10 +272,9 @@ let judgment_tests =
         let on_words, on = check_engine_inputs ~judgments:true in
         let off_words, off = check_engine_inputs ~judgments:false in
         let stats =
-          List.map (fun (fn, _, res) ->
-              (fn, Rc_lithium.Stats.to_json res.Rc_refinedc.Lang.E.stats))
+          List.map (fun (fn, _, res) -> (fn, res.Rc_refinedc.Lang.E.stats))
         in
-        Alcotest.(check (list (pair string string)))
+        Alcotest.(check (list (pair string Testutil.stats)))
           "same stats with and without judgments" (stats on) (stats off);
         List.iter
           (fun (fn, s, res) ->

@@ -54,19 +54,13 @@ let stats_merge_tests =
         let a = mk [ ("s1", "pa1"); ("s1", "pa2") ] in
         let b = mk [ ("s2", "pb1"); ("s2", "pb2") ] in
         Stats.merge a b;
-        let json = Stats.to_json a in
-        let find needle =
-          match Str.search_forward (Str.regexp_string needle) json 0 with
-          | i -> i
-          | exception Not_found ->
-              Alcotest.failf "%S not found in %s" needle json
-        in
-        (* chronological in the serialized output: a's entries, in their
-           own order, then b's *)
-        let order = List.map find [ "pa1"; "pa2"; "pb1"; "pb2" ] in
-        Alcotest.(check bool)
-          "pa1 < pa2 < pb1 < pb2 in serialized order" true
-          (List.sort compare order = order);
+        (* chronological ([manual_detail] is kept newest first): a's
+           entries, in their own order, then b's *)
+        let order = List.rev_map snd a.Stats.manual_detail in
+        Alcotest.(check (list string))
+          "pa1 < pa2 < pb1 < pb2 in serialized order"
+          [ "pa1()"; "pa2()"; "pb1()"; "pb2()" ]
+          order;
         Alcotest.(check int) "manual count" 4 a.Stats.side_manual);
     Alcotest.test_case "merge is associative on manual_detail" `Quick
       (fun () ->
@@ -83,8 +77,7 @@ let stats_merge_tests =
         Stats.merge right23 (mk "3");
         let right = mk "1" in
         Stats.merge right right23;
-        Alcotest.(check string)
-          "(1+2)+3 = 1+(2+3)" (Stats.to_json left) (Stats.to_json right));
+        Alcotest.check Testutil.stats "(1+2)+3 = 1+(2+3)" left right);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -162,6 +155,47 @@ let norm_metrics (t : Driver.t) =
   Rc_util.Jsonout.to_string
     (Metrics.to_json ~timings:false (Obs.mx t.Driver.obs))
 
+(* The counters the engine credits from each run's [Stats], against the
+   report's merged [Stats]; and [--profile]'s per-rule [apps], which count
+   the applications actually run, against the rule timers. *)
+let check_mirror (t : Driver.t) =
+  let m = Obs.mx t.Driver.obs in
+  let s = Driver.stats t in
+  List.iter
+    (fun (name, n) -> Alcotest.(check int) name n (Metrics.counter m name))
+    [
+      ("evar.insts", s.Stats.evar_insts);
+      ("side.auto", s.Stats.side_auto);
+      ("side.manual", s.Stats.side_manual);
+      ("memo.hit", s.Stats.memo_hits);
+    ];
+  let rule_apps = Metrics.counters_with_prefix m ~prefix:"rule.apps." in
+  Alcotest.(check int)
+    "rule.apps.*" s.Stats.rule_apps
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 rule_apps);
+  Alcotest.(check (list (pair string int)))
+    "rule.apps.<rule> = rules_used"
+    (List.sort compare
+       (Hashtbl.fold (fun k n l -> (k, n) :: l) s.Stats.rules_used []))
+    rule_apps;
+  let module J = Rc_util.Jsonout in
+  let rows =
+    match Rc_util.Profile.to_json m with
+    | J.Obj f -> ( match List.assoc "rules" f with J.List l -> l | _ -> [])
+    | _ -> []
+  in
+  Alcotest.(check bool) "profile lists rules" true (rows <> []);
+  List.iter
+    (function
+      | J.Obj (("name", J.Str name) :: row) ->
+          Alcotest.(check bool)
+            ("profile apps of " ^ name)
+            true
+            (List.assoc "apps" row
+            = J.Int (Metrics.timer_count m ("rule.self_ns." ^ name)))
+      | _ -> Alcotest.fail "profile rule row")
+    rows
+
 let pipeline_tests =
   [
     Alcotest.test_case "trace is balanced and non-empty" `Quick (fun () ->
@@ -182,25 +216,21 @@ let pipeline_tests =
     ;
     Alcotest.test_case "metrics mirror the Figure-7 statistics" `Quick
       (fun () ->
-        let t = check "binary_search.c" in
-        let m = Obs.mx t.Driver.obs in
-        let s = Driver.stats t in
-        Alcotest.(check int)
-          "evar.insts" s.Stats.evar_insts
-          (Metrics.counter m "evar.insts");
-        Alcotest.(check int)
-          "side.auto" s.Stats.side_auto
-          (Metrics.counter m "side.auto");
-        Alcotest.(check int)
-          "side.manual" s.Stats.side_manual
-          (Metrics.counter m "side.manual");
-        let rule_apps_total =
-          List.fold_left
-            (fun acc (_, n) -> acc + n)
-            0
-            (Metrics.counters_with_prefix m ~prefix:"rule.apps.")
+        check_mirror (check "binary_search.c");
+        (* memo replays merge their subtree's work into [Stats]; the
+           counters must carry it too *)
+        let memo =
+          Driver.check_source
+            ~session:
+              (Rc_session.Refinedc_api.create_session ~obs:obs_cfg ~memo:true
+                 ())
+            ~file:"diamonds.c"
+            (Rc_benchgen.Corpus.diamond_chain ~k:6)
         in
-        Alcotest.(check int) "rule.apps.*" s.Stats.rule_apps rule_apps_total);
+        Alcotest.(check bool)
+          "memo hits" true
+          ((Driver.stats memo).Stats.memo_hits > 0);
+        check_mirror memo);
     Alcotest.test_case "-j1 and -j4 traces are byte-identical normalized"
       `Quick (fun () ->
         let seq = check ~jobs:1 "hashmap.c" in
