@@ -5,16 +5,16 @@
      ⌜φ⌝ (side conditions auto/manual), Impl, Spec,
      Annot (data-structure / loop / other), Pure, Ovh
 
-   plus verification wall-clock time (Bechamel; the paper claims
-   "efficient goal-directed proof search" without tabulating it) and
-   ablations of the design decisions DESIGN.md §5 calls out: evar
+   plus ablations of the design decisions DESIGN.md §5 calls out: evar
    goal-simplification off, named solvers/lemmas off, and the
    layered-vs-direct BST comparison.
 
-   Run with:  dune exec bench/main.exe -- [--time] [--ablations] [--all]
+   Run with:  dune exec bench/main.exe
 
-   Exits 1 if any case study fails to verify.  Performance is measured
-   by the repository benchmark in perfbench/ (see perfbench/README.md). *)
+   [--ablations] is accepted and changes nothing: the table and the
+   ablations are always printed.  Exits 1 if any case study fails to
+   verify.  Verification time is measured by the repository benchmark
+   in perfbench/ (its [studies] workload; see perfbench/README.md). *)
 
 module Driver = Rc_frontend.Driver
 module Stats = Rc_lithium.Stats
@@ -210,49 +210,6 @@ let print_table (rows : row list) =
     (Hashtbl.length s.Rc_refinedc.Session.tenv)
 
 (* ------------------------------------------------------------------ *)
-(* Timing (Bechamel)                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let time_studies (rows : row list) =
-  (* only time rows that verify; a failing study would abort the loop *)
-  let rows = List.filter (fun r -> r.ok) rows in
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    Test.make_grouped ~name:"verify"
-      (List.map
-         (fun r ->
-           let path = Filename.concat case_dir r.study.file in
-           let src = read path in
-           Test.make ~name:r.study.file
-             (Staged.stage (fun () ->
-                  ignore
-                    (Driver.check_source ~session:(studies_session ())
-                       ~file:path src))))
-         rows)
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Fmt.pr "@.Verification time per case study (Bechamel, monotonic clock):@.";
-  let entries = ref [] in
-  Hashtbl.iter
-    (fun name v ->
-      match Analyze.OLS.estimates v with
-      | Some [ est ] -> entries := (name, est /. 1e6) :: !entries
-      | _ -> ())
-    results;
-  List.iter
-    (fun (name, ms) -> Fmt.pr "  %-30s %10.3f ms/run@." name ms)
-    (List.sort compare !entries)
-
-(* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -298,15 +255,15 @@ let ablations (rows : row list) =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let args = Array.to_list Sys.argv in
+  (match List.tl (Array.to_list Sys.argv) with
+  | [] | [ "--ablations" ] -> ()
+  | _ ->
+      prerr_endline "usage: main.exe [--ablations]";
+      exit 2);
   Fmt.pr "Reproducing Figure 7 (paper: RefinedC, PLDI 2021)@.";
   let rows = List.map check_study corpus in
   print_table rows;
-  let all = List.mem "--all" args in
-  if List.mem "--time" args || all || args = [ Sys.argv.(0) ] then
-    time_studies rows;
-  if List.mem "--ablations" args || all || args = [ Sys.argv.(0) ] then
-    ablations rows;
+  ablations rows;
   if List.for_all (fun r -> r.ok) rows then
     Fmt.pr "@.All %d case studies verified.@." (List.length rows)
   else begin

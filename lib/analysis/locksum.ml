@@ -61,8 +61,6 @@ type summary = {
       (** internal acquisition order among substitutable locks *)
 }
 
-let no_summary = { s_acquires = []; s_releases = []; s_order = [] }
-
 type func_report = {
   f_name : string;
   f_accesses : access list;

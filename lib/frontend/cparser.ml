@@ -34,11 +34,6 @@ let expect_punct st p =
   | TPunct q when q = p -> advance st
   | _ -> error st (Printf.sprintf "expected '%s'" p)
 
-let expect_kw st k =
-  match peek st with
-  | TKw q when q = k -> advance st
-  | _ -> error st (Printf.sprintf "expected '%s'" k)
-
 let expect_id st =
   match peek st with
   | TId x ->

@@ -556,28 +556,20 @@ let lint_elaborated ?(obs = Obs.off) ?passes ~(session : Session.t) ~file
   in
   Rc_util.Diagnostic.sort (elaborated.Elab.warnings @ lint_diags)
 
-(** Resolve the session for one check invocation: the caller's session,
-    optionally with a one-shot budget override (a CLI convenience — the
-    flags set a budget without the caller building a session by hand). *)
-let resolve_session ?session ?budget () : Session.t =
-  let s = match session with Some s -> s | None -> Session.create () in
-  match budget with Some b -> Session.with_budget s b | None -> s
-
 (** Verify every specified function of a source string.  The session's
     observability configuration (see {!Session.with_obs}) decides
     whether a trace/metrics root is minted for this check; the root
     rides on the returned {!field-obs}. *)
-let check_source ?session ?budget ?fail_fast ?cache ~file
+let check_source ?(session = Session.create ()) ?fail_fast ?cache ~file
     (src : string) : t =
-  let session = resolve_session ?session ?budget () in
   let obs = Obs.create ~tid:0 session.Session.obs in
   let elaborated = parse_and_elab ~obs ~session ~file src in
   Obs.timed obs ~cat:"phase" ~key:"phase.check" ~args:[ ("file", file) ]
     "phase:check" (fun () ->
       check_elaborated ?fail_fast ?cache ~obs ~session ~file elaborated)
 
-let check_file ?session ?budget ?fail_fast ?cache (path : string) : t =
-  let session = resolve_session ?session ?budget () in
+let check_file ?(session = Session.create ()) ?fail_fast ?cache
+    (path : string) : t =
   (* the file-I/O boundary: both a real read failure and an injected
      ["io.read"] fault become a structured frontend error — the one
      failure that is necessarily file-fatal, but still a clean report

@@ -116,14 +116,6 @@ type env = {
   tenv : Rc_refinedc.Rtype.tenv;  (** session named-type definitions *)
 }
 
-let empty_env () =
-  {
-    vars = [];
-    structs = [];
-    fn_specs = [];
-    tenv = Rc_refinedc.Rtype.create_tenv ();
-  }
-
 type pstate = { mutable toks : tok list; env : env }
 
 let peek st = match st.toks with [] -> None | t :: _ -> Some t

@@ -275,7 +275,7 @@ module Make (L : LANG) = struct
       probes are recorded into every open frame, each against its own
       base. *)
   type frame = {
-    fr_key : int;
+    fr_key : string;
     fr_base : prop list;  (** ctx.props at open — the probe-delta base *)
     fr_saved_stats : Stats.t;  (** the enclosing collector, swapped out *)
     fr_names0 : int;
@@ -292,8 +292,7 @@ module Make (L : LANG) = struct
   }
 
   type memo = {
-    m_intern : Goal.Intern.t;  (** key strings ↦ dense table ids *)
-    m_table : (int, memo_entry) Hashtbl.t;
+    m_table : (string, memo_entry) Hashtbl.t;
     mutable m_frames : frame list;  (** innermost first *)
   }
 
@@ -664,14 +663,14 @@ module Make (L : LANG) = struct
   (* Memo frames                                                       *)
   (* ---------------------------------------------------------------- *)
 
-  (** The interned memo key for a basic goal, or [None] when the
+  (** The memo key for a basic goal, or [None] when the
       judgment is not memoizable.  The key is the judgment's own printed
       identity ({!L.memo_key_of_f}, evars resolved) plus the resolved Δ
       in order — order matters because context lookup takes the first
       related atom.  When the budget bounds recursion depth the current
       depth joins the key, since the subtree's depth checks then depend
       on where it starts. *)
-  let memo_key st (m : memo) (depth : int) ctx (f : L.f) : int option =
+  let memo_key st (depth : int) ctx (f : L.f) : string option =
     match L.memo_key_of_f (resolve st) f with
     | None -> None
     | Some mk ->
@@ -685,7 +684,7 @@ module Make (L : LANG) = struct
         (match Rc_util.Budget.depth_limit st.budget with
         | Some _ -> Buffer.add_string b (Printf.sprintf "|d%d" depth)
         | None -> ());
-        Some (Goal.Intern.id m.m_intern (Buffer.contents b))
+        Some (Buffer.contents b)
 
   (** Re-check every Γ interaction of a candidate entry against the
       current Γ.  Runs without observers and records nothing: a passing
@@ -705,7 +704,7 @@ module Make (L : LANG) = struct
             = result)
       e.e_probes
 
-  let memo_open st (m : memo) (key : int) ctx : frame =
+  let memo_open st (m : memo) (key : string) ctx : frame =
     flush_rule_counts st;
     let fr =
       {
@@ -922,7 +921,7 @@ module Make (L : LANG) = struct
         match st.memo with
         | None -> solve_basic st depth ctx f
         | Some m -> (
-            match memo_key st m depth ctx f with
+            match memo_key st depth ctx f with
             | None -> solve_basic st depth ctx f
             | Some key -> (
                 match Hashtbl.find_opt m.m_table key with
@@ -1132,11 +1131,7 @@ module Make (L : LANG) = struct
         memo =
           (if opts.o_memo then
              Some
-               {
-                 m_intern = Goal.Intern.create ();
-                 m_table = Hashtbl.create 256;
-                 m_frames = [];
-               }
+               { m_table = Hashtbl.create 256; m_frames = [] }
            else None);
         fx =
           (if opts.o_fx then

@@ -74,62 +74,4 @@ let lstars hs =
   | [] -> LTrue
   | h :: rest -> List.fold_left (fun acc x -> LStar (acc, x)) h rest
 
-let and2 ?l1 ?l2 g1 g2 = AndG [ (l1, g1); (l2, g2) ]
-
 let prop p = LProp p
-
-(** Hash-consing of printable goal keys.
-
-    Goals proper cannot be structurally hash-consed: their binders are
-    OCaml closures ([All]/[Ex]/[Find] carry functions), so two
-    semantically identical goals are never structurally equal.  What
-    {e can} be interned is the printable identity the engine uses on its
-    hot path — judgment head names and memoization keys.  An [Intern.t]
-    maps such strings to dense integer ids, so the engine compares and
-    hashes [int]s instead of re-hashing strings at every dispatch or
-    memo lookup.
-
-    Tables are owned by their creator (an engine run or a session's rule
-    index), never global: the [lint_globals.sh] gate requires all state
-    to be reachable from a session value, and per-run tables are what
-    make concurrent domains safe without locks. *)
-module Intern = struct
-  type t = {
-    ids : (string, int) Hashtbl.t;
-    mutable names : string array;  (** reverse map, grown geometrically *)
-    mutable size : int;
-  }
-
-  let create ?(expected = 64) () =
-    {
-      ids = Hashtbl.create expected;
-      names = Array.make (max expected 8) "";
-      size = 0;
-    }
-
-  (** [id t s] interns [s], returning its dense id (stable for the life
-      of [t]; the first string interned gets id 0). *)
-  let id (t : t) (s : string) : int =
-    match Hashtbl.find_opt t.ids s with
-    | Some i -> i
-    | None ->
-        let i = t.size in
-        if i = Array.length t.names then begin
-          let bigger = Array.make (2 * Array.length t.names) "" in
-          Array.blit t.names 0 bigger 0 i;
-          t.names <- bigger
-        end;
-        t.names.(i) <- s;
-        t.size <- i + 1;
-        Hashtbl.add t.ids s i;
-        i
-
-  (** [name t i] is the string whose id is [i].
-      @raise Invalid_argument if [i] was never returned by [id t]. *)
-  let name (t : t) (i : int) : string =
-    if i < 0 || i >= t.size then invalid_arg "Intern.name";
-    t.names.(i)
-
-  let size (t : t) = t.size
-  let mem (t : t) (s : string) = Hashtbl.mem t.ids s
-end

@@ -50,31 +50,6 @@ let cancel_all ~eq xs ys =
       | None -> (x :: left, ys))
     ([], ys) xs
 
-(* Saturate multiset equality hypotheses as rewrite rules var -> term. *)
-let mset_substs hyps =
-  List.filter_map
-    (function
-      | PEq ((Var (_, Sort.Mset) as v), t) when not (equal_term v t) ->
-          Some (v, t)
-      | PEq (t, (Var (_, Sort.Mset) as v)) when not (equal_term v t) ->
-          Some (v, t)
-      | _ -> None)
-    hyps
-
-let rec apply_substs n substs t =
-  if n = 0 then t
-  else
-    let t' =
-      List.fold_left
-        (fun t (v, rhs) ->
-          match v with
-          | Var (x, _) when not (SS.mem x (free_vars_term rhs)) ->
-              subst_term [ (x, rhs) ] t
-          | _ -> t)
-        t substs
-    in
-    if equal_term t t' then t else apply_substs (n - 1) substs t'
-
 (** Facts about opaque multiset parts extracted from hypotheses. *)
 type facts = {
   members : (term * term) list;  (** (k, s): k ∈ s known *)
@@ -97,60 +72,16 @@ let gather_facts hyps =
     { members = []; bounded = []; nonempty = [] }
     hyps
 
-let rec prove ?(hooks = Simp.no_hooks)
-    ~(prove_pure : hyps:prop list -> prop -> bool) ~hyps goal =
-  let goal = Simp.simp_prop ~hooks goal in
-  (* saturation: every known membership k ∈ S instantiates every bounded
-     fact ∀x∈S. φ(x), enriching the pure context (one round suffices for
-     the case studies) *)
-  let hyps =
-    let members =
-      List.filter_map
-        (function PIn (k, s) -> Some (k, s) | _ -> None)
-        hyps
-    in
-    let insts =
-      List.concat_map
-        (function
-          | PForall (x, _, PImp (PIn (Var (x', _), s), phi)) when x = x' ->
-              List.filter_map
-                (fun (k, s') ->
-                  if equal_term s s' then Some (subst_prop [ (x, k) ] phi)
-                  else None)
-                members
-          | _ -> [])
-        hyps
-    in
-    insts @ hyps
+(* the multiset cases, after the shared decomposition of
+   {!Coll_core.prove} *)
+let cases (c : Coll_core.ctx) goal =
+  let hyps = c.hyps in
+  let norm t =
+    sort_nf (flatten (Coll_core.rewrite c (Simp.simp_term ~hooks:c.hooks t)))
   in
-  let substs = mset_substs hyps in
-  let norm t = sort_nf (flatten (apply_substs 8 substs (Simp.simp_term ~hooks t))) in
-  let eq_elem a b =
-    equal_term a b || prove_pure ~hyps (PEq (a, b))
-  in
+  let eq_elem a b = equal_term a b || c.prove_pure ~hyps (PEq (a, b)) in
   let facts = gather_facts hyps in
   match goal with
-  | PTrue -> true
-  | PAnd (a, b) ->
-      prove ~hooks ~prove_pure ~hyps a && prove ~hooks ~prove_pure ~hyps b
-  | POr (a, b) -> prove ~hooks ~prove_pure ~hyps a || prove ~hooks ~prove_pure ~hyps b
-  | PImp (a, b) -> (
-      match Simp.destruct_hyp ~hooks a with
-      | None -> true
-      | Some hs -> prove ~hooks ~prove_pure ~hyps:(hs @ hyps) b)
-  (* Decompose universals whose premise was split by the simplifier. *)
-  | PForall (x, s, PImp (POr (p, q), phi)) ->
-      prove ~hooks ~prove_pure ~hyps (PForall (x, s, PImp (p, phi)))
-      && prove ~hooks ~prove_pure ~hyps (PForall (x, s, PImp (q, phi)))
-  | PForall (x, s, PAnd (p, q)) ->
-      prove ~hooks ~prove_pure ~hyps (PForall (x, s, p))
-      && prove ~hooks ~prove_pure ~hyps (PForall (x, s, q))
-  | PForall (x, _, PImp (PEq (Var (x', _), e), phi))
-    when x = x' && not (SS.mem x (free_vars_term e)) ->
-      prove ~hooks ~prove_pure ~hyps (subst_prop [ (x, e) ] phi)
-  | PForall (x, _, PImp (PEq (e, Var (x', _)), phi))
-    when x = x' && not (SS.mem x (free_vars_term e)) ->
-      prove ~hooks ~prove_pure ~hyps (subst_prop [ (x, e) ] phi)
   | PEq (s1, s2) when sort_of s1 = Sort.Mset || sort_of s2 = Sort.Mset ->
       let n1 = norm s1 and n2 = norm s2 in
       let left_e, rest_e = cancel_all ~eq:eq_elem n1.elems n2.elems in
@@ -178,21 +109,8 @@ let rec prove ?(hooks = Simp.no_hooks)
   | PForall (x, sx, PImp (PIn (Var (x', _), s), phi))
     when x = x' && sort_of s = Sort.Mset ->
       let n = norm s in
-      let prove_elem e = prove_pure ~hyps (subst_prop [ (x, e) ] phi) in
-      let prove_opaque v =
-        List.exists
-          (fun (s', y, psi) ->
-            let matches =
-              equal_term (apply_substs 8 substs s') v || equal_term s' v
-            in
-            matches
-            &&
-            (* Γ, ψ[y:=x] ⊨ φ for fresh x *)
-            let fresh = Var (x ^ "'", sx) in
-            let psi' = subst_prop [ (y, fresh) ] psi in
-            let phi' = subst_prop [ (x, fresh) ] phi in
-            prove_pure ~hyps:(psi' :: hyps) phi')
-          facts.bounded
-      in
-      List.for_all prove_elem n.elems && List.for_all prove_opaque n.opaque
-  | g -> List.exists (fun h -> equal_prop h g) hyps || prove_pure ~hyps g
+      Coll_core.forall_in c ~bounded:facts.bounded ~x ~sx ~phi
+        ~elems:n.elems ~opaque:n.opaque
+  | g -> Coll_core.lookup c g
+
+let prove = Coll_core.prove ~sort:Sort.Mset ~cases

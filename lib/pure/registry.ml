@@ -32,8 +32,6 @@ let pp_verdict ppf = function
   | Via_lemma s -> Fmt.pf ppf "lemma:%s" s
   | Unsolved -> Fmt.string ppf "UNSOLVED"
 
-let is_manual = function Via_solver _ | Via_lemma _ -> true | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Context-aware conditional resolution                                *)
 (* ------------------------------------------------------------------ *)
@@ -117,29 +115,22 @@ let rec default_prove (reg : t) ~hyps goal =
 (* Named solvers                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* a structural solver (multisets, sets, lists): its pure subgoals go
+   to the default solver under the registry's hooks *)
+let structural name
+    (prove : ?hooks:Simp.hooks -> prove_pure:_ -> hyps:_ -> prop -> bool) =
+  {
+    name;
+    run =
+      (fun reg ~hyps g ->
+        prove ~hooks:reg.hooks ~prove_pure:(default_prove reg) ~hyps g);
+  }
+
 let builtin_solvers : solver list =
   [
-    {
-      name = "multiset_solver";
-      run =
-        (fun reg ~hyps g ->
-          Mset_solver.prove ~hooks:reg.hooks ~prove_pure:(default_prove reg)
-            ~hyps g);
-    };
-    {
-      name = "set_solver";
-      run =
-        (fun reg ~hyps g ->
-          Set_solver.prove ~hooks:reg.hooks ~prove_pure:(default_prove reg)
-            ~hyps g);
-    };
-    {
-      name = "list_solver";
-      run =
-        (fun reg ~hyps g ->
-          List_solver.prove ~hooks:reg.hooks ~prove_pure:(default_prove reg)
-            ~hyps g);
-    };
+    structural "multiset_solver" Mset_solver.prove;
+    structural "set_solver" Set_solver.prove;
+    structural "list_solver" List_solver.prove;
     {
       name = "lia";
       run = (fun reg ~hyps g -> Linarith.prove ?scope:reg.lia ~hyps g);
@@ -167,7 +158,6 @@ let create ?(solvers = []) ?(lemmas = []) ?(default_only = false)
     lia = None;
   }
 
-let add_solver reg s = { reg with solvers = reg.solvers @ [ s ] }
 let add_lemma reg l = { reg with lemmas = reg.lemmas @ [ l ] }
 let with_fault reg fault = { reg with fault }
 

@@ -19,7 +19,6 @@ type verdict =
   | Unsolved
 
 val pp_verdict : Format.formatter -> verdict -> unit
-val is_manual : verdict -> bool
 
 val resolve_ites :
   ?scope:Linarith.scope ->
@@ -93,7 +92,6 @@ val flush_scope : t -> Rc_util.Obs.t -> unit
 (** add the scope's [solver.lia.*] counters to [obs]
     ({!Linarith.flush}); nothing without a scope *)
 
-val add_solver : t -> solver -> t
 val add_lemma : t -> lemma -> t
 val with_fault : t -> Rc_util.Faultsim.t option -> t
 val find_solver : t -> string -> solver option

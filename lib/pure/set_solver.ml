@@ -35,30 +35,6 @@ let sort_nf nf =
     diffs = nf.diffs;
   }
 
-let set_substs hyps =
-  List.filter_map
-    (function
-      | PEq ((Var (_, Sort.Set) as v), t) when not (equal_term v t) ->
-          Some (v, t)
-      | PEq (t, (Var (_, Sort.Set) as v)) when not (equal_term v t) ->
-          Some (v, t)
-      | _ -> None)
-    hyps
-
-let rec apply_substs n substs t =
-  if n = 0 then t
-  else
-    let t' =
-      List.fold_left
-        (fun t (v, rhs) ->
-          match v with
-          | Var (x, _) when not (SS.mem x (free_vars_term rhs)) ->
-              subst_term [ (x, rhs) ] t
-          | _ -> t)
-        t substs
-    in
-    if equal_term t t' then t else apply_substs (n - 1) substs t'
-
 type facts = {
   members : (term * term) list;
   non_members : (term * term) list;
@@ -79,34 +55,11 @@ let gather_facts hyps =
     { members = []; non_members = []; bounded = [] }
     hyps
 
-let rec prove ?(hooks = Simp.no_hooks)
-    ~(prove_pure : hyps:prop list -> prop -> bool) ~hyps goal =
-  let goal = Simp.simp_prop ~hooks goal in
-  (* saturation: every known membership k ∈ S instantiates every bounded
-     fact ∀x∈S. φ(x), enriching the pure context (one round suffices for
-     the case studies) *)
-  let hyps =
-    let members =
-      List.filter_map
-        (function PIn (k, s) -> Some (k, s) | _ -> None)
-        hyps
-    in
-    let insts =
-      List.concat_map
-        (function
-          | PForall (x, _, PImp (PIn (Var (x', _), s), phi)) when x = x' ->
-              List.filter_map
-                (fun (k, s') ->
-                  if equal_term s s' then Some (subst_prop [ (x, k) ] phi)
-                  else None)
-                members
-          | _ -> [])
-        hyps
-    in
-    insts @ hyps
-  in
-  let substs = set_substs hyps in
-  let norm t = sort_nf (flatten (apply_substs 8 substs (Simp.simp_term ~hooks t))) in
+(* the set cases, after the shared decomposition of {!Coll_core.prove} *)
+let cases (c : Coll_core.ctx) goal =
+  let hyps = c.hyps and prove_pure = c.prove_pure in
+  let rewrite = Coll_core.rewrite c in
+  let norm t = sort_nf (flatten (rewrite (Simp.simp_term ~hooks:c.hooks t))) in
   let eq_elem a b = equal_term a b || prove_pure ~hyps (PEq (a, b)) in
   let ne_elem a b = prove_pure ~hyps (PNot (PEq (a, b))) in
   let facts = gather_facts hyps in
@@ -116,8 +69,7 @@ let rec prove ?(hooks = Simp.no_hooks)
     || List.exists
          (fun v ->
            List.exists
-             (fun (k', s') ->
-               equal_term v (apply_substs 8 substs s') && eq_elem k k')
+             (fun (k', s') -> equal_term v (rewrite s') && eq_elem k k')
              facts.members
            ||
            (* disjunction elimination: k ∈ S is known for some S whose
@@ -128,13 +80,15 @@ let rec prove ?(hooks = Simp.no_hooks)
              (fun (k', s') ->
                eq_elem k k'
                &&
-               let ns = sort_nf (flatten (apply_substs 8 substs s')) in
+               let ns = sort_nf (flatten (rewrite s')) in
                List.exists (equal_term v) ns.opaque
                && ns.diffs = []
                && List.for_all (ne_elem k) ns.elems
                && List.for_all
                     (fun u ->
-                      equal_term u v || not_member_of k { elems = []; opaque = [ u ]; diffs = [] })
+                      equal_term u v
+                      || not_member_of k
+                           { elems = []; opaque = [ u ]; diffs = [] })
                     ns.opaque)
              facts.members)
          n.opaque
@@ -146,14 +100,13 @@ let rec prove ?(hooks = Simp.no_hooks)
     && List.for_all
          (fun v ->
            List.exists
-             (fun (k', s') ->
-               equal_term v (apply_substs 8 substs s') && eq_elem k k')
+             (fun (k', s') -> equal_term v (rewrite s') && eq_elem k k')
              facts.non_members
            ||
            (* bounded facts can exclude: ∀x∈v. φ(x) with φ(k) refutable *)
            List.exists
              (fun (s', x, phi) ->
-               equal_term (apply_substs 8 substs s') v
+               equal_term (rewrite s') v
                && prove_pure ~hyps (PNot (subst_prop [ (x, k) ] phi)))
              facts.bounded)
          n.opaque
@@ -164,25 +117,6 @@ let rec prove ?(hooks = Simp.no_hooks)
          n.diffs
   in
   match goal with
-  | PTrue -> true
-  | PAnd (a, b) -> prove ~hooks ~prove_pure ~hyps a && prove ~hooks ~prove_pure ~hyps b
-  | POr (a, b) -> prove ~hooks ~prove_pure ~hyps a || prove ~hooks ~prove_pure ~hyps b
-  | PImp (a, b) -> (
-      match Simp.destruct_hyp ~hooks a with
-      | None -> true
-      | Some hs -> prove ~hooks ~prove_pure ~hyps:(hs @ hyps) b)
-  | PForall (x, s, PImp (POr (p, q), phi)) ->
-      prove ~hooks ~prove_pure ~hyps (PForall (x, s, PImp (p, phi)))
-      && prove ~hooks ~prove_pure ~hyps (PForall (x, s, PImp (q, phi)))
-  | PForall (x, s, PAnd (p, q)) ->
-      prove ~hooks ~prove_pure ~hyps (PForall (x, s, p))
-      && prove ~hooks ~prove_pure ~hyps (PForall (x, s, q))
-  | PForall (x, _, PImp (PEq (Var (x', _), e), phi))
-    when x = x' && not (SS.mem x (free_vars_term e)) ->
-      prove ~hooks ~prove_pure ~hyps (subst_prop [ (x, e) ] phi)
-  | PForall (x, _, PImp (PEq (e, Var (x', _)), phi))
-    when x = x' && not (SS.mem x (free_vars_term e)) ->
-      prove ~hooks ~prove_pure ~hyps (subst_prop [ (x, e) ] phi)
   | PEq (s1, s2) when sort_of s1 = Sort.Set || sort_of s2 = Sort.Set ->
       let n1 = norm s1 and n2 = norm s2 in
       (* mutual inclusion on syntactic parts: every elem of one side must
@@ -212,29 +146,15 @@ let rec prove ?(hooks = Simp.no_hooks)
       || List.exists
            (fun v ->
              List.exists
-               (fun (_, s') ->
-                 equal_term v (apply_substs 8 substs s'))
+               (fun (_, s') -> equal_term v (rewrite s'))
                facts.members)
            n.opaque
   | PForall (x, sx, PImp (PIn (Var (x', _), s), phi))
     when x = x' && sort_of s = Sort.Set ->
       let n = norm s in
-      let prove_elem e = prove_pure ~hyps (subst_prop [ (x, e) ] phi) in
-      let prove_opaque v =
-        List.exists
-          (fun (s', y, psi) ->
-            let matches =
-              equal_term (apply_substs 8 substs s') v || equal_term s' v
-            in
-            matches
-            &&
-            let fresh = Var (x ^ "'", sx) in
-            let psi' = subst_prop [ (y, fresh) ] psi in
-            let phi' = subst_prop [ (x, fresh) ] phi in
-            prove_pure ~hyps:(psi' :: hyps) phi')
-          facts.bounded
-      in
-      List.for_all prove_elem n.elems
-      && List.for_all prove_opaque n.opaque
+      Coll_core.forall_in c ~bounded:facts.bounded ~x ~sx ~phi
+        ~elems:n.elems ~opaque:n.opaque
       && n.diffs = []
-  | g -> List.exists (fun h -> equal_prop h g) hyps || prove_pure ~hyps g
+  | g -> Coll_core.lookup c g
+
+let prove = Coll_core.prove ~sort:Sort.Set ~cases

@@ -30,8 +30,6 @@ let no_hooks = { h_term = []; h_prop = [] }
 let hooks ?(term_rules = []) ?(prop_rules = []) () =
   { h_term = term_rules; h_prop = prop_rules }
 
-let add_term_rule h name r = { h with h_term = h.h_term @ [ (name, r) ] }
-let add_prop_rule h name r = { h with h_prop = h.h_prop @ [ (name, r) ] }
 
 (** Registration-order hook names, for configuration fingerprints. *)
 let hook_names h = List.map fst h.h_term @ List.map fst h.h_prop

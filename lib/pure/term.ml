@@ -227,7 +227,6 @@ let evars_prop p =
     [] p
   |> List.sort_uniq Int.compare
 
-let has_evars_term t = evars_term t <> []
 let has_evars_prop p = evars_prop p <> []
 
 (* ------------------------------------------------------------------ *)

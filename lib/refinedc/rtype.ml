@@ -94,21 +94,6 @@ let unfold_named (te : tenv) name args =
   | Some td -> Some (td.td_unfold args)
   | None -> None
 
-(** Stable digest of the environment (names, parameters, layouts) for
-    the verification-cache key.  The unfold function itself cannot be
-    digested; definitions are keyed by name + arity + layout, which the
-    frontend derives deterministically from the source. *)
-let tenv_signature (te : tenv) : string =
-  Hashtbl.fold (fun name td acc -> (name, td) :: acc) te []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map (fun (name, td) ->
-         Printf.sprintf "%s/%d/%s" name
-           (List.length td.td_params)
-           (match td.td_layout with
-           | Some l -> Rc_caesium.Layout.show l
-           | None -> "?"))
-  |> String.concat ";"
-
 (* ------------------------------------------------------------------ *)
 (* Misc helpers                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -118,10 +103,6 @@ let t_int_ex it = TExists ("n", Sort.Int, fun n -> TInt (it, n))
 
 (** The "return type" of void functions: zero bytes. *)
 let t_void = TUninit (Num 0)
-
-let is_void = function TUninit (Num 0) -> true | _ -> false
-
-let t_own ty = TOwn (None, ty)
 
 (** Pure facts implied by owning a value of this type, e.g. integer-range
     bounds (these feed the arithmetic side conditions, like the paper's
@@ -302,7 +283,6 @@ let pp_hres ppf = function
   | HProp p -> Fmt.pf ppf "⌜%a⌝" pp_prop p
 
 let rtype_to_string t = Fmt.str "%a" pp_rtype t
-let atom_to_string a = Fmt.str "%a" pp_atom a
 
 (** A deterministic printed form of a function specification covering
     every field that can influence a check (the source location is

@@ -33,15 +33,6 @@ let place_type (v : term) (vty : rtype) : rtype =
   | TOptional _ | TNamed _ | TFnPtr _ | TWand _ -> TPtrV v
   | _ -> TPtrV v
 
-(** Does [l] point into the object at [base] (syntactically)?  Returns the
-    byte-offset term when it does. *)
-let offset_from ~(base : term) (l : term) : term option =
-  if equal_term base l then Some (Num 0)
-  else
-    match l with
-    | LocOfs (b, o) when equal_term b base -> Some o
-    | _ -> None
-
 (** Symbolic offset from [from_] to [l] when both share a base location
     (nested offsets are flattened by the simplifier, so at most one
     [LocOfs] layer occurs). *)

@@ -251,24 +251,3 @@ let invs_signature (invs : (string * loop_inv) list) : string =
       i.li_constraints
   in
   Fmt.str "%a" Fmt.(list ~sep:semi inv) invs
-
-(* ------------------------------------------------------------------ *)
-(* Whole-program checking                                              *)
-(* ------------------------------------------------------------------ *)
-
-type program_result = {
-  fn_results : (string * (E.result, Rc_lithium.Report.t) result) list;
-}
-
-let check_program ?(globals = []) ~(session : Session.t)
-    (fns : fn_to_check list) : program_result =
-  let specs = List.map (fun f -> (f.spec.fs_name, f.spec)) fns in
-  {
-    fn_results =
-      List.map
-        (fun f -> (f.spec.fs_name, check_fn ~globals ~session ~specs f))
-        fns;
-  }
-
-let all_ok (r : program_result) =
-  List.for_all (fun (_, res) -> Result.is_ok res) r.fn_results

@@ -407,19 +407,6 @@ and gen_own gx h va refn t' : Loc.t =
   gen_at gx h va base ptr;
   ptr
 
-and witness_term x (c : conc) : term =
-  match c with
-  | CInt n -> Num n
-  | CBool b -> BoolLit b
-  | CList l -> List.fold_right (fun n t -> Cons (Num n, t)) l (Nil Sort.Int)
-  | CMset l ->
-      List.fold_right (fun n t -> MsUnion (MsSingleton (Num n), t)) l MsEmpty
-  | CSet l ->
-      List.fold_right
-        (fun n t -> SetUnion (SetSingleton (Num n), t))
-        l SetEmpty
-  | CLoc _ -> Var (x, Sort.Loc)
-
 (** Generate a concrete argument value for one argument type. *)
 let rec gen_arg gx h va (ty : rtype) : Value.t =
   match ty with

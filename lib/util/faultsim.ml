@@ -38,7 +38,6 @@ exception Injected of string
 type t = {
   cfg : cfg;
   prng : int64 Atomic.t;
-  hits : int Atomic.t;
   injected : int Atomic.t;
 }
 
@@ -49,11 +48,9 @@ let create ?(rate = 0.001) ?sites ?(max_faults = -1) seed : t =
   {
     cfg = { seed; rate; sites; max_faults };
     prng = Atomic.make (Int64.of_int seed);
-    hits = Atomic.make 0;
     injected = Atomic.make 0;
   }
 
-let hit_count (t : t) = Atomic.get t.hits
 let injected_count (t : t) = Atomic.get t.injected
 
 (* splitmix64: tiny, high-quality, and fully determined by the seed.
@@ -99,7 +96,6 @@ let point (campaign : t option) (site : string) : unit =
       else if
         match s.cfg.sites with None -> true | Some l -> List.mem site l
       then begin
-        Atomic.incr s.hits;
         if uniform s < s.cfg.rate && claim_injection s then
           raise (Injected site)
       end

@@ -38,8 +38,6 @@ let rec transpose = function
   | [] | [] :: _ -> []
   | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
 
-let init_matrix n m f = List.init n (fun i -> List.init m (fun j -> f i j))
-
 let index_of p xs =
   let rec go i = function
     | [] -> None

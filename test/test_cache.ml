@@ -46,8 +46,8 @@ let src_spec_edit =
 (* Each call builds a fresh stock session; cache keys depend only on the
    session's *configuration*, so two identically-configured sessions
    share verdicts while any config difference forces a miss. *)
-let check ?session ?budget ~cache src =
-  Driver.check_source ?session ?budget ~cache ~file:"cache_test.c" src
+let check ?session ~cache src =
+  Driver.check_source ?session ~cache ~file:"cache_test.c" src
 
 let counters (t : Driver.t) =
   match t.Driver.cache_stats with
@@ -168,14 +168,18 @@ let cache_tests =
           (check ~cache src));
     Alcotest.test_case "budget change misses" `Quick (fun () ->
         let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
-        let b fuel = { Rc_util.Budget.unlimited with fuel = Some fuel } in
+        let fuel n =
+          Rc_refinedc.Session.with_budget
+            (Rc_refinedc.Session.create ())
+            { Rc_util.Budget.unlimited with fuel = Some n }
+        in
         expect "cold, fuel 100k" ~hits:0 ~misses:2
-          (check ~budget:(b 100_000) ~cache src);
+          (check ~session:(fuel 100_000) ~cache src);
         expect "same fuel hits" ~hits:2 ~misses:0
-          (check ~budget:(b 100_000) ~cache src);
+          (check ~session:(fuel 100_000) ~cache src);
         (* a verdict under one budget must not stand in for another *)
         expect "different fuel misses" ~hits:0 ~misses:2
-          (check ~budget:(b 50_000) ~cache src);
+          (check ~session:(fuel 50_000) ~cache src);
         expect "no budget misses" ~hits:0 ~misses:2 (check ~cache src));
     Alcotest.test_case "lint config keys the cache" `Quick (fun () ->
         (* the lint configuration is part of the toolchain fingerprint:

@@ -1,14 +1,13 @@
-(* The engine-speed features must be semantically invisible: goal
-   interning, within-run subgoal memoization ([--memo]) and the order of
+(* The engine-speed features must be semantically invisible: head-id
+   dispatch, within-run subgoal memoization ([--memo]) and the order of
    equal-priority rules may change wall-clock time and the memo
    counters, but never verdicts, Figure-7 statistics, diagnostics,
    exit codes or the [--json] report.  These tests pin that equivalence
    over the full case-study corpus and a sample of the generated stress
-   corpus, plus the interning primitives themselves. *)
+   corpus. *)
 
 module Driver = Rc_frontend.Driver
 module Stats = Rc_lithium.Stats
-module Goal = Rc_lithium.Goal
 module Session = Rc_refinedc.Session
 module Corpus = Rc_benchgen.Corpus
 
@@ -33,35 +32,6 @@ let plain_session ?(memo = false) () =
   Rc_session.Refinedc_api.create_session ~memo ()
 
 let json t = Rc_util.Jsonout.to_string (Driver.to_json ~timings:false t)
-
-(* ------------------------------------------------------------------ *)
-(* Interning primitives                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_intern_roundtrip () =
-  let t = Goal.Intern.create ~expected:2 () in
-  let keys = List.init 100 (fun i -> Printf.sprintf "goal<%d>" i) in
-  let ids = List.map (Goal.Intern.id t) keys in
-  (* dense ids, in first-seen order *)
-  Alcotest.(check (list int)) "dense ids" (List.init 100 Fun.id) ids;
-  (* interning again is stable *)
-  Alcotest.(check (list int)) "stable" ids (List.map (Goal.Intern.id t) keys);
-  (* names round-trip *)
-  List.iter2
-    (fun k i ->
-      Alcotest.(check string) "name round-trip" k (Goal.Intern.name t i))
-    keys ids;
-  Alcotest.(check int) "size" 100 (Goal.Intern.size t);
-  Alcotest.(check bool) "mem" true (Goal.Intern.mem t "goal<42>");
-  Alcotest.(check bool) "not mem" false (Goal.Intern.mem t "goal<100>")
-
-let test_intern_bounds () =
-  let t = Goal.Intern.create () in
-  ignore (Goal.Intern.id t "only");
-  Alcotest.check_raises "out of range" (Invalid_argument "Intern.name")
-    (fun () -> ignore (Goal.Intern.name t 1));
-  Alcotest.check_raises "negative" (Invalid_argument "Intern.name")
-    (fun () -> ignore (Goal.Intern.name t (-1)))
 
 (* Dispatch reads a goal's rule bucket and head name through
    [head_id_of_f]; [head_of_f] is the reference it must agree with.  A
@@ -277,8 +247,6 @@ let () =
     [
       ( "intern",
         [
-          Alcotest.test_case "round-trip" `Quick test_intern_roundtrip;
-          Alcotest.test_case "bounds" `Quick test_intern_bounds;
           Alcotest.test_case "head ids round-trip to head names" `Quick
             test_head_ids;
         ] );

@@ -152,6 +152,45 @@ let linarith_tests =
 
 let default = Registry.default_prove Registry.default
 
+(* The goal forms both collection solvers decompose the same way before
+   any case of their own, over one collection variable [coll] of the
+   solver's sort.  Each goal is shaped so that [Simp.simp_prop] leaves
+   its outer form in place. *)
+let shared_form_tests ~t ~coll ~single ~union =
+  let k = nat "k" in
+  let in_coll x = PIn (x, coll) in
+  let comm = PEq (union (single a) coll, union coll (single a)) in
+  let eq_ab = PEq (union (single a) coll, union (single b) coll) in
+  let bound = PForall ("k", Sort.Nat, PImp (in_coll k, PLe (k, Num 4))) in
+  [
+    t "or-goal" [] (POr (PEq (coll, union (single n) coll), comm)) true;
+    t "imp-goal premise used" [] (PImp (PEq (a, b), eq_ab)) true;
+    t "imp-goal premise needed" [] eq_ab false;
+    t "forall-or-premise" [ bound ]
+      (PForall
+         ( "k",
+           Sort.Nat,
+           PImp (POr (PLe (k, Num 3), in_coll k), PLe (k, Num 5)) ))
+      true;
+    t "forall-and" [ bound; PLe (a, Num 2) ]
+      (PForall
+         ( "k",
+           Sort.Nat,
+           PAnd
+             ( PImp (in_coll k, PLe (k, Num 5)),
+               PImp (PEq (k, a), PLe (k, Num 5)) ) ))
+      true;
+    t "forall-eq-var-left" [ PLe (n, a) ]
+      (PForall ("k", Sort.Nat, PImp (PEq (k, a), PLe (n, k))))
+      true;
+    t "forall-eq-var-right" [ PLe (n, a) ]
+      (PForall ("k", Sort.Nat, PImp (PEq (a, k), PLe (n, k))))
+      true;
+    t "hyp-lookup fallback" [ PPred ("P", [ coll ]) ]
+      (PPred ("P", [ coll ]))
+      true;
+  ]
+
 let mset_tests =
   let s = mset_v "s" in
   let tail = mset_v "tail" in
@@ -199,6 +238,8 @@ let mset_tests =
          ))
       true;
   ]
+  @ shared_form_tests ~t ~coll:tail ~single:(fun e -> MsSingleton e)
+      ~union:(fun x y -> MsUnion (x, y))
 
 let set_tests =
   let s = Var ("s", Sort.Set) in
@@ -243,6 +284,8 @@ let set_tests =
          ))
       true;
   ]
+  @ shared_form_tests ~t ~coll:l ~single:(fun e -> SetSingleton e)
+      ~union:(fun x y -> SetUnion (x, y))
 
 let list_tests =
   let xs = Var ("xs", Sort.List Sort.Int) in

@@ -18,8 +18,10 @@ module Driver = Rc_frontend.Driver
 module Report = Rc_lithium.Report
 module Budget = Rc_util.Budget
 module Faultsim = Rc_util.Faultsim
+module Session = Rc_refinedc.Session
 
 let session () = Rc_studies.Studies.session ()
+let budgeted budget = Session.with_budget (session ()) budget
 
 (* a session with its own fault-injection campaign: campaigns are values
    owned by exactly one session, so two sessions never observe each
@@ -79,7 +81,7 @@ let budget_tests =
       (fun () ->
         let budget = { Budget.unlimited with Budget.fuel = Some 20 } in
         let t =
-          Driver.check_file ~session:(session ()) ~budget
+          Driver.check_file ~session:(budgeted budget)
             (path "binary_search.c")
         in
         Alcotest.(check bool) "all failed" true (Driver.errors t <> []);
@@ -96,7 +98,7 @@ let budget_tests =
     Alcotest.test_case "exhaustion reports the goal head" `Quick (fun () ->
         let budget = { Budget.unlimited with Budget.fuel = Some 200 } in
         let t =
-          Driver.check_file ~session:(session ()) ~budget
+          Driver.check_file ~session:(budgeted budget)
             (path "binary_search.c")
         in
         match kind_of t "bsearch_idx" with
@@ -110,7 +112,7 @@ let budget_tests =
       (fun () ->
         let budget = { Budget.unlimited with Budget.timeout = Some 0.0 } in
         let t =
-          Driver.check_file ~session:(session ()) ~budget (path "spinlock.c")
+          Driver.check_file ~session:(budgeted budget) (path "spinlock.c")
         in
         List.iter
           (fun (fn, (e : Report.t)) ->
@@ -123,7 +125,7 @@ let budget_tests =
     Alcotest.test_case "depth limit reports Depth_exceeded" `Quick (fun () ->
         let budget = { Budget.unlimited with Budget.max_depth = Some 5 } in
         let t =
-          Driver.check_file ~session:(session ()) ~budget (path "spinlock.c")
+          Driver.check_file ~session:(budgeted budget) (path "spinlock.c")
         in
         List.iter
           (fun (_, (e : Report.t)) ->
@@ -143,7 +145,7 @@ let budget_tests =
           }
         in
         let t =
-          Driver.check_file ~session:(session ()) ~budget (path "spinlock.c")
+          Driver.check_file ~session:(budgeted budget) (path "spinlock.c")
         in
         Alcotest.(check bool) "verifies" true (Driver.all_ok t);
         Alcotest.(check int) "exit code 0" 0 (Driver.exit_code t));
@@ -202,7 +204,7 @@ let isolation_tests =
       (fun () ->
         let budget = { Budget.unlimited with Budget.fuel = Some 10 } in
         let t =
-          Driver.check_file ~session:(session ()) ~budget (path "spinlock.c")
+          Driver.check_file ~session:(budgeted budget) (path "spinlock.c")
         in
         let s = Rc_util.Jsonout.to_string (Driver.to_json t) in
         let has what =
@@ -329,7 +331,10 @@ let campaign_tests =
         List.iter
           (fun file ->
             let s, _ = faulty ~rate:0.002 (Hashtbl.hash file) in
-            match Driver.check_file ~session:s ~budget (path file) with
+            match
+              Driver.check_file ~session:(Session.with_budget s budget)
+                (path file)
+            with
             | t ->
                 List.iter
                   (fun (_, (e : Report.t)) ->
