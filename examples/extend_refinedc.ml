@@ -98,13 +98,7 @@ let () =
       match r.outcome with
       | Ok res ->
           Fmt.pr "✔ %-9s verified (%a)@." r.name Rc_lithium.Stats.pp
-            res.Rc_refinedc.Lang.E.stats;
-          let side_manual =
-            res.Rc_refinedc.Lang.E.stats.Rc_lithium.Stats.manual_detail
-          in
-          List.iter
-            (fun (how, what) -> Fmt.pr "    %s discharged: %s@." how what)
-            side_manual
+            res.Rc_refinedc.Lang.E.stats
       | Error e ->
           Fmt.pr "✘ %s failed:@.%s@." r.name (Rc_lithium.Report.to_string e);
           exit 1)

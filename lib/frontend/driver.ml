@@ -814,6 +814,12 @@ let runlog_record ~(session : Session.t) ~(wall_s : float) (t : t) :
               ("misses", Int (Rc_util.Metrics.counter m "memo.miss"));
               ("stores", Int (Rc_util.Metrics.counter m "memo.store"));
             ] );
+        (* the default solver's linear arithmetic: its queries and the
+           work of its hypothesis-prefix stack (Linarith.flush) *)
+        ( "lia",
+          Obj
+            (Rc_util.Metrics.counters_with_prefix m ~prefix:"solver.lia."
+            |> List.map (fun (name, n) -> (name, Int n))) );
         ( "solvers",
           List
             (Rc_util.Metrics.timers_with_prefix m ~prefix:"solver.ns."

@@ -862,7 +862,7 @@ module Make (L : LANG) = struct
           (match verdict with
           | Registry.Unsolved ->
               fail st ctx (Report.Unsolved_side_condition phi)
-          | v -> Stats.record_side st.stats v phi);
+          | v -> Stats.record_side st.stats v);
           record_probe st ctx ~poison:false (fun delta ->
               PSolve { delta; phi; verdict });
           [ (phi, verdict) ]

@@ -13,8 +13,6 @@ type t = {
   mutable evar_insts : int;
   mutable side_auto : int;
   mutable side_manual : int;
-  mutable manual_detail : (string * string) list;
-      (** (solver-or-lemma, printed side condition) *)
   mutable memo_hits : int;
       (** memoized-subgoal replays; the subsumed rule applications are
           already merged into [rule_apps]/[rules_used], so Figure-7
@@ -31,7 +29,6 @@ let create () =
     evar_insts = 0;
     side_auto = 0;
     side_manual = 0;
-    manual_detail = [];
     memo_hits = 0;
     memo_saved_apps = 0;
   }
@@ -40,18 +37,11 @@ let add_rule_uses t name n =
   Hashtbl.replace t.rules_used name
     (n + Option.value ~default:0 (Hashtbl.find_opt t.rules_used name))
 
-(* the condition is printed only for the manual verdicts that keep it *)
-let record_side t (v : Rc_pure.Registry.verdict) (phi : Rc_pure.Term.prop) =
+let record_side t (v : Rc_pure.Registry.verdict) =
   match v with
   | Rc_pure.Registry.Auto -> t.side_auto <- t.side_auto + 1
-  | Rc_pure.Registry.Via_solver s ->
-      t.side_manual <- t.side_manual + 1;
-      t.manual_detail <-
-        (s, Rc_pure.Term.prop_to_string phi) :: t.manual_detail
-  | Rc_pure.Registry.Via_lemma s ->
-      t.side_manual <- t.side_manual + 1;
-      t.manual_detail <-
-        ("lemma " ^ s, Rc_pure.Term.prop_to_string phi) :: t.manual_detail
+  | Rc_pure.Registry.Via_solver _ | Rc_pure.Registry.Via_lemma _ ->
+      t.side_manual <- t.side_manual + 1
   | Rc_pure.Registry.Unsolved -> ()
 
 let distinct_rules t = Hashtbl.length t.rules_used
@@ -62,11 +52,6 @@ let merge a b =
   a.evar_insts <- a.evar_insts + b.evar_insts;
   a.side_auto <- a.side_auto + b.side_auto;
   a.side_manual <- a.side_manual + b.side_manual;
-  (* [manual_detail] is reverse-chronological.  Keeping [b]'s (later)
-     entries at the head makes its chronological order [a]'s entries then
-     [b]'s — source order for a driver merging per-function stats,
-     regardless of [-j N]. *)
-  a.manual_detail <- b.manual_detail @ a.manual_detail;
   a.memo_hits <- a.memo_hits + b.memo_hits;
   a.memo_saved_apps <- a.memo_saved_apps + b.memo_saved_apps
 

@@ -11,8 +11,6 @@ type t = {
   mutable side_manual : int;
       (** side conditions needing a named solver or a registered lemma
           (the paper's conservative "manual" counting) *)
-  mutable manual_detail : (string * string) list;
-      (** (solver-or-lemma, printed side condition) *)
   mutable memo_hits : int;
       (** memoized-subgoal replays; the subsumed applications are merged
           into [rule_apps]/[rules_used], keeping Figure-7 columns
@@ -27,9 +25,8 @@ val add_rule_uses : t -> string -> int -> unit
     [rules_used].  [rule_apps] is the caller's to count: the engine bumps
     it at each application and credits [rules_used] in batches. *)
 
-val record_side : t -> Rc_pure.Registry.verdict -> Rc_pure.Term.prop -> unit
-(** counts the condition under its verdict; only a manual verdict prints
-    it, into [manual_detail] *)
+val record_side : t -> Rc_pure.Registry.verdict -> unit
+(** counts a side condition under its verdict *)
 
 val distinct_rules : t -> int
 val merge : t -> t -> unit

@@ -53,23 +53,34 @@ let rewrite (c : ctx) t = apply_substs 8 c.substs t
 (* saturation: every known membership k ∈ S instantiates every bounded
    fact ∀x∈S. φ(x), enriching the pure context (one round suffices for
    the case studies) *)
-let saturate hyps =
-  let members =
-    List.filter_map (function PIn (k, s) -> Some (k, s) | _ -> None) hyps
-  in
-  let insts =
-    List.concat_map
-      (function
-        | PForall (x, _, PImp (PIn (Var (x', _), s), phi)) when x = x' ->
-            List.filter_map
-              (fun (k, s') ->
-                if equal_term s s' then Some (subst_prop [ (x, k) ] phi)
-                else None)
-              members
-        | _ -> [])
-      hyps
-  in
-  insts @ hyps
+let members hyps =
+  List.filter_map (function PIn (k, s) -> Some (k, s) | _ -> None) hyps
+
+let bounded hyps =
+  List.filter_map
+    (function
+      | PForall (x, _, PImp (PIn (Var (x', _), s), phi)) when x = x' ->
+          Some (x, s, phi)
+      | _ -> None)
+    hyps
+
+let instances facts members =
+  List.concat_map
+    (fun (x, s, phi) ->
+      List.filter_map
+        (fun (k, s') ->
+          if equal_term s s' then Some (subst_prop [ (x, k) ] phi) else None)
+        members)
+    facts
+
+(* [saturate hs hyps]: [hs] added to the saturated [hyps], with only
+   the instances [hs] creates: its memberships under every bounded fact,
+   and its bounded facts over the memberships already known *)
+let saturate hs hyps =
+  let ms = members hs and facts = bounded hs in
+  instances (facts @ bounded hyps) ms
+  @ instances facts (members hyps)
+  @ hs @ hyps
 
 (** The last resort of every goal no case decides: a syntactic
     hypothesis, else the default solver. *)
@@ -95,15 +106,15 @@ let forall_in (c : ctx) ~bounded ~x ~sx ~phi ~elems ~opaque =
   in
   List.for_all prove_elem elems && List.for_all prove_opaque opaque
 
-(** [prove ~sort ~cases] simplifies the goal, saturates the hypotheses
-    and splits ⊤, ∧, ∨, ⇒ and the universals whose body the simplifier
-    left as a disjunctive premise, a conjunction or an equation on the
-    bound variable; every other goal goes to the solver's [cases]. *)
+(** [prove ~sort ~cases] saturates the hypotheses once, simplifies the
+    goal and splits ⊤, ∧, ∨, ⇒ (saturating with what the premise adds)
+    and the universals whose body the simplifier left as a disjunctive
+    premise, a conjunction or an equation on the bound variable; every
+    other goal goes to the solver's [cases]. *)
 let prove ~sort ~(cases : ctx -> prop -> bool) ?(hooks = Simp.no_hooks)
     ~prove_pure ~hyps goal =
   let rec go ~hyps goal =
     let goal = Simp.simp_prop ~hooks goal in
-    let hyps = saturate hyps in
     match goal with
     | PTrue -> true
     | PAnd (a, b) -> go ~hyps a && go ~hyps b
@@ -111,7 +122,7 @@ let prove ~sort ~(cases : ctx -> prop -> bool) ?(hooks = Simp.no_hooks)
     | PImp (a, b) -> (
         match Simp.destruct_hyp ~hooks a with
         | None -> true
-        | Some hs -> go ~hyps:(hs @ hyps) b)
+        | Some hs -> go ~hyps:(saturate hs hyps) b)
     | PForall (x, s, PImp (POr (p, q), phi)) ->
         go ~hyps (PForall (x, s, PImp (p, phi)))
         && go ~hyps (PForall (x, s, PImp (q, phi)))
@@ -126,4 +137,4 @@ let prove ~sort ~(cases : ctx -> prop -> bool) ?(hooks = Simp.no_hooks)
     | goal ->
         cases { hooks; prove_pure; hyps; substs = substs sort hyps } goal
   in
-  go ~hyps goal
+  go ~hyps:(saturate hyps []) goal

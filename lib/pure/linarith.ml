@@ -10,6 +10,12 @@
     elimination over the rationals plus an integer divisibility check on
     equalities.
 
+    The hypothesis side is kept in the scope as a stack along the search
+    path: each hypothesis prefix, oldest first, holds its DNF
+    combinations with the equalities eliminated and the inequalities
+    pruned, so a query reuses the longest prefix it shares with the
+    previous one and adds only its new hypotheses and its negated goal.
+
     Soundness: every refutation step is valid over the integers, so
     [prove] returning [true] really means the sequent holds.  The
     procedure is deliberately incomplete (so is any Coq tactic); goals it
@@ -24,6 +30,14 @@ open Term
 
 module IMap = Map.Make (Int)
 module ISet = Set.Make (Int)
+
+(* Constraints keyed on their coefficient vector, compared by bindings:
+   the shape of a balanced tree is not part of its meaning. *)
+module VMap = Map.Make (struct
+  type t = int IMap.t
+
+  let compare = IMap.compare Int.compare
+end)
 
 type lin = { coeffs : int IMap.t; const : int }
 
@@ -87,8 +101,7 @@ type ('a, 'b) last_map = { mutable src : 'a list; mutable dst : 'b list }
 let last_map () = { src = []; dst = [] }
 
 (* [map_last m f l] is [List.map f l], applying [f] head first to the
-   elements before the suffix [l] shares with [m.src]; returns the
-   result and the number of elements reused *)
+   elements before the suffix [l] shares with [m.src] *)
 let map_last m f l =
   let n = List.length l and k = List.length m.src in
   let rec drop i l =
@@ -99,17 +112,41 @@ let map_last m f l =
     else match l with x :: t -> lead (f x :: acc) (i - 1) t | [] -> (acc, l)
   in
   let rec walk acc l src dst =
-    if l == src then (List.rev_append acc dst, List.length dst)
+    if l == src then List.rev_append acc dst
     else
       match (l, src, dst) with
       | x :: l, _ :: src, _ :: dst -> walk (f x :: acc) l src dst
-      | _ -> (List.rev_append acc (List.map f l), 0)
+      | _ -> List.rev_append acc (List.map f l)
   in
   let acc, l' = lead [] (n - k) l in
-  let r, reused = walk acc l' (drop (k - n) m.src) (drop (k - n) m.dst) in
+  let r = walk acc l' (drop (k - n) m.src) (drop (k - n) m.dst) in
   m.src <- l;
   m.dst <- r;
-  (r, reused)
+  r
+
+(* One combination of a hypothesis prefix's DNF branches, reduced: its
+   equalities as pivots, in elimination order, and its inequalities
+   with every pivot substituted away and pruned — satisfied constants
+   dropped, and of the constraints sharing a coefficient vector only
+   the tightest kept, at the vector's first position. *)
+type combo = {
+  pivots : (int * lin) list;  (** atom eliminated, and its equality *)
+  ges : lin list;  (** each [l >= 0]; newest first *)
+  tight : lin VMap.t;  (** each coefficient vector's constraint in [ges] *)
+}
+
+(* A hypothesis prefix: its live combinations, none when it is
+   contradictory; the product of the branch counts of its hypotheses,
+   which the width cap bounds; and whether the cap made it leave out a
+   hypothesis. *)
+type state = { width : int; capped : bool; combos : combo list }
+
+(* A stack entry: the state after pushing one hypothesis, of DNF [key],
+   onto the entry below.  [cell] is the suffix of the last hypothesis
+   list matched here, headed by that hypothesis: a later list that
+   shares this very cell matches the whole entry and all below it
+   without a look at their hypotheses. *)
+type entry = { mutable cell : prop list; key : dnf; st : state }
 
 (* Non-linear subterms (variables, lengths, applications, opaque ite…) are
    mapped to atom ids; syntactically equal subterms share an id, giving a
@@ -123,9 +160,14 @@ type scope = {
   mutable simps : (Simp.hooks * prop PTbl.t * (prop, prop) last_map) list;
       (** [Simp.simp_prop] memo, one per hooks value *)
   dnfs : dnf PTbl.t;
-  dnf_last : (prop, dnf) last_map;
+  mutable stack : entry array;
+      (** the last query's hypotheses, oldest first *)
+  mutable depth : int;  (** the live entries of [stack] *)
   (* counters, flushed into an [Obs] handle by [flush] *)
   mutable n_queries : int;
+  mutable n_pushed : int;
+  mutable n_reused : int;
+  mutable n_dropped : int;
   mutable n_refuted : int;
   mutable n_generated : int;
   mutable n_kept : int;
@@ -140,8 +182,12 @@ let scope () =
     nonneg = ISet.empty;
     simps = [];
     dnfs = PTbl.create 64;
-    dnf_last = last_map ();
+    stack = [||];
+    depth = 0;
     n_queries = 0;
+    n_pushed = 0;
+    n_reused = 0;
+    n_dropped = 0;
     n_refuted = 0;
     n_generated = 0;
     n_kept = 0;
@@ -156,6 +202,9 @@ let flush sc obs =
         if n > 0 then Rc_util.Obs.counter obs ~by:n ("solver.lia." ^ name))
       [
         ("queries", sc.n_queries);
+        ("pushed", sc.n_pushed);
+        ("reused", sc.n_reused);
+        ("dropped", sc.n_dropped);
         ("refuted", sc.n_refuted);
         ("fm_generated", sc.n_generated);
         ("fm_kept", sc.n_kept);
@@ -183,7 +232,7 @@ let simp sc hooks p = simp_in (fst (simp_memo sc hooks)) hooks p
 
 let simp_hyps sc hooks hyps =
   let tbl, last = simp_memo sc hooks in
-  fst (map_last last (simp_in tbl hooks) hyps)
+  map_last last (simp_in tbl hooks) hyps
 
 let atom_id sc t =
   match TTbl.find_opt sc.atoms t with
@@ -393,102 +442,123 @@ let prune (ges : lin list) : lin list =
     [] ges
   |> List.rev_map (fun (l, c) -> if !c = l.const then l else { l with const = !c })
 
+(* [subst_in l (x, piv)] eliminates [x] from [l] by the pivot equality
+   [piv = 0]: [|a|·l - sign(a)·c·piv], where [a] and [c] are the
+   coefficients of [x] in [piv] and [l].  The factor is positive, so an
+   inequality keeps its direction and same-vector constraints keep their
+   order by tightness. *)
+let subst_in l (x, piv) =
+  match IMap.find_opt x l.coeffs with
+  | None -> l
+  | Some c ->
+      let a = IMap.find x piv.coeffs in
+      let s = if a > 0 then 1 else -1 in
+      lin_sub (lin_scale (s * a) l) (lin_scale (s * c) piv)
+
+let reduce c l = List.fold_left subst_in l c.pivots
+
+(* [add_ge c l]: the reduced constraint [l >= 0] pruned into [c] *)
+let add_ge c l =
+  if lin_is_const l then if l.const < 0 then raise Refuted else c
+  else
+    match VMap.find_opt l.coeffs c.tight with
+    | Some g when g.const <= l.const -> c
+    | Some g ->
+        {
+          c with
+          ges = List.map (fun h -> if h == g then l else h) c.ges;
+          tight = VMap.add l.coeffs l c.tight;
+        }
+    | None -> { c with ges = l :: c.ges; tight = VMap.add l.coeffs l c.tight }
+
+(* [add_eq c e]: the reduced equality [e = 0] as [c]'s next pivot, after
+   an integer divisibility check; the stored inequalities that mention
+   the pivot atom are rewritten and pruned again *)
+let add_eq c e =
+  if lin_is_const e then if e.const <> 0 then raise Refuted else c
+  else
+    let g = IMap.fold (fun _ k acc -> gcd acc k) e.coeffs 0 in
+    if e.const mod g <> 0 then raise Refuted
+    else
+      (* the pivot: the atom with the smallest |coefficient| *)
+      let x, _ =
+        IMap.fold
+          (fun k a (bk, ba) -> if abs a < ba then (k, abs a) else (bk, ba))
+          e.coeffs (-1, max_int)
+      in
+      let p = (x, e) in
+      let c = { c with pivots = c.pivots @ [ p ] } in
+      if List.exists (fun l -> IMap.mem x l.coeffs) c.ges then
+        List.fold_left
+          (fun c l -> add_ge c (subst_in l p))
+          { c with ges = []; tight = VMap.empty }
+          (List.rev c.ges)
+      else c
+
+(* [add_lits c axioms b]: [c] conjoined with the sort axioms and the
+   literals of a branch.  Its equalities become pivots first, then every
+   inequality is reduced by all pivots and pruned in.  Raises [Refuted]
+   when elimination or pruning refutes the conjunction. *)
+let add_lits c (axioms : branch) (b : branch) =
+  let eq c = function EqZ e -> add_eq c (reduce c e) | Ge _ -> c in
+  let ge c = function Ge l -> add_ge c (reduce c l) | EqZ _ -> c in
+  let c = List.fold_left eq c b in
+  List.fold_left ge (List.fold_left ge c axioms) b
+
 (* the FM bounds: combined constraints per elimination step, and steps *)
 let max_combined = 4096
 let max_steps = 64
 
-(* returns [true] if the branch (the conjunction of the literals of
-   [parts]) is unsat *)
-let branch_unsat sc (parts : branch list) : bool =
-  (* Split into equalities and inequalities *)
-  let eqs = ref [] and ges = ref [] in
-  List.iter
-    (List.iter (function EqZ l -> eqs := l :: !eqs | Ge l -> ges := l :: !ges))
-    parts;
-  let eqs = List.rev !eqs and ges = List.rev !ges in
-  (* Gaussian elimination on equalities with divisibility check. *)
-  try
-    let subst_in l (x, piv) =
-      (* piv: a*x + r = 0 with a = coefficient of x in piv *)
-      match IMap.find_opt x l.coeffs with
-      | None -> l
-      | Some c ->
-          let a = IMap.find x piv.coeffs in
-          (* a * l - c * piv removes x; keep sign of l's direction by
-             multiplying by sign(a) *)
-          let s = if a > 0 then 1 else -1 in
-          lin_sub (lin_scale (s * a) l) (lin_scale (s * c) piv)
-    in
-    let rec elim_eqs eqs ges =
-      match eqs with
-      | [] -> ges
-      | e :: rest ->
-          if lin_is_const e then
-            if e.const <> 0 then raise Refuted else elim_eqs rest ges
-          else
-            let g = IMap.fold (fun _ c acc -> gcd acc c) e.coeffs 0 in
-            if g <> 0 && e.const mod g <> 0 then raise Refuted
-            else
-              (* pick pivot var with smallest |coeff| *)
-              let x, _ =
-                IMap.fold
-                  (fun k c (bk, bc) ->
-                    if abs c < bc then (k, abs c) else (bk, bc))
-                  e.coeffs (-1, max_int)
-              in
-              let rest = List.map (fun l -> subst_in l (x, e)) rest in
-              let ges = List.map (fun l -> subst_in l (x, e)) ges in
-              elim_eqs rest ges
-    in
-    (* Fourier–Motzkin on inequalities (rational relaxation: sound for
-       refutation), pruned after every step. *)
-    let rec fm ges fuel =
-      match ges with
-      | [] -> false (* every constraint held: satisfiable *)
-      | _ when fuel <= 0 ->
+(* [fm sc ges]: the pruned conjunction [ges] has no rational solution,
+   by Fourier–Motzkin elimination (sound for refutation), pruned after
+   every step.  Which atom goes first follows the order of [ges]; oldest
+   first, as a query passes them, starts with the hypotheses' atoms and
+   measured faster than starting with the goal's. *)
+let fm sc ges =
+  let rec go ges fuel =
+    match ges with
+    | [] -> false (* every constraint held: satisfiable *)
+    | _ when fuel <= 0 ->
+        sc.n_exhausted <- sc.n_exhausted + 1;
+        false
+    | l :: _ ->
+        (* pruned constraints are never constant: eliminate the first
+           one's smallest atom *)
+        let x = fst (IMap.min_binding l.coeffs) in
+        let pos, neg, rest =
+          List.fold_left
+            (fun (p, n, r) l ->
+              match IMap.find_opt x l.coeffs with
+              | Some c when c > 0 -> (l :: p, n, r)
+              | Some _ -> (p, l :: n, r)
+              | None -> (p, n, l :: r))
+            ([], [], []) ges
+        in
+        let generated = List.length pos * List.length neg in
+        if generated > max_combined then begin
           sc.n_exhausted <- sc.n_exhausted + 1;
           false
-      | l :: _ ->
-          (* pruned constraints are never constant: eliminate the first
-             one's smallest atom *)
-          let x = fst (IMap.min_binding l.coeffs) in
-          let pos, neg, rest =
-            List.fold_left
-              (fun (p, n, r) l ->
-                match IMap.find_opt x l.coeffs with
-                | Some c when c > 0 -> (l :: p, n, r)
-                | Some _ -> (p, l :: n, r)
-                | None -> (p, n, l :: r))
-              ([], [], []) ges
+        end
+        else
+          let combined =
+            List.concat_map
+              (fun lp ->
+                let a = IMap.find x lp.coeffs in
+                List.map
+                  (fun ln ->
+                    let b = -IMap.find x ln.coeffs in
+                    lin_add (lin_scale b lp) (lin_scale a ln))
+                  neg)
+              pos
           in
-          let generated = List.length pos * List.length neg in
-          if generated > max_combined then begin
-            sc.n_exhausted <- sc.n_exhausted + 1;
-            false
-          end
-          else
-            let combined =
-              List.concat_map
-                (fun lp ->
-                  let a = IMap.find x lp.coeffs in
-                  List.map
-                    (fun ln ->
-                      let b = -IMap.find x ln.coeffs in
-                      lin_add (lin_scale b lp) (lin_scale a ln))
-                    neg)
-                pos
-            in
-            sc.n_generated <- sc.n_generated + generated;
-            let ges = prune (combined @ rest) in
-            (* [rest] is already pruned: the excess is what [combined]
-               added *)
-            sc.n_kept <- sc.n_kept + List.length ges - List.length rest;
-            fm ges (fuel - 1)
-    in
-    fm (prune (elim_eqs eqs ges)) max_steps
-  with Refuted ->
-    sc.n_refuted <- sc.n_refuted + 1;
-    true
+          sc.n_generated <- sc.n_generated + generated;
+          let ges = prune (combined @ rest) in
+          (* [rest] is already pruned: the excess is what [combined]
+             added *)
+          sc.n_kept <- sc.n_kept + List.length ges - List.length rest;
+          go ges (fuel - 1)
+  in
+  try go ges max_steps with Refuted -> true
 
 (* ------------------------------------------------------------------ *)
 (* Equality propagation on non-numeric hypotheses                       *)
@@ -522,7 +592,7 @@ let propagate_eqs sc hyps goal =
   loop 8 hyps goal
 
 (* ------------------------------------------------------------------ *)
-(* Entry point                                                          *)
+(* The prefix stack and the entry point                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* [dnf sc p]: [p]'s linearisation, computed once per scope *)
@@ -553,62 +623,142 @@ let dnf sc p =
       PTbl.add sc.dnfs p d;
       d
 
-(* [refute sc hyps goal]: every branch of [hyps ∧ ¬goal] is unsat *)
-let refute sc hyps goal =
-  let dnfs, reused = map_last sc.dnf_last (dnf sc) hyps in
-  sc.n_memo_hits <- sc.n_memo_hits + reused;
-  let exception Contradiction in
-  try
-    (* hypotheses: we take only those that are in the fragment and don't
-       blow up the case split, head first; a hypothesis whose DNF has
-       several branches forces a split *)
-    let _, taken =
-      List.fold_left
-        (fun ((width, taken) as keep) d ->
-          match d with
-          | Skip -> keep
-          | Dnf ([], _) -> raise Contradiction
-          | Dnf (bs, axioms) ->
-              let width = width * List.length bs in
-              if width > max_branches then keep
-              else (width, (bs, axioms) :: taken))
-        (1, []) dnfs
-    in
-    match dnf sc (PNot goal) with
-    | Skip -> false
-    | Dnf ([], _) -> true
-    | Dnf (goal_branches, goal_axioms) ->
-        (* each combination of the hypotheses' branches, in hypothesis
-           order, and the sort axioms of the atoms they mention *)
-        let combos, axioms =
-          List.fold_left
-            (fun (combos, axioms) (bs, ax) ->
-              ( List.concat_map (fun b -> List.map (fun c -> b :: c) combos) bs,
-                ax :: axioms ))
-            ([ [] ], [ goal_axioms ])
-            taken
+let empty =
+  {
+    width = 1;
+    capped = false;
+    combos = [ { pivots = []; ges = []; tight = VMap.empty } ];
+  }
+
+let top sc = if sc.depth = 0 then empty else sc.stack.(sc.depth - 1).st
+
+(* [extend sc st d] conjoins a hypothesis of DNF [d] to [st]: its
+   branches multiply the combinations, and a combination its literals
+   refute is dropped.  A hypothesis out of the fragment, or one that
+   would take the width past [max_branches], leaves the combinations as
+   they are (which is sound). *)
+let extend sc st = function
+  | Skip -> st
+  | Dnf (bs, axioms) ->
+      let width = st.width * List.length bs in
+      if width > max_branches then { st with capped = true }
+      else
+        let add b c =
+          match add_lits c axioms b with
+          | c -> Some c
+          | exception Refuted ->
+              sc.n_dropped <- sc.n_dropped + 1;
+              None
         in
-        (* unsat required for every combination *)
-        List.for_all
-          (fun c ->
-            let parts = axioms @ c in
-            List.for_all
-              (fun g -> branch_unsat sc (parts @ [ g ]))
-              goal_branches)
-          combos
-  with Contradiction -> true
+        {
+          st with
+          width;
+          combos =
+            List.concat_map (fun b -> List.filter_map (add b) st.combos) bs;
+        }
+
+(* [push sc cell d] puts the hypothesis heading [cell], of DNF [d], on
+   the stack *)
+let push sc cell d =
+  sc.n_pushed <- sc.n_pushed + 1;
+  let e = { cell; key = d; st = extend sc (top sc) d } in
+  if sc.depth = Array.length sc.stack then begin
+    let grown = Array.make ((2 * sc.depth) + 8) e in
+    Array.blit sc.stack 0 grown 0 sc.depth;
+    sc.stack <- grown
+  end;
+  sc.stack.(sc.depth) <- e;
+  sc.depth <- sc.depth + 1
+
+(* [enter sc hyps] makes the stack hold [hyps], oldest first.  The
+   longest prefix the list shares with the stack is kept.  It is found
+   head first, as the longest suffix of [hyps] that is physically an
+   entry's cell; above it, an entry still matches a hypothesis of the
+   same (memoised, so physically equal) DNF, as in a list that was
+   rebuilt.  The rest is pushed. *)
+let enter sc hyps =
+  let n = List.length hyps in
+  (* [front]: the cells above the shared one, oldest first *)
+  let rec shared front m l =
+    if m = 0 then (0, front)
+    else if m <= sc.depth && sc.stack.(m - 1).cell == l then (m, front)
+    else match l with _ :: t -> shared (l :: front) (m - 1) t | [] -> (0, front)
+  in
+  let k, front = shared [] n hyps in
+  sc.n_reused <- sc.n_reused + k;
+  List.iteri
+    (fun i cell ->
+      let i = k + i in
+      let d = dnf sc (List.hd cell) in
+      if i < sc.depth && sc.stack.(i).key == d then begin
+        sc.stack.(i).cell <- cell;
+        sc.n_reused <- sc.n_reused + 1
+      end
+      else begin
+        sc.depth <- i;
+        push sc cell d
+      end)
+    front;
+  sc.depth <- n
+
+(* [refute sc hyps goal]: every branch of [hyps ∧ ¬goal] is unsat.  Per
+   live combination of the hypotheses and per branch of the negated
+   goal, only the goal's literals and sort axioms are reduced and pruned
+   in before Fourier–Motzkin runs. *)
+let refute sc hyps goal =
+  enter sc hyps;
+  let st = top sc in
+  let st =
+    if not st.capped then st
+    else
+      (* the cap left a hypothesis out: which ones a query takes must
+         not depend on the hypotheses below it, so take them newest
+         first while the width allows, outside the stack *)
+      let _, taken =
+        List.fold_left
+          (fun ((width, taken) as keep) h ->
+            match dnf sc h with
+            | Skip -> keep
+            | Dnf (bs, _) as d ->
+                let width = width * List.length bs in
+                if width > max_branches then keep else (width, d :: taken))
+          (1, []) hyps
+      in
+      List.fold_left (extend sc) empty taken
+  in
+  match st.combos with
+  | [] -> true
+  | combos -> (
+      match dnf sc (PNot goal) with
+      | Skip -> false
+      | Dnf ([], _) -> true
+      | Dnf (goal_branches, goal_axioms) ->
+          let refuted c g =
+            let r =
+              match add_lits c goal_axioms g with
+              | c -> fm sc (List.rev c.ges)
+              | exception Refuted -> true
+            in
+            if r then sc.n_refuted <- sc.n_refuted + 1;
+            r
+          in
+          List.for_all
+            (fun c -> List.for_all (refuted c) goal_branches)
+            combos)
 
 let prove ?scope:sc ~hyps goal =
   let sc = match sc with Some sc -> sc | None -> scope () in
   sc.n_queries <- sc.n_queries + 1;
   let hyps = simp_hyps sc Simp.no_hooks hyps in
   let goal = simp sc Simp.no_hooks goal in
-  if goal = PTrue then true
-  else if List.exists (fun h -> equal_prop h goal) hyps then true
-  else if List.mem PFalse hyps then true
-  else
-    let hyps, goal = propagate_eqs sc hyps goal in
-    if goal = PTrue then true
-    else if List.exists (fun h -> equal_prop h goal) hyps then true
-    else if List.mem PFalse hyps then true
-    else refute sc hyps goal
+  (* a hypothesis [False] needs no case of its own: its DNF has no
+     branch, so the stack finds the prefix contradictory *)
+  let trivial hyps goal =
+    (match goal with PTrue -> true | _ -> false)
+    || List.exists (fun h -> h == goal || equal_prop h goal) hyps
+  in
+  trivial hyps goal
+  ||
+  let hyps', goal' = propagate_eqs sc hyps goal in
+  ((hyps' != hyps || goal' != goal) && trivial hyps' goal')
+  || refute sc hyps' goal'

@@ -220,8 +220,9 @@ let toolchain_fingerprint (session : Session.t) : string =
          passes (race/lockrel/lockord) — cached diagnostics from the
          five-pass registry would silently miss RC-L03x reports.  v6:
          the body digest became a structural encoding that keys every
-         layout in full (it was printed text) *)
-      "refinedc-check-v6";
+         layout in full (it was printed text).  v7: [Stats.t], which a
+         cached verdict stores Marshal'd, lost [manual_detail] *)
+      "refinedc-check-v7";
       Sys.ocaml_version;
       Rules.fingerprint session.Session.index;
       Registry.fingerprint session.Session.registry;

@@ -66,10 +66,10 @@ let pp ?(top = 10) ppf (m : Metrics.t) =
     if lia "queries" > 0 then
       Fmt.pf ppf
         "@.linear arithmetic: %d queries, %d branches refuted, %d given up \
-         at a bound@.  Fourier-Motzkin constraints: %d generated, %d kept; \
-         DNFs reused: %d@."
-        (lia "queries") (lia "refuted") (lia "exhausted") (lia "fm_generated")
-        (lia "fm_kept") (lia "memo_hits");
+         at a bound@.  hypotheses: %d pushed, %d reused from the stack; \
+         Fourier-Motzkin constraints: %d generated, %d kept@."
+        (lia "queries") (lia "refuted") (lia "exhausted") (lia "pushed")
+        (lia "reused") (lia "fm_generated") (lia "fm_kept");
     (* hottest functions *)
     let fns = Metrics.timers_with_prefix m ~prefix:"fn.ns." in
     if fns <> [] then begin

@@ -148,6 +148,35 @@ let linarith_tests =
       ]
       (PLe (int_v "x", Num 6))
       true;
+    Alcotest.test_case "every goal holds under a contradictory prefix" `Quick
+      (fun () ->
+        (* a = 2 and 5 <= a refute each other by elimination alone, and
+           2i = 2j + 1 by the divisibility check: every query on top of
+           either prefix is true, in or out of the fragment, and a
+           prefix that is only popped to stays as it was *)
+        let scope = Linarith.scope () in
+        let goals =
+          [ PLe (b, n); PEq (i, j); PFalse; PPred ("p", [ i ]); PLt (a, a) ]
+        in
+        let check what hyps =
+          List.iter
+            (fun g ->
+              Alcotest.(check bool)
+                (what ^ " ⊢ " ^ prop_to_string g)
+                true
+                (Linarith.prove ~scope ~hyps g))
+            goals
+        in
+        let bad = [ PLe (Num 5, a); PEq (a, Num 2) ] in
+        let odd = [ PEq (Mul (Num 2, i), Add (Mul (Num 2, j), Num 1)) ] in
+        check "elimination" bad;
+        check "above it" (PLe (b, Num 1) :: POr (PLe (i, j), PLt (j, i)) :: bad);
+        check "popped back" bad;
+        check "divisibility" odd;
+        check "above it" (PLe (n, b) :: odd);
+        Alcotest.(check bool)
+          "a consistent prefix still gives false" false
+          (Linarith.prove ~scope ~hyps:[ PEq (a, Num 2) ] (PLe (b, n))));
   ]
 
 let default = Registry.default_prove Registry.default
@@ -514,26 +543,62 @@ let prop_tests =
             goal)
   in
   let scope_independent =
-    (* the queries share their hypothesis lists physically, as the
-       engine's contexts do, so the scope's suffix reuse is exercised *)
+    (* the queries walk a search path as the engine's contexts do: they
+       share hypothesis tails physically, branch (two heads over one
+       tail), pop back to every shorter suffix and come back to a
+       structurally equal but physically fresh list, so each transition
+       of the scope's prefix stack is taken, in both query orders *)
+    let gen_hyp =
+      let open QCheck.Gen in
+      let t = gen_query_term in
+      let var = oneofl [ a; b; n; i; j ] in
+      frequency
+        [
+          (4, gen_query_prop);
+          (* several DNF branches *)
+          (1, map2 (fun p q -> POr (p, q)) gen_query_prop gen_query_prop);
+          (* an equality, whose integer solutions the coefficients may
+             rule out (2x = 4y + 1) *)
+          ( 2,
+            map3
+              (fun (k, x) (m, y) c ->
+                PEq (Mul (Num k, x), Add (Mul (Num m, y), Num c)))
+              (pair (oneofl [ 1; 2; 3 ]) var)
+              (pair (oneofl [ 2; 4 ]) var)
+              (int_range (-3) 3) );
+          (1, map2 (fun x y -> PEq (x, y)) t t);
+        ]
+    in
+    let gen =
+      QCheck.Gen.(
+        pair
+          (triple
+             (list_size (int_range 0 5) gen_hyp)
+             (list_size (int_range 1 2) gen_hyp)
+             (list_size (int_range 1 2) gen_hyp))
+          (list_size (int_range 1 6) gen_query_prop))
+    in
+    let print ((tail, h1, h2), goals) =
+      let hyps l = String.concat "; " (List.map prop_to_string l) in
+      Printf.sprintf "tail: %s; heads: [%s] [%s]; goals: %s" (hyps tail)
+        (hyps h1) (hyps h2)
+        (String.concat ", " (List.map prop_to_string goals))
+    in
     QCheck.Test.make ~count:100
       ~name:"answers in one scope equal answers in fresh scopes"
-      QCheck.(
-        make
-          ~print:(fun (hyps, goals) ->
-            print_query (hyps, PTrue)
-            ^ " goals: "
-            ^ String.concat ", " (List.map prop_to_string goals))
-          Gen.(
-            pair
-              (list_size (int_range 0 6) gen_query_prop)
-              (list_size (int_range 1 8) gen_query_prop)))
-      (fun (hyps, goals) ->
+      (QCheck.make ~print gen)
+      (fun ((tail, h1, h2), goals) ->
         let rec tails = function [] -> [ [] ] | _ :: t as l -> l :: tails t in
+        let fresh_copy (l : prop list) : prop list =
+          Marshal.from_string (Marshal.to_string l []) 0
+        in
+        let lists =
+          [ h1 @ tail; h2 @ tail ]
+          @ tails tail
+          @ [ fresh_copy (h1 @ tail); h2 @ tail ]
+        in
         let queries =
-          List.concat_map
-            (fun g -> List.map (fun h -> (h, g)) (tails hyps))
-            goals
+          List.concat_map (fun g -> List.map (fun h -> (h, g)) lists) goals
         in
         let fresh =
           List.map (fun (hyps, g) -> Linarith.prove ~hyps g) queries
@@ -654,6 +719,34 @@ let extension_tests =
                  PForall ("j", Sort.Int, PImp (PIn (int_v "j", l), PLt (int_v "j", v)));
                ]
              (PLe (r, v))));
+    t "collection solvers saturate once" (fun () ->
+        (* each level of the goal's decomposition used to saturate the
+           hypotheses again, so deeper subgoals got one more copy of
+           r < v per level *)
+        let l = Var ("l", Sort.Set) in
+        let r = int_v "r" in
+        let v = int_v "v" in
+        let hyps =
+          [
+            PIn (r, l);
+            PForall ("j", Sort.Int, PImp (PIn (int_v "j", l), PLt (int_v "j", v)));
+          ]
+        in
+        let le k = PLe (r, Add (v, Num k)) in
+        let goal = PAnd (le 0, PAnd (le 1, PAnd (le 2, le 3))) in
+        let sizes = ref [] in
+        let prove_pure ~hyps g =
+          sizes := List.length hyps :: !sizes;
+          Registry.default_prove Registry.default ~hyps g
+        in
+        Alcotest.(check bool) "set solver" true
+          (Set_solver.prove ~prove_pure ~hyps goal);
+        Alcotest.(check bool) "multiset solver" true
+          (Mset_solver.prove ~prove_pure ~hyps goal);
+        Alcotest.(check (list int))
+          "every call gets r ∈ l, the bounded fact and one r < v"
+          (List.init 8 (fun _ -> 3))
+          !sizes);
     t "list solver rewrites defined functions" (fun () ->
         (* the rev-unfold hook travels as a value, not via global state *)
         let hooks = Rc_studies.Studies.hooks in

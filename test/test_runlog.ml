@@ -364,7 +364,30 @@ int imin(int a, int b) {
           "verified count" (Some 1)
           (Option.bind (J.member "verified" verdicts) J.to_int);
         (* the record parses back from its NDJSON line form *)
-        Alcotest.check json "line round-trip" r (parse_ok (J.to_line r)));
+        Alcotest.check json "line round-trip" r (parse_ok (J.to_line r));
+        Alcotest.(check bool) "no lia block with metrics off" true
+          (get "lia" = None);
+        (* with metrics on, the linear-arithmetic counters ride along:
+           a query either reuses a stacked hypothesis or pushes it *)
+        let session =
+          Rc_refinedc.Session.with_obs session
+            { Rc_util.Obs.c_trace = false; c_metrics = true }
+        in
+        let t = Driver.check_source ~session ~file:"imin.c" src in
+        let r = Driver.runlog_record ~session ~wall_s:0.5 t in
+        let lia = Option.get (J.member "lia" r) in
+        let count k = Option.bind (J.member k lia) J.to_int in
+        let queries = Option.get (count "queries") in
+        Alcotest.(check bool) "lia queries counted" true (queries > 0);
+        Alcotest.(check bool) "hypotheses pushed" true
+          (Option.value ~default:0 (count "pushed") > 0);
+        Alcotest.(check (option int))
+          "the record's counters are the run's"
+          (Some queries)
+          (Some
+             (Rc_util.Metrics.counter
+                (Rc_util.Obs.mx t.Driver.obs)
+                "solver.lia.queries")));
   ]
 
 let () =

@@ -55,21 +55,19 @@ let with_jobs ~jobs (session : Rc_refinedc.Session.t) k =
              { session.Rc_refinedc.Session.exec with x_pool = Some pool }))
 
 (** {!Rc_lithium.Stats.t} as an Alcotest value.  Two stats are equal
-    when their scalar fields, their [rules_used] bindings (sorted by
-    rule) and their [manual_detail] agree. *)
+    when their scalar fields and their [rules_used] bindings (sorted by
+    rule) agree. *)
 let stats : Rc_lithium.Stats.t Alcotest.testable =
   let open Rc_lithium.Stats in
   let view s =
     ( [ s.rule_apps; s.evar_insts; s.side_auto; s.side_manual; s.memo_hits;
         s.memo_saved_apps ],
-      List.sort compare (Hashtbl.fold (fun k n l -> (k, n) :: l) s.rules_used []),
-      List.rev s.manual_detail )
+      List.sort compare (Hashtbl.fold (fun k n l -> (k, n) :: l) s.rules_used []) )
   in
   let pp ppf s =
-    let scalars, rules, manual = view s in
-    Fmt.pf ppf "%a; rules_used %a; manual %a"
+    let scalars, rules = view s in
+    Fmt.pf ppf "%a; rules_used %a"
       Fmt.(Dump.list int) scalars
       Fmt.(Dump.list (Dump.pair string int)) rules
-      Fmt.(Dump.list (Dump.pair string string)) manual
   in
   Alcotest.testable pp (fun a b -> view a = view b)
