@@ -134,6 +134,9 @@ module Make (L : LANG) = struct
             with its ordinal, its position in the sorted list, under
             which a run counts its applications. *)
     idx_names : string array;  (** ordinal ↦ rule name *)
+    idx_nodes : string array;
+        (** ordinal ↦ the rule's derivation-node case, ["rule:" ^ name],
+            built once here rather than per application *)
     idx_fingerprint : string;
         (** digest of (name, priority, heads) of every rule in order —
             a component of the verification-cache key. *)
@@ -185,6 +188,8 @@ module Make (L : LANG) = struct
     {
       idx_by_id;
       idx_names = Array.of_list (List.map (fun r -> r.rname) sorted);
+      idx_nodes =
+        Array.of_list (List.map (fun r -> "rule:" ^ r.rname) sorted);
       idx_fingerprint;
       idx_size = List.length sorted;
     }
@@ -422,15 +427,18 @@ module Make (L : LANG) = struct
     in
     go [] props
 
-  (** Record a Γ interaction into every open memo frame.  [poison] marks
-      the interaction as unexpressible (an evar-laden [ri_prove] whose
-      result cannot be faithfully revalidated later): the open frames
-      still solve normally but will not be stored. *)
-  let record_probe st ctx ~(poison : bool) (mk : prop list -> probe) : unit =
+  (** Record a Γ interaction into every open memo frame.  [poison ()]
+      marks the interaction as unexpressible (an evar-laden [ri_prove]
+      whose result cannot be faithfully revalidated later): the open
+      frames still solve normally but will not be stored.  It is asked
+      only when a frame is open. *)
+  let record_probe st ctx ~(poison : unit -> bool) (mk : prop list -> probe)
+      : unit =
     match st.memo with
     | None -> ()
     | Some { m_frames = []; _ } -> ()
     | Some m ->
+        let poison = poison () in
         List.iter
           (fun fr ->
             if not fr.fr_poisoned then
@@ -458,8 +466,9 @@ module Make (L : LANG) = struct
           (* an evar-laden check cannot be revalidated at a later hit
              site (the frame-local evar ids differ), so it poisons the
              open frames instead of becoming a probe *)
-          record_probe st ctx ~poison:(has_evars_prop phi) (fun delta ->
-              PProve { delta; phi; result });
+          record_probe st ctx
+            ~poison:(fun () -> has_evars_prop phi)
+            (fun delta -> PProve { delta; phi; result });
           result);
       ri_peek =
         (fun pred ->
@@ -863,7 +872,7 @@ module Make (L : LANG) = struct
           | Registry.Unsolved ->
               fail st ctx (Report.Unsolved_side_condition phi)
           | v -> Stats.record_side st.stats v);
-          record_probe st ctx ~poison:false (fun delta ->
+          record_probe st ctx ~poison:(fun () -> false) (fun delta ->
               PSolve { delta; phi; verdict });
           [ (phi, verdict) ]
 
@@ -1067,7 +1076,7 @@ module Make (L : LANG) = struct
                      rule spans) feeds the profiler; the exception
                      handler keeps the trace balanced when a nested
                      goal fails or exhausts its budget. *)
-                  let name = "rule:" ^ r.rname in
+                  let name = st.index.idx_nodes.(o) in
                   Rc_util.Obs.enter_span st.obs ~cat:"rule"
                     ~key:("rule.self_ns." ^ r.rname)
                     ~args:[ ("head", head) ]
@@ -1083,7 +1092,7 @@ module Make (L : LANG) = struct
                 else solve st (depth + 1) ctx premise
               in
               Deriv.make ?info:(judgment st L.pp_f f) ?loc
-                ("rule:" ^ r.rname) [ d ]
+                st.index.idx_nodes.(o) [ d ]
           | None ->
               fx_record_rejected fr r.rname;
               try_rules rest)

@@ -183,10 +183,16 @@ and simp_term_fuel h n t =
     | Some t' -> simp_term_fuel h (n - 1) t'
     | None -> t
 
+(* [map_prop_in_term] and [map_children] share unchanged terms and keep
+   the right-to-left order of {!Term.map_term} *)
 and map_prop_in_term h t =
   match t with
-  | Ite (c, a, b) -> Ite (simp_prop_h h c, a, b)
-  | TProp p -> TProp (simp_prop_h h p)
+  | Ite (c, a, b) ->
+      let c' = simp_prop_h h c in
+      if c' == c then t else Ite (c', a, b)
+  | TProp p ->
+      let p' = simp_prop_h h p in
+      if p' == p then t else TProp p'
   | _ -> t
 
 and simp_prop_h (h : hooks) (p : prop) : prop =
@@ -205,12 +211,16 @@ and simp_prop_fuel h n p =
 
 and map_children h p =
   match p with
-  | PAnd (a, b) -> PAnd (simp_prop_h h a, simp_prop_h h b)
-  | POr (a, b) -> POr (simp_prop_h h a, simp_prop_h h b)
-  | PImp (a, b) -> PImp (simp_prop_h h a, simp_prop_h h b)
-  | PNot a -> PNot (simp_prop_h h a)
-  | PForall (x, s, q) -> PForall (x, s, simp_prop_h h q)
-  | PExists (x, s, q) -> PExists (x, s, simp_prop_h h q)
+  | PAnd (a, b) | POr (a, b) | PImp (a, b) ->
+      let b' = simp_prop_h h b in
+      let a' = simp_prop_h h a in
+      if a' == a && b' == b then p else conn2 p a' b'
+  | PNot a ->
+      let a' = simp_prop_h h a in
+      if a' == a then p else PNot a'
+  | PForall (_, _, q) | PExists (_, _, q) ->
+      let q' = simp_prop_h h q in
+      if q' == q then p else quant p q'
   | _ -> map_prop (simp_term_h h) p
 
 let simp_term ?(hooks = no_hooks) t = simp_term_h hooks t

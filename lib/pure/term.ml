@@ -77,52 +77,149 @@ let mset_v x = Var (x, Sort.Mset)
 (* Traversal                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Traversals share unchanged terms: a node none of whose children
+   changed is returned itself ([==]), so mapping allocates only along
+   the paths to the changed leaves.  Children are mapped in the order
+   OCaml evaluates a constructor expression's arguments — right to
+   left, so an [Ite]'s condition last — and argument lists head first,
+   as [List.map] does.  The order is part of the contract: [f] may have
+   effects ([Registry.resolve_ites] proves goals inside it, and the
+   solver hands out atom ids in query order). *)
+
+(* [t]'s binary constructor over [a], [b] *)
+let term2 t a b =
+  match t with
+  | Add _ -> Add (a, b)
+  | Sub _ -> Sub (a, b)
+  | NatSub _ -> NatSub (a, b)
+  | Mul _ -> Mul (a, b)
+  | Div _ -> Div (a, b)
+  | Mod _ -> Mod (a, b)
+  | Min _ -> Min (a, b)
+  | Max _ -> Max (a, b)
+  | LocOfs _ -> LocOfs (a, b)
+  | MsUnion _ -> MsUnion (a, b)
+  | SetUnion _ -> SetUnion (a, b)
+  | SetDiff _ -> SetDiff (a, b)
+  | Cons _ -> Cons (a, b)
+  | Append _ -> Append (a, b)
+  | Replicate _ -> Replicate (a, b)
+  | _ -> invalid_arg "Term.term2"
+
+(* [p]'s binary constructor over the terms [a], [b] *)
+let atom2 p a b =
+  match p with
+  | PEq _ -> PEq (a, b)
+  | PLe _ -> PLe (a, b)
+  | PLt _ -> PLt (a, b)
+  | PIn _ -> PIn (a, b)
+  | _ -> invalid_arg "Term.atom2"
+
+(* [p]'s binary connective over [a], [b] *)
+let conn2 p a b =
+  match p with
+  | PAnd _ -> PAnd (a, b)
+  | POr _ -> POr (a, b)
+  | PImp _ -> PImp (a, b)
+  | _ -> invalid_arg "Term.conn2"
+
+(* [p]'s quantifier over the body [q] *)
+let quant p q =
+  match p with
+  | PForall (x, s, _) -> PForall (x, s, q)
+  | PExists (x, s, _) -> PExists (x, s, q)
+  | _ -> invalid_arg "Term.quant"
+
+(** [map_args f l] is [List.map f l], head first, returning [l] itself
+    when [f] changes no element. *)
+let rec map_args (f : term -> term) (l : term list) : term list =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_args f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
 (** [map_term f t] applies [f] to every direct term child of [t]/[p];
-    building block for substitution and simplification. *)
+    building block for substitution and simplification.  When [f]
+    returns every child itself, so does [map_term]. *)
 let rec map_term (f : term -> term) (t : term) : term =
   match t with
   | Var _ | Evar _ | Num _ | BoolLit _ | NullLoc | MsEmpty | SetEmpty | Nil _
     ->
       t
-  | TProp p -> TProp (map_prop f p)
-  | Add (a, b) -> Add (f a, f b)
-  | Sub (a, b) -> Sub (f a, f b)
-  | NatSub (a, b) -> NatSub (f a, f b)
-  | Mul (a, b) -> Mul (f a, f b)
-  | Div (a, b) -> Div (f a, f b)
-  | Mod (a, b) -> Mod (f a, f b)
-  | Min (a, b) -> Min (f a, f b)
-  | Max (a, b) -> Max (f a, f b)
-  | Ite (c, a, b) -> Ite (map_prop f c, f a, f b)
-  | LocOfs (l, n) -> LocOfs (f l, f n)
-  | MsSingleton a -> MsSingleton (f a)
-  | MsUnion (a, b) -> MsUnion (f a, f b)
-  | SetSingleton a -> SetSingleton (f a)
-  | SetUnion (a, b) -> SetUnion (f a, f b)
-  | SetDiff (a, b) -> SetDiff (f a, f b)
-  | Cons (a, b) -> Cons (f a, f b)
-  | Append (a, b) -> Append (f a, f b)
-  | Length a -> Length (f a)
-  | Replicate (a, b) -> Replicate (f a, f b)
-  | NthDflt (d, i, l) -> NthDflt (f d, f i, f l)
-  | SetListInsert (i, x, l) -> SetListInsert (f i, f x, f l)
-  | App (g, args) -> App (g, List.map f args)
+  | TProp p ->
+      let p' = map_prop f p in
+      if p' == p then t else TProp p'
+  | Add (a, b)
+  | Sub (a, b)
+  | NatSub (a, b)
+  | Mul (a, b)
+  | Div (a, b)
+  | Mod (a, b)
+  | Min (a, b)
+  | Max (a, b)
+  | LocOfs (a, b)
+  | MsUnion (a, b)
+  | SetUnion (a, b)
+  | SetDiff (a, b)
+  | Cons (a, b)
+  | Append (a, b)
+  | Replicate (a, b) ->
+      let b' = f b in
+      let a' = f a in
+      if a' == a && b' == b then t else term2 t a' b'
+  | Ite (c, a, b) ->
+      let b' = f b in
+      let a' = f a in
+      let c' = map_prop f c in
+      if c' == c && a' == a && b' == b then t else Ite (c', a', b')
+  | MsSingleton a ->
+      let a' = f a in
+      if a' == a then t else MsSingleton a'
+  | SetSingleton a ->
+      let a' = f a in
+      if a' == a then t else SetSingleton a'
+  | Length a ->
+      let a' = f a in
+      if a' == a then t else Length a'
+  | NthDflt (d, i, l) ->
+      let l' = f l in
+      let i' = f i in
+      let d' = f d in
+      if d' == d && i' == i && l' == l then t else NthDflt (d', i', l')
+  | SetListInsert (i, x, l) ->
+      let l' = f l in
+      let x' = f x in
+      let i' = f i in
+      if i' == i && x' == x && l' == l then t else SetListInsert (i', x', l')
+  | App (g, args) ->
+      let args' = map_args f args in
+      if args' == args then t else App (g, args')
 
 and map_prop (f : term -> term) (p : prop) : prop =
   match p with
   | PTrue | PFalse -> p
-  | PEq (a, b) -> PEq (f a, f b)
-  | PLe (a, b) -> PLe (f a, f b)
-  | PLt (a, b) -> PLt (f a, f b)
-  | PAnd (a, b) -> PAnd (map_prop f a, map_prop f b)
-  | POr (a, b) -> POr (map_prop f a, map_prop f b)
-  | PNot a -> PNot (map_prop f a)
-  | PImp (a, b) -> PImp (map_prop f a, map_prop f b)
-  | PIsTrue t -> PIsTrue (f t)
-  | PIn (a, b) -> PIn (f a, f b)
-  | PForall (x, s, q) -> PForall (x, s, map_prop f q)
-  | PExists (x, s, q) -> PExists (x, s, map_prop f q)
-  | PPred (g, args) -> PPred (g, List.map f args)
+  | PEq (a, b) | PLe (a, b) | PLt (a, b) | PIn (a, b) ->
+      let b' = f b in
+      let a' = f a in
+      if a' == a && b' == b then p else atom2 p a' b'
+  | PAnd (a, b) | POr (a, b) | PImp (a, b) ->
+      let b' = map_prop f b in
+      let a' = map_prop f a in
+      if a' == a && b' == b then p else conn2 p a' b'
+  | PNot a ->
+      let a' = map_prop f a in
+      if a' == a then p else PNot a'
+  | PIsTrue t ->
+      let t' = f t in
+      if t' == t then p else PIsTrue t'
+  | PForall (_, _, q) | PExists (_, _, q) ->
+      let q' = map_prop f q in
+      if q' == q then p else quant p q'
+  | PPred (g, args) ->
+      let args' = map_args f args in
+      if args' == args then p else PPred (g, args')
 
 let rec fold_term : 'a. ('a -> term -> 'a) -> 'a -> term -> 'a =
  fun f acc t ->
@@ -227,7 +324,10 @@ let evars_prop p =
     [] p
   |> List.sort_uniq Int.compare
 
-let has_evars_prop p = evars_prop p <> []
+(** [has_evars_prop p]: some evar occurs in [p]; stops at the first. *)
+let has_evars_prop p =
+  let stop () t = match t with Evar _ -> raise Exit | _ -> () in
+  match fold_prop stop () p with () -> false | exception Exit -> true
 
 (* ------------------------------------------------------------------ *)
 (* Substitution                                                        *)
@@ -235,33 +335,36 @@ let has_evars_prop p = evars_prop p <> []
 
 (** [subst_term env t] substitutes variables by name.  The frontend makes
     binder names globally unique, so capture cannot occur. *)
-let rec subst_term (env : (string * term) list) (t : term) : term =
-  match t with
-  | Var (x, _) -> ( match List.assoc_opt x env with Some u -> u | None -> t)
-  | _ -> map_term (subst_term env) t
+let subst_term (env : (string * term) list) : term -> term =
+  let rec go t =
+    match t with
+    | Var (x, _) -> ( match List.assoc_opt x env with Some u -> u | None -> t)
+    | _ -> map_term go t
+  in
+  go
 
-and subst_prop env p =
+let rec subst_prop env p =
   match p with
-  | PForall (x, s, q) ->
-      let env = List.filter (fun (y, _) -> y <> x) env in
-      PForall (x, s, subst_prop env q)
-  | PExists (x, s, q) ->
-      let env = List.filter (fun (y, _) -> y <> x) env in
-      PExists (x, s, subst_prop env q)
-  | PAnd (a, b) -> PAnd (subst_prop env a, subst_prop env b)
-  | POr (a, b) -> POr (subst_prop env a, subst_prop env b)
-  | PImp (a, b) -> PImp (subst_prop env a, subst_prop env b)
-  | PNot a -> PNot (subst_prop env a)
+  | PForall (x, _, q) | PExists (x, _, q) ->
+      let q' = subst_prop (List.filter (fun (y, _) -> y <> x) env) q in
+      if q' == q then p else quant p q'
+  | PAnd (a, b) | POr (a, b) | PImp (a, b) ->
+      let b' = subst_prop env b in
+      let a' = subst_prop env a in
+      if a' == a && b' == b then p else conn2 p a' b'
+  | PNot a ->
+      let a' = subst_prop env a in
+      if a' == a then p else PNot a'
   | _ -> map_prop (subst_term env) p
 
 (** Substitute evars by id (used when the evar store resolves). *)
-let rec subst_evars_term (lookup : int -> term option) (t : term) : term =
-  match t with
-  | Evar (i, _) -> (
-      match lookup i with
-      | Some u -> subst_evars_term lookup u
-      | None -> t)
-  | _ -> map_term (subst_evars_term lookup) t
+let subst_evars_term (lookup : int -> term option) : term -> term =
+  let rec go t =
+    match t with
+    | Evar (i, _) -> ( match lookup i with Some u -> go u | None -> t)
+    | _ -> map_term go t
+  in
+  go
 
 let subst_evars_prop lookup p = map_prop (subst_evars_term lookup) p
 

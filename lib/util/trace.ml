@@ -14,8 +14,9 @@
     {!normalize} erases.
 
     Timestamps are monotonic-clock nanoseconds, shared by all domains of
-    the process, and exported as the fractional microseconds the
-    trace-event format expects. *)
+    the process, and exported in the microseconds the trace-event format
+    expects: whole microseconds since the trace's earliest event, so a
+    long-running process keeps every digit of its timestamps. *)
 
 type ph =
   | B  (** span begin *)
@@ -112,21 +113,34 @@ let ph_string = function
     a [-j 4] run over the same input serialize byte-identically. *)
 let to_chrome_json ?(normalize = false) (t : t) : Jsonout.t =
   let open Jsonout in
-  let us_of_ns ns = Int64.to_float ns /. 1e3 in
+  let evs = events t in
+  (* the origin: the earliest timestamped event (metadata carries none) *)
+  let t0 =
+    List.fold_left
+      (fun t0 (e : ev) -> match e.ph with M -> t0 | _ -> Int64.min t0 e.ts)
+      Int64.max_int evs
+  in
+  let us ns = Int (Int64.to_int (Int64.div ns 1000L)) in
   let ev_json (e : ev) =
+    let ts =
+      match e.ph with
+      | _ when normalize -> Float 0.
+      | M -> Int 0
+      | _ -> us (Int64.sub e.ts t0)
+    in
     let base =
       [
         ("name", Str e.name);
         ("cat", Str e.cat);
         ("ph", Str (ph_string e.ph));
-        ("ts", Float (if normalize then 0. else us_of_ns e.ts));
+        ("ts", ts);
         ("pid", Int 1);
         ("tid", Int e.tid);
       ]
     in
     let dur =
       match e.ph with
-      | X d -> [ ("dur", Float (if normalize then 0. else us_of_ns d)) ]
+      | X d -> [ ("dur", if normalize then Float 0. else us d) ]
       | _ -> []
     in
     let args =
@@ -136,7 +150,6 @@ let to_chrome_json ?(normalize = false) (t : t) : Jsonout.t =
     in
     Obj (base @ dur @ args)
   in
-  let evs = events t in
   let evs =
     if normalize then List.filter (fun e -> e.cat <> "sched") evs else evs
   in

@@ -660,6 +660,154 @@ let prop_tests =
   List.map QCheck_alcotest.to_alcotest
     [ lin_sound; simp_sound; simp_idempotent; redundant_hyps; scope_independent ]
 
+(* The traversal contract (DESIGN.md §16): a traversal returns its input
+   itself when nothing below it changed, and calls [f] in the order the
+   constructor expressions of [ref_map_term] evaluate their arguments —
+   OCaml's right to left, argument lists head first. *)
+
+let rec ref_map_term (f : term -> term) (t : term) : term =
+  match t with
+  | Var _ | Evar _ | Num _ | BoolLit _ | NullLoc | MsEmpty | SetEmpty | Nil _
+    ->
+      t
+  | TProp p -> TProp (ref_map_prop f p)
+  | Add (a, b) -> Add (f a, f b)
+  | Sub (a, b) -> Sub (f a, f b)
+  | NatSub (a, b) -> NatSub (f a, f b)
+  | Mul (a, b) -> Mul (f a, f b)
+  | Div (a, b) -> Div (f a, f b)
+  | Mod (a, b) -> Mod (f a, f b)
+  | Min (a, b) -> Min (f a, f b)
+  | Max (a, b) -> Max (f a, f b)
+  | Ite (c, a, b) -> Ite (ref_map_prop f c, f a, f b)
+  | LocOfs (l, n) -> LocOfs (f l, f n)
+  | MsSingleton a -> MsSingleton (f a)
+  | MsUnion (a, b) -> MsUnion (f a, f b)
+  | SetSingleton a -> SetSingleton (f a)
+  | SetUnion (a, b) -> SetUnion (f a, f b)
+  | SetDiff (a, b) -> SetDiff (f a, f b)
+  | Cons (a, b) -> Cons (f a, f b)
+  | Append (a, b) -> Append (f a, f b)
+  | Length a -> Length (f a)
+  | Replicate (a, b) -> Replicate (f a, f b)
+  | NthDflt (d, i, l) -> NthDflt (f d, f i, f l)
+  | SetListInsert (i, x, l) -> SetListInsert (f i, f x, f l)
+  | App (g, args) -> App (g, List.map f args)
+
+and ref_map_prop (f : term -> term) (p : prop) : prop =
+  match p with
+  | PTrue | PFalse -> p
+  | PEq (a, b) -> PEq (f a, f b)
+  | PLe (a, b) -> PLe (f a, f b)
+  | PLt (a, b) -> PLt (f a, f b)
+  | PAnd (a, b) -> PAnd (ref_map_prop f a, ref_map_prop f b)
+  | POr (a, b) -> POr (ref_map_prop f a, ref_map_prop f b)
+  | PNot a -> PNot (ref_map_prop f a)
+  | PImp (a, b) -> PImp (ref_map_prop f a, ref_map_prop f b)
+  | PIsTrue t -> PIsTrue (f t)
+  | PIn (a, b) -> PIn (f a, f b)
+  | PForall (x, s, q) -> PForall (x, s, ref_map_prop f q)
+  | PExists (x, s, q) -> PExists (x, s, ref_map_prop f q)
+  | PPred (g, args) -> PPred (g, List.map f args)
+
+(* Terms and propositions over every constructor the traversals treat
+   apart, grown from the generators above, with evar leaves *)
+let gen_any_term, gen_any_prop =
+  let open QCheck.Gen in
+  let evar = map (fun k -> Evar (k, Sort.Int)) (int_range 0 3) in
+  let leaf = frequency [ (3, gen_simp_term); (1, evar) ] in
+  let args = list_size (int_range 0 3) in
+  let rec term depth =
+    if depth <= 0 then leaf
+    else
+      let sub = term (depth - 1) and p = prop (depth - 1) in
+      frequency
+        [
+          (3, leaf);
+          (1, map2 (fun x y -> Add (x, y)) sub sub);
+          (1, map3 (fun c x y -> Ite (c, x, y)) p sub sub);
+          (1, map (fun q -> TProp q) p);
+          (1, map (fun args -> App ("f", args)) (args sub));
+          (1, map3 (fun d i l -> NthDflt (d, i, l)) sub sub sub);
+          (1, map3 (fun i x l -> SetListInsert (i, x, l)) sub sub sub);
+          (1, map2 (fun x l -> Cons (x, l)) sub sub);
+          (1, map2 (fun x s -> MsUnion (MsSingleton x, s)) sub sub);
+          (1, map (fun l -> Length l) sub);
+        ]
+  and prop depth =
+    if depth <= 0 then gen_query_prop
+    else
+      let sub = prop (depth - 1) and t = term (depth - 1) in
+      frequency
+        [
+          (3, gen_query_prop);
+          (1, map2 (fun x y -> PAnd (x, y)) sub sub);
+          (1, map2 (fun x y -> POr (x, y)) sub sub);
+          (1, map2 (fun x y -> PImp (x, y)) sub sub);
+          (1, map (fun x -> PNot x) sub);
+          (1, map (fun q -> PForall ("b", Sort.Nat, q)) sub);
+          (1, map (fun q -> PExists ("z", Sort.Int, q)) sub);
+          (1, map2 (fun x s -> PIn (x, s)) t t);
+          (1, map (fun x -> PIsTrue x) t);
+          (1, map (fun args -> PPred ("P", args)) (args t));
+          (1, map2 (fun x y -> PEq (x, y)) t t);
+        ]
+  in
+  (term 3, prop 3)
+
+(* [f]'s result and its arguments in call order, over a whole-term
+   traversal built on [map]: [f] replaces the variable [a] by a literal
+   and recurses *)
+let call_log map t =
+  let log = ref [] in
+  let rec f t =
+    log := t :: !log;
+    match t with Var ("a", _) -> Num 7 | _ -> map f t
+  in
+  let r = f t in
+  (r, List.rev !log)
+
+let traversal_tests =
+  let print (t, p) = term_to_string t ^ " / " ^ prop_to_string p in
+  let unchanged =
+    QCheck.Test.make ~count:1000 ~name:"unchanged terms come back physically"
+      (QCheck.make ~print QCheck.Gen.(pair gen_any_term gen_any_prop))
+      (fun (t, p) ->
+        let none _ = None in
+        map_term Fun.id t == t
+        && map_prop Fun.id p == p
+        && subst_term [] t == t
+        && subst_prop [] p == p
+        && subst_term [ ("unused", Num 0) ] t == t
+        && subst_evars_term none t == t
+        && subst_evars_prop none p == p
+        && (let s = Simp.simp_prop p in
+            Simp.simp_prop s == s)
+        &&
+        let s = Simp.simp_term t in
+        Simp.simp_term s == s)
+  in
+  let as_reference =
+    QCheck.Test.make ~count:1000
+      ~name:"changed terms and call order match the reference map"
+      (QCheck.make ~print QCheck.Gen.(pair gen_any_term gen_any_prop))
+      (fun (t, p) ->
+        let env = [ ("a", Num 7) ] in
+        let rec ref_subst t =
+          match t with Var ("a", _) -> Num 7 | _ -> ref_map_term ref_subst t
+        in
+        let same_calls t =
+          let r, log = call_log map_term t in
+          let r', log' = call_log ref_map_term t in
+          equal_term r r' && List.equal equal_term log log'
+        in
+        equal_term (subst_term env t) (ref_subst t)
+        && equal_prop (subst_prop env p) (ref_map_prop ref_subst p)
+        && same_calls t
+        && same_calls (TProp p))
+  in
+  List.map QCheck_alcotest.to_alcotest [ unchanged; as_reference ]
+
 let extension_tests =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -782,4 +930,5 @@ let () =
       ("registry", registry_tests);
       ("extensions", extension_tests);
       ("properties", prop_tests);
+      ("traversal", traversal_tests);
     ]

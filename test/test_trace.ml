@@ -101,6 +101,31 @@ let primitive_tests =
              ignore (Str.search_forward (Str.regexp_string "fn:f") s 0);
              true
            with Not_found -> false));
+    Alcotest.test_case "timestamps 1 us apart stay distinct and ordered"
+      `Quick (fun () ->
+        (* an hour into the process: absolute microseconds would need
+           more digits than a float's short form keeps *)
+        let t = Trace.make () in
+        Trace.name_lane t ~tid:0 "main";
+        let start = 3_600_000_000_000L in
+        Trace.complete t ~cat:"x" ~start_ns:start ~dur_ns:2_500L "a";
+        Trace.complete t ~cat:"x" ~start_ns:(Int64.add start 1_000L)
+          ~dur_ns:0L "b";
+        let open Rc_util.Jsonout in
+        let times =
+          match Trace.to_chrome_json t with
+          | Obj (("traceEvents", List evs) :: _) ->
+              List.filter_map
+                (function
+                  | Obj fs when List.assoc "ph" fs = Str "X" ->
+                      Some (List.assoc "ts" fs, List.assoc "dur" fs)
+                  | _ -> None)
+                evs
+          | _ -> Alcotest.fail "trace shape"
+        in
+        Alcotest.(check bool)
+          "ts relative to the first event, whole microseconds" true
+          (times = [ (Int 0, Int 2); (Int 1, Int 0) ]));
     Alcotest.test_case "disabled tracer records nothing" `Quick (fun () ->
         let t = Trace.off in
         Trace.span_begin t ~cat:"x" "a";
