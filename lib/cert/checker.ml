@@ -67,7 +67,10 @@ let rule_table (session : Rc_refinedc.Session.t) : string list =
     rule statements. *)
 let check ?(obs = Rc_util.Obs.off) ~(session : Rc_refinedc.Session.t)
     (d : Deriv.node) : report =
-  let table = rule_table session in
+  (* the rule names as the nodes spell them, so a node's case is looked
+     up as it is, without cutting off its prefix *)
+  let known = Hashtbl.create 128 in
+  List.iter (fun r -> Hashtbl.replace known ("rule:" ^ r) ()) (rule_table session);
   (* one solver scope for the whole derivation, as in the engine; it
      caches simplification and linearisation, never a verdict *)
   let registry = Registry.scoped session.Rc_refinedc.Session.registry in
@@ -79,13 +82,12 @@ let check ?(obs = Rc_util.Obs.off) ~(session : Rc_refinedc.Session.t)
   let rec go (n : Deriv.node) =
     incr nodes;
     (* rule applications *)
-    (if String.length n.Deriv.d_case > 5 && String.sub n.Deriv.d_case 0 5 = "rule:"
+    (let case = n.Deriv.d_case in
+     if String.length case > 5 && String.starts_with ~prefix:"rule:" case
      then begin
        incr apps;
-       let rname =
-         String.sub n.Deriv.d_case 5 (String.length n.Deriv.d_case - 5)
-       in
-       if not (List.mem rname table) then flag (Unknown_rule rname)
+       if not (Hashtbl.mem known case) then
+         flag (Unknown_rule (String.sub case 5 (String.length case - 5)))
      end);
     (* side conditions: re-discharge from scratch *)
     List.iter

@@ -1,9 +1,12 @@
 (** Recursive-descent parser for the C subset.
 
     Follows the Menhir manual's discipline for hand-written parsers:
-    every production commits after one token of lookahead (plus the
-    typedef table to disambiguate type names), and errors carry the
-    precise source location. *)
+    every production commits after at most three tokens of lookahead
+    (plus the typedef table to disambiguate type names), and errors
+    carry the precise source location.  The tokens are one table
+    ({!Clexer.tokens}) that the parser walks forward with an index; binary
+    operators are parsed by precedence climbing over one
+    operator-to-precedence table ({!binop}). *)
 
 open Cabs
 open Clexer
@@ -11,28 +14,25 @@ open Clexer
 exception Parse_error of string * Rc_util.Srcloc.t
 
 type state = {
-  mutable toks : lexed list;
-  mutable typedefs : (string * ctype) list;
-  mutable structs : string list;
-  file : string;
+  t : Clexer.tokens;
+  mutable i : int;  (** index of the next token *)
+  typedefs : (string, unit) Hashtbl.t;  (** the typedef names so far *)
 }
 
-let make ~file toks = { toks; typedefs = []; structs = []; file }
+let peek st = Clexer.token st.t st.i
 
-let peek st = match st.toks with [] -> TEof | l :: _ -> l.tok
-let peek_loc st =
-  match st.toks with [] -> Rc_util.Srcloc.dummy | l :: _ -> l.loc
-
-let peek2 st = match st.toks with _ :: l :: _ -> l.tok | _ -> TEof
-
-let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
+(* the token [k] places after the next one *)
+let peek_at st k = Clexer.token st.t (st.i + k)
+let peek2 st = peek_at st 1
+let peek_loc st = Clexer.loc st.t st.i
+let advance st = st.i <- st.i + 1
 
 let error st msg = raise (Parse_error (msg, peek_loc st))
 
 let expect_punct st p =
   match peek st with
   | TPunct q when q = p -> advance st
-  | _ -> error st (Printf.sprintf "expected '%s'" p)
+  | _ -> error st (Printf.sprintf "expected '%s'" (punct_text p))
 
 let expect_id st =
   match peek st with
@@ -48,6 +48,8 @@ let eat_punct st p =
       true
   | _ -> false
 
+let is_punct tok p = match tok with TPunct q -> q = p | _ -> false
+
 let rec collect_attrs st acc =
   match peek st with
   | TAttr (name, args) ->
@@ -62,51 +64,49 @@ let attrs st = collect_attrs st []
 (* Types                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let is_type_start st =
-  match peek st with
+let starts_type st = function
   | TKw
-      ( "void" | "unsigned" | "signed" | "char" | "short" | "int" | "long"
-      | "struct" | "_Bool" | "bool" | "const" ) ->
+      ( Void | Unsigned | Signed | Char | Short | Int | Long | Struct | Bool_
+      | Bool | Const ) ->
       true
-  | TId x -> List.mem_assoc x st.typedefs
+  | TId x -> Hashtbl.mem st.typedefs x
   | _ -> false
+
+let is_type_start st = starts_type st (peek st)
 
 let parse_base_type st : ctype =
   let rec skip_quals () =
     match peek st with
-    | TKw ("const" | "static" | "inline" | "extern") ->
+    | TKw (Const | Static | Inline | Extern) ->
         advance st;
         skip_quals ()
     | _ -> ()
   in
   skip_quals ();
   match peek st with
-  | TKw "void" ->
+  | TKw Void ->
       advance st;
       CVoid
-  | TKw ("_Bool" | "bool") ->
+  | TKw (Bool_ | Bool) ->
       advance st;
       CBool
-  | TKw "struct" ->
+  | TKw Struct ->
       advance st;
       let name = expect_id st in
       CStructRef name
   | TKw _ ->
       (* integer type keyword soup *)
-      let words = ref [] in
-      let rec go () =
+      let rec go words =
         match peek st with
-        | TKw (("unsigned" | "signed" | "char" | "short" | "int" | "long") as w)
-          ->
+        | TKw ((Unsigned | Signed | Char | Short | Int | Long) as w) ->
             advance st;
-            words := !words @ [ w ];
-            go ()
-        | _ -> ()
+            go (kw_text w :: words)
+        | _ -> List.rev words
       in
-      go ();
-      if !words = [] then error st "expected type";
-      CInt (String.concat " " !words)
-  | TId x when List.mem_assoc x st.typedefs ->
+      let words = go [] in
+      if words = [] then error st "expected type";
+      CInt (String.concat " " words)
+  | TId x when Hashtbl.mem st.typedefs x ->
       advance st;
       CNamed x
   | _ -> error st "expected type"
@@ -114,187 +114,171 @@ let parse_base_type st : ctype =
 let parse_type st : ctype =
   let base = parse_base_type st in
   let rec stars t =
-    if eat_punct st "*" then stars (CPtr t)
+    if eat_punct st Star then stars (CPtr t)
     else (
       (match peek st with
-      | TKw "const" -> advance st
+      | TKw Const -> advance st
       | _ -> ());
-      if eat_punct st "*" then stars (CPtr t) else t)
+      if eat_punct st Star then stars (CPtr t) else t)
   in
   stars base
 
 (* ------------------------------------------------------------------ *)
-(* Expressions (precedence climbing)                                   *)
+(* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let mk loc e = { e; eloc = loc }
+
+(** The binary operator a token stands for, with its precedence
+    (loosest 0); [-1] for any other token.  All are left-associative. *)
+let binop = function
+  | TPunct p -> (
+      match p with
+      | OrOr -> (0, BOr)
+      | AndAnd -> (1, BAnd)
+      | Bar -> (2, BBitOr)
+      | Caret -> (3, BBitXor)
+      | Amp -> (4, BBitAnd)
+      | EqEq -> (5, BEq)
+      | Ne -> (5, BNe)
+      | Lt -> (6, BLt)
+      | Le -> (6, BLe)
+      | Gt -> (6, BGt)
+      | Ge -> (6, BGe)
+      | Shl -> (7, BShl)
+      | Shr -> (7, BShr)
+      | Plus -> (8, BAdd)
+      | Minus -> (8, BSub)
+      | Star -> (9, BMul)
+      | Slash -> (9, BDiv)
+      | Percent -> (9, BMod)
+      | _ -> (-1, BAdd))
+  | _ -> (-1, BAdd)
 
 let rec parse_expr st : expr = parse_assign st
 
 and parse_assign st : expr =
   let loc = peek_loc st in
   let lhs = parse_cond st in
+  let compound op =
+    advance st;
+    mk loc (EAssignOp (op, lhs, parse_assign st))
+  in
   match peek st with
-  | TPunct "=" ->
+  | TPunct Assign ->
       advance st;
       let rhs = parse_assign st in
       mk loc (EAssign (lhs, rhs))
-  | TPunct "+=" ->
-      advance st;
-      mk loc (EAssignOp (BAdd, lhs, parse_assign st))
-  | TPunct "-=" ->
-      advance st;
-      mk loc (EAssignOp (BSub, lhs, parse_assign st))
-  | TPunct "*=" ->
-      advance st;
-      mk loc (EAssignOp (BMul, lhs, parse_assign st))
-  | TPunct "/=" ->
-      advance st;
-      mk loc (EAssignOp (BDiv, lhs, parse_assign st))
-  | TPunct "%=" ->
-      advance st;
-      mk loc (EAssignOp (BMod, lhs, parse_assign st))
+  | TPunct PlusEq -> compound BAdd
+  | TPunct MinusEq -> compound BSub
+  | TPunct StarEq -> compound BMul
+  | TPunct SlashEq -> compound BDiv
+  | TPunct PercentEq -> compound BMod
   | _ -> lhs
 
 and parse_cond st : expr =
   let loc = peek_loc st in
   let c = parse_binary st 0 in
-  if eat_punct st "?" then begin
+  if eat_punct st Question then begin
     let t = parse_expr st in
-    expect_punct st ":";
+    expect_punct st Colon;
     let f = parse_cond st in
     mk loc (ECond (c, t, f))
   end
   else c
 
-(* precedence levels, loosest first *)
-and binop_at_level lvl tok =
-  match (lvl, tok) with
-  | 0, TPunct "||" -> Some BOr
-  | 1, TPunct "&&" -> Some BAnd
-  | 2, TPunct "|" -> Some BBitOr
-  | 3, TPunct "^" -> Some BBitXor
-  | 4, TPunct "&" -> Some BBitAnd
-  | 5, TPunct "==" -> Some BEq
-  | 5, TPunct "!=" -> Some BNe
-  | 6, TPunct "<" -> Some BLt
-  | 6, TPunct "<=" -> Some BLe
-  | 6, TPunct ">" -> Some BGt
-  | 6, TPunct ">=" -> Some BGe
-  | 7, TPunct "<<" -> Some BShl
-  | 7, TPunct ">>" -> Some BShr
-  | 8, TPunct "+" -> Some BAdd
-  | 8, TPunct "-" -> Some BSub
-  | 9, TPunct "*" -> Some BMul
-  | 9, TPunct "/" -> Some BDiv
-  | 9, TPunct "%" -> Some BMod
-  | _ -> None
-
-and parse_binary st lvl : expr =
-  if lvl > 9 then parse_unary st
-  else
-    let loc = peek_loc st in
-    let lhs = ref (parse_binary st (lvl + 1)) in
-    let rec go () =
-      match binop_at_level lvl (peek st) with
-      | Some op ->
-          advance st;
-          let rhs = parse_binary st (lvl + 1) in
-          lhs := mk loc (EBin (op, !lhs, rhs));
-          go ()
-      | None -> ()
-    in
-    go ();
-    !lhs
+(* precedence climbing: the operands of operators binding at least as
+   tightly as [min]; a node is located at its leftmost operand *)
+and parse_binary st min : expr =
+  let loc = peek_loc st in
+  let rec go lhs =
+    let prec, op = binop (peek st) in
+    if prec < min then lhs
+    else begin
+      advance st;
+      let rhs = parse_binary st (prec + 1) in
+      go (mk loc (EBin (op, lhs, rhs)))
+    end
+  in
+  go (parse_unary st)
 
 and parse_unary st : expr =
   let loc = peek_loc st in
   match peek st with
-  | TPunct "-" ->
+  | TPunct Minus ->
       advance st;
       mk loc (EUn (UNeg, parse_unary st))
-  | TPunct "!" ->
+  | TPunct Bang ->
       advance st;
       mk loc (EUn (UNot, parse_unary st))
-  | TPunct "~" ->
+  | TPunct Tilde ->
       advance st;
       mk loc (EUn (UBitNot, parse_unary st))
-  | TPunct "*" ->
+  | TPunct Star ->
       advance st;
       mk loc (EDeref (parse_unary st))
-  | TPunct "&" ->
+  | TPunct Amp ->
       advance st;
       mk loc (EAddr (parse_unary st))
-  | TKw "sizeof" ->
+  | TKw Sizeof ->
       advance st;
-      expect_punct st "(";
+      expect_punct st LParen;
       let t = parse_type st in
-      expect_punct st ")";
+      expect_punct st RParen;
       mk loc (ESizeof t)
-  | TPunct "(" when is_type_start_after_paren st ->
+  | TPunct LParen when starts_type st (peek2 st) ->
       advance st;
       let t = parse_type st in
-      expect_punct st ")";
+      expect_punct st RParen;
       mk loc (ECast (t, parse_unary st))
   | _ -> parse_postfix st
 
-and is_type_start_after_paren st =
-  match peek2 st with
-  | TKw
-      ( "void" | "unsigned" | "signed" | "char" | "short" | "int" | "long"
-      | "struct" | "_Bool" | "bool" | "const" ) ->
-      true
-  | TId x -> List.mem_assoc x st.typedefs
-  | _ -> false
-
 and parse_postfix st : expr =
   let loc = peek_loc st in
-  let e = ref (parse_primary st) in
-  let rec go () =
+  let rec go e =
     match peek st with
-    | TPunct "->" ->
+    | TPunct Arrow ->
         advance st;
         let f = expect_id st in
-        e := mk loc (EArrow (!e, f));
-        go ()
-    | TPunct "." ->
+        go (mk loc (EArrow (e, f)))
+    | TPunct Dot ->
         advance st;
         let f = expect_id st in
-        e := mk loc (EMember (!e, f));
-        go ()
-    | TPunct "[" ->
+        go (mk loc (EMember (e, f)))
+    | TPunct LBracket ->
         advance st;
         let i = parse_expr st in
-        expect_punct st "]";
-        e := mk loc (EIndex (!e, i));
-        go ()
-    | TPunct "(" -> (
-        match !e with
+        expect_punct st RBracket;
+        go (mk loc (EIndex (e, i)))
+    | TPunct LParen -> (
+        match e with
         | { e = EId f; _ } ->
             advance st;
-            let args = ref [] in
-            if not (eat_punct st ")") then begin
-              let rec arg_loop () =
-                args := parse_expr st :: !args;
-                if eat_punct st "," then arg_loop () else expect_punct st ")"
-              in
-              arg_loop ()
-            end;
-            e := mk loc (ECall (f, List.rev !args));
-            go ()
-        | _ -> error st "only direct calls or calls through named pointers are supported")
-    | TPunct "++" ->
+            let args =
+              if eat_punct st RParen then []
+              else
+                let rec arg_loop acc =
+                  let acc = parse_expr st :: acc in
+                  if eat_punct st Comma then arg_loop acc
+                  else (
+                    expect_punct st RParen;
+                    List.rev acc)
+                in
+                arg_loop []
+            in
+            go (mk loc (ECall (f, args)))
+        | _ ->
+            error st
+              "only direct calls or calls through named pointers are supported")
+    | TPunct PlusPlus ->
         advance st;
-        e := mk loc (EAssignOp (BAdd, !e, mk loc (EConst 1)));
-        go ()
-    | TPunct "--" ->
+        go (mk loc (EAssignOp (BAdd, e, mk loc (EConst 1))))
+    | TPunct MinusMinus ->
         advance st;
-        e := mk loc (EAssignOp (BSub, !e, mk loc (EConst 1)));
-        go ()
-    | _ -> ()
+        go (mk loc (EAssignOp (BSub, e, mk loc (EConst 1))))
+    | _ -> e
   in
-  go ();
-  !e
+  go (parse_primary st)
 
 and parse_primary st : expr =
   let loc = peek_loc st in
@@ -314,10 +298,10 @@ and parse_primary st : expr =
   | TId x ->
       advance st;
       mk loc (EId x)
-  | TPunct "(" ->
+  | TPunct LParen ->
       advance st;
       let e = parse_expr st in
-      expect_punct st ")";
+      expect_punct st RParen;
       e
   | _ -> error st "expected expression"
 
@@ -331,67 +315,71 @@ let rec parse_stmt st : stmt =
   let loc = peek_loc st in
   let atts = attrs st in
   match peek st with
-  | TPunct "{" -> mks loc (SBlock (parse_block st))
-  | TKw "if" ->
+  | TPunct LBrace -> mks loc (SBlock (parse_block st))
+  | TKw If ->
       advance st;
-      expect_punct st "(";
+      expect_punct st LParen;
       let c = parse_expr st in
-      expect_punct st ")";
+      expect_punct st RParen;
       let then_ = parse_stmt_as_block st in
       let else_ =
         match peek st with
-        | TKw "else" ->
+        | TKw Else ->
             advance st;
             parse_stmt_as_block st
         | _ -> []
       in
       mks loc (SIf (c, then_, else_))
-  | TKw "while" ->
+  | TKw While ->
       advance st;
-      expect_punct st "(";
+      expect_punct st LParen;
       let c = parse_expr st in
-      expect_punct st ")";
+      expect_punct st RParen;
       let body = parse_stmt_as_block st in
       mks loc (SWhile (atts, c, body))
-  | TKw "for" ->
+  | TKw For ->
       advance st;
-      expect_punct st "(";
+      expect_punct st LParen;
       let init =
-        if eat_punct st ";" then None
+        if eat_punct st Semi then None
         else
           let s = parse_simple_stmt st in
-          (expect_punct st ";";
-           Some s)
+          expect_punct st Semi;
+          Some s
       in
-      let cond = if peek st = TPunct ";" then None else Some (parse_expr st) in
-      expect_punct st ";";
-      let step = if peek st = TPunct ")" then None else Some (parse_expr st) in
-      expect_punct st ")";
+      let cond =
+        if is_punct (peek st) Semi then None else Some (parse_expr st)
+      in
+      expect_punct st Semi;
+      let step =
+        if is_punct (peek st) RParen then None else Some (parse_expr st)
+      in
+      expect_punct st RParen;
       let body = parse_stmt_as_block st in
       mks loc (SFor (atts, init, cond, step, body))
-  | TKw "switch" ->
+  | TKw Switch ->
       advance st;
-      expect_punct st "(";
+      expect_punct st LParen;
       let scrut = parse_expr st in
-      expect_punct st ")";
-      expect_punct st "{";
+      expect_punct st RParen;
+      expect_punct st LBrace;
       let cases = ref [] in
       let default = ref [] in
       let rec body_loop acc =
         match peek st with
-        | TKw "case" | TKw "default" | TPunct "}" -> List.rev acc
+        | TKw (Case | Default) | TPunct RBrace -> List.rev acc
         | _ -> body_loop (parse_stmt st :: acc)
       in
       let rec case_loop () =
         match peek st with
-        | TKw "case" ->
+        | TKw Case ->
             advance st;
             let n =
               match peek st with
               | TInt n ->
                   advance st;
                   n
-              | TPunct "-" -> (
+              | TPunct Minus -> (
                   advance st;
                   match peek st with
                   | TInt n ->
@@ -400,46 +388,46 @@ let rec parse_stmt st : stmt =
                   | _ -> error st "expected integer after case -")
               | _ -> error st "expected integer case label"
             in
-            expect_punct st ":";
+            expect_punct st Colon;
             cases := (n, body_loop []) :: !cases;
             case_loop ()
-        | TKw "default" ->
+        | TKw Default ->
             advance st;
-            expect_punct st ":";
+            expect_punct st Colon;
             default := body_loop [];
             case_loop ()
-        | TPunct "}" -> advance st
+        | TPunct RBrace -> advance st
         | _ -> error st "expected case, default or } in switch"
       in
       case_loop ();
       mks loc (SSwitch (scrut, List.rev !cases, !default))
-  | TKw "return" ->
+  | TKw Return ->
       advance st;
-      let e = if peek st = TPunct ";" then None else Some (parse_expr st) in
-      expect_punct st ";";
+      let e = if is_punct (peek st) Semi then None else Some (parse_expr st) in
+      expect_punct st Semi;
       mks loc (SReturn e)
-  | TKw "break" ->
+  | TKw Break ->
       advance st;
-      expect_punct st ";";
+      expect_punct st Semi;
       mks loc SBreak
-  | TKw "continue" ->
+  | TKw Continue ->
       advance st;
-      expect_punct st ";";
+      expect_punct st Semi;
       mks loc SContinue
   | _ ->
       let s = parse_simple_stmt st in
-      expect_punct st ";";
+      expect_punct st Semi;
       s
 
 and parse_stmt_as_block st : stmt list =
   match peek st with
-  | TPunct "{" -> parse_block st
+  | TPunct LBrace -> parse_block st
   | _ -> [ parse_stmt st ]
 
 and parse_block st : stmt list =
-  expect_punct st "{";
+  expect_punct st LBrace;
   let rec go acc =
-    if eat_punct st "}" then List.rev acc else go (parse_stmt st :: acc)
+    if eat_punct st RBrace then List.rev acc else go (parse_stmt st :: acc)
   in
   go []
 
@@ -449,7 +437,7 @@ and parse_simple_stmt st : stmt =
   if is_type_start st then begin
     let t = parse_type st in
     let x = expect_id st in
-    let init = if eat_punct st "=" then Some (parse_expr st) else None in
+    let init = if eat_punct st Assign then Some (parse_expr st) else None in
     mks loc (SDecl (t, x, init))
   end
   else mks loc (SExpr (parse_expr st))
@@ -462,50 +450,59 @@ let parse_field st : field_decl =
   let fd_attrs = attrs st in
   let fd_type = parse_type st in
   let fd_name = expect_id st in
-  expect_punct st ";";
+  expect_punct st Semi;
   { fd_attrs; fd_type; fd_name }
 
 let parse_struct_body st =
-  expect_punct st "{";
+  expect_punct st LBrace;
   let rec go acc =
-    if eat_punct st "}" then List.rev acc else go (parse_field st :: acc)
+    if eat_punct st RBrace then List.rev acc else go (parse_field st :: acc)
   in
   go []
+
+(* the comma-separated list [item] parses up to a closing ')', which
+   the caller has just opened *)
+let paren_list st item =
+  if eat_punct st RParen then []
+  else
+    let rec go acc =
+      let acc = item () :: acc in
+      if eat_punct st Comma then go acc
+      else (
+        expect_punct st RParen;
+        List.rev acc)
+    in
+    go []
 
 let rec parse_decl st : decl option =
   match peek st with
   | TEof -> None
-  | TPunct ";" ->
+  | TPunct Semi ->
       advance st;
       parse_decl st
-  | _ ->
+  | _ -> (
       let d_attrs = attrs st in
       let loc = peek_loc st in
-      (match peek st with
-      | TKw "typedef" -> (
+      match peek st with
+      | TKw Typedef -> (
           advance st;
           match peek st with
-          | TKw "struct" ->
+          | TKw Struct ->
               advance st;
               let inner_attrs = attrs st in
               let name_opt =
                 match peek st with
-                | TId x when peek2 st = TPunct "{" ->
+                | TId x when is_punct (peek2 st) LBrace ->
                     advance st;
                     Some x
                 | _ -> None
               in
               let fields = parse_struct_body st in
-              let is_ptr = eat_punct st "*" in
+              let is_ptr = eat_punct st Star in
               let td_name = expect_id st in
-              expect_punct st ";";
+              expect_punct st Semi;
               let sd_name = Option.value ~default:td_name name_opt in
-              st.structs <- sd_name :: st.structs;
-              st.typedefs <-
-                ( td_name,
-                  if is_ptr then CPtr (CStructRef sd_name)
-                  else CStructRef sd_name )
-                :: st.typedefs;
+              Hashtbl.replace st.typedefs td_name ();
               Some
                 (DStruct
                    {
@@ -520,40 +517,28 @@ let rec parse_decl st : decl option =
               let name = expect_id st in
               (* function typedef: typedef int cmp_t(int a, int b); *)
               let t =
-                if peek st = TPunct "(" then begin
-                  advance st;
-                  let params = ref [] in
-                  if not (eat_punct st ")") then begin
-                    let rec go () =
-                      let pt = parse_type st in
-                      (match peek st with
-                      | TId _ -> advance st
-                      | _ -> ());
-                      params := pt :: !params;
-                      if eat_punct st "," then go () else expect_punct st ")"
-                    in
-                    go ()
-                  end;
-                  CFn (List.rev !params, t)
-                end
+                if eat_punct st LParen then
+                  let param () =
+                    let pt = parse_type st in
+                    (match peek st with TId _ -> advance st | _ -> ());
+                    pt
+                  in
+                  CFn (paren_list st param, t)
                 else t
               in
-              expect_punct st ";";
-              st.typedefs <- (name, t) :: st.typedefs;
+              expect_punct st Semi;
+              Hashtbl.replace st.typedefs name ();
               Some (DTypedef (name, t)))
-      | TKw "struct" when peek2 st <> TPunct "*" -> (
+      | TKw Struct when not (is_punct (peek2 st) Star) -> (
           (* struct definition: struct [[attrs]] name { ... }; *)
-          match st.toks with
-          | _ :: { tok = TAttr _; _ } :: _
-          | _ :: { tok = TId _; _ } :: { tok = TPunct "{"; _ } :: _
-          | _ :: { tok = TId _; _ } :: { tok = TAttr _; _ } :: _ ->
+          match (peek2 st, peek_at st 2) with
+          | TAttr _, _ | TId _, (TPunct LBrace | TAttr _) ->
               advance st;
               let inner = attrs st in
               let name = expect_id st in
               let more = attrs st in
               let fields = parse_struct_body st in
-              expect_punct st ";";
-              st.structs <- name :: st.structs;
+              expect_punct st Semi;
               Some
                 (DStruct
                    {
@@ -569,49 +554,41 @@ let rec parse_decl st : decl option =
 and parse_fun st fn_attrs fn_loc : decl option =
   let ret = parse_type st in
   let name = expect_id st in
-  expect_punct st "(";
-  let params = ref [] in
-  if not (eat_punct st ")") then begin
-    (match peek st with
-    | TKw "void" when peek2 st = TPunct ")" ->
+  expect_punct st LParen;
+  let params =
+    match (peek st, peek2 st) with
+    | TKw Void, TPunct RParen ->
         advance st;
-        expect_punct st ")"
+        advance st;
+        []
     | _ ->
-        let rec go () =
-          let t = parse_type st in
-          let x =
+        paren_list st (fun () ->
+            let t = parse_type st in
             match peek st with
             | TId x ->
                 advance st;
-                x
-            | _ -> error st "expected parameter name"
-          in
-          params := (t, x) :: !params;
-          if eat_punct st "," then go () else expect_punct st ")"
-        in
-        go ())
-  end;
-  let body =
-    if eat_punct st ";" then None
-    else Some (parse_block st)
+                (t, x)
+            | _ -> error st "expected parameter name")
   in
+  let body = if eat_punct st Semi then None else Some (parse_block st) in
   Some
     (DFun
-       {
-         fn_attrs;
-         fn_ret = ret;
-         fn_name = name;
-         fn_params = List.rev !params;
-         fn_body = body;
-         fn_loc;
-       })
+       { fn_attrs; fn_ret = ret; fn_name = name; fn_params = params;
+         fn_body = body; fn_loc })
 
+(** Parse a whole input.  A lexical error anywhere in the input wins over
+    a parse error, as if the whole input were lexed first. *)
 let parse_file ~file (src : string) : Cabs.file =
-  let toks = Clexer.tokenize ~file src in
-  let st = make ~file toks in
+  let st =
+    { t = Clexer.tokenize ~file src; i = 0; typedefs = Hashtbl.create 16 }
+  in
   let rec go acc =
     match parse_decl st with
     | None -> List.rev acc
     | Some d -> go (d :: acc)
   in
-  { decls = go []; file_name = file }
+  match go [] with
+  | decls -> { decls; file_name = file }
+  | exception (Parse_error _ as e) ->
+      Clexer.drain st.t;
+      raise e

@@ -29,32 +29,39 @@ let with_spec_loc loc f =
 (* C types → layouts                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The file-wide tables, one hash table each, filled in declaration
+   order with [Hashtbl.replace]: a name defined twice resolves to its
+   latest definition so far, as it would at the head of an association
+   list that each definition is pushed onto. *)
 type genv = {
-  mutable typedefs : (string * ctype) list;
-  mutable structs : (string * Layout.struct_layout) list;
-  mutable fn_sigs : (string * (ctype list * ctype)) list;
-  mutable fn_specs : (string * fn_spec) list;
+  typedefs : (string, ctype) Hashtbl.t;
+  structs : (string, Layout.struct_layout) Hashtbl.t;
+  mutable struct_list : (string * Layout.struct_layout) list;
+      (** every struct layout, latest first: the program's [structs] *)
+  fn_sigs : (string, ctype list * ctype) Hashtbl.t;
+  fn_specs : (string, fn_spec) Hashtbl.t;
   tenv : Rc_refinedc.Rtype.tenv;
       (** the session's named-type environment; elaboration registers
           [rc::refined_by] definitions here *)
-  mutable field_types : (string * ctype) list;
-      (** side table: "struct.field" ↦ surface C type of the field *)
+  field_types : (string * string, ctype) Hashtbl.t;
+      (** side table: (struct, field) ↦ surface C type of the field *)
 }
 
 let new_genv ~tenv () =
   {
-    typedefs = [];
-    structs = [];
-    fn_sigs = [];
-    fn_specs = [];
+    typedefs = Hashtbl.create 16;
+    structs = Hashtbl.create 16;
+    struct_list = [];
+    fn_sigs = Hashtbl.create 64;
+    fn_specs = Hashtbl.create 64;
     tenv;
-    field_types = [];
+    field_types = Hashtbl.create 64;
   }
 
 let rec resolve_ctype (g : genv) (t : ctype) : ctype =
   match t with
   | CNamed x -> (
-      match List.assoc_opt x g.typedefs with
+      match Hashtbl.find_opt g.typedefs x with
       | Some t' -> resolve_ctype g t'
       | None -> t)
   | t -> t
@@ -72,7 +79,7 @@ let layout_of_ctype ?(loc = Rc_util.Srcloc.dummy) (g : genv) (t : ctype) :
   | CPtr t' -> (
       match resolve_ctype g t' with CFn _ -> Layout.FnPtr | _ -> Layout.Ptr)
   | CStructRef s -> (
-      match List.assoc_opt s g.structs with
+      match Hashtbl.find_opt g.structs s with
       | Some sl -> Layout.Struct sl
       | None -> err loc "unknown struct %s" s)
   | CNamed x -> err loc "unknown type name %s" x
@@ -88,15 +95,17 @@ let int_type_of_ctype ?(loc = Rc_util.Srcloc.dummy) (g : genv) (t : ctype) :
 (* ------------------------------------------------------------------ *)
 
 let attr_args name (atts : attr list) : string list =
+  let key = "rc::" ^ name in
   List.concat_map
-    (fun a -> if a.a_name = "rc::" ^ name then a.a_args else [])
+    (fun a -> if String.equal a.a_name key then a.a_args else [])
     atts
 
 let attr_joined name (atts : attr list) : string list =
   (* one item per attribute occurrence, its string args joined *)
+  let key = "rc::" ^ name in
   List.filter_map
     (fun a ->
-      if a.a_name = "rc::" ^ name then Some (String.concat " " a.a_args)
+      if String.equal a.a_name key then Some (String.concat " " a.a_args)
       else None)
     atts
 
@@ -112,11 +121,10 @@ let elab_struct (g : genv) (sd : struct_decl) : unit =
       sd.sd_fields
   in
   let sl = Layout.mk_struct sd.sd_name layout_fields in
-  g.structs <- (sd.sd_name, sl) :: g.structs;
+  Hashtbl.replace g.structs sd.sd_name sl;
+  g.struct_list <- (sd.sd_name, sl) :: g.struct_list;
   List.iter
-    (fun fd ->
-      g.field_types <-
-        (sd.sd_name ^ "." ^ fd.fd_name, fd.fd_type) :: g.field_types)
+    (fun fd -> Hashtbl.replace g.field_types (sd.sd_name, fd.fd_name) fd.fd_type)
     sd.sd_fields;
   (* RefinedC annotations *)
   let refined_by =
@@ -252,16 +260,26 @@ type fenv = {
   ret : ctype;
 }
 
+(* [List.assoc_opt x fe.vars], comparing names with [String.equal] *)
+let var_type (fe : fenv) x : ctype option =
+  let rec go = function
+    | [] -> None
+    | (y, t) :: rest -> if String.equal x y then Some t else go rest
+  in
+  go fe.vars
+
+let is_var fe x = Option.is_some (var_type fe x)
+
 let struct_of (fe : fenv) loc (t : ctype) : Layout.struct_layout =
   match resolve_ctype fe.g t with
   | CStructRef s | CPtr (CStructRef s) -> (
-      match List.assoc_opt s fe.g.structs with
+      match Hashtbl.find_opt fe.g.structs s with
       | Some sl -> sl
       | None -> err loc "unknown struct %s" s)
   | CPtr (CNamed _ as t') | (CNamed _ as t') -> (
       match resolve_ctype fe.g t' with
       | CStructRef s | CPtr (CStructRef s) -> (
-          match List.assoc_opt s fe.g.structs with
+          match Hashtbl.find_opt fe.g.structs s with
           | Some sl -> sl
           | None -> err loc "unknown struct %s" s)
       | _ -> err loc "expected a struct type")
@@ -277,17 +295,17 @@ let field_ctype (fe : fenv) loc (t : ctype) (f : string) : ctype =
         | _ -> err loc "expected struct pointer")
     | _ -> err loc "expected struct"
   in
-  match List.assoc_opt (s ^ "." ^ f) fe.g.field_types with
+  match Hashtbl.find_opt fe.g.field_types (s, f) with
   | Some t -> t
   | None -> err loc "unknown field %s.%s" s f
 
 let rec ctype_of (fe : fenv) (e : expr) : ctype =
   match e.e with
   | EId x -> (
-      match List.assoc_opt x fe.vars with
+      match var_type fe x with
       | Some t -> t
       | None -> (
-          match List.assoc_opt x fe.g.fn_sigs with
+          match Hashtbl.find_opt fe.g.fn_sigs x with
           | Some (ps, r) -> CPtr (CFn (ps, r))
           | None -> err e.eloc "unbound variable %s" x))
   | EConst _ -> CInt "int"
@@ -314,10 +332,10 @@ let rec ctype_of (fe : fenv) (e : expr) : ctype =
   | ECall ("atomic_compare_exchange_strong", _) -> CInt "int"
   | ECall ("atomic_store", _) -> CVoid
   | ECall (f, _) -> (
-      match List.assoc_opt f fe.g.fn_sigs with
+      match Hashtbl.find_opt fe.g.fn_sigs f with
       | Some (_, ret) -> ret
       | None -> (
-          match List.assoc_opt f fe.vars with
+          match var_type fe f with
           | Some t -> (
               match resolve_ctype fe.g t with
               | CPtr (CFn (_, r)) | CFn (_, r) -> r
@@ -374,6 +392,7 @@ type builder = {
   mutable blocks : (string * Syntax.block) list;
   mutable cur_label : string;
   mutable cur_stmts : Syntax.stmt list;  (** reversed *)
+  mutable cur_len : int;  (** [List.length cur_stmts] *)
   mutable closed : bool;  (** current block already terminated *)
   mutable locals : (string * Layout.t) list;
   mutable nlab : int;
@@ -388,17 +407,31 @@ type builder = {
 
 and fenv_mut = { mutable fenv : fenv }
 
+(* [hint ^ string_of_int n] for [n >= 0], without a printf format *)
+let label hint n =
+  let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+  let h = String.length hint and d = digits n in
+  let b = Bytes.create (h + d) in
+  Bytes.blit_string hint 0 b 0 h;
+  let rec fill n i =
+    Bytes.set b i (Char.chr (48 + (n mod 10)));
+    if n >= 10 then fill (n / 10) (i - 1)
+  in
+  fill n (h + d - 1);
+  Bytes.unsafe_to_string b
+
 let fresh_label b hint =
   let n = b.nlab in
   b.nlab <- n + 1;
-  Printf.sprintf "%s%d" hint n
+  label hint n
 
 let emit b ?loc (s : Syntax.stmt) =
   (match loc with
   | Some l ->
-      b.stmt_locs <- ((b.cur_label, List.length b.cur_stmts), l) :: b.stmt_locs
+      b.stmt_locs <- ((b.cur_label, b.cur_len), l) :: b.stmt_locs
   | None -> ());
-  b.cur_stmts <- s :: b.cur_stmts
+  b.cur_stmts <- s :: b.cur_stmts;
+  b.cur_len <- b.cur_len + 1
 
 let close_block b ?loc (term : Syntax.terminator) =
   if not b.closed then begin
@@ -413,6 +446,7 @@ let close_block b ?loc (term : Syntax.terminator) =
 let start_block b label =
   b.cur_label <- label;
   b.cur_stmts <- [];
+  b.cur_len <- 0;
   b.closed <- false
 
 (* ------------------------------------------------------------------ *)
@@ -434,11 +468,11 @@ let conv_to (from_ : Int_type.t) (to_ : Int_type.t) (e : Syntax.expr) :
         Syntax.IntConst (n, to_)
     | _ -> Syntax.CastIntInt { from_; to_; arg = e }
 
-let is_fn_name (fe : fenv) x = List.mem_assoc x fe.g.fn_sigs
+let is_fn_name (fe : fenv) x = Hashtbl.mem fe.g.fn_sigs x
 
 let rec rv (fe : fenv) (e : expr) : Syntax.expr =
   match e.e with
-  | EId x when is_fn_name fe x && not (List.mem_assoc x fe.vars) ->
+  | EId x when (not (is_var fe x)) && is_fn_name fe x ->
       Syntax.FnAddr x
   | EId _ | EMember _ | EArrow _ | EIndex _ | EDeref _ ->
       let layout = layout_of_ctype ~loc:e.eloc fe.g (ctype_of fe e) in
@@ -582,7 +616,7 @@ and cbinop = function
 and lv (fe : fenv) (e : expr) : Syntax.expr =
   match e.e with
   | EId x ->
-      if List.mem_assoc x fe.vars then Syntax.VarLoc x
+      if is_var fe x then Syntax.VarLoc x
       else err e.eloc "unbound variable %s" x
   | EDeref a -> rv fe a
   | EArrow (a, f) ->
@@ -684,22 +718,23 @@ let elab_call (b : builder) loc (dest : expr option) (f : string)
   | _ -> (
       (* ordinary or indirect call *)
       let fn_expr, sig_ =
-        if List.mem_assoc f fe.vars then
-          (* call through a function-pointer variable *)
-          match resolve_ctype fe.g (List.assoc f fe.vars) with
-          | CPtr fty | (CFn _ as fty) -> (
-              match resolve_ctype fe.g fty with
-              | CFn (ps, r) ->
-                  ( Syntax.Use
-                      { atomic = false; layout = Layout.FnPtr;
-                        arg = Syntax.VarLoc f },
-                    (ps, r) )
-              | _ -> err loc "calling a non-function %s" f)
-          | _ -> err loc "calling a non-function %s" f
-        else
-          match List.assoc_opt f fe.g.fn_sigs with
-          | Some s -> (Syntax.FnAddr f, s)
-          | None -> err loc "call to unknown function %s" f
+        match var_type fe f with
+        | Some ft -> (
+            (* call through a function-pointer variable *)
+            match resolve_ctype fe.g ft with
+            | CPtr fty | (CFn _ as fty) -> (
+                match resolve_ctype fe.g fty with
+                | CFn (ps, r) ->
+                    ( Syntax.Use
+                        { atomic = false; layout = Layout.FnPtr;
+                          arg = Syntax.VarLoc f },
+                      (ps, r) )
+                | _ -> err loc "calling a non-function %s" f)
+            | _ -> err loc "calling a non-function %s" f)
+        | None -> (
+            match Hashtbl.find_opt fe.g.fn_sigs f with
+            | Some s -> (Syntax.FnAddr f, s)
+            | None -> err loc "call to unknown function %s" f)
       in
       let ps, _ = sig_ in
       if List.length ps <> List.length args then
@@ -765,7 +800,7 @@ let rec elab_stmt (b : builder) (s : stmt) : unit =
     | SReturn (Some ({ e = ECall (f, args); eloc } as _call))
       when f <> "atomic_load" ->
         (* return f(...): introduce a temporary for the call result *)
-        let tmp = Printf.sprintf "__ret%d" b.nlab in
+        let tmp = label "__ret" b.nlab in
         b.nlab <- b.nlab + 1;
         let fe0 = fe () in
         let rett =
@@ -967,7 +1002,7 @@ let elab_fun (g : genv) (fd : fun_decl) (body : Cabs.stmt list) :
     }
   in
   let spec_params =
-    match List.assoc_opt fd.fn_name g.fn_specs with
+    match Hashtbl.find_opt g.fn_specs fd.fn_name with
     | Some sp -> sp.fs_params
     | None -> []
   in
@@ -977,6 +1012,7 @@ let elab_fun (g : genv) (fd : fun_decl) (body : Cabs.stmt list) :
       blocks = [];
       cur_label = "entry";
       cur_stmts = [];
+      cur_len = 0;
       closed = false;
       locals = [];
       nlab = 0;
@@ -1043,24 +1079,22 @@ let elab_file ~(tenv : Rc_refinedc.Rtype.tenv) (file : Cabs.file) :
       | DStruct sd ->
           (match sd.sd_typedef with
           | Some (is_ptr, name) ->
-              g.typedefs <-
-                ( name,
-                  if is_ptr then CPtr (CStructRef sd.sd_name)
-                  else CStructRef sd.sd_name )
-                :: g.typedefs
+              Hashtbl.replace g.typedefs name
+                (if is_ptr then CPtr (CStructRef sd.sd_name)
+                 else CStructRef sd.sd_name)
           | None -> ());
           elab_struct g sd
-      | DTypedef (x, t) -> g.typedefs <- (x, t) :: g.typedefs
+      | DTypedef (x, t) -> Hashtbl.replace g.typedefs x t
       | DFun fd ->
-          g.fn_sigs <-
-            (fd.fn_name, (List.map fst fd.fn_params, fd.fn_ret)) :: g.fn_sigs)
+          Hashtbl.replace g.fn_sigs fd.fn_name
+            (List.map fst fd.fn_params, fd.fn_ret))
     file.decls;
   List.iter
     (fun d ->
       match d with
       | DFun fd -> (
           match parse_fn_spec g fd with
-          | Some sp -> g.fn_specs <- (fd.fn_name, sp) :: g.fn_specs
+          | Some sp -> Hashtbl.replace g.fn_specs fd.fn_name sp
           | None ->
               if fd.fn_body <> None then
                 warnings :=
@@ -1085,7 +1119,7 @@ let elab_file ~(tenv : Rc_refinedc.Rtype.tenv) (file : Cabs.file) :
           let index = Rc_refinedc.Lang.index_fn func meta in
           funcs := (fd.fn_name, func) :: !funcs;
           indexes := (fd.fn_name, index) :: !indexes;
-          match List.assoc_opt fd.fn_name g.fn_specs with
+          match Hashtbl.find_opt g.fn_specs fd.fn_name with
           | Some spec ->
               to_check :=
                 { Rc_refinedc.Typecheck.func; spec; invs; index } :: !to_check
@@ -1097,7 +1131,7 @@ let elab_file ~(tenv : Rc_refinedc.Rtype.tenv) (file : Cabs.file) :
       {
         Syntax.funcs = List.rev !funcs;
         globals = [];
-        structs = g.structs;
+        structs = g.struct_list;
       };
     to_check = List.rev !to_check;
     indexes = List.rev !indexes;

@@ -37,6 +37,55 @@ let utf8_puncts =
     ("\xc2\xac", "!");  (* ¬ *)
   ]
 
+(* [u] occurs in [s] at [i] *)
+let occurs_at s i u =
+  let l = String.length u in
+  i + l <= String.length s
+  &&
+  let rec go k = k = l || (s.[i + k] = u.[k] && go (k + 1)) in
+  go 0
+
+(* the ASCII operators, two characters before one *)
+let ascii_punct s i : string option =
+  let c = s.[i] in
+  let c2 = if i + 1 < String.length s then s.[i + 1] else '\000' in
+  match (c, c2) with
+  | '<', '=' -> Some "<="
+  | '>', '=' -> Some ">="
+  | '=', '=' -> Some "=="
+  | '!', '=' -> Some "!="
+  | '-', '>' -> Some "->"
+  | '&', '&' -> Some "&&"
+  | '|', '|' -> Some "||"
+  | '+', '+' -> Some "++"
+  | ':', ':' -> Some "::"
+  | '{', '[' -> Some "{["
+  | ']', '}' -> Some "]}"
+  | '[', ']' -> Some "[]"
+  | '(', _ -> Some "("
+  | ')', _ -> Some ")"
+  | '{', _ -> Some "{"
+  | '}', _ -> Some "}"
+  | '[', _ -> Some "["
+  | ']', _ -> Some "]"
+  | '<', _ -> Some "<"
+  | '>', _ -> Some ">"
+  | '=', _ -> Some "="
+  | '+', _ -> Some "+"
+  | '-', _ -> Some "-"
+  | '*', _ -> Some "*"
+  | '/', _ -> Some "/"
+  | '%', _ -> Some "%"
+  | ',', _ -> Some ","
+  | ':', _ -> Some ":"
+  | '@', _ -> Some "@"
+  | '?', _ -> Some "?"
+  | '!', _ -> Some "!"
+  | '.', _ -> Some "."
+  | ';', _ -> Some ";"
+  | '&', _ -> Some "&"
+  | _ -> None
+
 let tokenize (s : string) : tok list =
   let n = String.length s in
   let toks = ref [] in
@@ -64,13 +113,11 @@ let tokenize (s : string) : tok list =
       | None -> fail "integer literal %s out of range in specification %S" lit s
     end
     else begin
-      (* utf8 symbols *)
+      (* utf8 symbols: every one starts with a byte past ASCII *)
       let matched =
-        List.find_opt
-          (fun (u, _) ->
-            let l = String.length u in
-            !i + l <= n && String.sub s !i l = u)
-          utf8_puncts
+        if c >= '\x80' then
+          List.find_opt (fun (u, _) -> occurs_at s !i u) utf8_puncts
+        else None
       in
       match matched with
       | Some (u, norm) ->
@@ -79,28 +126,16 @@ let tokenize (s : string) : tok list =
             String.length norm > 0 && norm.[0] >= 'a' && norm.[0] <= 'z'
           in
           toks := (if word then I norm else P norm) :: !toks
-      | None when !i + 2 < n && String.sub s !i 3 = "..." ->
+      | None when occurs_at s !i "..." ->
           (* the struct-body placeholder of rc::ptr_type (Figure 3) *)
           i := !i + 3;
           toks := I "__structbody" :: !toks
-      | None ->
-          let two =
-            if !i + 1 < n then Some (String.sub s !i 2) else None
-          in
-          (match two with
-          | Some (("<=" | ">=" | "==" | "!=" | "->" | "&&" | "||" | "++"
-                  | "::" | "{[" | "]}" | "[]") as p) ->
-              i := !i + 2;
+      | None -> (
+          match ascii_punct s !i with
+          | Some p ->
+              i := !i + String.length p;
               toks := P p :: !toks
-          | _ ->
-              let p = String.make 1 c in
-              (match p with
-              | "(" | ")" | "{" | "}" | "[" | "]" | "<" | ">" | "=" | "+"
-              | "-" | "*" | "/" | "%" | "," | ":" | "@" | "?" | "!" | "."
-              | ";" | "&" ->
-                  incr i;
-                  toks := P p :: !toks
-              | _ -> fail "unexpected character %C in specification %S" c s))
+          | None -> fail "unexpected character %C in specification %S" c s)
     end
   done;
   List.rev !toks
@@ -111,8 +146,8 @@ let tokenize (s : string) : tok list =
 
 type env = {
   vars : (string * Sort.t) list;  (** in-scope logical variables *)
-  structs : (string * Layout.struct_layout) list;
-  fn_specs : (string * fn_spec) list;  (** for fnptr<f> *)
+  structs : (string, Layout.struct_layout) Hashtbl.t;
+  fn_specs : (string, fn_spec) Hashtbl.t;  (** for fnptr<f> *)
   tenv : Rc_refinedc.Rtype.tenv;  (** session named-type definitions *)
 }
 
@@ -412,7 +447,7 @@ and parse_prim st : term =
       | _ -> ());
       let name = expect_id st in
       expect_p st ")";
-      (match List.assoc_opt name st.env.structs with
+      (match Hashtbl.find_opt st.env.structs name with
       | Some sl -> Num sl.Layout.sl_size
       | None -> fail "sizeof of unknown struct %s" name)
   | Some (I "length") ->
@@ -643,7 +678,7 @@ and parse_base_type st ~refn : rtype =
       expect_p st "<";
       let f = expect_id st in
       expect_p st ">";
-      (match List.assoc_opt f st.env.fn_specs with
+      (match Hashtbl.find_opt st.env.fn_specs f with
       | Some spec -> TFnPtr spec
       | None -> fail "fnptr<%s>: unknown function" f)
   | Some (I "padded") ->

@@ -18,7 +18,7 @@ open Cabs
 let rec expr_has_addr_of_local (locals : string list) (e : expr) : string option
     =
   match e.e with
-  | EAddr { e = EId x; _ } when List.mem x locals -> Some x
+  | EAddr { e = EId x; _ } when List.exists (String.equal x) locals -> Some x
   | EAddr a | EUn (_, a) | EDeref a | ECast (_, a) ->
       expr_has_addr_of_local locals a
   | EBin (_, a, b) | EIndex (a, b) | EAssign (a, b) | EAssignOp (_, a, b) -> (

@@ -52,13 +52,15 @@ type fn_meta = {
 
 let empty_meta = { fm_stmt_locs = []; fm_term_locs = []; fm_block_descr = [] }
 
-(** What a {!fn_index} knows about one block label. *)
+(** What a {!fn_index} knows about one block label.  The mutable fields
+    are filled in by {!index_fn} and never written afterwards. *)
 type block_entry = {
   be_block : Syntax.block option;  (** [None]: the label has metadata only *)
   be_stmts : Syntax.stmt array;  (** [be_block]'s statements *)
-  be_stmt_locs : Rc_util.Srcloc.t option array;  (** by statement index *)
-  be_term_loc : Rc_util.Srcloc.t option;
-  be_branch : branch option;
+  mutable be_stmt_locs : Rc_util.Srcloc.t option array;
+      (** by statement index; at least as long as [be_stmts] *)
+  mutable be_term_loc : Rc_util.Srcloc.t option;
+  mutable be_branch : branch option;
   be_descr : string option Atomic.t;
       (** [branch_text] of [be_branch], once read.  Two domains that race
           on the first read both render the same string, so the slot is
@@ -67,7 +69,8 @@ type block_entry = {
 }
 
 (** A function's blocks and {!fn_meta} side tables, keyed by label and
-    built once per function ({!index_fn}).  Every lookup answers exactly
+    built once per function ({!index_fn}) in one table and one pass over
+    each list.  Every lookup answers exactly
     what [List.assoc_opt] over the function's lists answers (the first
     entry of a label wins), in one hash lookup and an array access
     instead of a scan that grows with the function. *)
@@ -77,46 +80,53 @@ type fn_index = {
 }
 
 let index_fn (func : Syntax.func) (meta : fn_meta) : fn_index =
-  let first tbl k v = if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k v in
-  let blocks = Hashtbl.create 16
-  and term_locs = Hashtbl.create 16
-  and descrs = Hashtbl.create 16
-  and widths = Hashtbl.create 16 in
-  List.iter (fun (l, b) -> first blocks l b) func.Syntax.blocks;
-  List.iter (fun (l, loc) -> first term_locs l loc) meta.fm_term_locs;
-  List.iter (fun (l, d) -> first descrs l d) meta.fm_block_descr;
-  List.iter
-    (fun ((l, i), _) ->
-      let w = Option.value ~default:0 (Hashtbl.find_opt widths l) in
-      if i >= w then Hashtbl.replace widths l (i + 1))
-    meta.fm_stmt_locs;
-  let fi_labels = Hashtbl.create (2 * Hashtbl.length blocks) in
-  let add l =
-    if not (Hashtbl.mem fi_labels l) then
-      let block = Hashtbl.find_opt blocks l in
-      Hashtbl.add fi_labels l
-        {
-          be_block = block;
-          be_stmts =
-            (match block with
-            | Some b -> Array.of_list b.Syntax.stmts
-            | None -> [||]);
-          be_stmt_locs =
-            Array.make (Option.value ~default:0 (Hashtbl.find_opt widths l)) None;
-          be_term_loc = Hashtbl.find_opt term_locs l;
-          be_branch = Hashtbl.find_opt descrs l;
-          be_descr = Atomic.make None;
-        }
+  let fi_labels = Hashtbl.create (2 * List.length func.Syntax.blocks) in
+  let add l block stmts =
+    let e =
+      {
+        be_block = block;
+        be_stmts = stmts;
+        be_stmt_locs = Array.make (Array.length stmts) None;
+        be_term_loc = None;
+        be_branch = None;
+        be_descr = Atomic.make None;
+      }
+    in
+    Hashtbl.add fi_labels l e;
+    e
   in
-  let add_keys tbl = Hashtbl.iter (fun l _ -> add l) tbl in
-  add_keys blocks;
-  add_keys term_locs;
-  add_keys descrs;
-  add_keys widths;
+  let entry l =
+    match Hashtbl.find_opt fi_labels l with
+    | Some e -> e
+    | None -> add l None [||]
+  in
+  List.iter
+    (fun (l, b) ->
+      if not (Hashtbl.mem fi_labels l) then
+        ignore (add l (Some b) (Array.of_list b.Syntax.stmts)))
+    func.Syntax.blocks;
+  List.iter
+    (fun (l, loc) ->
+      let e = entry l in
+      if Option.is_none e.be_term_loc then e.be_term_loc <- Some loc)
+    meta.fm_term_locs;
+  List.iter
+    (fun (l, d) ->
+      let e = entry l in
+      if Option.is_none e.be_branch then e.be_branch <- Some d)
+    meta.fm_block_descr;
   List.iter
     (fun ((l, i), loc) ->
-      let locs = (Hashtbl.find fi_labels l).be_stmt_locs in
-      if i >= 0 && locs.(i) = None then locs.(i) <- Some loc)
+      if i >= 0 then begin
+        let e = entry l in
+        if i >= Array.length e.be_stmt_locs then begin
+          let locs = Array.make (i + 1) None in
+          Array.blit e.be_stmt_locs 0 locs 0 (Array.length e.be_stmt_locs);
+          e.be_stmt_locs <- locs
+        end;
+        if Option.is_none e.be_stmt_locs.(i) then
+          e.be_stmt_locs.(i) <- Some loc
+      end)
     meta.fm_stmt_locs;
   { fi_meta = meta; fi_labels }
 

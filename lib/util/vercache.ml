@@ -215,6 +215,23 @@ let read_manifest (t : t) (id : string) : (string * string) list option =
     | v, i, components when v = format_version && i = id -> Some components
     | _ | (exception _) -> None
 
+(* Marshal [v] into a fresh file of the cache's temp directory, created
+   and written through one open, and return its name.  The name goes
+   into [tmp] before the write, so the caller can remove the file if
+   the write fails. *)
+let write_temp (t : t) tmp prefix v =
+  let tf, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:(tmp_dir t.dir)
+      prefix ".tmp"
+  in
+  tmp := Some tf;
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      Marshal.to_channel oc v [];
+      close_out oc);
+  tf
+
 (* Manifests are overwritten on every store (they track the *latest*
    verify), so unlike payload entries they are not write-once — but the
    write is still temp-file + rename, so readers never see a torn one. *)
@@ -222,10 +239,7 @@ let write_manifest (t : t) (id : string) (components : (string * string) list)
     : unit =
   let tmp = ref None in
   match
-    let tf = Filename.temp_file ~temp_dir:(tmp_dir t.dir) "manifest" ".tmp" in
-    tmp := Some tf;
-    Out_channel.with_open_bin tf (fun oc ->
-        Marshal.to_channel oc (format_version, id, components) []);
+    let tf = write_temp t tmp "manifest" (format_version, id, components) in
     Sys.rename tf (manifest_path t id)
   with
   | () -> ()
@@ -313,10 +327,7 @@ let store_keyed ?fault (t : t) ~(id : string)
     let tmp = ref None in
     match
       Faultsim.point fault "cache.write";
-      let tf = Filename.temp_file ~temp_dir:(tmp_dir t.dir) "entry" ".tmp" in
-      tmp := Some tf;
-      Out_channel.with_open_bin tf (fun oc ->
-          Marshal.to_channel oc (format_version, key, payload) []);
+      let tf = write_temp t tmp "entry" (format_version, key, payload) in
       Sys.rename tf (entry_path t key)
     with
     | () ->

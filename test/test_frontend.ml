@@ -201,6 +201,15 @@ let more_tests =
 (* a located Frontend_error, never a crash                           *)
 (* --------------------------------------------------------------- *)
 
+(* the tokens of a table, read forward, up to [TEof] *)
+let all_tokens (t : Clexer.tokens) =
+  let rec go i =
+    match Clexer.token t i with
+    | Clexer.TEof -> [ Clexer.TEof ]
+    | tok -> tok :: go (i + 1)
+  in
+  go 0
+
 let error_path_tests =
   let expect_located name ~category src =
     Alcotest.test_case name `Quick (fun () ->
@@ -274,10 +283,281 @@ int f(int x) { return x; }
         in
         Alcotest.(check (list int)) "literals" [ max_int; max_int ]
           (List.filter_map
-             (fun (l : Rc_frontend.Clexer.lexed) ->
-               match l.tok with Rc_frontend.Clexer.TInt n -> Some n | _ -> None)
-             toks));
+             (function Rc_frontend.Clexer.TInt n -> Some n | _ -> None)
+             (all_tokens toks)));
   ]
+
+(* --------------------------------------------------------------- *)
+(* Lexical errors keep their exact message and location              *)
+(* --------------------------------------------------------------- *)
+
+let lexical_error_tests =
+  let exact name src expected =
+    Alcotest.test_case name `Quick (fun () ->
+        match Driver.check_source ~file:"err.c" src with
+        | exception Driver.Frontend_error msg ->
+            Alcotest.(check string) "diagnostic" expected msg
+        | _ -> Alcotest.fail "malformed input verified")
+  in
+  [
+    exact "unterminated comment" "int f(void) {\n  return 0;\n}\n/* never\n   closed\n"
+      "err.c:6:1-1: lexical error: unterminated comment";
+    exact "unterminated string"
+      "[[rc::parameters(\"n : int\")]]\n[[rc::args(\"n @ int<int>)]]\nint f(int n) {\n  return n;\n}\n"
+      "err.c:6:1-1: lexical error: unterminated string";
+    exact "unterminated attribute"
+      "[[rc::parameters(\"n : int\")]]\n[[rc::args(\"n @ int<int>\")\nint f(int n) {\n  return n;\n}\n"
+      "err.c:3:1-1: lexical error: expected ]] to close attribute";
+    exact "stray character" "int f(void) {\n\treturn 1 @ 2;\n}\n"
+      "err.c:2:11-11: lexical error: unexpected character '@'";
+    (* tokens are lexed as the parser reads them, yet a lexical error
+       hundreds of tokens after a parse error is still the one reported *)
+    exact "a later lexical error wins over a parse error"
+      ("int f(int x {\n  return x;\n}\n"
+      ^ String.concat ""
+          (List.init 40 (fun i ->
+               Printf.sprintf "int g%d(void) { return %d; }\n" i i))
+      ^ "int h(void) { return 1 @ 2; }\n")
+      "err.c:44:24-24: lexical error: unexpected character '@'";
+  ]
+
+(* --------------------------------------------------------------- *)
+(* Token locations: lines, byte columns, tabs, CRLF, comments and a  *)
+(* multi-line attribute with a UTF-8 payload                         *)
+(* --------------------------------------------------------------- *)
+
+let token_text : Clexer.token -> string = function
+  | TId s -> "id " ^ s
+  | TInt n -> "int " ^ string_of_int n
+  | TKw k -> "kw " ^ Clexer.kw_text k
+  | TPunct p -> "punct " ^ Clexer.punct_text p
+  | TString s -> "string " ^ s
+  | TAttr (n, a) -> Printf.sprintf "attr %s %d" n (List.length a)
+  | TEof -> "eof"
+
+let located_src =
+  "/* header\r\n   comment */\r\nstruct [[rc::refined_by(\"a: nat\")]] s {\r\n\tint v; \
+   // tab-indented\r\n};\n\n[[rc::args(\"p @ &own<a @ s>\",\n           \"{a \
+   \xe2\x89\xa4 n} \xe2\x88\xa7 \xe2\x88\x85 = \xe2\x88\x85\")]]\nint f(struct s *p) \
+   {\n\t\treturn p->v<=0x1F?-1:p->v;\n}\n"
+
+let located_tokens =
+  [
+    "3:1-3:7 kw struct"; "3:8-3:36 attr rc::refined_by 1"; "3:37-3:38 id s";
+    "3:39-3:40 punct {"; "4:2-4:5 kw int"; "4:6-4:7 id v"; "4:7-4:8 punct ;";
+    "5:1-5:2 punct }"; "5:2-5:3 punct ;"; "7:1-8:40 attr rc::args 2";
+    "9:1-9:4 kw int"; "9:5-9:6 id f"; "9:6-9:7 punct ("; "9:7-9:13 kw struct";
+    "9:14-9:15 id s"; "9:16-9:17 punct *"; "9:17-9:18 id p";
+    "9:18-9:19 punct )"; "9:20-9:21 punct {"; "10:3-10:9 kw return";
+    "10:10-10:11 id p"; "10:11-10:13 punct ->"; "10:13-10:14 id v";
+    "10:14-10:16 punct <="; "10:16-10:20 int 31"; "10:20-10:21 punct ?";
+    "10:21-10:22 punct -"; "10:22-10:23 int 1"; "10:23-10:24 punct :";
+    "10:24-10:25 id p"; "10:25-10:27 punct ->"; "10:27-10:28 id v";
+    "10:28-10:29 punct ;"; "11:1-11:2 punct }"; "12:1-12:1 eof";
+  ]
+
+let location_tests =
+  [
+    Alcotest.test_case "token start and end positions" `Quick (fun () ->
+        let t = Clexer.tokenize ~file:"t.c" located_src in
+        let rec shown i =
+          let tok = Clexer.token t i and l = Clexer.loc t i in
+          Printf.sprintf "%d:%d-%d:%d %s" l.start_p.line l.start_p.col
+            l.end_p.line l.end_p.col (token_text tok)
+          :: (match tok with TEof -> [] | _ -> shown (i + 1))
+        in
+        let shown = shown 0 in
+        Alcotest.(check (list string)) "tokens" located_tokens shown);
+    Alcotest.test_case "attribute payloads pass through" `Quick (fun () ->
+        let t = Clexer.tokenize ~file:"t.c" located_src in
+        let args =
+          List.concat_map
+            (function Clexer.TAttr (_, a) -> a | _ -> [])
+            (all_tokens t)
+        in
+        Alcotest.(check (list string)) "args"
+          [
+            "a: nat"; "p @ &own<a @ s>";
+            "{a \xe2\x89\xa4 n} \xe2\x88\xa7 \xe2\x88\x85 = \xe2\x88\x85";
+          ]
+          args);
+  ]
+
+(* --------------------------------------------------------------- *)
+(* Precedence and associativity: random expressions printed with     *)
+(* minimal parentheses parse back to the same tree, each node        *)
+(* located at the first token of its own text                        *)
+(* --------------------------------------------------------------- *)
+
+let binops =
+  Cabs.
+    [
+      BOr; BAnd; BBitOr; BBitXor; BBitAnd; BEq; BNe; BLt; BLe; BGt; BGe;
+      BShl; BShr; BAdd; BSub; BMul; BDiv; BMod;
+    ]
+
+let binop_text : Cabs.binop -> string * int = function
+  | BOr -> ("||", 0) | BAnd -> ("&&", 1) | BBitOr -> ("|", 2)
+  | BBitXor -> ("^", 3) | BBitAnd -> ("&", 4) | BEq -> ("==", 5)
+  | BNe -> ("!=", 5) | BLt -> ("<", 6) | BLe -> ("<=", 6) | BGt -> (">", 6)
+  | BGe -> (">=", 6) | BShl -> ("<<", 7) | BShr -> (">>", 7)
+  | BAdd -> ("+", 8) | BSub -> ("-", 8) | BMul -> ("*", 9) | BDiv -> ("/", 9)
+  | BMod -> ("%", 9)
+
+let cast_types = Cabs.[ CInt "int"; CInt "unsigned long"; CPtr (CInt "char"); CBool ]
+
+let gen_expr : Cabs.expr QCheck.Gen.t =
+  let open QCheck.Gen in
+  let mk e = { Cabs.e; eloc = Rc_util.Srcloc.dummy } in
+  let leaf =
+    oneof
+      [
+        map (fun x -> mk (Cabs.EId x)) (oneofl [ "a"; "b"; "p"; "xs" ]);
+        map (fun n -> mk (Cabs.EConst n)) (int_range 0 99);
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth <= 0 then leaf
+      else
+        let sub = self (depth - 1) in
+        frequency
+          [
+            (2, leaf);
+            (6, map3 (fun op a b -> mk (Cabs.EBin (op, a, b))) (oneofl binops) sub sub);
+            ( 2,
+              map2
+                (fun k a ->
+                  mk
+                    (match k with
+                    | 0 -> Cabs.EUn (UNeg, a)
+                    | 1 -> EUn (UNot, a)
+                    | 2 -> EUn (UBitNot, a)
+                    | 3 -> EDeref a
+                    | _ -> EAddr a))
+                (int_range 0 4) sub );
+            (1, map2 (fun t a -> mk (Cabs.ECast (t, a))) (oneofl cast_types) sub);
+            ( 2,
+              map3
+                (fun k a i ->
+                  mk
+                    (match k with
+                    | 0 -> Cabs.EMember (a, "f")
+                    | 1 -> EArrow (a, "next")
+                    | _ -> EIndex (a, i)))
+                (int_range 0 2) sub sub );
+            ( 1,
+              map (fun args -> mk (Cabs.ECall ("g", args))) (list_size (int_range 0 2) sub) );
+          ])
+    4
+
+let rec ctype_text : Cabs.ctype -> string = function
+  | CPtr t -> ctype_text t ^ " *"
+  | CBool -> "_Bool"
+  | CInt n -> n
+  | _ -> assert false
+
+(* The text of [e] with the fewest parentheses (tokens separated by
+   spaces, so "- -" never lexes as "--"), and the offset at which each
+   node's own text starts, in pre-order. *)
+let print_expr (e : Cabs.expr) : string * int list =
+  let b = Buffer.create 64 and starts = ref [] in
+  let tok s =
+    if Buffer.length b > 0 then Buffer.add_char b ' ';
+    Buffer.add_string b s
+  in
+  (* binary operators bind at 0..9, unary 10, postfix 11, atoms 12 *)
+  let level (e : Cabs.expr) =
+    match e.e with
+    | EBin (op, _, _) -> snd (binop_text op)
+    | EUn _ | EDeref _ | EAddr _ | ECast _ -> 10
+    | EMember _ | EArrow _ | EIndex _ | ECall _ -> 11
+    | _ -> 12
+  in
+  let rec go ctx (e : Cabs.expr) =
+    let paren = level e < ctx in
+    if paren then tok "(";
+    starts := (if Buffer.length b = 0 then 0 else Buffer.length b + 1) :: !starts;
+    (match e.e with
+    | EId x -> tok x
+    | EConst n -> tok (string_of_int n)
+    | EBin (op, l, r) ->
+        let s, p = binop_text op in
+        go p l;
+        tok s;
+        go (p + 1) r
+    | EUn (op, a) ->
+        tok (match op with UNeg -> "-" | UNot -> "!" | UBitNot -> "~");
+        go 10 a
+    | EDeref a -> tok "*"; go 10 a
+    | EAddr a -> tok "&"; go 10 a
+    | ECast (t, a) -> tok "("; tok (ctype_text t); tok ")"; go 10 a
+    | EMember (a, f) -> go 11 a; tok "."; tok f
+    | EArrow (a, f) -> go 11 a; tok "->"; tok f
+    | EIndex (a, i) -> go 11 a; tok "["; go 0 i; tok "]"
+    | ECall (f, args) ->
+        tok f;
+        tok "(";
+        List.iteri (fun k a -> if k > 0 then tok ","; go 0 a) args;
+        tok ")"
+    | _ -> assert false);
+    if paren then tok ")"
+  in
+  go 0 e;
+  (Buffer.contents b, List.rev !starts)
+
+(* [e] without locations, and its nodes' start columns in pre-order *)
+let rec strip (e : Cabs.expr) : Cabs.expr =
+  let s = strip in
+  let d : Cabs.expr_desc =
+    match e.e with
+    | EBin (op, a, b) -> EBin (op, s a, s b)
+    | EUn (op, a) -> EUn (op, s a)
+    | EDeref a -> EDeref (s a)
+    | EAddr a -> EAddr (s a)
+    | ECast (t, a) -> ECast (t, s a)
+    | EMember (a, f) -> EMember (s a, f)
+    | EArrow (a, f) -> EArrow (s a, f)
+    | EIndex (a, i) -> EIndex (s a, s i)
+    | ECall (f, args) -> ECall (f, List.map s args)
+    | d -> d
+  in
+  { e = d; eloc = Rc_util.Srcloc.dummy }
+
+let rec start_cols (e : Cabs.expr) : int list =
+  (e.eloc.start_p.col - 1)
+  ::
+  (match e.e with
+  | EBin (_, a, b) | EIndex (a, b) -> start_cols a @ start_cols b
+  | EUn (_, a) | EDeref a | EAddr a | ECast (_, a) | EMember (a, _)
+  | EArrow (a, _) ->
+      start_cols a
+  | ECall (_, args) -> List.concat_map start_cols args
+  | _ -> [])
+
+let parse_expr_text text =
+  let st =
+    {
+      Cparser.t = Clexer.tokenize ~file:"e.c" text;
+      i = 0;
+      typedefs = Hashtbl.create 1;
+    }
+  in
+  let e = Cparser.parse_expr st in
+  if Cparser.peek st <> Clexer.TEof then failwith ("trailing tokens in " ^ text);
+  e
+
+let precedence_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~count:1000
+        ~name:"minimally parenthesised expressions parse back"
+        (QCheck.make ~print:(fun e -> fst (print_expr e)) gen_expr)
+        (fun e ->
+          let text, starts = print_expr e in
+          let parsed = parse_expr_text text in
+          strip parsed = e && start_cols parsed = starts);
+    ]
 
 let () =
   Alcotest.run "frontend"
@@ -286,4 +566,7 @@ let () =
       ("mem_alloc", mem_alloc_tests);
       ("more-c-features", more_tests);
       ("error-paths", error_path_tests);
+      ("lexical-errors", lexical_error_tests);
+      ("locations", location_tests);
+      ("precedence", precedence_tests);
     ]

@@ -20,9 +20,11 @@ let env =
         ("b", Sort.Bool);
       ];
     structs =
-      [ ("chunk", Layout.mk_struct "chunk"
-           [ ("size", Layout.Int Int_type.size_t); ("next", Layout.Ptr) ]) ];
-    fn_specs = [];
+      Hashtbl.of_seq
+        (List.to_seq
+           [ ("chunk", Layout.mk_struct "chunk"
+                [ ("size", Layout.Int Int_type.size_t); ("next", Layout.Ptr) ]) ]);
+    fn_specs = Hashtbl.create 1;
     tenv = session.Rc_refinedc.Session.tenv;
   }
 
