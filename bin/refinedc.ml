@@ -307,17 +307,6 @@ let check_cmd =
              Deterministic: the forensic carries no wall-clock data and is \
              byte-identical across $(b,-j N).")
   in
-  let profile_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the $(b,--profile) summary as JSON to $(docv) \
-             (per-phase timings, hottest rules, solver breakdown, hottest \
-             functions, counters).  Implies metrics collection; does not \
-             imply the human $(b,--profile) table.")
-  in
   let runlog =
     Arg.(
       value
@@ -325,17 +314,19 @@ let check_cmd =
       & info [ "runlog" ] ~docv:"DIR"
           ~doc:
             "Append one record for this run (wall-clock, rule \
-             applications, verdict counts, cache/memo/solver counters, \
-             per-function latency percentiles, toolchain fingerprint) to \
-             the persistent run ledger $(b,runs.jsonl) in $(docv).  With \
-             no $(docv), the ledger lives in the $(b,--cache) directory.  \
-             Query it with $(b,refinedc stats).")
+             applications, verdict counts, cache counters, per-function \
+             latency percentiles, toolchain fingerprint) to the \
+             persistent run ledger $(b,runs.jsonl) in $(docv).  When \
+             metrics are collected ($(b,--json), $(b,--profile) or \
+             $(b,--trace)), the record also carries the report's \
+             $(b,metrics) block, timings included.  With no $(docv), the \
+             ledger lives in the $(b,--cache) directory.  Query it with \
+             $(b,refinedc stats).")
   in
   let run file deriv cert semtest fuel timeout max_depth fail_fast json
       jobs cache explain_cache cache_stats cache_max_mb memo default_only
       no_goal_simp trace profile no_lint lint_werror deadline retries
-      fault_seed fault_rate fault_sites fault_max explain_failure profile_out
-      runlog =
+      fault_seed fault_rate fault_sites fault_max explain_failure runlog =
     let budget = { Rc_util.Budget.fuel; timeout; max_depth } in
     (* a --json report has no place for the trees *)
     let deriv =
@@ -389,9 +380,8 @@ let check_cmd =
       {
         Rc_util.Obs.c_trace = trace <> None;
         (* --json reports always carry the metrics block when any
-           observability was requested; --profile/--profile-out need only
-           metrics *)
-        c_metrics = profile || profile_out <> None || trace <> None || json;
+           observability was requested; --profile needs only metrics *)
+        c_metrics = profile || trace <> None || json;
       }
     in
     let fault =
@@ -623,44 +613,14 @@ let check_cmd =
           (if json then Fmt.epr else Fmt.pr)
             "%a" (Rc_util.Profile.pp ?top:None)
             (Rc_util.Obs.mx t.Driver.obs);
-        (match profile_out with
-        | None -> ()
-        | Some path -> (
-            let payload =
-              Rc_util.Jsonout.to_string
-                (Rc_util.Profile.to_json (Rc_util.Obs.mx t.Driver.obs))
-              ^ "\n"
-            in
-            try
-              Out_channel.with_open_bin path (fun oc ->
-                  Out_channel.output_string oc payload)
-            with Sys_error msg ->
-              Fmt.epr "warning: cannot write profile to %s (%s)@." path msg));
         (* the run ledger is out-of-band telemetry: it carries wall-clock
            data, so it goes to the ledger file only — never stdout *)
         (match runlog_dir with
         | None -> ()
         | Some dir ->
             let lg = Rc_util.Runlog.create dir in
-            let record =
-              Driver.runlog_record ~session ~wall_s:(run_watch ()) t
-            in
-            let record =
-              (* fold the profile into the ledger when it was collected
-                 for output anyway (--profile / --profile-out) *)
-              match record with
-              | Rc_util.Jsonout.Obj fields
-                when profile || profile_out <> None ->
-                  Rc_util.Jsonout.Obj
-                    (fields
-                    @ [
-                        ( "profile",
-                          Rc_util.Profile.to_json
-                            (Rc_util.Obs.mx t.Driver.obs) );
-                      ])
-              | r -> r
-            in
-            Rc_util.Runlog.append lg record;
+            Rc_util.Runlog.append lg
+              (Driver.runlog_record ~session ~wall_s:(run_watch ()) t);
             if Rc_util.Runlog.disabled lg then
               Fmt.epr
                 "warning: cannot append to run ledger in %s; record dropped@."
@@ -680,7 +640,7 @@ let check_cmd =
       $ cache_stats $ cache_max_mb $ memo $ default_only $ no_goal_simp
       $ trace $ profile $ no_lint $ lint_werror $ deadline $ retries
       $ fault_seed $ fault_rate $ fault_sites $ fault_max $ explain_failure
-      $ profile_out $ runlog)
+      $ runlog)
 
 let lint_cmd =
   let file = Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE") in
@@ -907,6 +867,55 @@ let run_cmd =
        ~doc:"Run FN of FILE in the Caesium interpreter (int arguments).")
     Term.(const run $ file $ fn $ args)
 
+(* The signature, then each block under its label (the entry block
+   first) with one line per statement and terminator, expressions in
+   [Lang.pp_expr]'s C-like form. *)
+let pp_cfg ppf (f : Rc_caesium.Syntax.func) =
+  let module S = Rc_caesium.Syntax in
+  let e = Rc_refinedc.Lang.pp_expr and lay = Rc_caesium.Layout.pp in
+  let comma = Fmt.any ", " in
+  let decls =
+    Fmt.list ~sep:comma (Fmt.pair ~sep:(Fmt.any ": ") Fmt.string lay)
+  in
+  let dest ppf =
+    Option.iter (fun (l, x) -> Fmt.pf ppf "%a :={%a} " e x lay l)
+  in
+  let stmt ppf = function
+    | S.Assign { atomic; layout; lhs; rhs } ->
+        Fmt.pf ppf "%a :=%s{%a} %a" e lhs
+          (if atomic then "atomic" else "")
+          lay layout e rhs
+    | S.Call { dest = d; fn; args } ->
+        Fmt.pf ppf "%acall %a(%a)" dest d e fn (Fmt.list ~sep:comma e)
+          (List.map snd args)
+    | S.Cas { layout; obj; expected; desired; dest = d } ->
+        Fmt.pf ppf "%acas{%a}(%a, %a, %a)" dest d lay layout e obj e
+          expected e desired
+    | S.Skip -> Fmt.string ppf "skip"
+    | S.ExprStmt x -> e ppf x
+    | S.Free x -> Fmt.pf ppf "free %a" e x
+  in
+  let term ppf = function
+    | S.Goto l -> Fmt.pf ppf "goto %s" l
+    | S.CondGoto { cond; if_true; if_false; _ } ->
+        Fmt.pf ppf "if %a goto %s else %s" e cond if_true if_false
+    | S.Switch { scrut; cases; default; _ } ->
+        Fmt.pf ppf "switch %a {%a default: %s }" e scrut
+          (Fmt.list ~sep:Fmt.nop (fun ppf (n, l) ->
+               Fmt.pf ppf " %d: %s;" n l))
+          cases default
+    | S.Return r -> Fmt.pf ppf "return%a" Fmt.(option (any " " ++ e)) r
+    | S.Unreachable -> Fmt.string ppf "unreachable"
+  in
+  Fmt.pf ppf "%s(%a) -> %a@." f.fname decls f.args lay f.ret_layout;
+  if f.locals <> [] then Fmt.pf ppf "locals %a@." decls f.locals;
+  List.iter
+    (fun (label, (b : S.block)) ->
+      Fmt.pf ppf "%s:@.%a  %a@." label
+        (Fmt.list ~sep:Fmt.nop (fun ppf -> Fmt.pf ppf "  %a@." stmt))
+        b.stmts term b.term)
+    f.blocks
+
 let cfg_cmd =
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
   let run file =
@@ -921,7 +930,7 @@ let cfg_cmd =
     | e ->
         List.iter
           (fun (name, f) ->
-            Fmt.pr "== %s ==@.%s@." name (Rc_caesium.Syntax.show_func f))
+            Fmt.pr "== %s ==@.%a" name pp_cfg f)
           e.Rc_frontend.Elab.program.Rc_caesium.Syntax.funcs;
         0
   in
@@ -1004,8 +1013,7 @@ let stats_cmd =
   in
   let run dir json last window threshold gate =
     let lg = Rc_util.Runlog.create dir in
-    let records = Rc_util.Runlog.load lg in
-    let corrupt = Rc_util.Runlog.corrupt_lines lg in
+    let records, corrupt = Rc_util.Runlog.load lg in
     (* the regression series: apps/sec of "check" runs, chronological;
        records of any other kind (ledgers written by older builds) never
        enter the gate *)

@@ -4,14 +4,14 @@
     LP64 data model (the one the paper's case studies assume): [char] is
     1 byte, [int] 4 bytes, [long]/[size_t]/pointers 8 bytes. *)
 
-type signedness = Signed | Unsigned [@@deriving eq, ord, show { with_path = false }]
+type signedness = Signed | Unsigned [@@deriving eq, ord]
 
 type t = {
   it_name : string;  (** C surface name, for printing *)
   size : int;  (** in bytes *)
   signedness : signedness;
 }
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq, ord]
 
 (* Names are for display only: size_t and unsigned long are the same
    type.  Equality compares representation. *)

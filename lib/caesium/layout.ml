@@ -22,7 +22,7 @@ and struct_layout = {
   sl_size : int;
   sl_align : int;
 }
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
 let rec size = function
   | Int it -> it.Int_type.size

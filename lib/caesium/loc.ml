@@ -8,7 +8,7 @@
 type t =
   | Null
   | Ptr of { alloc : int; ofs : int }
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq, ord]
 
 let ptr alloc ofs = Ptr { alloc; ofs }
 

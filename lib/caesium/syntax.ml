@@ -8,7 +8,7 @@
 type ot =
   | OInt of Int_type.t
   | OPtr  (** pointer operand *)
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
 type binop =
   | AddOp
@@ -29,9 +29,39 @@ type binop =
   | GeOp
   | PtrPlusOp of Layout.t  (** [p + n], scaled by the element layout *)
   | PtrDiffOp of Layout.t  (** [p - q], divided by the element layout *)
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
-type unop = NegOp | BitNotOp | LogNotOp [@@deriving eq, show { with_path = false }]
+type unop = NegOp | BitNotOp | LogNotOp [@@deriving eq]
+
+(** The constructor's name: the operator text of the ⊢BINOP judgment.
+    A pointer operator's layout sits in a Format box,
+    "(PtrPlusOp unsigned char)", the form the golden forensics text
+    ([test/mem_alloc_bug.forensics.expected]) pins. *)
+let binop_name = function
+  | AddOp -> "AddOp"
+  | SubOp -> "SubOp"
+  | MulOp -> "MulOp"
+  | DivOp -> "DivOp"
+  | ModOp -> "ModOp"
+  | AndOp -> "AndOp"
+  | OrOp -> "OrOp"
+  | XorOp -> "XorOp"
+  | ShlOp -> "ShlOp"
+  | ShrOp -> "ShrOp"
+  | EqOp -> "EqOp"
+  | NeOp -> "NeOp"
+  | LtOp -> "LtOp"
+  | LeOp -> "LeOp"
+  | GtOp -> "GtOp"
+  | GeOp -> "GeOp"
+  | PtrPlusOp l -> Fmt.str "(@[<2>PtrPlusOp@ %a@])" Layout.pp l
+  | PtrDiffOp l -> Fmt.str "(@[<2>PtrDiffOp@ %a@])" Layout.pp l
+
+(** The constructor's name: the operator text of the ⊢UNOP judgment. *)
+let unop_name = function
+  | NegOp -> "NegOp"
+  | BitNotOp -> "BitNotOp"
+  | LogNotOp -> "LogNotOp"
 
 type expr =
   | IntConst of int * Int_type.t
@@ -45,7 +75,7 @@ type expr =
   | UnOp of { op : unop; ot : ot; arg : expr }
   | CastIntInt of { from_ : Int_type.t; to_ : Int_type.t; arg : expr }
   | CastPtrPtr of expr  (** pointer-to-pointer casts are no-ops *)
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
 type stmt =
   | Assign of { atomic : bool; layout : Layout.t; lhs : expr; rhs : expr }
@@ -64,7 +94,6 @@ type stmt =
   | Skip
   | ExprStmt of expr  (** evaluate and discard (e.g. a void call result) *)
   | Free of expr  (** frontend-internal: release a heap allocation *)
-[@@deriving show { with_path = false }]
 
 type terminator =
   | Goto of string
@@ -72,10 +101,8 @@ type terminator =
   | Switch of { ot : ot; scrut : expr; cases : (int * string) list; default : string }
   | Return of expr option
   | Unreachable
-[@@deriving show { with_path = false }]
 
 type block = { stmts : stmt list; term : terminator }
-[@@deriving show { with_path = false }]
 
 type func = {
   fname : string;
@@ -85,7 +112,6 @@ type func = {
   blocks : (string * block) list;
   entry : string;
 }
-[@@deriving show { with_path = false }]
 
 type program = {
   funcs : (string * func) list;

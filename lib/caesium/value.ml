@@ -11,9 +11,9 @@ type byte =
   | Byte of int  (** 0..255 *)
   | PtrFrag of Loc.t * int  (** i-th byte of a pointer *)
   | FnFrag of string * int  (** i-th byte of a function pointer *)
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
-type t = byte list [@@deriving eq, show { with_path = false }]
+type t = byte list [@@deriving eq]
 
 let poison n : t = List.init n (fun _ -> Poison)
 

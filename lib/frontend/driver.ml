@@ -758,7 +758,10 @@ let to_json ?(timings = true) (t : t) : Rc_util.Jsonout.t =
     written to the ledger file beside the cache, never to stdout, so the
     [-j 1] ≡ [-j 4] byte-identity of the [--json] report is untouched.
     Per-function percentiles are precomputed at write time so
-    [refinedc stats] never needs the raw function list. *)
+    [refinedc stats] never needs the raw function list.  When the
+    session collected metrics, the record's [metrics] field is the
+    report's [metrics] block with its timings ({!Rc_util.Metrics.to_json});
+    otherwise the record has no [metrics] key. *)
 let runlog_record ~(session : Session.t) ~(wall_s : float) (t : t) :
     Rc_util.Jsonout.t =
   let open Rc_util.Jsonout in
@@ -803,51 +806,6 @@ let runlog_record ~(session : Session.t) ~(wall_s : float) (t : t) :
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let m = Obs.mx t.obs in
-  let metrics_fields =
-    if not (Rc_util.Metrics.on m) then []
-    else
-      [
-        ( "memo",
-          Obj
-            [
-              ("hits", Int (Rc_util.Metrics.counter m "memo.hit"));
-              ("misses", Int (Rc_util.Metrics.counter m "memo.miss"));
-              ("stores", Int (Rc_util.Metrics.counter m "memo.store"));
-            ] );
-        (* the default solver's linear arithmetic: its queries and the
-           work of its hypothesis-prefix stack (Linarith.flush) *)
-        ( "lia",
-          Obj
-            (Rc_util.Metrics.counters_with_prefix m ~prefix:"solver.lia."
-            |> List.map (fun (name, n) -> (name, Int n))) );
-        ( "solvers",
-          List
-            (Rc_util.Metrics.timers_with_prefix m ~prefix:"solver.ns."
-            |> List.map (fun (name, count, total_ns) ->
-                   Obj
-                     [
-                       ("name", Str name);
-                       ("calls", Int count);
-                       ("total_ns", Float (Int64.to_float total_ns));
-                     ])) );
-        (* per-pass lint wall-clock (the [lint.<pass>] spans) — lets
-           [refinedc stats] trend analysis cost alongside proof cost *)
-        ( "lint",
-          List
-            (Rc_util.Metrics.timers_with_prefix m ~prefix:"lint."
-            |> List.filter (fun (name, _, _) ->
-                   not
-                     (String.length name >= 6
-                     && String.sub name 0 6 = "diags."))
-            |> List.map (fun (name, count, total_ns) ->
-                   Obj
-                     [
-                       ("pass", Str name);
-                       ("runs", Int count);
-                       ("total_ns", Float (Int64.to_float total_ns));
-                     ])) );
-      ]
-  in
   Obj
     ([
        ("schema", Str Rc_util.Runlog.schema_version);
@@ -882,7 +840,9 @@ let runlog_record ~(session : Session.t) ~(wall_s : float) (t : t) :
        ("exec", exec_json t);
        ("stop", stop_json t);
      ]
-    @ metrics_fields)
+    @
+    if Rc_util.Metrics.on m then [ ("metrics", Rc_util.Metrics.to_json m) ]
+    else [])
 
 (** Run a function of the elaborated program in the Caesium interpreter
     (used by examples and the semantic-soundness harness). *)

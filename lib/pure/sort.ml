@@ -18,7 +18,7 @@ type t =
   | Set  (** finite sets of integers *)
   | List of t  (** finite lists over a sort *)
   | Unknown  (** placeholder used before sort inference resolves *)
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq, ord]
 
 let rec pp ppf = function
   | Nat -> Fmt.string ppf "nat"

@@ -63,7 +63,7 @@ and prop =
   | PForall of string * Sort.t * prop
   | PExists of string * Sort.t * prop
   | PPred of string * term list  (** defined / uninterpreted predicate *)
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq, ord]
 
 let p_ne a b = PNot (PEq (a, b))
 let p_ge a b = PLe (b, a)

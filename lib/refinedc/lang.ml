@@ -73,14 +73,13 @@ type block_entry = {
     each list.  Every lookup answers exactly
     what [List.assoc_opt] over the function's lists answers (the first
     entry of a label wins), in one hash lookup and an array access
-    instead of a scan that grows with the function. *)
-type fn_index = {
-  fi_meta : fn_meta;  (** the side tables the index was built from *)
-  fi_labels : (string, block_entry) Hashtbl.t;  (** read-only once built *)
-}
+    instead of a scan that grows with the function.  The lists are not
+    kept: past elaboration the index is their only copy.  Read-only once
+    built. *)
+type fn_index = (string, block_entry) Hashtbl.t
 
 let index_fn (func : Syntax.func) (meta : fn_meta) : fn_index =
-  let fi_labels = Hashtbl.create (2 * List.length func.Syntax.blocks) in
+  let ix = Hashtbl.create (2 * List.length func.Syntax.blocks) in
   let add l block stmts =
     let e =
       {
@@ -92,17 +91,17 @@ let index_fn (func : Syntax.func) (meta : fn_meta) : fn_index =
         be_descr = Atomic.make None;
       }
     in
-    Hashtbl.add fi_labels l e;
+    Hashtbl.add ix l e;
     e
   in
   let entry l =
-    match Hashtbl.find_opt fi_labels l with
+    match Hashtbl.find_opt ix l with
     | Some e -> e
     | None -> add l None [||]
   in
   List.iter
     (fun (l, b) ->
-      if not (Hashtbl.mem fi_labels l) then
+      if not (Hashtbl.mem ix l) then
         ignore (add l (Some b) (Array.of_list b.Syntax.stmts)))
     func.Syntax.blocks;
   List.iter
@@ -128,9 +127,9 @@ let index_fn (func : Syntax.func) (meta : fn_meta) : fn_index =
           e.be_stmt_locs.(i) <- Some loc
       end)
     meta.fm_stmt_locs;
-  { fi_meta = meta; fi_labels }
+  ix
 
-let block_entry (ix : fn_index) label = Hashtbl.find_opt ix.fi_labels label
+let block_entry (ix : fn_index) label = Hashtbl.find_opt ix label
 
 let entry_stmt_loc (e : block_entry) idx =
   if idx >= 0 && idx < Array.length e.be_stmt_locs then e.be_stmt_locs.(idx)
@@ -476,9 +475,9 @@ let pp_f ppf (j : f) =
         pp_rtype vty
   | FBinop { op; v1; ty1; v2; ty2; _ } ->
       p "⊢BINOP (%a : %a) %s (%a : %a)" pp_term v1 pp_rtype ty1
-        (Syntax.show_binop op) pp_term v2 pp_rtype ty2
+        (Syntax.binop_name op) pp_term v2 pp_rtype ty2
   | FUnop { op; v; ty; _ } ->
-      p "⊢UNOP %s (%a : %a)" (Syntax.show_unop op) pp_term v pp_rtype ty
+      p "⊢UNOP %s (%a : %a)" (Syntax.unop_name op) pp_term v pp_rtype ty
   | FCast { from_; to_; v; _ } ->
       p "⊢CAST %a : %a → %a" pp_term v Int_type.pp from_ Int_type.pp to_
   | FIf { v; ty; _ } -> p "⊢IF (%a : %a)" pp_term v pp_rtype ty

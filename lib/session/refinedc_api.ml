@@ -45,11 +45,11 @@ type session = Session.t
       run under the session (see README "Observability");
     - [lint]: static-analysis configuration (enabled passes, werror) —
       see README "Static analysis";
-    - [exec]: execution-robustness configuration — the persistent
-      supervised worker pool, whole-run deadline, transient-fault retry
-      allowance and cooperative-cancellation poll (see README
-      "Robustness & degradation").  [deadline]/[retries]/[pool]/[cancel]
-      are conveniences that build it field-wise;
+    - [deadline]/[retries]/[pool]/[cancel]: execution robustness — the
+      whole-run deadline, transient-fault retry allowance, persistent
+      supervised worker pool and cooperative-cancellation poll; absent,
+      there is none of each, as in {!Rc_refinedc.Session.default_exec}
+      (see README "Robustness & degradation");
     - [memo]: enable within-run subgoal memoization ([--memo]) — see
       README "Engine speed";
     - [forensics]: attach a bounded derivation snapshot (goal stack,
@@ -62,7 +62,7 @@ type session = Session.t
       checker reads, and proof search allocates much less. *)
 let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
     ?(lemmas = []) ?hooks ?(default_only = false) ?(no_goal_simp = false)
-    ?(type_defs = []) ?budget ?fault ?obs ?lint ?exec ?deadline ?retries ?pool
+    ?(type_defs = []) ?budget ?fault ?obs ?lint ?deadline ?retries ?pool
     ?cancel ?memo ?forensics ?judgments () : session =
   let hooks =
     match hooks with
@@ -84,14 +84,11 @@ let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
   if case_studies then Rc_studies.Studies.install_types tenv;
   List.iter (Rc_refinedc.Rtype.register_type_def tenv) type_defs;
   let exec =
-    let base = Option.value exec ~default:Session.default_exec in
     {
-      Session.x_deadline =
-        (match deadline with Some _ -> deadline | None -> base.Session.x_deadline);
-      x_retries = Option.value retries ~default:base.Session.x_retries;
-      x_pool = (match pool with Some _ -> pool | None -> base.Session.x_pool);
-      x_cancel =
-        (match cancel with Some _ -> cancel | None -> base.Session.x_cancel);
+      Session.x_deadline = deadline;
+      x_retries = Option.value retries ~default:0;
+      x_pool = pool;
+      x_cancel = cancel;
     }
   in
   Session.create ~rules ~registry ~gs ~tenv ?budget ?obs ?lint ~exec ?memo

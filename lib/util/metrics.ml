@@ -156,7 +156,9 @@ let merge (acc : t) (x : t) =
         b.timers
   | _ -> ()
 
-(** Deterministic JSON: counters and timers in sorted name order.  With
+(** The one JSON encoding of a registry — the [--json] report's
+    [metrics] block and the run ledger's [metrics] field.
+    Deterministic: counters and timers in sorted name order.  With
     [~timings:false] the time-valued fields (totals and bucket
     distributions) are dropped and only observation counts remain, so
     the block is byte-identical across [-j N] and across machines. *)

@@ -13,7 +13,12 @@
       matching) with call counts and verdict-relevant time, and the
       linear-arithmetic work counters ([solver.lia.*]);
     - the top-N hottest functions by wall-clock;
-    - cache, evar and budget counters. *)
+    - cache, evar and budget counters.
+
+    This is a renderer only: the same registry as JSON is
+    {!Metrics.to_json}, the one encoder, which both the [--json]
+    report's [metrics] block and the run ledger's [metrics] field
+    use. *)
 
 let ms ns = Int64.to_float ns /. 1e6
 
@@ -97,52 +102,4 @@ let pp ?(top = 10) ppf (m : Metrics.t) =
       (fun (label, n) ->
         Fmt.pf ppf "budget exhaustion: %s × %d@." label n)
       exhausted
-  end
-
-(** The same data as {!pp}, as JSON — the [--profile-out FILE] payload,
-    also folded into the run-ledger record.  Sections are sorted by time
-    descending (ties by name via the stable sort over the name-sorted
-    input), mirroring the text table. *)
-let to_json (m : Metrics.t) : Jsonout.t =
-  let open Jsonout in
-  if not (Metrics.on m) then Null
-  else begin
-    let timer_section prefix extra =
-      Metrics.timers_with_prefix m ~prefix
-      |> List.stable_sort (fun (_, _, a) (_, _, b) -> Int64.compare b a)
-      |> List.map (fun (name, count, total_ns) ->
-             Obj
-               ([
-                  ("name", Str name);
-                  ("count", Int count);
-                  ("total_ns", Float (Int64.to_float total_ns));
-                ]
-               @ extra count))
-    in
-    let counters =
-      [ "side.auto"; "side.manual"; "evar.insts"; "cache.hit"; "cache.miss";
-        "cache.corrupt"; "memo.hit"; "memo.miss"; "memo.store";
-        "memo.invalid" ]
-      @ List.map
-          (fun (name, _) -> "solver.lia." ^ name)
-          (Metrics.counters_with_prefix m ~prefix:"solver.lia.")
-      |> List.filter_map (fun name ->
-             let n = Metrics.counter m name in
-             if n = 0 then None else Some (name, Int n))
-    in
-    let budget = Metrics.counters_with_prefix m ~prefix:"budget." in
-    Obj
-      [
-        ("schema", Str "refinedc-profile/1");
-        ("phases", List (timer_section "phase." (fun _ -> [])));
-        ( "rules",
-          List
-            (timer_section "rule.self_ns." (fun count ->
-                 [ ("apps", Int count) ])) );
-        ("solvers", List (timer_section "solver.ns." (fun _ -> [])));
-        ("functions", List (timer_section "fn.ns." (fun _ -> [])));
-        ("counters", Obj counters);
-        ( "budget_exhaustions",
-          Obj (List.map (fun (label, n) -> (label, Int n)) budget) );
-      ]
   end

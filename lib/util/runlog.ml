@@ -4,10 +4,11 @@
 
     The ledger is the cross-run telemetry substrate: each record carries
     the run's wall-clock, rule-application totals, per-function
-    latencies, cache/memo/solver counters, verdict counts and the
-    session's toolchain fingerprint, so [refinedc stats] (and a future
-    [refinedc serve] health endpoint) can report throughput trends and
-    flag regressions without re-running anything.
+    latencies, verdict counts, the session's toolchain fingerprint and,
+    when metrics were collected, the run's whole metrics registry, so
+    [refinedc stats] (and a future [refinedc serve] health endpoint) can
+    report throughput trends and flag regressions without re-running
+    anything.
 
     Robustness: a ledger is a performance artifact, never part of a
     verdict.  An unusable directory degrades to a disabled ledger, a
@@ -31,8 +32,11 @@ type t = {
 
 (** Bump when a record's field layout changes incompatibly; readers keep
     accepting older versions (fields are looked up by name, and absent
-    fields read as [None]). *)
-let schema_version = "refinedc-runlog/1"
+    fields read as [None]).  Version 2 replaced version 1's hand-picked
+    [memo]/[lia]/[solvers]/[lint] objects (and the [--profile] fold)
+    with one [metrics] field, the {!Metrics.to_json} block of the run;
+    every field [refinedc stats] reads is in both. *)
+let schema_version = "refinedc-runlog/2"
 
 let file_name = "runs.jsonl"
 let path (t : t) = Filename.concat t.dir t.file
@@ -73,34 +77,27 @@ let append (t : t) (record : Jsonout.t) : unit =
     | exception _ -> t.disabled <- true
   end
 
-(** Load every parseable record, in append (chronological) order.  An
-    absent or unreadable ledger is empty; corrupt lines are skipped. *)
-let load (t : t) : Jsonout.t list =
-  if t.disabled then []
+(** Load every parseable record, in append (chronological) order, with
+    the number of lines that failed to parse.  An absent or unreadable
+    ledger is empty; corrupt lines are skipped and counted. *)
+let load (t : t) : Jsonout.t list * int =
+  if t.disabled then ([], 0)
   else
     match In_channel.with_open_bin (path t) In_channel.input_all with
     | contents ->
-        String.split_on_char '\n' contents
-        |> List.filter_map (fun line ->
-               if String.trim line = "" then None
-               else
-                 match Jsonout.parse line with
-                 | Ok v -> Some v
-                 | Error _ -> None)
-    | exception _ -> []
-
-(** Lines that failed to parse (for diagnostics/tests). *)
-let corrupt_lines (t : t) : int =
-  if t.disabled then 0
-  else
-    match In_channel.with_open_bin (path t) In_channel.input_all with
-    | contents ->
-        String.split_on_char '\n' contents
-        |> List.filter (fun line ->
-               String.trim line <> ""
-               && Result.is_error (Jsonout.parse line))
-        |> List.length
-    | exception _ -> 0
+        let records, corrupt =
+          List.fold_left
+            (fun (records, corrupt) line ->
+              if String.trim line = "" then (records, corrupt)
+              else
+                match Jsonout.parse line with
+                | Ok v -> (v :: records, corrupt)
+                | Error _ -> (records, corrupt + 1))
+            ([], 0)
+            (String.split_on_char '\n' contents)
+        in
+        (List.rev records, corrupt)
+    | exception _ -> ([], 0)
 
 (* ------------------------------------------------------------------ *)
 (* Trend / regression queries ([refinedc stats])                       *)

@@ -559,6 +559,40 @@ let precedence_tests =
           strip parsed = e && start_cols parsed = starts);
     ]
 
+(* [refinedc cfg] exits 0, and its headers and block labels are each
+   function's [== f ==] followed by the labels of all its blocks. *)
+let cli_tests =
+  [
+    Alcotest.test_case "cfg prints every block of every function" `Quick
+      (fun () ->
+        match Testutil.refinedc_exe with
+        | None -> () (* exe not built in this sandbox; covered by CI *)
+        | Some exe ->
+            Sys.readdir case_dir |> Array.to_list
+            |> List.filter (fun f -> Filename.check_suffix f ".c")
+            |> List.iter (fun study ->
+                   let path = Filename.concat case_dir study in
+                   let out = Testutil.scratch_dir "cfg" in
+                   Alcotest.(check int) (study ^ ": exit") 0
+                     (Sys.command
+                        (Filename.quote_command exe [ "cfg"; path ] ~stdout:out));
+                   let session =
+                     Rc_session.Refinedc_api.create_session ~case_studies:true ()
+                   in
+                   let el = Driver.parse_and_elab ~session ~file:path (read path) in
+                   Alcotest.(check (list string)) (study ^ ": labels")
+                     (List.concat_map
+                        (fun (name, (f : Rc_caesium.Syntax.func)) ->
+                          ("== " ^ name ^ " ==")
+                          :: List.map (fun (l, _) -> l ^ ":") f.blocks)
+                        el.Elab.program.funcs)
+                     (String.split_on_char '\n' (read out)
+                     |> List.filter (fun l ->
+                            String.starts_with ~prefix:"== " l
+                            || (l <> "" && l.[0] <> ' '
+                               && String.ends_with ~suffix:":" l)))));
+  ]
+
 let () =
   Alcotest.run "frontend"
     [
@@ -569,4 +603,5 @@ let () =
       ("lexical-errors", lexical_error_tests);
       ("locations", location_tests);
       ("precedence", precedence_tests);
+      ("cli", cli_tests);
     ]

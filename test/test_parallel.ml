@@ -112,7 +112,7 @@ let clamp_tests =
             in
             Alcotest.(check int) "queue.c verifies" 0 (Sys.command cmd);
             let jobs =
-              match Rc_util.Runlog.load (Rc_util.Runlog.create dir) with
+              match fst (Rc_util.Runlog.load (Rc_util.Runlog.create dir)) with
               | [ r ] -> Rc_util.Jsonout.number_member "jobs" r
               | rs -> Alcotest.failf "%d ledger records" (List.length rs)
             in

@@ -315,8 +315,21 @@ let eager_descr (br : Lang.branch) =
   in
   Fmt.str "the %s at %a" kind Rc_util.Srcloc.pp br.Lang.br_loc
 
-let check_index file (func : Rc_caesium.Syntax.func) (ix : Lang.fn_index) =
-  let m = ix.Lang.fi_meta in
+(* The side tables elaboration builds each index from, by function:
+   the index keeps no copy, so they are elaborated again from the AST. *)
+let metas ~file src (el : Rc_frontend.Elab.elaborated) =
+  List.filter_map
+    (function
+      | Rc_frontend.Cabs.DFun ({ fn_body = Some body; _ } as fd) ->
+          let _, meta, _ =
+            Rc_frontend.Elab.elab_fun el.Rc_frontend.Elab.genv fd body
+          in
+          Some (fd.fn_name, meta)
+      | _ -> None)
+    (Rc_frontend.Cparser.parse_file ~file src).decls
+
+let check_index file (func : Rc_caesium.Syntax.func) (m : Lang.fn_meta)
+    (ix : Lang.fn_index) =
   let what label = Printf.sprintf "%s/%s/%s" file func.fname label in
   List.iter
     (fun label ->
@@ -375,11 +388,14 @@ let index_tests =
             in
             let el = Rc_frontend.Driver.parse_and_elab ~session ~file src in
             let funcs = el.Rc_frontend.Elab.program.funcs in
+            let metas = metas ~file src el in
             Alcotest.(check int) (file ^ ": one index per body")
               (List.length funcs)
               (List.length el.Rc_frontend.Elab.indexes);
             List.iter
-              (fun (name, ix) -> check_index file (List.assoc name funcs) ix)
+              (fun (name, ix) ->
+                check_index file (List.assoc name funcs)
+                  (List.assoc name metas) ix)
               el.Rc_frontend.Elab.indexes;
             (* the checked functions carry the same index *)
             List.iter
@@ -404,15 +420,17 @@ let index_tests =
           Rc_frontend.Driver.parse_and_elab ~session ~file:"mem_alloc.c" src
         in
         (* a fresh index whose branch texts nobody has read yet *)
-        let ix, labels =
+        let metas = metas ~file:"mem_alloc.c" src el in
+        let ix, descrs =
           List.find_map
-            (fun (_, (ix : Lang.fn_index)) ->
-              match ix.Lang.fi_meta.Lang.fm_block_descr with
+            (fun (name, (ix : Lang.fn_index)) ->
+              match (List.assoc name metas).Lang.fm_block_descr with
               | [] -> None
-              | ds -> Some (ix, List.map fst ds))
+              | ds -> Some (ix, ds))
             el.Rc_frontend.Elab.indexes
           |> Option.get
         in
+        let labels = List.map fst descrs in
         let ready = Atomic.make 0 in
         let read () =
           Atomic.incr ready;
@@ -427,8 +445,7 @@ let index_tests =
         let expected =
           List.map
             (fun l ->
-              Option.map eager_descr
-                (List.assoc_opt l ix.Lang.fi_meta.Lang.fm_block_descr))
+              Option.map eager_descr (List.assoc_opt l descrs))
             labels
         in
         List.iter

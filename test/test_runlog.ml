@@ -12,7 +12,9 @@
      abort);
    - the trailing-window median-of-ratios regression check flags real
      slowdowns and tolerates a noisy baseline;
-   - [Driver.runlog_record] carries the fields [refinedc stats] reads. *)
+   - [Driver.runlog_record] carries the fields [refinedc stats] reads,
+     and with metrics on its [metrics] field is the [--json] report's
+     [metrics] block. *)
 
 module J = Rc_util.Jsonout
 module Runlog = Rc_util.Runlog
@@ -214,7 +216,7 @@ let ledger_tests =
         let seqs =
           List.filter_map
             (fun r -> Option.bind (J.member "seq" r) J.to_int)
-            (Runlog.load lg)
+            (fst (Runlog.load lg))
         in
         Alcotest.(check (list int)) "chronological" [ 1; 2; 3 ] seqs);
     Alcotest.test_case "corrupt lines are skipped and counted" `Quick
@@ -225,15 +227,17 @@ let ledger_tests =
           [ Open_append; Open_creat ] 0o644 (Runlog.path lg)
           (fun oc -> Out_channel.output_string oc "{torn writ\n");
         Runlog.append lg (sample_record 2);
-        Alcotest.(check int) "records" 2 (List.length (Runlog.load lg));
-        Alcotest.(check int) "corrupt" 1 (Runlog.corrupt_lines lg));
+        let records, corrupt = Runlog.load lg in
+        Alcotest.(check int) "records" 2 (List.length records);
+        Alcotest.(check int) "corrupt" 1 corrupt);
     Alcotest.test_case "unusable directory degrades to disabled" `Quick
       (fun () ->
         let file = Filename.temp_file "rc-runlog-notadir" "" in
         let lg = Runlog.create file in
         Alcotest.(check bool) "disabled" true (Runlog.disabled lg);
         Runlog.append lg (sample_record 1);
-        Alcotest.(check int) "load empty" 0 (List.length (Runlog.load lg));
+        Alcotest.(check int)
+          "load empty" 0 (List.length (fst (Runlog.load lg)));
         Sys.remove file);
     Alcotest.test_case "concurrent creators of one directory all succeed"
       `Quick (fun () ->
@@ -269,12 +273,11 @@ let ledger_tests =
         in
         List.init workers (fun w -> Domain.spawn (work w))
         |> List.iter Domain.join;
-        let lg = Runlog.create dir in
-        Alcotest.(check int)
-          "no torn lines" 0 (Runlog.corrupt_lines lg);
+        let records, corrupt = Runlog.load (Runlog.create dir) in
+        Alcotest.(check int) "no torn lines" 0 corrupt;
         Alcotest.(check int)
           "every record present" (workers * per_worker)
-          (List.length (Runlog.load lg)));
+          (List.length records));
   ]
 
 let regression_tests =
@@ -323,16 +326,8 @@ let regression_tests =
           "empty" None (Runlog.median []));
   ]
 
-(* The driver-level record: the fields [refinedc stats] trends on must
-   be present and consistent with the run. *)
-let record_tests =
-  [
-    Alcotest.test_case "runlog_record carries the stats surface" `Quick
-      (fun () ->
-        let module Driver = Rc_frontend.Driver in
-        let session = Rc_session.Refinedc_api.create_session ~case_studies:true () in
-        let src =
-          {|
+let imin_src =
+  {|
 [[rc::parameters("x: int", "y: int")]]
 [[rc::args("x @ int<int>", "y @ int<int>")]]
 [[rc::returns("(x <= y ? x : y) @ int<int>")]]
@@ -341,8 +336,20 @@ int imin(int a, int b) {
   return b;
 }
 |}
-        in
-        let t = Driver.check_source ~session ~file:"imin.c" src in
+
+let metrics_on session =
+  Rc_refinedc.Session.with_obs session
+    { Rc_util.Obs.c_trace = false; c_metrics = true }
+
+(* The driver-level record: the fields [refinedc stats] trends on must
+   be present and consistent with the run. *)
+let record_tests =
+  [
+    Alcotest.test_case "runlog_record carries the stats surface" `Quick
+      (fun () ->
+        let module Driver = Rc_frontend.Driver in
+        let session = Rc_session.Refinedc_api.create_session ~case_studies:true () in
+        let t = Driver.check_source ~session ~file:"imin.c" imin_src in
         let r = Driver.runlog_record ~session ~wall_s:0.5 t in
         let get k = J.member k r in
         Alcotest.(check (option string))
@@ -365,18 +372,18 @@ int imin(int a, int b) {
           (Option.bind (J.member "verified" verdicts) J.to_int);
         (* the record parses back from its NDJSON line form *)
         Alcotest.check json "line round-trip" r (parse_ok (J.to_line r));
-        Alcotest.(check bool) "no lia block with metrics off" true
-          (get "lia" = None);
         (* with metrics on, the linear-arithmetic counters ride along:
            a query either reuses a stacked hypothesis or pushes it *)
-        let session =
-          Rc_refinedc.Session.with_obs session
-            { Rc_util.Obs.c_trace = false; c_metrics = true }
-        in
-        let t = Driver.check_source ~session ~file:"imin.c" src in
+        let session = metrics_on session in
+        let t = Driver.check_source ~session ~file:"imin.c" imin_src in
         let r = Driver.runlog_record ~session ~wall_s:0.5 t in
-        let lia = Option.get (J.member "lia" r) in
-        let count k = Option.bind (J.member k lia) J.to_int in
+        let counters =
+          Option.get
+            (Option.bind (J.member "metrics" r) (J.member "counters"))
+        in
+        let count k =
+          Option.bind (J.member ("solver.lia." ^ k) counters) J.to_int
+        in
         let queries = Option.get (count "queries") in
         Alcotest.(check bool) "lia queries counted" true (queries > 0);
         Alcotest.(check bool) "hypotheses pushed" true
@@ -388,6 +395,29 @@ int imin(int a, int b) {
              (Rc_util.Metrics.counter
                 (Rc_util.Obs.mx t.Driver.obs)
                 "solver.lia.queries")));
+    Alcotest.test_case "the record's metrics are the report's" `Quick
+      (fun () ->
+        let module Driver = Rc_frontend.Driver in
+        let base =
+          Rc_session.Refinedc_api.create_session ~case_studies:true ()
+        in
+        (* one encoder: the same run's registry, timings included, in
+           the ledger record and in the --json report *)
+        let session = metrics_on base in
+        let t = Driver.check_source ~session ~file:"imin.c" imin_src in
+        let metrics =
+          J.member "metrics" (Driver.runlog_record ~session ~wall_s:0.5 t)
+        in
+        Alcotest.(check bool) "record has metrics" true (metrics <> None);
+        Alcotest.(check (option json))
+          "record metrics = report metrics"
+          (J.member "metrics" (Driver.to_json t))
+          metrics;
+        let t = Driver.check_source ~session:base ~file:"imin.c" imin_src in
+        Alcotest.(check (option json))
+          "metrics off: no metrics key" None
+          (J.member "metrics"
+             (Driver.runlog_record ~session:base ~wall_s:0.5 t)));
   ]
 
 let () =
