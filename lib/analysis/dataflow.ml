@@ -23,66 +23,69 @@ end
 module Forward (D : DOMAIN) = struct
   (** [run_edges cfg ~entry ~transfer] is the general engine:
       [transfer label block st] returns a {e per-successor-edge}
-      out-state function, so a block whose terminator branches on a fact
-      established inside the block (the CAS-acquire idiom: out-state
-      holds the lock only on the success edge) can propagate different
-      states along its two edges.  Returns the fixpoint input state of
-      every reachable block. *)
+      out-state function, given the successor's label, so a block whose
+      terminator branches on a fact established inside the block (the
+      CAS-acquire idiom: out-state holds the lock only on the success
+      edge) can propagate different states along its two edges.  Returns
+      the fixpoint input state of every reachable node, as (node id,
+      state) pairs in reverse postorder.
+
+      The worklist is first-in first-out over node ids, with the states
+      and the queued marks in arrays. *)
   let run_edges (cfg : Cfg.t) ~(entry : D.state)
       ~(transfer : string -> Syntax.block -> D.state -> string -> D.state) :
-      (string * D.state) list =
-    let inputs : (string, D.state) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.replace inputs cfg.Cfg.func.Syntax.entry entry;
-    let queued = Hashtbl.create 16 in
-    let q = Queue.create () in
-    let push l =
-      if not (Hashtbl.mem queued l) then begin
-        Hashtbl.add queued l ();
-        Queue.add l q
+      (int * D.state) list =
+    let n = Cfg.nodes cfg in
+    let inputs = Array.make n entry in
+    let has = Array.make n false in
+    let queued = Array.make n false in
+    (* a ring of node ids: a node is queued at most once at a time *)
+    let ring = Array.make n 0 in
+    let head = ref 0 and count = ref 0 in
+    let push v =
+      if not queued.(v) then begin
+        queued.(v) <- true;
+        ring.((!head + !count) mod n) <- v;
+        incr count
       end
     in
-    push cfg.Cfg.func.Syntax.entry;
-    while not (Queue.is_empty q) do
-      let l = Queue.pop q in
-      Hashtbl.remove queued l;
-      match (Cfg.block cfg l, Hashtbl.find_opt inputs l) with
-      | Some b, Some input ->
-          let out_on = transfer l b input in
-          List.iter
-            (fun s ->
-              let out = out_on s in
-              let changed =
-                match Hashtbl.find_opt inputs s with
-                | None ->
-                    Hashtbl.replace inputs s out;
-                    true
-                | Some old ->
-                    let m = D.meet old out in
-                    if D.equal m old then false
-                    else begin
-                      Hashtbl.replace inputs s m;
-                      true
-                    end
-              in
-              if changed then push s)
-            (Cfg.succs_of cfg l)
-      | _ -> ()
+    has.(cfg.Cfg.entry) <- true;
+    push cfg.Cfg.entry;
+    while !count > 0 do
+      let v = ring.(!head) in
+      head := (!head + 1) mod n;
+      decr count;
+      queued.(v) <- false;
+      if v < cfg.Cfg.n_blocks then begin
+        let out_on = transfer (Cfg.label cfg v) cfg.Cfg.blocks.(v) inputs.(v) in
+        for e = cfg.Cfg.succ_lo.(v) to cfg.Cfg.succ_hi.(v) - 1 do
+          let s = cfg.Cfg.succ.(e) in
+          let out = out_on (Cfg.label cfg s) in
+          if not has.(s) then begin
+            inputs.(s) <- out;
+            has.(s) <- true;
+            push s
+          end
+          else
+            let m = D.meet inputs.(s) out in
+            if not (D.equal m inputs.(s)) then begin
+              inputs.(s) <- m;
+              push s
+            end
+        done
+      end
     done;
-    (* report in reverse postorder for deterministic consumption *)
-    List.filter_map
-      (fun l ->
-        match Hashtbl.find_opt inputs l with
-        | Some st -> Some (l, st)
-        | None -> None)
-      cfg.Cfg.reachable
+    Array.fold_right
+      (fun v acc -> if has.(v) then (v, inputs.(v)) :: acc else acc)
+      cfg.Cfg.rpo []
 
   (** [run cfg ~entry ~transfer] returns the fixpoint input state of
-      every reachable block.  [transfer label block st] is the state at
+      every reachable node.  [transfer label block st] is the state at
       the end of [block] given state [st] at its start; it is re-run as
       inputs shrink, so it must be a pure function of its arguments. *)
   let run (cfg : Cfg.t) ~(entry : D.state)
       ~(transfer : string -> Syntax.block -> D.state -> D.state) :
-      (string * D.state) list =
+      (int * D.state) list =
     run_edges cfg ~entry ~transfer:(fun label block st ->
         let out = transfer label block st in
         fun _succ -> out)

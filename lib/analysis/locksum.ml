@@ -467,10 +467,11 @@ let analyze ~(cfg_of : Syntax.func -> Cfg.t)
           let ext_releases = ref [] in
           let exits_must = ref [] in
           List.iter
-            (fun (label, input) ->
-              match Cfg.block cfg label with
+            (fun (id, input) ->
+              match Cfg.block cfg id with
               | None -> ()
               | Some b ->
+                  let label = Cfg.label cfg id in
                   let cur = ref input in
                   let emit = function
                     | Ev_access (idx, p, write, locks) ->
@@ -541,8 +542,8 @@ let analyze ~(cfg_of : Syntax.func -> Cfg.t)
           (* may-side exit states, for the release-balance check *)
           let exits_may =
             List.filter_map
-              (fun (label, input) ->
-                match Cfg.block cfg label with
+              (fun (id, input) ->
+                match Cfg.block cfg id with
                 | Some b -> (
                     match b.Syntax.term with
                     | Syntax.Return _ ->

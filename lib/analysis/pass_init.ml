@@ -13,77 +13,66 @@
     some CFG path on which the local was never directly written.  To
     avoid false positives from indirect writes, any local whose address
     escapes the direct read/write discipline (passed to a callee,
-    offset into a struct field, aliased) is excluded from tracking. *)
+    offset into a struct field, aliased) is excluded from tracking.
+
+    Representation: the tracked locals are numbered, and a state is a
+    bitset of [w] words, 62 locals to a word, one code path for every
+    width.  Each statement's effect (the tracked locals it reads, the one
+    it defines) is computed once per reachable block, into flat arrays;
+    the fixpoint iterates the reverse postorder in place over one flat
+    array of input states until nothing shrinks. *)
 
 module Syntax = Rc_caesium.Syntax
 module Diagnostic = Rc_util.Diagnostic
-module SSet = Dataflow.StringSet
 
-(* ---- expression collectors ---------------------------------------- *)
+let bits_per_word = 62
 
-(** Locals read by an expression: every [Use] whose location operand is
-    directly a [VarLoc]. *)
-let rec reads (e : Syntax.expr) (acc : string list) : string list =
-  match e with
-  | Syntax.Use { arg = Syntax.VarLoc x; _ } -> x :: acc
-  | Syntax.Use { arg; _ }
-  | Syntax.FieldOfs { arg; _ }
-  | Syntax.UnOp { arg; _ }
-  | Syntax.CastIntInt { arg; _ } ->
-      reads arg acc
-  | Syntax.CastPtrPtr arg -> reads arg acc
-  | Syntax.BinOp { e1; e2; _ } -> reads e1 (reads e2 acc)
-  | Syntax.IntConst _ | Syntax.NullConst | Syntax.FnAddr _ | Syntax.VarLoc _
-    ->
-      acc
+(* ---- expression walks --------------------------------------------- *)
 
-(** Locals whose address leaves the direct read/write discipline: a
-    [VarLoc] that is *not* immediately the operand of a [Use] — e.g.
-    [&x] passed to a callee, or [x.f] accessed through [FieldOfs]. *)
-let rec addr_taken (e : Syntax.expr) (acc : string list) : string list =
-  match e with
-  | Syntax.VarLoc x -> x :: acc
-  | Syntax.Use { arg = Syntax.VarLoc _; _ } -> acc
-  | Syntax.Use { arg; _ }
-  | Syntax.FieldOfs { arg; _ }
-  | Syntax.UnOp { arg; _ }
-  | Syntax.CastIntInt { arg; _ } ->
-      addr_taken arg acc
-  | Syntax.CastPtrPtr arg -> addr_taken arg acc
-  | Syntax.BinOp { e1; e2; _ } -> addr_taken e1 (addr_taken e2 acc)
-  | Syntax.IntConst _ | Syntax.NullConst | Syntax.FnAddr _ -> acc
-
-(** Per-statement effect: expressions read, locals whose address is
-    taken, and the local directly (re)defined, if any. *)
-let stmt_effect (s : Syntax.stmt) :
-    Syntax.expr list * string list * string option =
-  let dest_def = function
-    | Some (_, Syntax.VarLoc x) -> ([], Some x)
-    | Some (_, e) -> ([ e ], None)  (* destination computed: reads inside *)
-    | None -> ([], None)
+(** [iter_stmt_exprs f s] applies [f] to every expression [s] evaluates:
+    a directly assigned [VarLoc] destination is a definition, not an
+    expression; a computed destination is an expression. *)
+let iter_stmt_exprs (f : Syntax.expr -> unit) (s : Syntax.stmt) : unit =
+  let dest = function
+    | Some (_, Syntax.VarLoc _) | None -> ()
+    | Some (_, e) -> f e
   in
   match s with
-  | Syntax.Assign { lhs = Syntax.VarLoc x; rhs; _ } -> ([ rhs ], [], Some x)
-  | Syntax.Assign { lhs; rhs; _ } -> ([ lhs; rhs ], [], None)
-  | Syntax.Call { dest; fn; args } ->
-      let extra, def = dest_def dest in
-      (fn :: List.map snd args @ extra, [], def)
-  | Syntax.Cas { obj; expected; desired; dest; _ } ->
-      let extra, def = dest_def dest in
-      ((obj :: expected :: desired :: extra), [], def)
-  | Syntax.ExprStmt e | Syntax.Free e -> ([ e ], [], None)
-  | Syntax.Skip -> ([], [], None)
+  | Syntax.Assign { lhs = Syntax.VarLoc _; rhs; _ } -> f rhs
+  | Syntax.Assign { lhs; rhs; _ } ->
+      f lhs;
+      f rhs
+  | Syntax.Call { dest = d; fn; args } ->
+      f fn;
+      List.iter (fun (_, e) -> f e) args;
+      dest d
+  | Syntax.Cas { obj; expected; desired; dest = d; _ } ->
+      f obj;
+      f expected;
+      f desired;
+      dest d
+  | Syntax.ExprStmt e | Syntax.Free e -> f e
+  | Syntax.Skip -> ()
 
-let term_exprs (t : Syntax.terminator) : Syntax.expr list =
+let iter_term_exprs (f : Syntax.expr -> unit) (t : Syntax.terminator) : unit
+    =
   match t with
-  | Syntax.CondGoto { cond; _ } -> [ cond ]
-  | Syntax.Switch { scrut; _ } -> [ scrut ]
-  | Syntax.Return (Some e) -> [ e ]
-  | Syntax.Goto _ | Syntax.Return None | Syntax.Unreachable -> []
+  | Syntax.CondGoto { cond = e; _ }
+  | Syntax.Switch { scrut = e; _ }
+  | Syntax.Return (Some e) ->
+      f e
+  | Syntax.Goto _ | Syntax.Return None | Syntax.Unreachable -> ()
 
-let stmt_exprs (s : Syntax.stmt) : Syntax.expr list =
-  let exprs, _, _ = stmt_effect s in
-  exprs
+(** The local a statement directly (re)defines, if any. *)
+let stmt_def (s : Syntax.stmt) : string option =
+  match s with
+  | Syntax.Assign { lhs = Syntax.VarLoc x; _ }
+  | Syntax.Call { dest = Some (_, Syntax.VarLoc x); _ }
+  | Syntax.Cas { dest = Some (_, Syntax.VarLoc x); _ } ->
+      Some x
+  | Syntax.Assign _ | Syntax.Call _ | Syntax.Cas _ | Syntax.ExprStmt _
+  | Syntax.Free _ | Syntax.Skip ->
+      None
 
 (* ---- the pass ----------------------------------------------------- *)
 
@@ -91,96 +80,215 @@ let run_fn ~cfg_of (ftc : Rc_refinedc.Typecheck.fn_to_check) :
     Diagnostic.t list =
   let func = ftc.Rc_refinedc.Typecheck.func in
   let index = ftc.Rc_refinedc.Typecheck.index in
-  let locals = SSet.of_list (List.map fst func.Syntax.locals) in
-  (* flow-insensitive escape set: excluded from tracking entirely *)
-  let escaped =
-    List.fold_left
-      (fun acc (_, (b : Syntax.block)) ->
-        let acc =
-          List.fold_left
-            (fun acc s ->
-              List.fold_left
-                (fun acc e -> SSet.union acc (SSet.of_list (addr_taken e [])))
-                acc (stmt_exprs s))
-            acc b.Syntax.stmts
-        in
-        List.fold_left
-          (fun acc e -> SSet.union acc (SSet.of_list (addr_taken e [])))
-          acc
-          (term_exprs b.Syntax.term))
-      SSet.empty func.Syntax.blocks
+  (* number the locals, a duplicate name once *)
+  let locals = Names.create (List.length func.Syntax.locals) in
+  List.iter (fun (x, _) -> ignore (Names.intern locals x)) func.Syntax.locals;
+  let nlocals = Names.count locals in
+  (* flow-insensitive escape set: a [VarLoc] that is not immediately the
+     operand of a [Use], anywhere in the body *)
+  let escaped = Array.make nlocals false in
+  let rec escape (e : Syntax.expr) =
+    match e with
+    | Syntax.VarLoc x ->
+        let i = Names.find locals x in
+        if i >= 0 then escaped.(i) <- true
+    | Syntax.Use { arg = Syntax.VarLoc _; _ } -> ()
+    | Syntax.Use { arg; _ }
+    | Syntax.FieldOfs { arg; _ }
+    | Syntax.UnOp { arg; _ }
+    | Syntax.CastIntInt { arg; _ }
+    | Syntax.CastPtrPtr arg ->
+        escape arg
+    | Syntax.BinOp { e1; e2; _ } ->
+        escape e1;
+        escape e2
+    | Syntax.IntConst _ | Syntax.NullConst | Syntax.FnAddr _ -> ()
   in
-  let tracked = SSet.diff locals escaped in
-  if SSet.is_empty tracked then []
-  else begin
-    let cfg = cfg_of func in
-    let transfer _label (b : Syntax.block) (st : SSet.t) : SSet.t =
-      List.fold_left
-        (fun st s ->
-          let _, _, def = stmt_effect s in
-          match def with Some x -> SSet.add x st | None -> st)
-        st b.Syntax.stmts
-    in
-    let inputs = Dataflow.Must_vars.run cfg ~entry:SSet.empty ~transfer in
-    let stmt_loc label idx =
-      Option.value ~default:Rc_util.Srcloc.dummy
-        (Rc_refinedc.Lang.stmt_loc index label idx)
-    in
-    let term_loc label =
-      Option.value ~default:Rc_util.Srcloc.dummy
-        (Rc_refinedc.Lang.term_loc index label)
-    in
-    (* reporting sweep: earliest faulty read per variable *)
-    let found : (string, Rc_util.Srcloc.t) Hashtbl.t = Hashtbl.create 4 in
-    let note loc x =
-      if SSet.mem x tracked then
-        match Hashtbl.find_opt found x with
-        | Some l when Rc_util.Srcloc.compare l loc <= 0 -> ()
-        | _ -> Hashtbl.replace found x loc
-    in
+  if nlocals > 0 then
     List.iter
-      (fun (label, input) ->
-        match Cfg.block cfg label with
+      (fun (_, (b : Syntax.block)) ->
+        List.iter (iter_stmt_exprs escape) b.Syntax.stmts;
+        iter_term_exprs escape b.Syntax.term)
+      func.Syntax.blocks;
+  (* the tracked locals, numbered in declaration order *)
+  let tix = Array.make nlocals (-1) in
+  let k = ref 0 in
+  for i = 0 to nlocals - 1 do
+    if not escaped.(i) then begin
+      tix.(i) <- !k;
+      incr k
+    end
+  done;
+  let k = !k in
+  if k = 0 then []
+  else begin
+    let tracked x = match Names.find locals x with -1 -> -1 | i -> tix.(i) in
+    let cfg = cfg_of func in
+    let rpo = cfg.Cfg.rpo in
+    let w = (k + bits_per_word - 1) / bits_per_word in
+    let mem (a : int array) base r =
+      a.(base + (r / bits_per_word)) land (1 lsl (r mod bits_per_word)) <> 0
+    in
+    let set (a : int array) base r =
+      let j = base + (r / bits_per_word) in
+      a.(j) <- a.(j) lor (1 lsl (r mod bits_per_word))
+    in
+    (* each reachable block's effects, once.  Its statements, then its
+       terminator, are numbered consecutively from [first.(p)] (for the
+       block at RPO position [p]): [def.(j)] is the tracked local
+       statement [j] defines, or -1, and [rd.(rd_lo.(j) .. rd_lo.(j+1)-1)]
+       the tracked locals it reads *)
+    let nrpo = Array.length rpo in
+    let first = Array.make (nrpo + 1) 0 in
+    for p = 0 to nrpo - 1 do
+      let v = rpo.(p) in
+      first.(p + 1) <-
+        (first.(p)
+        +
+        if v < cfg.Cfg.n_blocks then
+          1 + List.length cfg.Cfg.blocks.(v).Syntax.stmts
+        else 0)
+    done;
+    let total = first.(nrpo) in
+    let def = Array.make (max total 1) (-1) in
+    let rd_lo = Array.make (total + 1) 0 in
+    let rd = ref (Array.make (max total 4) 0) in
+    let nrd = ref 0 in
+    let rec reads (e : Syntax.expr) =
+      match e with
+      | Syntax.Use { arg = Syntax.VarLoc x; _ } ->
+          let r = tracked x in
+          if r >= 0 then begin
+            if !nrd = Array.length !rd then begin
+              let grown = Array.make (2 * !nrd) 0 in
+              Array.blit !rd 0 grown 0 !nrd;
+              rd := grown
+            end;
+            !rd.(!nrd) <- r;
+            incr nrd
+          end
+      | Syntax.Use { arg; _ }
+      | Syntax.FieldOfs { arg; _ }
+      | Syntax.UnOp { arg; _ }
+      | Syntax.CastIntInt { arg; _ }
+      | Syntax.CastPtrPtr arg ->
+          reads arg
+      | Syntax.BinOp { e1; e2; _ } ->
+          reads e1;
+          reads e2
+      | Syntax.IntConst _ | Syntax.NullConst | Syntax.FnAddr _
+      | Syntax.VarLoc _ ->
+          ()
+    in
+    let gen = Array.make (cfg.Cfg.n_blocks * w) 0 in
+    for p = 0 to nrpo - 1 do
+      let v = rpo.(p) in
+      if v < cfg.Cfg.n_blocks then begin
+        let b = cfg.Cfg.blocks.(v) in
+        let j = ref first.(p) in
+        List.iter
+          (fun s ->
+            iter_stmt_exprs reads s;
+            rd_lo.(!j + 1) <- !nrd;
+            (match stmt_def s with
+            | Some x ->
+                let r = tracked x in
+                def.(!j) <- r;
+                if r >= 0 then set gen (v * w) r
+            | None -> ());
+            incr j)
+          b.Syntax.stmts;
+        iter_term_exprs reads b.Syntax.term;
+        rd_lo.(!j + 1) <- !nrd
+      end
+    done;
+    let rd = !rd in
+    (* the fixpoint: every input starts at ⊤ (all ones) but the entry's,
+       which starts empty; a pass over the reverse postorder meets each
+       block's output into its successors' inputs, until no input
+       shrinks *)
+    let input = Array.make (Cfg.nodes cfg * w) (-1) in
+    Array.fill input (cfg.Cfg.entry * w) w 0;
+    let out = Array.make w 0 in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for p = 0 to nrpo - 1 do
+        let v = rpo.(p) in
+        if v < cfg.Cfg.n_blocks then begin
+          for j = 0 to w - 1 do
+            out.(j) <- input.((v * w) + j) lor gen.((v * w) + j)
+          done;
+          for e = cfg.Cfg.succ_lo.(v) to cfg.Cfg.succ_hi.(v) - 1 do
+            let s = cfg.Cfg.succ.(e) in
+            for j = 0 to w - 1 do
+              let old = input.((s * w) + j) in
+              let m = old land out.(j) in
+              if m <> old then begin
+                input.((s * w) + j) <- m;
+                changed := true
+              end
+            done
+          done
+        end
+      done
+    done;
+    (* reporting sweep, in reverse postorder: the earliest faulty read
+       per local *)
+    let found = Array.make k None in
+    let note loc r =
+      match found.(r) with
+      | Some l when Rc_util.Srcloc.compare l loc <= 0 -> ()
+      | _ -> found.(r) <- Some loc
+    in
+    let st = Array.make w 0 in
+    for p = 0 to nrpo - 1 do
+      let v = rpo.(p) in
+      if v < cfg.Cfg.n_blocks then begin
+        let label = Cfg.label cfg v in
+        Array.blit input (v * w) st 0 w;
+        let term = first.(p + 1) - 1 in
+        for j = first.(p) to term do
+          for i = rd_lo.(j) to rd_lo.(j + 1) - 1 do
+            let r = rd.(i) in
+            if not (mem st 0 r) then
+              note
+                (Option.value ~default:Rc_util.Srcloc.dummy
+                   (if j = term then Rc_refinedc.Lang.term_loc index label
+                    else Rc_refinedc.Lang.stmt_loc index label (j - first.(p))))
+                r
+          done;
+          if def.(j) >= 0 then set st 0 def.(j)
+        done
+      end
+    done;
+    (* the tracked locals' names, in their numbering *)
+    let names = Array.make k "" in
+    for i = 0 to nlocals - 1 do
+      if tix.(i) >= 0 then names.(tix.(i)) <- Names.name locals i
+    done;
+    let diags = ref [] in
+    Array.iteri
+      (fun r loc ->
+        match loc with
         | None -> ()
-        | Some b ->
-            let st = ref input in
-            List.iteri
-              (fun idx s ->
-                let exprs, _, def = stmt_effect s in
-                List.iter
-                  (fun e ->
-                    List.iter
-                      (fun x ->
-                        if not (SSet.mem x !st) then
-                          note (stmt_loc label idx) x)
-                      (reads e []))
-                  exprs;
-                match def with
-                | Some x -> st := SSet.add x !st
-                | None -> ())
-              b.Syntax.stmts;
-            List.iter
-              (fun e ->
-                List.iter
-                  (fun x ->
-                    if not (SSet.mem x !st) then note (term_loc label) x)
-                  (reads e []))
-              (term_exprs b.Syntax.term))
-      inputs;
-    Hashtbl.fold
-      (fun x loc acc ->
-        Diagnostic.make ~severity:Diagnostic.Warning ~code:"RC-L001" ~loc
-          ~hint:
-            (Printf.sprintf
-               "initialize '%s' at its declaration or on every path \
-                reaching this read"
-               x)
-          (Printf.sprintf
-             "in %s: local variable '%s' may be read before it is \
-              initialized"
-             func.Syntax.fname x)
-        :: acc)
-      found []
+        | Some loc ->
+            let x = names.(r) in
+            diags :=
+              Diagnostic.make ~severity:Diagnostic.Warning ~code:"RC-L001"
+                ~loc
+                ~hint:
+                  (Printf.sprintf
+                     "initialize '%s' at its declaration or on every path \
+                      reaching this read"
+                     x)
+                (Printf.sprintf
+                   "in %s: local variable '%s' may be read before it is \
+                    initialized"
+                   func.Syntax.fname x)
+              :: !diags)
+      found;
+    !diags
   end
 
 let run ~(cfg_of : Syntax.func -> Cfg.t)

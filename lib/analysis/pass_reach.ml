@@ -63,20 +63,20 @@ let run_fn ~cfg_of (ftc : Rc_refinedc.Typecheck.fn_to_check) :
   let missing_return =
     if func.Syntax.ret_layout = Layout.Void then []
     else
-      List.filter_map
-        (fun label ->
-          match Cfg.block cfg label with
+      Array.fold_right
+        (fun id acc ->
+          match Cfg.block cfg id with
           | Some { Syntax.term = Syntax.Unreachable; _ } ->
-              Some
-                (Diagnostic.make ~severity:Diagnostic.Warning ~code:"RC-L004"
-                   ~loc:(fallback_loc label)
-                   ~hint:"add a return statement on every path"
-                   (Printf.sprintf
-                      "in %s: control can reach the end of this non-void \
-                       function without returning a value"
-                      func.Syntax.fname))
-          | _ -> None)
-        cfg.Cfg.reachable
+              Diagnostic.make ~severity:Diagnostic.Warning ~code:"RC-L004"
+                ~loc:(fallback_loc (Cfg.label cfg id))
+                ~hint:"add a return statement on every path"
+                (Printf.sprintf
+                   "in %s: control can reach the end of this non-void \
+                    function without returning a value"
+                   func.Syntax.fname)
+              :: acc
+          | _ -> acc)
+        cfg.Cfg.rpo []
   in
   unreachable @ missing_return
 

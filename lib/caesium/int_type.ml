@@ -59,27 +59,38 @@ let wrap it v =
     let v = ((v mod m) + m) mod m in
     if is_signed it && v >= 1 lsl (bits it - 1) then v - m else v
 
-let by_name = function
-  | "char" -> Some char
-  | "signed char" -> Some i8
-  | "unsigned char" -> Some u8
-  | "short" -> Some i16
-  | "unsigned short" -> Some u16
-  | "int" -> Some i32
-  | "unsigned" | "unsigned int" -> Some u32
-  | "long" | "long long" | "intptr_t" | "ptrdiff_t" | "ssize_t" -> Some i64
-  | "unsigned long" | "unsigned long long" -> Some u64
-  | "size_t" -> Some size_t
-  | "uintptr_t" -> Some uintptr_t
-  | "uint8_t" -> Some { u8 with it_name = "uint8_t" }
-  | "uint16_t" -> Some { u16 with it_name = "uint16_t" }
-  | "uint32_t" -> Some { u32 with it_name = "uint32_t" }
-  | "uint64_t" -> Some { u64 with it_name = "uint64_t" }
-  | "int8_t" -> Some { i8 with it_name = "int8_t" }
-  | "int16_t" -> Some { i16 with it_name = "int16_t" }
-  | "int32_t" -> Some { i32 with it_name = "int32_t" }
-  | "int64_t" -> Some { i64 with it_name = "int64_t" }
-  | "_Bool" | "bool" -> Some bool_it
-  | _ -> None
+let uint8_t = { u8 with it_name = "uint8_t" }
+let uint16_t = { u16 with it_name = "uint16_t" }
+let uint32_t = { u32 with it_name = "uint32_t" }
+let uint64_t = { u64 with it_name = "uint64_t" }
+let int8_t = { i8 with it_name = "int8_t" }
+let int16_t = { i16 with it_name = "int16_t" }
+let int32_t = { i32 with it_name = "int32_t" }
+let int64_t = { i64 with it_name = "int64_t" }
+
+(** The integer type a C type name denotes; raises [Not_found] for a name
+    that is not an integer type.  Allocates nothing. *)
+let of_name = function
+  | "char" -> char
+  | "signed char" -> i8
+  | "unsigned char" -> u8
+  | "short" -> i16
+  | "unsigned short" -> u16
+  | "int" -> i32
+  | "unsigned" | "unsigned int" -> u32
+  | "long" | "long long" | "intptr_t" | "ptrdiff_t" | "ssize_t" -> i64
+  | "unsigned long" | "unsigned long long" -> u64
+  | "size_t" -> size_t
+  | "uintptr_t" -> uintptr_t
+  | "uint8_t" -> uint8_t
+  | "uint16_t" -> uint16_t
+  | "uint32_t" -> uint32_t
+  | "uint64_t" -> uint64_t
+  | "int8_t" -> int8_t
+  | "int16_t" -> int16_t
+  | "int32_t" -> int32_t
+  | "int64_t" -> int64_t
+  | "_Bool" | "bool" -> bool_it
+  | _ -> raise Not_found
 
 let pp ppf it = Fmt.string ppf it.it_name

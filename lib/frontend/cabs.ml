@@ -5,7 +5,7 @@
 type attr = { a_name : string; a_args : string list; a_loc : Rc_util.Srcloc.t }
 
 type ctype =
-  | CInt of string  (** e.g. "unsigned long", resolved via {!Rc_caesium.Int_type.by_name} *)
+  | CInt of string  (** e.g. "unsigned long", resolved via {!Rc_caesium.Int_type.of_name} *)
   | CBool
   | CVoid
   | CPtr of ctype

@@ -70,9 +70,9 @@ let layout_of_ctype ?(loc = Rc_util.Srcloc.dummy) (g : genv) (t : ctype) :
     Layout.t =
   match resolve_ctype g t with
   | CInt name -> (
-      match Int_type.by_name name with
-      | Some it -> Layout.Int it
-      | None -> err loc "unknown integer type %s" name)
+      match Int_type.of_name name with
+      | it -> Layout.Int it
+      | exception Not_found -> err loc "unknown integer type %s" name)
   | CBool -> Layout.Int Int_type.bool_it
   | CVoid -> Layout.Void
   | CFn _ -> Layout.FnPtr
@@ -84,11 +84,22 @@ let layout_of_ctype ?(loc = Rc_util.Srcloc.dummy) (g : genv) (t : ctype) :
       | None -> err loc "unknown struct %s" s)
   | CNamed x -> err loc "unknown type name %s" x
 
+(* [layout_of_ctype]'s integer case, without building the layout: the
+   same integer types for the same C types, the same errors for the same
+   unknown names, and [None] for every other layout *)
 let int_type_of_ctype ?(loc = Rc_util.Srcloc.dummy) (g : genv) (t : ctype) :
     Int_type.t option =
-  match layout_of_ctype ~loc g t with
-  | Layout.Int it -> Some it
-  | _ -> None
+  match resolve_ctype g t with
+  | CInt name -> (
+      match Int_type.of_name name with
+      | it -> Some it
+      | exception Not_found -> err loc "unknown integer type %s" name)
+  | CBool -> Some Int_type.bool_it
+  | CVoid | CFn _ | CPtr _ -> None
+  | CStructRef s ->
+      if Hashtbl.mem g.structs s then None
+      else err loc "unknown struct %s" s
+  | CNamed x -> err loc "unknown type name %s" x
 
 (* ------------------------------------------------------------------ *)
 (* Struct declarations → layouts and RefinedC type definitions         *)

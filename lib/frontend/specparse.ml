@@ -535,9 +535,9 @@ let rec coerce_prop_sorts (p : prop) : prop =
 (* ------------------------------------------------------------------ *)
 
 let int_type_of_name (s : string) : Int_type.t =
-  match Int_type.by_name s with
-  | Some it -> it
-  | None -> fail "unknown integer type %s" s
+  match Int_type.of_name s with
+  | it -> it
+  | exception Not_found -> fail "unknown integer type %s" s
 
 (** Collect tokens up to the matching '>' (for int<…> names that contain
     spaces, e.g. int<unsigned long>). *)

@@ -32,6 +32,20 @@ let rec pp ppf = function
 
 let to_string s = Fmt.str "%a" pp s
 
+(** [pp]'s text, written into a signature buffer. *)
+let rec add b s =
+  match s with
+  | List s ->
+      Rc_util.Breakbuf.add_string b "list ";
+      add b s
+  | Nat -> Rc_util.Breakbuf.add_string b "nat"
+  | Int -> Rc_util.Breakbuf.add_string b "int"
+  | Bool -> Rc_util.Breakbuf.add_string b "bool"
+  | Loc -> Rc_util.Breakbuf.add_string b "loc"
+  | Mset -> Rc_util.Breakbuf.add_string b "multiset"
+  | Set -> Rc_util.Breakbuf.add_string b "set"
+  | Unknown -> Rc_util.Breakbuf.add_string b "?"
+
 (** Numeric sorts admit linear-arithmetic reasoning. *)
 let is_numeric = function Nat | Int -> true | _ -> false
 

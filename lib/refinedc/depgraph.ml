@@ -51,8 +51,9 @@ type node = {
 
 type t = {
   nodes : (string * node) list;  (** in source order *)
-  rdeps : (string * string list) list;
-      (** reverse edges: function ↦ its direct callers, sorted *)
+  by_name : (string, node * string list) Hashtbl.t;
+      (** each name's first node, with its reverse edges: its direct
+          callers, sorted.  Read-only once built. *)
 }
 
 (* ---- direct-reference extraction --------------------------------- *)
@@ -162,233 +163,305 @@ let refs_of_invs (invs : (string * Lang.loop_inv) list) : SS.t =
    [Typecheck.toolchain_fingerprint] (a golden digest in
    test_incremental pins it). *)
 
-(* [string_of_int n ^ ";"], written straight into [b]: the digits come
-   from the non-positive [-|n|], which exists for [min_int] too *)
-let enc_int b n =
-  if n < 0 then Buffer.add_char b '-';
-  let rec digits m =
-    if m <= -10 then digits (m / 10);
-    Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
-  in
-  digits (if n < 0 then n else -n);
-  Buffer.add_char b ';'
+(* The writer: a growable byte array the encoders fill in place, so a
+   tag is one store and an int one store per digit, with no closure per
+   list or pair and no [Buffer] call per character. *)
+type enc = { mutable bytes : Bytes.t; mutable len : int }
 
-let enc_str b s =
-  enc_int b (String.length s);
-  Buffer.add_string b s
+let enc_create n = { bytes = Bytes.create n; len = 0 }
 
-let enc_bool b x = Buffer.add_char b (if x then 't' else 'f')
+let grow (w : enc) n =
+  let bytes = Bytes.create (max (w.len + n) (2 * Bytes.length w.bytes)) in
+  Bytes.blit w.bytes 0 bytes 0 w.len;
+  w.bytes <- bytes
 
-let enc_list enc b xs =
-  enc_int b (List.length xs);
-  List.iter (enc b) xs
+(* room for [n] more bytes; inlined, so a write that fits costs a
+   comparison and a store *)
+let[@inline] reserve (w : enc) n =
+  if w.len + n > Bytes.length w.bytes then grow w n
 
-let enc_option enc b = function
-  | None -> Buffer.add_char b 'N'
-  | Some x ->
-      Buffer.add_char b 'S';
-      enc b x
+let[@inline] tag (w : enc) c =
+  reserve w 1;
+  Bytes.unsafe_set w.bytes w.len c;
+  w.len <- w.len + 1
 
-let enc_pair enc1 enc2 b (x, y) =
-  enc1 b x;
-  enc2 b y
+(* [string_of_int n ^ ";"]: the digits come from the non-positive
+   [-|n|], which exists for [min_int] too, written backwards from the
+   end of their counted width *)
+let enc_int (w : enc) n =
+  if n >= 0 && n < 10 then begin
+    (* the common case: a length, size, offset or small constant *)
+    reserve w 2;
+    Bytes.unsafe_set w.bytes w.len (Char.unsafe_chr (48 + n));
+    Bytes.unsafe_set w.bytes (w.len + 1) ';';
+    w.len <- w.len + 2
+  end
+  else begin
+    let m = if n < 0 then n else -n in
+    let rec width m k = if m <= -10 then width (m / 10) (k + 1) else k in
+    let digits = width m 1 in
+    let sign = if n < 0 then 1 else 0 in
+    reserve w (sign + digits + 1);
+    let b = w.bytes and start = w.len in
+    if n < 0 then Bytes.unsafe_set b start '-';
+    let rec put m i =
+      Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
+      if m <= -10 then put (m / 10) (i - 1)
+    in
+    put m (start + sign + digits - 1);
+    Bytes.unsafe_set b (start + sign + digits) ';';
+    w.len <- start + sign + digits + 1
+  end
 
-let enc_int_type b (it : Int_type.t) =
-  enc_str b it.Int_type.it_name;
-  enc_int b it.Int_type.size;
-  Buffer.add_char b
+let enc_str (w : enc) s =
+  let n = String.length s in
+  enc_int w n;
+  reserve w n;
+  Bytes.unsafe_blit_string s 0 w.bytes w.len n;
+  w.len <- w.len + n
+
+let enc_bool w x = tag w (if x then 't' else 'f')
+
+let enc_int_type w (it : Int_type.t) =
+  enc_str w it.Int_type.it_name;
+  enc_int w it.Int_type.size;
+  tag w
     (match it.Int_type.signedness with
     | Int_type.Signed -> 's'
     | Int_type.Unsigned -> 'u')
 
-let rec enc_layout b (l : Layout.t) =
+let rec enc_layout w (l : Layout.t) =
   match l with
   | Layout.Int it ->
-      Buffer.add_char b 'I';
-      enc_int_type b it
-  | Layout.Ptr -> Buffer.add_char b 'P'
-  | Layout.FnPtr -> Buffer.add_char b 'F'
+      tag w 'I';
+      enc_int_type w it
+  | Layout.Ptr -> tag w 'P'
+  | Layout.FnPtr -> tag w 'F'
   | Layout.Struct sl ->
-      Buffer.add_char b 'S';
-      enc_struct b sl
+      tag w 'S';
+      enc_struct w sl
   | Layout.Array (l, n) ->
-      Buffer.add_char b 'A';
-      enc_layout b l;
-      enc_int b n
-  | Layout.Void -> Buffer.add_char b 'V'
+      tag w 'A';
+      enc_layout w l;
+      enc_int w n
+  | Layout.Void -> tag w 'V'
 
-and enc_struct b (sl : Layout.struct_layout) =
-  enc_str b sl.Layout.sl_name;
-  enc_list
-    (fun b (f : Layout.field) ->
-      enc_str b f.Layout.fld_name;
-      enc_int b f.Layout.fld_ofs;
-      enc_layout b f.Layout.fld_layout)
-    b sl.Layout.sl_fields;
-  enc_int b sl.Layout.sl_size;
-  enc_int b sl.Layout.sl_align
+and enc_struct w (sl : Layout.struct_layout) =
+  enc_str w sl.Layout.sl_name;
+  enc_int w (List.length sl.Layout.sl_fields);
+  enc_fields w sl.Layout.sl_fields;
+  enc_int w sl.Layout.sl_size;
+  enc_int w sl.Layout.sl_align
 
-let enc_ot b = function
+and enc_fields w = function
+  | [] -> ()
+  | (f : Layout.field) :: rest ->
+      enc_str w f.Layout.fld_name;
+      enc_int w f.Layout.fld_ofs;
+      enc_layout w f.Layout.fld_layout;
+      enc_fields w rest
+
+let enc_ot w = function
   | Syntax.OInt it ->
-      Buffer.add_char b 'I';
-      enc_int_type b it
-  | Syntax.OPtr -> Buffer.add_char b 'P'
+      tag w 'I';
+      enc_int_type w it
+  | Syntax.OPtr -> tag w 'P'
 
-let enc_binop b (op : Syntax.binop) =
-  let tag c = Buffer.add_char b c in
+let enc_binop w (op : Syntax.binop) =
   match op with
-  | Syntax.AddOp -> tag '+'
-  | Syntax.SubOp -> tag '-'
-  | Syntax.MulOp -> tag '*'
-  | Syntax.DivOp -> tag '/'
-  | Syntax.ModOp -> tag '%'
-  | Syntax.AndOp -> tag '&'
-  | Syntax.OrOp -> tag '|'
-  | Syntax.XorOp -> tag '^'
-  | Syntax.ShlOp -> tag '<'
-  | Syntax.ShrOp -> tag '>'
-  | Syntax.EqOp -> tag '='
-  | Syntax.NeOp -> tag '!'
-  | Syntax.LtOp -> tag 'l'
-  | Syntax.LeOp -> tag 'L'
-  | Syntax.GtOp -> tag 'g'
-  | Syntax.GeOp -> tag 'G'
+  | Syntax.AddOp -> tag w '+'
+  | Syntax.SubOp -> tag w '-'
+  | Syntax.MulOp -> tag w '*'
+  | Syntax.DivOp -> tag w '/'
+  | Syntax.ModOp -> tag w '%'
+  | Syntax.AndOp -> tag w '&'
+  | Syntax.OrOp -> tag w '|'
+  | Syntax.XorOp -> tag w '^'
+  | Syntax.ShlOp -> tag w '<'
+  | Syntax.ShrOp -> tag w '>'
+  | Syntax.EqOp -> tag w '='
+  | Syntax.NeOp -> tag w '!'
+  | Syntax.LtOp -> tag w 'l'
+  | Syntax.LeOp -> tag w 'L'
+  | Syntax.GtOp -> tag w 'g'
+  | Syntax.GeOp -> tag w 'G'
   | Syntax.PtrPlusOp l ->
-      tag 'p';
-      enc_layout b l
+      tag w 'p';
+      enc_layout w l
   | Syntax.PtrDiffOp l ->
-      tag 'd';
-      enc_layout b l
+      tag w 'd';
+      enc_layout w l
 
-let enc_unop b (op : Syntax.unop) =
-  Buffer.add_char b
+let enc_unop w (op : Syntax.unop) =
+  tag w
     (match op with
     | Syntax.NegOp -> '-'
     | Syntax.BitNotOp -> '~'
     | Syntax.LogNotOp -> '!')
 
-let rec enc_expr b (e : Syntax.expr) =
-  let tag c = Buffer.add_char b c in
+let rec enc_expr w (e : Syntax.expr) =
   match e with
   | Syntax.IntConst (n, it) ->
-      tag 'i';
-      enc_int b n;
-      enc_int_type b it
-  | Syntax.NullConst -> tag 'n'
+      tag w 'i';
+      enc_int w n;
+      enc_int_type w it
+  | Syntax.NullConst -> tag w 'n'
   | Syntax.FnAddr f ->
-      tag 'a';
-      enc_str b f
+      tag w 'a';
+      enc_str w f
   | Syntax.VarLoc x ->
-      tag 'v';
-      enc_str b x
+      tag w 'v';
+      enc_str w x
   | Syntax.Use { atomic; layout; arg } ->
-      tag 'u';
-      enc_bool b atomic;
-      enc_layout b layout;
-      enc_expr b arg
+      tag w 'u';
+      enc_bool w atomic;
+      enc_layout w layout;
+      enc_expr w arg
   | Syntax.FieldOfs { arg; struct_; field } ->
-      tag 'f';
-      enc_expr b arg;
-      enc_struct b struct_;
-      enc_str b field
+      tag w 'f';
+      enc_expr w arg;
+      enc_struct w struct_;
+      enc_str w field
   | Syntax.BinOp { op; ot1; ot2; e1; e2 } ->
-      tag 'b';
-      enc_binop b op;
-      enc_ot b ot1;
-      enc_ot b ot2;
-      enc_expr b e1;
-      enc_expr b e2
+      tag w 'b';
+      enc_binop w op;
+      enc_ot w ot1;
+      enc_ot w ot2;
+      enc_expr w e1;
+      enc_expr w e2
   | Syntax.UnOp { op; ot; arg } ->
-      tag 'o';
-      enc_unop b op;
-      enc_ot b ot;
-      enc_expr b arg
+      tag w 'o';
+      enc_unop w op;
+      enc_ot w ot;
+      enc_expr w arg
   | Syntax.CastIntInt { from_; to_; arg } ->
-      tag 'c';
-      enc_int_type b from_;
-      enc_int_type b to_;
-      enc_expr b arg
+      tag w 'c';
+      enc_int_type w from_;
+      enc_int_type w to_;
+      enc_expr w arg
   | Syntax.CastPtrPtr arg ->
-      tag 'p';
-      enc_expr b arg
+      tag w 'p';
+      enc_expr w arg
 
-let enc_dest b = enc_option (enc_pair enc_layout enc_expr) b
+(* a list of (layout, expr) pairs: call arguments *)
+let rec enc_operands w = function
+  | [] -> ()
+  | (l, e) :: rest ->
+      enc_layout w l;
+      enc_expr w e;
+      enc_operands w rest
 
-let enc_stmt b (s : Syntax.stmt) =
-  let tag c = Buffer.add_char b c in
+let enc_dest w = function
+  | None -> tag w 'N'
+  | Some (l, e) ->
+      tag w 'S';
+      enc_layout w l;
+      enc_expr w e
+
+let enc_stmt w (s : Syntax.stmt) =
   match s with
   | Syntax.Assign { atomic; layout; lhs; rhs } ->
-      tag 'A';
-      enc_bool b atomic;
-      enc_layout b layout;
-      enc_expr b lhs;
-      enc_expr b rhs
+      tag w 'A';
+      enc_bool w atomic;
+      enc_layout w layout;
+      enc_expr w lhs;
+      enc_expr w rhs
   | Syntax.Call { dest; fn; args } ->
-      tag 'C';
-      enc_dest b dest;
-      enc_expr b fn;
-      enc_list (enc_pair enc_layout enc_expr) b args
+      tag w 'C';
+      enc_dest w dest;
+      enc_expr w fn;
+      enc_int w (List.length args);
+      enc_operands w args
   | Syntax.Cas { layout; obj; expected; desired; dest } ->
-      tag 'X';
-      enc_layout b layout;
-      enc_expr b obj;
-      enc_expr b expected;
-      enc_expr b desired;
-      enc_dest b dest
-  | Syntax.Skip -> tag 'S'
+      tag w 'X';
+      enc_layout w layout;
+      enc_expr w obj;
+      enc_expr w expected;
+      enc_expr w desired;
+      enc_dest w dest
+  | Syntax.Skip -> tag w 'S'
   | Syntax.ExprStmt e ->
-      tag 'E';
-      enc_expr b e
+      tag w 'E';
+      enc_expr w e
   | Syntax.Free e ->
-      tag 'F';
-      enc_expr b e
+      tag w 'F';
+      enc_expr w e
 
-let enc_term b (t : Syntax.terminator) =
-  let tag c = Buffer.add_char b c in
+let rec enc_cases w = function
+  | [] -> ()
+  | (n, l) :: rest ->
+      enc_int w n;
+      enc_str w l;
+      enc_cases w rest
+
+let enc_term w (t : Syntax.terminator) =
   match t with
   | Syntax.Goto l ->
-      tag 'g';
-      enc_str b l
+      tag w 'g';
+      enc_str w l
   | Syntax.CondGoto { ot; cond; if_true; if_false } ->
-      tag 'c';
-      enc_ot b ot;
-      enc_expr b cond;
-      enc_str b if_true;
-      enc_str b if_false
+      tag w 'c';
+      enc_ot w ot;
+      enc_expr w cond;
+      enc_str w if_true;
+      enc_str w if_false
   | Syntax.Switch { ot; scrut; cases; default } ->
-      tag 's';
-      enc_ot b ot;
-      enc_expr b scrut;
-      enc_list (enc_pair enc_int enc_str) b cases;
-      enc_str b default
-  | Syntax.Return e ->
-      tag 'r';
-      enc_option enc_expr b e
-  | Syntax.Unreachable -> tag 'u'
+      tag w 's';
+      enc_ot w ot;
+      enc_expr w scrut;
+      enc_int w (List.length cases);
+      enc_cases w cases;
+      enc_str w default
+  | Syntax.Return None ->
+      tag w 'r';
+      tag w 'N'
+  | Syntax.Return (Some e) ->
+      tag w 'r';
+      tag w 'S';
+      enc_expr w e
+  | Syntax.Unreachable -> tag w 'u'
 
-let enc_block b (blk : Syntax.block) =
-  enc_list enc_stmt b blk.Syntax.stmts;
-  enc_term b blk.Syntax.term
+let enc_block w (blk : Syntax.block) =
+  enc_int w (List.length blk.Syntax.stmts);
+  List.iter (enc_stmt w) blk.Syntax.stmts;
+  enc_term w blk.Syntax.term
 
-let enc_slots = enc_list (enc_pair enc_str enc_layout)
+let rec enc_slots_of w = function
+  | [] -> ()
+  | (x, l) :: rest ->
+      enc_str w x;
+      enc_layout w l;
+      enc_slots_of w rest
 
-let enc_func b (f : Syntax.func) =
-  enc_str b f.Syntax.fname;
-  enc_slots b f.Syntax.args;
-  enc_slots b f.Syntax.locals;
-  enc_layout b f.Syntax.ret_layout;
-  enc_list (enc_pair enc_str enc_block) b f.Syntax.blocks;
-  enc_str b f.Syntax.entry
+let enc_slots w slots =
+  enc_int w (List.length slots);
+  enc_slots_of w slots
+
+let rec enc_blocks w = function
+  | [] -> ()
+  | (l, blk) :: rest ->
+      enc_str w l;
+      enc_block w blk;
+      enc_blocks w rest
+
+let enc_func w (f : Syntax.func) =
+  enc_str w f.Syntax.fname;
+  enc_slots w f.Syntax.args;
+  enc_slots w f.Syntax.locals;
+  enc_layout w f.Syntax.ret_layout;
+  enc_int w (List.length f.Syntax.blocks);
+  enc_blocks w f.Syntax.blocks;
+  enc_str w f.Syntax.entry
 
 let digest (s : string) : string = Digest.to_hex (Digest.string s)
 
 (** The body digest: the structural encoding of the Caesium function
     followed by the loop-invariant signature. *)
 let body_digest (ftc : Typecheck.fn_to_check) : string =
-  let b = Buffer.create 1024 in
-  enc_func b ftc.Typecheck.func;
-  enc_str b (Typecheck.invs_signature ftc.Typecheck.invs);
-  digest (Buffer.contents b)
+  let w = enc_create 1024 in
+  enc_func w ftc.Typecheck.func;
+  enc_str w (Typecheck.invs_signature ftc.Typecheck.invs);
+  Digest.to_hex (Digest.subbytes w.bytes 0 w.len)
 
 let iface_digest (ftc : Typecheck.fn_to_check) : string =
   digest (Rtype.spec_signature ftc.Typecheck.spec)
@@ -440,26 +513,36 @@ let build (fns : Typecheck.fn_to_check list) : t =
             :: Option.value ~default:[] (Hashtbl.find_opt rdeps_tbl dep)))
         node.n_deps)
     nodes;
-  let rdeps =
-    List.map
-      (fun (name, _) ->
-        ( name,
-          List.sort compare
-            (Option.value ~default:[] (Hashtbl.find_opt rdeps_tbl name)) ))
-      nodes
-  in
-  { nodes; rdeps }
+  (* the first node of a name wins, as [List.assoc] would pick it *)
+  let by_name = Hashtbl.create (List.length nodes) in
+  List.iter
+    (fun (name, node) ->
+      if not (Hashtbl.mem by_name name) then
+        Hashtbl.add by_name name
+          ( node,
+            List.sort compare
+              (Option.value ~default:[] (Hashtbl.find_opt rdeps_tbl name)) ))
+    nodes;
+  { nodes; by_name }
 
-let node (g : t) (name : string) : node option = List.assoc_opt name g.nodes
+let node (g : t) (name : string) : node option =
+  match Hashtbl.find g.by_name name with
+  | n, _ -> Some n
+  | exception Not_found -> None
+
 let names (g : t) : string list = List.map fst g.nodes
 
 (** Direct dependencies (spec'd functions this one references). *)
 let direct_deps (g : t) (name : string) : string list =
-  match node g name with Some n -> n.n_deps | None -> []
+  match Hashtbl.find g.by_name name with
+  | n, _ -> n.n_deps
+  | exception Not_found -> []
 
 (** Direct dependents (spec'd functions that reference this one). *)
 let dependents (g : t) (name : string) : string list =
-  Option.value ~default:[] (List.assoc_opt name g.rdeps)
+  match Hashtbl.find g.by_name name with
+  | _, callers -> callers
+  | exception Not_found -> []
 
 (** Dependency-respecting order: callees before callers, source order
     within a stratum; cycles (mutual recursion) are broken at the

@@ -284,26 +284,164 @@ let pp_hres ppf = function
 
 let rtype_to_string t = Fmt.str "%a" pp_rtype t
 
+(* [pp_rtype]/[pp_atom]/[pp_hres]'s text, written into a signature
+   buffer: the cache keys digest it, so it must stay byte-for-byte what
+   the [Fmt] printers above print (see {!Rc_util.Breakbuf}). *)
+module B = Rc_util.Breakbuf
+
+let rec add_rtype b (ty : rtype) =
+  match ty with
+  | TInt (it, n) ->
+      add_term b n;
+      B.add_string b " @ int<";
+      B.add_string b it.Int_type.it_name;
+      B.add_char b '>'
+  | TBool (_, q) ->
+      B.add_char b '{';
+      add_prop b q;
+      B.add_string b "} @ bool"
+  | TNull -> B.add_string b "null"
+  | TPtrV l ->
+      add_term b l;
+      B.add_string b " @ ptr"
+  | TOwn (Some l, t) ->
+      add_term b l;
+      B.add_string b " @ &own<";
+      add_rtype b t;
+      B.add_char b '>'
+  | TOwn (None, t) ->
+      B.add_string b "&own<";
+      add_rtype b t;
+      B.add_char b '>'
+  | TOptional (q, t1, t2) ->
+      B.add_char b '{';
+      add_prop b q;
+      B.add_string b "} @ optional<";
+      add_rtype b t1;
+      B.add_string b ", ";
+      add_rtype b t2;
+      B.add_char b '>'
+  | TUninit n ->
+      B.add_string b "uninit<";
+      add_term b n;
+      B.add_char b '>'
+  | TManaged n ->
+      B.add_string b "managed<";
+      B.add_int b n;
+      B.add_char b '>'
+  | TAnyInt it ->
+      B.add_string b "any_int<";
+      B.add_string b it.Int_type.it_name;
+      B.add_char b '>'
+  | TStruct (sl, ts) ->
+      B.add_string b "struct ";
+      B.add_string b sl.Layout.sl_name;
+      B.add_char b '<';
+      B.list b ~sep:"," add_rtype ts;
+      B.add_char b '>'
+  | TArrayInt (it, len, xs) ->
+      B.add_string b "array<int<";
+      B.add_string b it.Int_type.it_name;
+      B.add_string b ">, ";
+      add_term b len;
+      B.add_string b ", ";
+      add_term b xs;
+      B.add_char b '>'
+  | TWand (a, t) ->
+      B.add_string b "wand<{";
+      add_atom b a;
+      B.add_string b "}, ";
+      add_rtype b t;
+      B.add_char b '>'
+  | TExists (x, s, f) ->
+      B.add_string b "∃";
+      B.add_string b x;
+      B.add_char b ':';
+      Sort.add b s;
+      B.add_string b ". ";
+      add_rtype b (f (Var (x, s)))
+  | TConstr (t, q) ->
+      B.add_char b '{';
+      add_rtype b t;
+      B.add_string b " | ";
+      add_prop b q;
+      B.add_char b '}'
+  | TPadded (t, n) ->
+      B.add_string b "padded<";
+      add_rtype b t;
+      B.add_string b ", ";
+      add_term b n;
+      B.add_char b '>'
+  | TNamed (n, args) -> (
+      match List.rev args with
+      | [] -> B.add_string b n
+      | r :: _ ->
+          add_term b r;
+          B.add_string b " @ ";
+          B.add_string b n)
+  | TFnPtr spec ->
+      B.add_string b "fn<";
+      B.add_string b spec.fs_name;
+      B.add_char b '>'
+  | TAtomicBool (_, q, _, _) ->
+      B.add_char b '{';
+      add_prop b q;
+      B.add_string b "} @ atomicbool"
+
+and add_atom b = function
+  | LocTy (l, t) ->
+      add_term b l;
+      B.add_string b " ◁ₗ ";
+      add_rtype b t
+  | ValTy (v, t) ->
+      add_term b v;
+      B.add_string b " ◁ᵥ ";
+      add_rtype b t
+
+let add_hres b = function
+  | HAtom a -> add_atom b a
+  | HProp p ->
+      B.add_string b "⌜";
+      add_prop b p;
+      B.add_string b "⌝"
+
+(** ["x:sort"], as the signatures print a binder *)
+let add_binder b (x, srt) =
+  B.add_string b x;
+  B.add_char b ':';
+  Sort.add b srt
+
 (** A deterministic printed form of a function specification covering
     every field that can influence a check (the source location is
     deliberately excluded — it moves with unrelated edits and affects
     only diagnostics).  Used as a component of the verification-cache
-    key, so it must change whenever the spec meaningfully changes. *)
+    key, so it must change whenever the spec meaningfully changes.  Its
+    bytes are the [Fmt.str] rendering of
+    ["%s|params:%a|args:%a|pre:%a|exists:%a|ret:%a|post:%a|tactics:%s"]
+    with [Fmt.comma]-separated lists, line breaks included (pinned by
+    "golden spec and invariant signatures" in test_refinedc). *)
 let spec_signature (s : fn_spec) : string =
-  let binder ppf (x, srt) = Fmt.pf ppf "%s:%a" x Sort.pp srt in
-  Fmt.str "%s|params:%a|args:%a|pre:%a|exists:%a|ret:%a|post:%a|tactics:%s"
-    s.fs_name
-    Fmt.(list ~sep:comma binder)
-    s.fs_params
-    Fmt.(list ~sep:comma pp_rtype)
-    s.fs_args
-    Fmt.(list ~sep:comma pp_hres)
-    s.fs_pre
-    Fmt.(list ~sep:comma binder)
-    s.fs_exists pp_rtype s.fs_ret
-    Fmt.(list ~sep:comma pp_hres)
-    s.fs_post
-    (String.concat "," s.fs_tactics)
+  let b = B.create 256 in
+  B.add_string b s.fs_name;
+  B.add_string b "|params:";
+  B.list b ~sep:"," add_binder s.fs_params;
+  B.add_string b "|args:";
+  B.list b ~sep:"," add_rtype s.fs_args;
+  B.add_string b "|pre:";
+  B.list b ~sep:"," add_hres s.fs_pre;
+  B.add_string b "|exists:";
+  B.list b ~sep:"," add_binder s.fs_exists;
+  B.add_string b "|ret:";
+  add_rtype b s.fs_ret;
+  B.add_string b "|post:";
+  B.list b ~sep:"," add_hres s.fs_post;
+  B.add_string b "|tactics:";
+  List.iteri
+    (fun i t ->
+      if i > 0 then B.add_char b ',';
+      B.add_string b t)
+    s.fs_tactics;
+  B.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Atom subjects and relatedness (engine plumbing)                     *)

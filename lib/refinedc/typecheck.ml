@@ -239,16 +239,28 @@ let budget_signature (b : Rc_util.Budget.limits) : string =
     (num Fmt.float) b.Rc_util.Budget.timeout (num Fmt.int)
     b.Rc_util.Budget.max_depth
 
+(** The printed loop invariants of one function, a component of its
+    body digest.  Its bytes are the [Fmt.str] rendering of
+    ["%s{ex:%a|vars:%a|cstr:%a}"] per invariant, [Fmt.comma] within and
+    [Fmt.semi] between invariants, line breaks included (pinned by
+    "golden spec and invariant signatures" in test_refinedc). *)
 let invs_signature (invs : (string * loop_inv) list) : string =
-  let binder ppf (x, srt) = Fmt.pf ppf "%s:%a" x Sort.pp srt in
-  let var ppf (x, ty) = Fmt.pf ppf "%s:%a" x Rtype.pp_rtype ty in
-  let inv ppf (label, (i : loop_inv)) =
-    Fmt.pf ppf "%s{ex:%a|vars:%a|cstr:%a}" label
-      Fmt.(list ~sep:comma binder)
-      i.li_exists
-      Fmt.(list ~sep:comma var)
-      i.li_vars
-      Fmt.(list ~sep:comma Term.pp_prop)
-      i.li_constraints
+  let module B = Rc_util.Breakbuf in
+  let var b (x, ty) =
+    B.add_string b x;
+    B.add_char b ':';
+    Rtype.add_rtype b ty
   in
-  Fmt.str "%a" Fmt.(list ~sep:semi inv) invs
+  let inv b (label, (i : loop_inv)) =
+    B.add_string b label;
+    B.add_string b "{ex:";
+    B.list b ~sep:"," Rtype.add_binder i.li_exists;
+    B.add_string b "|vars:";
+    B.list b ~sep:"," var i.li_vars;
+    B.add_string b "|cstr:";
+    B.list b ~sep:"," Term.add_prop i.li_constraints;
+    B.add_char b '}'
+  in
+  let b = B.create 128 in
+  B.list b ~sep:";" inv invs;
+  B.contents b

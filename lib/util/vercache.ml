@@ -285,20 +285,26 @@ let find_keyed ?fault (t : t) ~(id : string)
     match Faultsim.point fault "cache.read" with
     | exception Faultsim.Injected _ -> KMiss Collision
     | () -> (
-        if not (Sys.file_exists path) then
-          match read_manifest t id with
-          | None -> KMiss Fresh
-          | Some old_cs -> (
-              match diff_components old_cs components with
-              | [] -> KMiss Evicted
-              | changed -> KMiss (Changed changed))
-        else
-          match
-            In_channel.with_open_bin path (fun ic ->
-                (Marshal.from_channel ic : string * string * string))
-          with
-          | v, k, payload when v = format_version && k = key -> KHit payload
-          | _ | (exception _) -> KMiss Collision)
+        (* open first: a missing entry is the common miss, and an open
+           that fails says so without a separate [stat] on every hit; an
+           entry that exists but cannot be opened is corrupt, as before *)
+        match In_channel.open_bin path with
+        | exception Sys_error _ when not (Sys.file_exists path) -> (
+            match read_manifest t id with
+            | None -> KMiss Fresh
+            | Some old_cs -> (
+                match diff_components old_cs components with
+                | [] -> KMiss Evicted
+                | changed -> KMiss (Changed changed)))
+        | exception _ -> KMiss Collision
+        | ic -> (
+            match
+              Fun.protect
+                ~finally:(fun () -> In_channel.close_noerr ic)
+                (fun () -> (Marshal.from_channel ic : string * string * string))
+            with
+            | v, k, payload when v = format_version && k = key -> KHit payload
+            | _ | (exception _) -> KMiss Collision))
   in
   (match outcome with
   | KMiss Collision -> t.corrupt_skips <- t.corrupt_skips + 1

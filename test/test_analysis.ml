@@ -112,7 +112,7 @@ let cfg_tests =
         in
         let cfg = Cfg.build f in
         Alcotest.(check (list string))
-          "order" [ "entry"; "mid"; "last" ] cfg.Cfg.reachable;
+          "order" [ "entry"; "mid"; "last" ] (Cfg.reachable_labels cfg);
         Alcotest.(check (list string))
           "preds of last" [ "mid" ]
           (Cfg.preds_of cfg "last"));
@@ -154,7 +154,11 @@ let dataflow_tests =
         let inputs =
           Dataflow.Must_vars.run cfg ~entry:Dataflow.StringSet.empty ~transfer
         in
-        let at l = Dataflow.StringSet.elements (List.assoc l inputs) in
+        let at l =
+          Dataflow.StringSet.elements
+            (List.assoc l
+               (List.map (fun (id, st) -> (Cfg.label cfg id, st)) inputs))
+        in
         Alcotest.(check (list string)) "entry input" [] (at "entry");
         Alcotest.(check (list string)) "left input" [ "x" ] (at "l");
         Alcotest.(check (list string)) "join input" [ "x" ] (at "join"));
@@ -188,7 +192,11 @@ let dataflow_tests =
         let inputs =
           Dataflow.Must_vars.run cfg ~entry:Dataflow.StringSet.empty ~transfer
         in
-        let at l = Dataflow.StringSet.elements (List.assoc l inputs) in
+        let at l =
+          Dataflow.StringSet.elements
+            (List.assoc l
+               (List.map (fun (id, st) -> (Cfg.label cfg id, st)) inputs))
+        in
         (* y is defined on the back edge but not the entry edge: must
            not be definite at the head *)
         Alcotest.(check (list string)) "head input" [ "x" ] (at "head");
@@ -705,6 +713,326 @@ let diagnostic_tests =
                 ~loc:Rc_util.Srcloc.dummy "m")));
   ]
 
+(* --------------------------------------------------------------- *)
+(* Differential: the dense CFG, dataflow and init pass against the   *)
+(* string-keyed ones they replaced (test/lint_oracle.ml)              *)
+(* --------------------------------------------------------------- *)
+
+module Oracle = Lint_oracle
+
+(* A random Caesium function, shaped to reach every corner the dense
+   representation handles differently: constant [CondGoto]s and
+   [Switch]es, duplicate successor labels, gotos to labels with no
+   block, duplicate block labels (Cfg keeps the last definition, the
+   location index the first), unreachable islands, address-taken locals
+   and more than 62 tracked locals.  Statement locations share start
+   positions with different ends, so the earliest-read tie-break is
+   observable. *)
+let gen_case =
+  let open QCheck.Gen in
+  let* nlocals = oneof [ int_range 0 8; int_range 55 140 ] in
+  let* nblocks = int_range 1 24 in
+  let locals =
+    List.init nlocals (fun i -> (Printf.sprintf "v%d" i, Layout.Int i32))
+  in
+  let* dup_local = bool in
+  let locals =
+    if dup_local && nlocals > 0 then locals @ [ List.hd locals ] else locals
+  in
+  let var =
+    if nlocals = 0 then oneofl [ "a0"; "g" ]
+    else
+      frequency
+        [ (8, map (Printf.sprintf "v%d") (int_range 0 (nlocals - 1)));
+          (1, oneofl [ "a0"; "g" ]) ]
+  in
+  let label =
+    frequency
+      [ (12, map (Printf.sprintf "L%d") (int_range 0 (nblocks - 1)));
+        (1, oneofl [ "X0"; "X1" ]) ]
+  in
+  let sl =
+    { Layout.sl_name = "s"; sl_fields = [ { Layout.fld_name = "f"; fld_ofs = 0;
+      fld_layout = Layout.Int i32 } ]; sl_size = 4; sl_align = 4 }
+  in
+  let rec expr n =
+    if n = 0 then
+      frequency
+        [ (6, map use var); (2, map cint (int_range 0 3));
+          (1, map (fun x -> Syntax.VarLoc x) var) ]
+    else
+      frequency
+        [ (4, map use var); (1, map cint (int_range 0 3));
+          (2, map2 (fun a b -> Syntax.BinOp { op = Syntax.AddOp;
+             ot1 = Syntax.OInt i32; ot2 = Syntax.OInt i32; e1 = a; e2 = b })
+             (expr (n - 1)) (expr (n - 1)));
+          (1, map (fun x -> Syntax.FieldOfs { arg = Syntax.VarLoc x;
+             struct_ = sl; field = "f" }) var);
+          (1, map (fun e -> Syntax.Use { atomic = false; layout = Layout.Ptr;
+             arg = e }) (expr (n - 1))) ]
+  in
+  let stmt =
+    frequency
+      [ (6, map2 assign var (expr 2));
+        (1, map2 (fun l r -> Syntax.Assign { atomic = false;
+           layout = Layout.Int i32; lhs = l; rhs = r }) (expr 1) (expr 1));
+        (2, map3 (fun d a x -> Syntax.Call {
+           dest = (if d then Some (Layout.Int i32, Syntax.VarLoc x) else None);
+           fn = Syntax.FnAddr "h"; args = [ (Layout.Ptr, a) ] }) bool (expr 1) var);
+        (1, map2 (fun o x -> Syntax.Cas { layout = Layout.Int i32; obj = o;
+           expected = cint 0; desired = cint 1;
+           dest = Some (Layout.Int i32, Syntax.VarLoc x) }) (expr 1) var);
+        (1, map (fun e -> Syntax.ExprStmt e) (expr 1));
+        (1, pure Syntax.Skip) ]
+  in
+  let term =
+    frequency
+      [ (4, map (fun l -> Syntax.Goto l) label);
+        (4, map3 (fun c t f -> Syntax.CondGoto { ot = Syntax.OInt i32;
+           cond = c; if_true = t; if_false = f })
+           (frequency [ (3, expr 1); (1, map cint (int_range 0 1)) ]) label label);
+        (1, map2 (fun t l -> Syntax.CondGoto { ot = Syntax.OInt i32;
+           cond = (if t then use "v0" else cint 1); if_true = l; if_false = l })
+           bool label);
+        (2, map3 (fun sc cases d -> Syntax.Switch { ot = Syntax.OInt i32;
+           scrut = sc; cases = List.mapi (fun i l -> (i mod 3, l)) cases;
+           default = d })
+           (frequency [ (3, expr 1); (1, map cint (int_range 0 3)) ])
+           (list_size (int_range 0 5) label) label);
+        (2, map (fun e -> Syntax.Return e) (opt (expr 1)));
+        (1, pure Syntax.Unreachable) ]
+  in
+  let* blocks =
+    list_repeat nblocks
+      (pair (list_size (int_range 0 4) stmt) term)
+  in
+  let* dups = list_size (int_range 0 2) (pair (int_range 0 (nblocks - 1)) term) in
+  let blocks =
+    List.mapi
+      (fun i (stmts, t) -> (Printf.sprintf "L%d" i, { Syntax.stmts; term = t }))
+      blocks
+    @ List.map
+        (fun (i, t) -> (Printf.sprintf "L%d" i, { Syntax.stmts = [ assign "v0" (cint 1) ]; term = t }))
+        dups
+  in
+  let* entry = frequency [ (12, pure "L0"); (1, pure "X0") ] in
+  let* void = bool in
+  let func =
+    mk_func ~args:[ ("a0", Layout.Int i32) ] ~locals
+      ~ret:(if void then Layout.Void else Layout.Int i32) blocks entry
+  in
+  let* locs =
+    flatten_l
+      (List.concat_map
+         (fun (l, (b : Syntax.block)) ->
+           List.mapi
+             (fun i _ ->
+               map3
+                 (fun line col e ->
+                   ( (l, i),
+                     Rc_util.Srcloc.make ~file:"gen.c" ~start_line:line
+                       ~start_col:col ~end_line:line ~end_col:(col + e) ))
+                 (int_range 1 6) (int_range 1 2) (int_range 0 9))
+             b.Syntax.stmts)
+         blocks)
+  in
+  let* tlocs =
+    flatten_l
+      (List.map
+         (fun (l, _) ->
+           map
+             (fun line ->
+               ( l,
+                 Rc_util.Srcloc.make ~file:"gen.c" ~start_line:line
+                   ~start_col:1 ~end_line:line ~end_col:2 ))
+             (int_range 1 6))
+         blocks)
+  in
+  let meta =
+    { Rc_refinedc.Lang.fm_stmt_locs = locs; fm_term_locs = tlocs;
+      fm_block_descr = [] }
+  in
+  pure (func, meta)
+
+let print_case ((f : Syntax.func), _) =
+  Printf.sprintf "entry %s, %d locals, blocks: %s" f.Syntax.entry
+    (List.length f.Syntax.locals)
+    (String.concat "; "
+       (List.map
+          (fun (l, (b : Syntax.block)) ->
+            Printf.sprintf "%s(%d stmts) -> %s" l (List.length b.Syntax.stmts)
+              (String.concat "," (Oracle.Cfg.term_succs b.Syntax.term)))
+          f.Syntax.blocks))
+
+let ftc_of ((func : Syntax.func), meta) : Rc_refinedc.Typecheck.fn_to_check =
+  {
+    Rc_refinedc.Typecheck.func;
+    spec =
+      {
+        Rc_refinedc.Rtype.fs_name = "f"; fs_params = []; fs_args = [];
+        fs_pre = []; fs_exists = []; fs_ret = Rc_refinedc.Rtype.t_void;
+        fs_post = []; fs_tactics = [];
+        fs_loc =
+          Some
+            (Rc_util.Srcloc.make ~file:"gen.c" ~start_line:1 ~start_col:1
+               ~end_line:1 ~end_col:1);
+      };
+    invs = [];
+    index = Rc_refinedc.Lang.index_fn func meta;
+  }
+
+(* the dense and the string-keyed analyses agree on one function *)
+let dense_matches_oracle case =
+  let ftc = ftc_of case in
+  let func = ftc.Rc_refinedc.Typecheck.func in
+  let cfg = Cfg.build func and ocfg = Oracle.Cfg.build func in
+  let labels =
+    "nowhere" :: func.Syntax.entry
+    :: List.concat_map
+         (fun (l, (b : Syntax.block)) -> l :: Oracle.Cfg.term_succs b.Syntax.term)
+         func.Syntax.blocks
+  in
+  let graph_ok =
+    List.for_all
+      (fun l ->
+        Cfg.succs_of cfg l = Oracle.Cfg.succs_of ocfg l
+        && Cfg.preds_of cfg l = Oracle.Cfg.preds_of ocfg l
+        && Cfg.is_reachable cfg l = Oracle.Cfg.is_reachable ocfg l)
+      labels
+    && Cfg.reachable_labels cfg = ocfg.Oracle.Cfg.reachable
+    && List.map fst (Cfg.unreachable_blocks cfg)
+       = List.map fst (Oracle.Cfg.unreachable_blocks ocfg)
+  in
+  (* the generic engine, on the definitions-so-far instance *)
+  let transfer _ (b : Syntax.block) st =
+    List.fold_left
+      (fun st s ->
+        match s with
+        | Syntax.Assign { lhs = Syntax.VarLoc x; _ } ->
+            Dataflow.StringSet.add x st
+        | _ -> st)
+      st b.Syntax.stmts
+  in
+  let flow_ok =
+    List.map
+      (fun (id, st) -> (Cfg.label cfg id, Dataflow.StringSet.elements st))
+      (Dataflow.Must_vars.run cfg ~entry:Dataflow.StringSet.empty ~transfer)
+    = List.map
+        (fun (l, st) -> (l, Oracle.Dataflow.StringSet.elements st))
+        (Oracle.Dataflow.Must_vars.run ocfg
+           ~entry:Oracle.Dataflow.StringSet.empty
+           ~transfer:(fun l b st ->
+             Oracle.Dataflow.StringSet.of_list
+               (Dataflow.StringSet.elements
+                  (transfer l b
+                     (Dataflow.StringSet.of_list
+                        (Oracle.Dataflow.StringSet.elements st))))))
+  in
+  let dense =
+    Diagnostic.sort
+      (Rc_analysis.Pass_init.run_fn ~cfg_of:(fun _ -> cfg) ftc
+      @ Rc_analysis.Pass_reach.run_fn ~cfg_of:(fun _ -> cfg) ftc)
+  in
+  let oracle =
+    Diagnostic.sort
+      (Oracle.Pass_init.run_fn ~cfg_of:(fun _ -> ocfg) ftc
+      @ Oracle.Pass_reach.run_fn ~cfg_of:(fun _ -> ocfg) ftc)
+  in
+  graph_ok && flow_ok && dense = oracle
+
+let differential_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:1500
+         ~name:"dense CFG, dataflow and init pass match the oracle"
+         (QCheck.make ~print:print_case gen_case)
+         dense_matches_oracle);
+    Alcotest.test_case "the generator reaches every corner" `Quick (fun () ->
+        (* the property above is only as good as its inputs: count the
+           shapes a fixed-seed sample covers *)
+        let rand = Random.State.make [| 42 |] in
+        let cases = QCheck.Gen.generate ~rand ~n:400 gen_case in
+        let count p = List.length (List.filter p cases) in
+        let blocks (f, _) = f.Syntax.blocks in
+        let any_term p c = List.exists (fun (_, b) -> p b.Syntax.term) (blocks c) in
+        let diags c =
+          let ftc = ftc_of c in
+          let cfg = Cfg.build ftc.Rc_refinedc.Typecheck.func in
+          Rc_analysis.Pass_init.run_fn ~cfg_of:(fun _ -> cfg) ftc
+          @ Rc_analysis.Pass_reach.run_fn ~cfg_of:(fun _ -> cfg) ftc
+        in
+        let has code c =
+          List.exists (fun (d : Diagnostic.t) -> d.code = code) (diags c)
+        in
+        let shapes =
+          [
+            ( "constant CondGoto",
+              any_term (function
+                | Syntax.CondGoto { cond = Syntax.IntConst _; _ } -> true
+                | _ -> false) );
+            ( "constant Switch",
+              any_term (function
+                | Syntax.Switch { scrut = Syntax.IntConst _; _ } -> true
+                | _ -> false) );
+            ( "duplicate successor",
+              any_term (function
+                | Syntax.CondGoto { if_true; if_false; _ } -> if_true = if_false
+                | Syntax.Switch { cases; default; _ } ->
+                    let ls = default :: List.map snd cases in
+                    List.length (List.sort_uniq compare ls) < List.length ls
+                | _ -> false) );
+            ( "goto to no block",
+              any_term (fun t ->
+                  List.exists
+                    (fun l -> l = "X0" || l = "X1")
+                    (Oracle.Cfg.term_succs t)) );
+            ( "duplicate block label",
+              fun c ->
+                let ls = List.map fst (blocks c) in
+                List.length (List.sort_uniq compare ls) < List.length ls );
+            ( "unreachable island",
+              fun (f, _) ->
+                Cfg.unreachable_blocks (Cfg.build f) <> [] );
+            ( "address-taken local",
+              fun (f, _) ->
+                let rec taken = function
+                  | Syntax.VarLoc x -> String.length x > 1 && x.[0] = 'v'
+                  | Syntax.Use { arg = Syntax.VarLoc _; _ } -> false
+                  | Syntax.Use { arg; _ } | Syntax.FieldOfs { arg; _ } -> taken arg
+                  | Syntax.BinOp { e1; e2; _ } -> taken e1 || taken e2
+                  | _ -> false
+                in
+                List.exists
+                  (fun (_, b) ->
+                    List.exists
+                      (function
+                        | Syntax.Assign { lhs = Syntax.VarLoc _; rhs; _ } -> taken rhs
+                        | Syntax.Call { args; _ } ->
+                            List.exists (fun (_, e) -> taken e) args
+                        | _ -> false)
+                      b.Syntax.stmts)
+                  f.Syntax.blocks );
+            ("more than 62 locals", fun (f, _) -> List.length f.Syntax.locals > 62);
+            ("RC-L001", has "RC-L001");
+            ( "RC-L001 past the first bitset word",
+              fun c ->
+                List.exists
+                  (fun (d : Diagnostic.t) ->
+                    d.code = "RC-L001"
+                    && Scanf.sscanf_opt d.message "in f: local variable 'v%d'"
+                         (fun i -> i >= 70)
+                       = Some true)
+                  (diags c) );
+            ("RC-L003", has "RC-L003");
+            ("RC-L004", has "RC-L004");
+          ]
+        in
+        List.iter
+          (fun (name, p) ->
+            Alcotest.(check bool) (name ^ " generated") true (count p > 0))
+          shapes);
+  ]
+
 let () =
   Alcotest.run "analysis"
     [
@@ -716,4 +1044,5 @@ let () =
       ("corpus", corpus_tests);
       ("stress_corpus", stress_corpus_tests);
       ("verdicts", verdict_tests);
+      ("differential", differential_tests);
     ]

@@ -733,9 +733,10 @@ int get(struct pt* p) {
                     oneofl [ 0; -1; 9; 10; -10; min_int; max_int; min_int + 1 ];
                   ]))
           (fun n ->
-            let b = Buffer.create 24 in
-            Depgraph.enc_int b n;
-            Buffer.contents b = string_of_int n ^ ";");
+            (* from a one-byte writer: every int also grows it *)
+            let w = Depgraph.enc_create 1 in
+            Depgraph.enc_int w n;
+            Bytes.sub_string w.bytes 0 w.len = string_of_int n ^ ";");
       ]
 
 (* ------------------------------------------------------------------ *)

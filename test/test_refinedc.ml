@@ -363,6 +363,211 @@ let check_index file (func : Rc_caesium.Syntax.func) (m : Lang.fn_meta)
       | _ -> ())
     (labels_of func m)
 
+(* -------------------------------------------------------------- *)
+(* The spec and invariant signatures the cache keys digest          *)
+(* -------------------------------------------------------------- *)
+
+(* Pins the printed bytes of [Rtype.spec_signature] and
+   [Typecheck.invs_signature], line breaks included, and the interface
+   digest taken over them.  If one moves, the cache keys moved: bump the
+   cache tag in [Typecheck.toolchain_fingerprint] and update the values
+   here. *)
+let signature_tests =
+  [
+    Alcotest.test_case "golden spec and invariant signatures" `Quick
+      (fun () ->
+        let src =
+          In_channel.with_open_bin
+            (Filename.concat case_dir "binary_search.c")
+            In_channel.input_all
+        in
+        let session =
+          Rc_session.Refinedc_api.create_session ~case_studies:true ()
+        in
+        let el =
+          Rc_frontend.Driver.parse_and_elab ~session ~file:"binary_search.c"
+            src
+        in
+        let ftc =
+          List.find
+            (fun (f : Typecheck.fn_to_check) ->
+              f.spec.fs_name = "bsearch_idx")
+            el.Rc_frontend.Elab.to_check
+        in
+        Alcotest.(check string) "spec_signature"
+          "bsearch_idx|params:q:loc, n:nat, xs:list int,\n\
+           k:int|args:q @ &own<array<int<int>, n, xs>>, n @ int<size_t>, \
+           k @ int<int>,\n\
+           fn<cmp_spec>|pre:\226\140\156n \226\137\164 100000\226\140\157|\
+           exists:r:int|ret:r @ int<size_t>|post:\226\140\1560 \226\137\164 \
+           r\226\140\157,\n\
+           \226\140\156r \226\137\164 n\226\140\157,\n\
+           q \226\151\129\226\130\151 array<int<int>, n, xs>|tactics:"
+          (Rtype.spec_signature ftc.spec);
+        Alcotest.(check string) "invs_signature"
+          "loop0{ex:a:nat, b:nat|vars:lo:a @ int<size_t>,\n\
+           hi:b @ int<size_t>|cstr:0 \226\137\164 a, a \226\137\164 b,\n\
+           b \226\137\164 n}"
+          (Typecheck.invs_signature ftc.invs);
+        Alcotest.(check string) "iface_digest"
+          "033d3613d855a6aee74592cf875877bc"
+          (Depgraph.iface_digest ftc));
+  ]
+
+(* The [Fmt] printers the signatures were first defined by: the oracle
+   of the differential checks below. *)
+let fmt_spec_signature (s : fn_spec) : string =
+  let binder ppf (x, srt) = Fmt.pf ppf "%s:%a" x Sort.pp srt in
+  Fmt.str "%s|params:%a|args:%a|pre:%a|exists:%a|ret:%a|post:%a|tactics:%s"
+    s.fs_name
+    Fmt.(list ~sep:comma binder)
+    s.fs_params
+    Fmt.(list ~sep:comma pp_rtype)
+    s.fs_args
+    Fmt.(list ~sep:comma pp_hres)
+    s.fs_pre
+    Fmt.(list ~sep:comma binder)
+    s.fs_exists pp_rtype s.fs_ret
+    Fmt.(list ~sep:comma pp_hres)
+    s.fs_post
+    (String.concat "," s.fs_tactics)
+
+let fmt_invs_signature (invs : (string * Lang.loop_inv) list) : string =
+  let binder ppf (x, srt) = Fmt.pf ppf "%s:%a" x Sort.pp srt in
+  let var ppf (x, ty) = Fmt.pf ppf "%s:%a" x pp_rtype ty in
+  let inv ppf (label, (i : Lang.loop_inv)) =
+    Fmt.pf ppf "%s{ex:%a|vars:%a|cstr:%a}" label
+      Fmt.(list ~sep:comma binder)
+      i.li_exists
+      Fmt.(list ~sep:comma var)
+      i.li_vars
+      Fmt.(list ~sep:comma pp_prop)
+      i.li_constraints
+  in
+  Fmt.str "%a" Fmt.(list ~sep:semi inv) invs
+
+(* random texts: runs of ASCII and multi-byte characters, with and
+   without separators, long enough to wrap several times *)
+let gen_chunks =
+  QCheck.Gen.(
+    list_size (int_range 0 40)
+      (pair
+         (map String.concat (pure "")
+         <*> list_size (int_range 0 12)
+               (oneofl [ "a"; "bc"; " "; "≤"; "⌜"; "x_1"; "@"; "int<int>" ]))
+         (oneofl [ None; None; Some ","; Some ";" ])))
+
+let sig_gen_term =
+  QCheck.Gen.(
+    sized_size (int_range 0 6)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 map (fun i -> Num i) (oneofl [ 0; 7; -3; 100000; min_int ]);
+                 map (fun x -> Var (x, Sort.Int)) (oneofl [ "n"; "xs"; "a%4" ]);
+                 map (fun i -> Evar (i, Sort.Int)) (int_range 0 20);
+                 pure NullLoc;
+                 map (fun v -> BoolLit v) bool;
+               ]
+           in
+           if n = 0 then leaf
+           else
+             let sub = self (n / 2) in
+             oneof
+               [
+                 leaf;
+                 map2 (fun a b -> Add (a, b)) sub sub;
+                 map2 (fun a b -> Mod (a, b)) sub sub;
+                 map2 (fun a b -> Min (a, b)) sub sub;
+                 map2 (fun a b -> LocOfs (a, b)) sub sub;
+                 map2 (fun a b -> Cons (a, b)) sub sub;
+                 map3 (fun a b c -> NthDflt (a, b, c)) sub sub sub;
+                 map3 (fun a b c -> SetListInsert (a, b, c)) sub sub sub;
+                 map2 (fun a b -> Ite (PLe (a, b), a, b)) sub sub;
+                 map (fun a -> TProp (PNot (PEq (a, a)))) sub;
+                 map
+                   (fun a -> TProp (PForall ("k%1", Sort.List Sort.Nat, PLt (a, a))))
+                   sub;
+                 map (fun args -> App ("f", args)) (list_size (int_range 0 8) sub);
+               ]))
+
+let signature_diff_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:3000 ~name:"Breakbuf lays out text as Format"
+         (QCheck.make gen_chunks) (fun chunks ->
+           let b = Rc_util.Breakbuf.create 16 in
+           List.iter
+             (fun (text, sep) ->
+               match sep with
+               | None -> Rc_util.Breakbuf.add_string b text
+               | Some s ->
+                   Rc_util.Breakbuf.add_string b text;
+                   Rc_util.Breakbuf.sep b s)
+             chunks;
+           let expected =
+             Format.asprintf "%a"
+               (fun ppf ->
+                 List.iter (fun (text, sep) ->
+                     Format.pp_print_string ppf text;
+                     match sep with
+                     | None -> ()
+                     | Some s ->
+                         Format.pp_print_string ppf s;
+                         Format.pp_print_space ppf ()))
+               chunks
+           in
+           Rc_util.Breakbuf.contents b = expected));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2000 ~name:"add_term prints as pp_term"
+         (QCheck.make ~print:term_to_string sig_gen_term) (fun t ->
+           let b = Rc_util.Breakbuf.create 16 in
+           Rc_util.Breakbuf.list b ~sep:"," add_term [ t; t ];
+           Rc_util.Breakbuf.contents b
+           = Fmt.str "%a" Fmt.(list ~sep:comma pp_term) [ t; t ]));
+    Alcotest.test_case "signatures print as the Fmt printers" `Quick
+      (fun () ->
+        let studies =
+          Sys.readdir case_dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".c")
+          |> List.map (fun f ->
+                 ( f,
+                   In_channel.with_open_bin (Filename.concat case_dir f)
+                     In_channel.input_all ))
+        in
+        let generated =
+          List.map
+            (fun (p : Rc_benchgen.Corpus.program) -> (p.p_name, p.p_src))
+            (Rc_benchgen.Corpus.stress_corpus ~scale:2)
+          @ [
+              ("loop_farm", Rc_benchgen.Corpus.loop_farm ~functions:6 ());
+              ("lock_farm", Rc_benchgen.Corpus.lock_farm ~functions:4 ());
+            ]
+        in
+        let n = ref 0 in
+        List.iter
+          (fun (file, src) ->
+            let session =
+              Rc_session.Refinedc_api.create_session ~case_studies:true ()
+            in
+            let el = Rc_frontend.Driver.parse_and_elab ~session ~file src in
+            List.iter
+              (fun (f : Typecheck.fn_to_check) ->
+                incr n;
+                Alcotest.(check string)
+                  (file ^ ": " ^ f.spec.fs_name)
+                  (fmt_spec_signature f.spec)
+                  (Rtype.spec_signature f.spec);
+                Alcotest.(check string)
+                  (file ^ ": invariants of " ^ f.spec.fs_name)
+                  (fmt_invs_signature f.invs)
+                  (Typecheck.invs_signature f.invs))
+              el.Rc_frontend.Elab.to_check)
+          (studies @ generated);
+        Alcotest.(check bool) "functions compared" true (!n > 80));
+  ]
+
 let index_tests =
   [
     Alcotest.test_case "index answers as List.assoc_opt" `Quick (fun () ->
@@ -460,4 +665,5 @@ let () =
       ("alloc", alloc_tests);
       ("errors", [ error_message_test ]);
       ("index", index_tests);
+      ("signatures", signature_tests @ signature_diff_tests);
     ]
