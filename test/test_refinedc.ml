@@ -665,5 +665,5 @@ let () =
       ("alloc", alloc_tests);
       ("errors", [ error_message_test ]);
       ("index", index_tests);
-      ("signatures", signature_tests @ signature_diff_tests);
+      ("sigs", signature_tests @ signature_diff_tests);
     ]
