@@ -393,12 +393,13 @@ let check_elaborated ?(fail_fast = false) ?cache ?(obs = Obs.off)
           Session.with_budget session { b with Rc_util.Budget.timeout }
     in
     let outcome = check_fn_isolated ~obs:co ~session ~specs f in
+    (* [time_s] is proof search: the store below is the driver's time *)
+    let r = { name; outcome; time_s = watch (); cached = false; why } in
     (match (cache, plan, outcome) with
     | Some vc, Some (id, components), Ok res ->
         Vercache.store_keyed ?fault:campaign vc ~id ~components
           (cache_payload res.Rc_refinedc.Lang.E.stats)
     | _ -> ());
-    let r = { name; outcome; time_s = watch (); cached = false; why } in
     if Obs.on co then begin
       Obs.instant co ~cat:"check"
         ~args:

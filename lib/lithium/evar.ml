@@ -88,7 +88,7 @@ let set (st : t) (id : int) (t : term) : unit =
       e.inst <- Some t;
       st.instantiations <- st.instantiations + 1;
       if id < st.min_inst then st.min_inst <- id;
-      if Rc_util.Obs.on st.obs then
+      if Rc_util.Trace.on (Rc_util.Obs.tr st.obs) then
         Rc_util.Obs.instant st.obs ~cat:"evar"
           ~args:
             [ ("evar", Printf.sprintf "?%s/%d" e.e_hint id);

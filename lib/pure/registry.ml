@@ -307,9 +307,9 @@ let fingerprint (reg : t) : string =
 
     [?obs] records, per attempted prover, a call counter and a latency
     timer ([solver.calls.*] / [solver.ns.*] — the [--profile] solver
-    breakdown), plus one [solve] trace event carrying the goal and the
-    verdict.  With the default disabled handle the function body is
-    unchanged: the guards cost one pattern match each.
+    breakdown), plus, when [obs] traces, one [solve] event carrying the
+    goal and the verdict.  With the default disabled handle the function
+    body is unchanged: the guards cost one pattern match each.
 
     Outside a scoped registry the call opens its own solver scope and
     flushes that scope's counters into [obs] on return. *)
@@ -319,7 +319,9 @@ let solve (reg : t) ?(obs = Rc_util.Obs.off) ?(tactics = []) ~hyps goal :
   let own_scope = reg.lia = None in
   let reg, scope = in_scope reg in
   let live = Rc_util.Obs.on obs in
-  let t_solve = if live then Rc_util.Trace.now_ns () else 0L in
+  (* the [solve] event prints the goal: build it only for a trace *)
+  let traced = Rc_util.Trace.on (Rc_util.Obs.tr obs) in
+  let t_solve = if traced then Rc_util.Trace.now_ns () else 0L in
   let attempt name f =
     if not live then f ()
     else begin
@@ -356,7 +358,7 @@ let solve (reg : t) ?(obs = Rc_util.Obs.off) ?(tactics = []) ~hyps goal :
           | Some l -> Via_lemma l.lname
           | None -> Unsolved)
   in
-  if live then
+  if traced then
     Rc_util.Obs.complete obs ~cat:"solver" ~start_ns:t_solve
       ~dur_ns:(Int64.sub (Rc_util.Trace.now_ns ()) t_solve)
       ~args:

@@ -9,12 +9,16 @@
     Foundational-VeriFast-style "certify once, re-check cheaply"
     economy, applied at the toolchain level.
 
-    Entries are write-once: a file named by the MD5 of its key (the
-    concatenated components, see {!keyed_key}), written to a temp file
-    under [<dir>/tmp/] ({!tmp_dir}) and [Sys.rename]d into place, so
-    concurrent writers (checker domains) cannot expose a torn entry.
-    The full key is stored inside the entry and compared on read, so a
-    digest collision degrades to a miss, never to a wrong verdict.
+    One store creates one file: the entry — the line {!magic}, then the
+    marshalled [(id, components, payload)] — written to a temp file
+    under [<dir>/tmp/] ({!tmp_dir}) and [Sys.rename]d to the MD5 of its
+    key ({!keyed_key}), so concurrent writers (checker domains) cannot
+    expose a torn entry.  The id's manifest is a hard link to its newest
+    entry.  A read checks the header before unmarshalling and recomputes
+    the key from the stored id and components, so another layout or a
+    digest collision degrades to a miss, never to a wrong verdict.  A
+    rename over a file costs more than onto a fresh name, as it drops
+    the replaced inode; a manifest's lives on as the previous entry.
 
     Degradation contract: the cache is an accelerator, never an
     authority.  Every failure mode — unreadable entry, unwritable
@@ -38,8 +42,8 @@ type t = {
       (** both atomic: pool workers store concurrently *)
 }
 
-(** Bump when the entry layout (or the meaning of payloads) changes. *)
-let format_version = "rc-vercache-1"
+(** Every entry's first line: bump it when the layout or payloads change. *)
+let magic = "rc-vercache-2\n"
 
 (** Consecutive store failures after which writes shut off. *)
 let max_write_failures = 8
@@ -55,7 +59,7 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.file_exists dir -> ()
   end
 
-(** Where the cache writes its temp files (entries and manifests): a
+(** Where the cache writes its temp files (entries and manifest links): a
     subdirectory, so that sweeping orphans on open lists only them and
     not every entry ever stored. *)
 let tmp_dir (dir : string) = Filename.concat dir "tmp"
@@ -77,10 +81,10 @@ let sweep_stale_tmp (dir : string) : unit =
         files
   | exception Sys_error _ -> ()
 
-(* Store files, oldest first by mtime (ties broken by name so the order
-   is stable): the candidates for size-capped pruning.  Both entry kinds
-   count — content-addressed [*.vc] payloads and [*.mf] manifests. *)
-let store_files (dir : string) : (string * float * int) list =
+(* Store files — [*.vc] entries and [*.mf] manifests, second names of
+   entries — oldest first by mtime, ties broken by name so the order is
+   stable: the candidates for size-capped pruning. *)
+let store_files (dir : string) : (string * Unix.stats) list =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | files ->
@@ -88,32 +92,45 @@ let store_files (dir : string) : (string * float * int) list =
       |> List.filter_map (fun f ->
              if Filename.check_suffix f ".vc" || Filename.check_suffix f ".mf"
              then
-               let path = Filename.concat dir f in
-               match Unix.stat path with
-               | st -> Some (f, st.Unix.st_mtime, st.Unix.st_size)
+               match Unix.stat (Filename.concat dir f) with
+               | st -> Some (f, st)
                | exception Unix.Unix_error _ -> None
              else None)
-      |> List.sort (fun (fa, ta, _) (fb, tb, _) ->
-             match Float.compare ta tb with 0 -> compare fa fb | c -> c)
+      |> List.sort (fun (fa, (a : Unix.stats)) (fb, (b : Unix.stats)) ->
+             compare (a.st_mtime, fa) (b.st_mtime, fb))
 
-(** Evict oldest entries until the store fits in [max_bytes]; returns
-    the number of files removed.  A removal that fails (concurrent
+(* Each inode's number of names in [files], and the distinct inodes'
+   bytes: a linked entry counts once. *)
+let inodes files =
+  let names = Hashtbl.create 64 and bytes = ref 0 in
+  List.iter
+    (fun (_, (st : Unix.stats)) ->
+      let ino = (st.st_dev, st.st_ino) in
+      let n = Option.value ~default:0 (Hashtbl.find_opt names ino) in
+      if n = 0 then bytes := !bytes + st.st_size;
+      Hashtbl.replace names ino (n + 1))
+    files;
+  (names, !bytes)
+
+(** Evict oldest names until the store fits in [max_bytes]; returns
+    the number of files removed.  An inode's bytes count as freed only
+    when its last name goes.  A removal that fails (concurrent
     eviction, permissions) is skipped — pruning is best-effort, like
     every other maintenance path here. *)
 let prune_to (t : t) ~(max_bytes : int) : int =
   let files = store_files t.dir in
-  let total =
-    List.fold_left (fun acc (_, _, size) -> acc + size) 0 files
-  in
+  let names, total = inodes files in
   let removed = ref 0 in
   let excess = ref (total - max_bytes) in
   List.iter
-    (fun (f, _, size) ->
+    (fun (f, (st : Unix.stats)) ->
       if !excess > 0 then
         match Sys.remove (Filename.concat t.dir f) with
         | () ->
-            excess := !excess - size;
-            incr removed
+            incr removed;
+            let left = Hashtbl.find names (st.st_dev, st.st_ino) - 1 in
+            Hashtbl.replace names (st.st_dev, st.st_ino) left;
+            if left = 0 then excess := !excess - st.st_size
         | exception Sys_error _ -> ())
     files;
   t.pruned <- t.pruned + !removed;
@@ -162,16 +179,14 @@ let entries (t : t) : int =
 (* Keyed (dependency-cone) entries                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A keyed entry is a content-addressed, write-once [*.vc] file —
-   its key is the concatenation of named component digests — but each
-   store also records a *manifest* for the entry's stable identity [id]
-   (for the driver: one id per (file, function)).  The manifest holds
-   the component list of the last successful store, so a later miss can
-   be *explained*: diffing the stored components against the incoming
-   ones names exactly which inputs moved (the function's own body, its
-   spec, one callee's spec, the session configuration, …).  Manifests
-   are advisory — losing or corrupting one never changes what hits, only
-   how a miss is reported. *)
+(* Each keyed store also links its entry as the *manifest* of the
+   entry's stable identity [id] (for the driver: one per (file,
+   function)).  A later miss is *explained* by diffing the manifest's
+   components against the incoming ones, naming exactly the inputs
+   that moved (the body, the spec, one callee's spec, the session
+   configuration, …).  Manifests are advisory — losing, corrupting or
+   failing to link one never changes what hits, only how a miss is
+   reported. *)
 
 (** Why a keyed lookup missed. *)
 type reason =
@@ -204,49 +219,17 @@ let keyed_key ~(id : string) (components : (string * string) list) : string =
 let manifest_path (t : t) (id : string) =
   Filename.concat t.dir (Digest.to_hex (Digest.string id) ^ ".mf")
 
+(* An entry's contents, or [None] for another layout, which is never
+   unmarshalled.  Raises on a truncated or unreadable file. *)
+let read_entry ic : (string * (string * string) list * string) option =
+  match In_channel.really_input_string ic (String.length magic) with
+  | Some h when String.equal h magic -> Some (Marshal.from_channel ic)
+  | Some _ | None -> None
+
 let read_manifest (t : t) (id : string) : (string * string) list option =
-  let path = manifest_path t id in
-  if not (Sys.file_exists path) then None
-  else
-    match
-      In_channel.with_open_bin path (fun ic ->
-          (Marshal.from_channel ic : string * string * (string * string) list))
-    with
-    | v, i, components when v = format_version && i = id -> Some components
-    | _ | (exception _) -> None
-
-(* Marshal [v] into a fresh file of the cache's temp directory, created
-   and written through one open, and return its name.  The name goes
-   into [tmp] before the write, so the caller can remove the file if
-   the write fails. *)
-let write_temp (t : t) tmp prefix v =
-  let tf, oc =
-    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:(tmp_dir t.dir)
-      prefix ".tmp"
-  in
-  tmp := Some tf;
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Marshal.to_channel oc v [];
-      close_out oc);
-  tf
-
-(* Manifests are overwritten on every store (they track the *latest*
-   verify), so unlike payload entries they are not write-once — but the
-   write is still temp-file + rename, so readers never see a torn one. *)
-let write_manifest (t : t) (id : string) (components : (string * string) list)
-    : unit =
-  let tmp = ref None in
-  match
-    let tf = write_temp t tmp "manifest" (format_version, id, components) in
-    Sys.rename tf (manifest_path t id)
-  with
-  | () -> ()
-  | exception Sys_error _ -> (
-      match !tmp with
-      | Some tf -> ( try Sys.remove tf with Sys_error _ -> ())
-      | None -> ())
+  match In_channel.with_open_bin (manifest_path t id) read_entry with
+  | Some (i, components, _) when String.equal i id -> Some components
+  | Some _ | None | (exception _) -> None
 
 (** Diff two component lists; returns the names whose digests differ,
     plus names present on only one side, in first-list order (then any
@@ -272,7 +255,7 @@ let diff_components (old_cs : (string * string) list)
 (** [find_keyed t ~id ~components] looks up the entry whose key is the
     digest of [components]; on a miss, the manifest for [id] explains
     *why* (which components moved since the last verify stored here).
-    An unreadable, truncated or mismatched entry (wrong format version,
+    An unreadable, truncated or mismatched entry (another layout,
     digest collision) is a [Collision] miss and counts as a corrupt
     skip.  [?fault] arms the ["cache.read"] chaos site: an injection is
     absorbed here as a [Collision] — by contract the cache never lets a
@@ -301,10 +284,11 @@ let find_keyed ?fault (t : t) ~(id : string)
             match
               Fun.protect
                 ~finally:(fun () -> In_channel.close_noerr ic)
-                (fun () -> (Marshal.from_channel ic : string * string * string))
+                (fun () -> read_entry ic)
             with
-            | v, k, payload when v = format_version && k = key -> KHit payload
-            | _ | (exception _) -> KMiss Collision))
+            | Some (i, cs, v) when String.equal (keyed_key ~id:i cs) key ->
+                KHit v
+            | Some _ | None | (exception _) -> KMiss Collision))
   in
   (match outcome with
   | KMiss Collision -> t.corrupt_skips <- t.corrupt_skips + 1
@@ -318,31 +302,46 @@ let find_keyed ?fault (t : t) ~(id : string)
 let unreadable (t : t) : unit = t.corrupt_skips <- t.corrupt_skips + 1
 
 (** [store_keyed t ~id ~components payload] persists the entry
-    atomically, then its manifest.  I/O errors (and injected
+    atomically, then makes it [id]'s manifest.  I/O errors (and injected
     ["cache.write"] faults) are swallowed: a cache that cannot write is
-    merely cold, never fatal.  The temp file is removed on any failure
-    so an unwritable target directory cannot accumulate orphans, and
-    after {!max_write_failures} consecutive failures the cache stops
-    attempting writes altogether.  The manifest is only written when the
-    payload store succeeded, so a manifest never describes an entry that
-    was not persisted. *)
+    merely cold, never fatal.  Temp files are removed on any failure so
+    an unwritable directory cannot accumulate orphans, and after
+    {!max_write_failures} consecutive failures writes stop altogether.
+    Only a persisted entry becomes the manifest; a failed link (no hard
+    links, a concurrent prune) keeps the old one and is no failure. *)
 let store_keyed ?fault (t : t) ~(id : string)
     ~(components : (string * string) list) (payload : string) : unit =
   if not (Atomic.get t.disabled) then begin
     let key = keyed_key ~id components in
-    let tmp = ref None in
+    let temps = ref [] in
+    let remove f = try Sys.remove f with Sys_error _ -> () in
     match
       Faultsim.point fault "cache.write";
-      let tf = write_temp t tmp "entry" (format_version, key, payload) in
+      let tf, oc =
+        Filename.open_temp_file ~mode:[ Open_binary ]
+          ~temp_dir:(tmp_dir t.dir) "entry" ".tmp"
+      in
+      temps := [ tf ];
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc magic;
+          Marshal.to_channel oc (id, components, payload) [];
+          close_out oc);
+      (* a name no other writer makes while [tf], created O_EXCL, exists *)
+      let lf = Filename.chop_suffix tf ".tmp" ^ ".mf.tmp" in
+      (try Unix.link tf lf; temps := [ lf; tf ] with Unix.Unix_error _ -> ());
       Sys.rename tf (entry_path t key)
     with
-    | () ->
+    | () -> (
         Atomic.set t.write_failures 0;
-        write_manifest t id components
+        match !temps with
+        | [ lf; _ ] -> (
+            try Sys.rename lf (manifest_path t id)
+            with Sys_error _ -> remove lf)
+        | _ -> ())
     | exception (Sys_error _ | Faultsim.Injected _) ->
-        (match !tmp with
-        | Some tf -> ( try Sys.remove tf with Sys_error _ -> ())
-        | None -> ());
+        List.iter remove !temps;
         if Atomic.fetch_and_add t.write_failures 1 + 1 >= max_write_failures
         then Atomic.set t.disabled true
   end
@@ -354,7 +353,7 @@ let store_keyed ?fault (t : t) ~(id : string)
 type store_stats = {
   st_entries : int;  (** payload entries on disk *)
   st_manifests : int;  (** manifests on disk *)
-  st_bytes : int;  (** total on-disk footprint (entries + manifests) *)
+  st_bytes : int;  (** on-disk footprint, each linked inode once *)
   st_corrupt_skips : int;  (** corrupt entries skipped this run *)
   st_pruned : int;  (** entries evicted by the size cap this run *)
 }
@@ -362,12 +361,13 @@ type store_stats = {
 let stats (t : t) : store_stats =
   let files = store_files t.dir in
   let count suffix =
-    List.length (List.filter (fun (f, _, _) -> Filename.check_suffix f suffix) files)
+    List.length
+      (List.filter (fun (f, _) -> Filename.check_suffix f suffix) files)
   in
   {
     st_entries = count ".vc";
     st_manifests = count ".mf";
-    st_bytes = List.fold_left (fun acc (_, _, s) -> acc + s) 0 files;
+    st_bytes = snd (inodes files);
     st_corrupt_skips = t.corrupt_skips;
     st_pruned = t.pruned;
   }

@@ -444,6 +444,89 @@ let robustness_tests =
           (Rc_util.Vercache.disabled cache));
   ]
 
+(* The on-disk layout: one new file per store, the manifest being a
+   second name of the newest entry, and entries checked by header and
+   key before they are believed. *)
+
+let entry_of cache components =
+  Rc_util.Vercache.entry_path cache
+    (Rc_util.Vercache.keyed_key ~id:"k" components)
+
+let layout_tests =
+  [
+    Alcotest.test_case "a store makes one inode" `Quick (fun () ->
+        let dir = fresh_cache_dir () in
+        let cache = Rc_util.Vercache.create dir in
+        store cache "k";
+        let entry = Unix.stat (entry_of cache components) in
+        let manifest =
+          Unix.stat (Rc_util.Vercache.manifest_path cache "k")
+        in
+        Alcotest.(check int) "manifest is the entry" entry.Unix.st_ino
+          manifest.Unix.st_ino;
+        Alcotest.(check int) "two names" 2 entry.Unix.st_nlink;
+        Alcotest.(check (array string)) "tmp/ is empty" [||]
+          (Sys.readdir (Rc_util.Vercache.tmp_dir dir)));
+    Alcotest.test_case "a superseded entry keeps one name and hits" `Quick
+      (fun () ->
+        let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
+        let moved = [ ("body", "b2") ] in
+        store cache "k";
+        Rc_util.Vercache.store_keyed cache ~id:"k" ~components:moved "v2";
+        Alcotest.(check int) "old entry: one link" 1
+          (Unix.stat (entry_of cache components)).Unix.st_nlink;
+        Alcotest.(check int) "manifest is the new entry"
+          (Unix.stat (entry_of cache moved)).Unix.st_ino
+          (Unix.stat (Rc_util.Vercache.manifest_path cache "k")).Unix.st_ino;
+        Alcotest.(check bool) "old entry hits" true (find cache "k" = hit);
+        Alcotest.(check bool) "a miss diffs against the newest" true
+          (Rc_util.Vercache.find_keyed cache ~id:"k"
+             ~components:[ ("body", "b3") ]
+          = KMiss (Changed [ "body" ])));
+    Alcotest.test_case "another layout is a collision, never unmarshalled"
+      `Quick (fun () ->
+        let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
+        let key = Rc_util.Vercache.keyed_key ~id:"k" components in
+        let put v =
+          Out_channel.with_open_bin (entry_of cache components) (fun oc ->
+              Out_channel.output_string oc v)
+        in
+        (* the previous layout: a marshalled (version, key, payload) *)
+        put (Marshal.to_string ("rc-vercache-1", key, "v") []);
+        Alcotest.(check bool) "rc-vercache-1 entry" true
+          (find cache "k" = KMiss Collision);
+        (* today's record without its header line: unmarshalled, it
+           would be a hit *)
+        put (Marshal.to_string ("k", components, "v") []);
+        Alcotest.(check bool) "headerless entry" true
+          (find cache "k" = KMiss Collision);
+        Alcotest.(check int) "corrupt skips" 2
+          (Rc_util.Vercache.stats cache).Rc_util.Vercache.st_corrupt_skips;
+        put (Rc_util.Vercache.magic ^ Marshal.to_string ("k", components, "v") []);
+        Alcotest.(check bool) "with its header it hits" true
+          (find cache "k" = hit));
+    Alcotest.test_case "a failed manifest link keeps the entry" `Quick
+      (fun () ->
+        let dir = fresh_cache_dir () in
+        let cache = Rc_util.Vercache.create dir in
+        (* a directory squatting on the manifest path: the link step's
+           rename fails after the entry was stored *)
+        Sys.mkdir (Rc_util.Vercache.manifest_path cache "k") 0o755;
+        store cache "k";
+        Alcotest.(check bool) "the store hits" true (find cache "k" = hit);
+        Alcotest.(check bool) "the next miss is new" true
+          (Rc_util.Vercache.find_keyed cache ~id:"k"
+             ~components:[ ("body", "b2") ]
+          = KMiss Fresh);
+        Alcotest.(check (list string)) "no temp file left" [] (tmp_files dir);
+        Alcotest.(check bool) "not a store failure" false
+          (Atomic.get cache.Rc_util.Vercache.write_failures > 0));
+  ]
+
 let () =
   Alcotest.run "vercache"
-    [ ("cache", cache_tests); ("robustness", robustness_tests) ]
+    [
+      ("cache", cache_tests);
+      ("robustness", robustness_tests);
+      ("layout", layout_tests);
+    ]

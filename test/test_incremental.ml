@@ -307,13 +307,39 @@ let keyed_tests =
         Alcotest.(check int) "manifests" 5 s.Vercache.st_manifests;
         Alcotest.(check bool) "bytes counted" true (s.Vercache.st_bytes > 500);
         Alcotest.(check int) "no corruption" 0 s.Vercache.st_corrupt_skips;
+        (* each manifest is a second name of an entry: its bytes are the
+           entry's, counted once *)
+        let vc_files =
+          List.filter
+            (fun f -> Filename.check_suffix f ".vc")
+            (Array.to_list (Sys.readdir dir))
+        in
+        let size f = (Unix.stat (Filename.concat dir f)).Unix.st_size in
+        Alcotest.(check int) "bytes not doubled"
+          (List.fold_left (fun acc f -> acc + size f) 0 vc_files)
+          s.Vercache.st_bytes;
+        (* a cap one byte short of the footprint evicts the oldest entry
+           and its manifest, and nothing else: bytes are freed only when
+           an inode's last name goes *)
+        List.iteri
+          (fun i f ->
+            let t = 1_000_000. +. float_of_int i in
+            Unix.utimes (Filename.concat dir f) t t)
+          (List.sort compare vc_files);
+        let one_short =
+          Vercache.create ~max_bytes:(s.Vercache.st_bytes - 1) dir
+        in
+        let s1 = Vercache.stats one_short in
+        Alcotest.(check (pair int int)) "the oldest inode went" (4, 4)
+          (s1.Vercache.st_entries, s1.Vercache.st_manifests);
+        Alcotest.(check int) "its two names pruned" 2 s1.Vercache.st_pruned;
         (* reopening under a tiny cap prunes oldest-first down to size *)
         let capped = Vercache.create ~max_bytes:0 dir in
         let s' = Vercache.stats capped in
         Alcotest.(check int) "cap 0 empties the store" 0
           (s'.Vercache.st_entries + s'.Vercache.st_manifests);
-        Alcotest.(check bool) "prunes reported" true
-          (s'.Vercache.st_pruned >= 10));
+        Alcotest.(check int) "the eight names left, pruned" 8
+          s'.Vercache.st_pruned);
   ]
 
 (* ------------------------------------------------------------------ *)
