@@ -17,6 +17,14 @@ type t = {
    type.  Equality compares representation. *)
 let equal a b = a.size = b.size && equal_signedness a.signedness b.signedness
 
+(** The structural encoding ({!Rc_util.Enc}): name, size and
+    signedness, so a renamed type moves a key although it compares
+    equal. *)
+let enc w it =
+  Rc_util.Enc.enc_str w it.it_name;
+  Rc_util.Enc.enc_int w it.size;
+  Rc_util.Enc.tag w (match it.signedness with Signed -> 's' | Unsigned -> 'u')
+
 let make name size signedness = { it_name = name; size; signedness }
 let i8 = make "signed char" 1 Signed
 let u8 = make "unsigned char" 1 Unsigned

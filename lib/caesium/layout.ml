@@ -67,6 +67,42 @@ let field_exn sl name =
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "no field %s in struct %s" name sl.sl_name)
 
+module Enc = Rc_util.Enc
+
+(** The structural encoding ({!Rc_util.Enc}): every layout in full —
+    struct name, fields, offsets, size and alignment — wherever it
+    occurs, so a layout edit always moves a key. *)
+let rec enc w (l : t) =
+  match l with
+  | Int it ->
+      Enc.tag w 'I';
+      Int_type.enc w it
+  | Ptr -> Enc.tag w 'P'
+  | FnPtr -> Enc.tag w 'F'
+  | Struct sl ->
+      Enc.tag w 'S';
+      enc_struct w sl
+  | Array (l, n) ->
+      Enc.tag w 'A';
+      enc w l;
+      Enc.enc_int w n
+  | Void -> Enc.tag w 'V'
+
+and enc_struct w (sl : struct_layout) =
+  Enc.enc_str w sl.sl_name;
+  Enc.enc_int w (List.length sl.sl_fields);
+  enc_fields w sl.sl_fields;
+  Enc.enc_int w sl.sl_size;
+  Enc.enc_int w sl.sl_align
+
+and enc_fields w = function
+  | [] -> ()
+  | f :: rest ->
+      Enc.enc_str w f.fld_name;
+      Enc.enc_int w f.fld_ofs;
+      enc w f.fld_layout;
+      enc_fields w rest
+
 let rec pp ppf = function
   | Int it -> Int_type.pp ppf it
   | Ptr -> Fmt.string ppf "void*"

@@ -52,13 +52,17 @@ module type LANG = sig
   val head_names : string array
   (** id ↦ head name; [head_names.(head_id_of_f f) = head_of_f f] *)
 
-  val memo_key_of_f : (term -> term) -> f -> string option
-  (** [Some key] iff the judgment is safely memoizable within a run:
-      its search behaviour must be fully determined by [key], the
+  val enc_atom : Rc_util.Enc.t -> atom -> unit
+  (** the atom's injective structural encoding (memo keys) *)
+
+  val memo_key_of_f : (term -> term) -> f -> (Rc_util.Enc.t -> unit) option
+  (** [Some key] iff the judgment is safely memoizable within a run;
+      [key] writes the judgment's injective structural encoding.  Its
+      search behaviour must be fully determined by that encoding, the
       resolved Δ, and Γ-interactions the engine records as probes.  In
       practice that means judgments whose continuation is implied by
       their own data (RefinedC's ⊢GOTO) rather than captured in a
-      closure the printer cannot see.  The function argument resolves
+      closure no encoder can see.  The function argument resolves
       instantiated evars, so the key reflects the current evar state. *)
 
   val loc_of_f : f -> Rc_util.Srcloc.t option
@@ -229,8 +233,8 @@ module Make (L : LANG) = struct
       function: every path through a CFG join re-proves the join block's
       suffix, so [k] sequential if/else diamonds re-check the common
       suffix 2^k times.  The memo layer caches *successful* solves of
-      memoizable judgments ({!L.memo_key_of_f}) keyed on the judgment's
-      printed identity plus the resolved Δ, and replays them on repeat
+      memoizable judgments ({!L.memo_key_of_f}) keyed on the structural
+      encoding of the judgment and of the resolved Δ, and replays them on repeat
       visits — turning the 2^k re-checks into O(k).
 
       Γ is deliberately *not* part of the key (branch rules inject
@@ -672,28 +676,26 @@ module Make (L : LANG) = struct
   (* Memo frames                                                       *)
   (* ---------------------------------------------------------------- *)
 
-  (** The memo key for a basic goal, or [None] when the
-      judgment is not memoizable.  The key is the judgment's own printed
-      identity ({!L.memo_key_of_f}, evars resolved) plus the resolved Δ
-      in order — order matters because context lookup takes the first
-      related atom.  When the budget bounds recursion depth the current
-      depth joins the key, since the subtree's depth checks then depend
-      on where it starts. *)
+  (** The memo key for a basic goal, or [None] when the judgment is not
+      memoizable: the judgment's structural encoding
+      ({!L.memo_key_of_f}, evars resolved) followed by that of the
+      resolved Δ in order — order matters because context lookup takes
+      the first related atom.  When the budget bounds recursion depth
+      the current depth joins the key, since the subtree's depth checks
+      then depend on where it starts. *)
   let memo_key st (depth : int) ctx (f : L.f) : string option =
     match L.memo_key_of_f (resolve st) f with
     | None -> None
-    | Some mk ->
-        let b = Buffer.create 256 in
-        Buffer.add_string b mk;
-        List.iter
-          (fun e ->
-            Buffer.add_char b '|';
-            Buffer.add_string b (Fmt.str "%a" L.pp_atom (resolved st e)))
-          ctx.delta;
+    | Some key ->
+        let w = Rc_util.Enc.create 256 in
+        key w;
+        Rc_util.Enc.enc_list
+          (fun w e -> L.enc_atom w (resolved st e))
+          w ctx.delta;
         (match Rc_util.Budget.depth_limit st.budget with
-        | Some _ -> Buffer.add_string b (Printf.sprintf "|d%d" depth)
+        | Some _ -> Rc_util.Enc.enc_int w depth
         | None -> ());
-        Some (Buffer.contents b)
+        Some (Rc_util.Enc.contents w)
 
   (** Re-check every Γ interaction of a candidate entry against the
       current Γ.  Runs without observers and records nothing: a passing

@@ -32,19 +32,19 @@ let rec pp ppf = function
 
 let to_string s = Fmt.str "%a" pp s
 
-(** [pp]'s text, written into a signature buffer. *)
-let rec add b s =
+(** The structural encoding ({!Rc_util.Enc}). *)
+let rec enc w s =
   match s with
   | List s ->
-      Rc_util.Breakbuf.add_string b "list ";
-      add b s
-  | Nat -> Rc_util.Breakbuf.add_string b "nat"
-  | Int -> Rc_util.Breakbuf.add_string b "int"
-  | Bool -> Rc_util.Breakbuf.add_string b "bool"
-  | Loc -> Rc_util.Breakbuf.add_string b "loc"
-  | Mset -> Rc_util.Breakbuf.add_string b "multiset"
-  | Set -> Rc_util.Breakbuf.add_string b "set"
-  | Unknown -> Rc_util.Breakbuf.add_string b "?"
+      Rc_util.Enc.tag w 'l';
+      enc w s
+  | Nat -> Rc_util.Enc.tag w 'n'
+  | Int -> Rc_util.Enc.tag w 'i'
+  | Bool -> Rc_util.Enc.tag w 'b'
+  | Loc -> Rc_util.Enc.tag w 'p'
+  | Mset -> Rc_util.Enc.tag w 'm'
+  | Set -> Rc_util.Enc.tag w 's'
+  | Unknown -> Rc_util.Enc.tag w '?'
 
 (** Numeric sorts admit linear-arithmetic reasoning. *)
 let is_numeric = function Nat | Int -> true | _ -> false

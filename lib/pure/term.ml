@@ -460,149 +460,125 @@ and pp_prop ppf (q : prop) =
       p "∃ %s : %a, %a" (Rc_util.Gensym.base x) Sort.pp s pp_prop q
   | PPred (f, args) -> p "%s(%a)" f Fmt.(list ~sep:comma pp_term) args
 
-(* [pp_term]/[pp_prop]'s text, written into a signature buffer (see
-   {!Rc_util.Breakbuf}): the cache keys digest it, so it must stay
-   byte-for-byte what the [Fmt] printers above print. *)
-module B = Rc_util.Breakbuf
+(* ------------------------------------------------------------------ *)
+(* Structural encoding                                                 *)
+(* ------------------------------------------------------------------ *)
 
-let add_base b x =
-  match String.index_opt x '%' with
-  | None -> B.add_string b x
-  | Some i -> B.add_substring b x 0 i
+(* The injective encoding ({!Rc_util.Enc}) that cache keys, rule
+   equalities and memo keys compare: a tag per constructor, then every
+   field, variable names in full and sorts included.  The printers above
+   are for display only. *)
+module Enc = Rc_util.Enc
 
-let rec add_term b (t : term) =
+let rec enc_term w (t : term) =
   match t with
-  | Var (x, _) -> add_base b x
-  | Evar (i, _) ->
-      B.add_string b "?e";
-      B.add_int b i
-  | Num n -> B.add_int b n
-  | BoolLit v -> B.add_string b (if v then "true" else "false")
+  | Var (x, s) ->
+      Enc.tag w 'v';
+      Enc.enc_str w x;
+      Sort.enc w s
+  | Evar (i, s) ->
+      Enc.tag w 'e';
+      Enc.enc_int w i;
+      Sort.enc w s
+  | Num n ->
+      Enc.tag w '#';
+      Enc.enc_int w n
+  | BoolLit v ->
+      Enc.tag w 'b';
+      Enc.enc_bool w v
   | TProp q ->
-      B.add_char b '{';
-      add_prop b q;
-      B.add_char b '}'
-  | Add (x, y) -> add_infix b x " + " y
-  | Sub (x, y) -> add_infix b x " - " y
-  | NatSub (x, y) -> add_infix b x " ∸ " y
-  | Mul (x, y) -> add_infix b x " * " y
-  | Div (x, y) -> add_infix b x " / " y
-  | Mod (x, y) -> add_infix b x " % " y
-  | Min (x, y) -> add_call2 b "min(" x y
-  | Max (x, y) -> add_call2 b "max(" x y
+      Enc.tag w 'P';
+      enc_prop w q
+  | Add (x, y) -> enc2 w '+' x y
+  | Sub (x, y) -> enc2 w '-' x y
+  | NatSub (x, y) -> enc2 w '_' x y
+  | Mul (x, y) -> enc2 w '*' x y
+  | Div (x, y) -> enc2 w '/' x y
+  | Mod (x, y) -> enc2 w '%' x y
+  | Min (x, y) -> enc2 w 'm' x y
+  | Max (x, y) -> enc2 w 'M' x y
   | Ite (c, x, y) ->
-      B.add_char b '(';
-      add_prop b c;
-      B.add_string b " ? ";
-      add_term b x;
-      B.add_string b " : ";
-      add_term b y;
-      B.add_char b ')'
-  | NullLoc -> B.add_string b "NULL"
-  | LocOfs (l, n) -> add_infix b l " +ₗ " n
-  | MsEmpty | SetEmpty -> B.add_string b "∅"
-  | MsSingleton x | SetSingleton x ->
-      B.add_string b "{[";
-      add_term b x;
-      B.add_string b "]}"
-  | MsUnion (x, y) -> add_infix b x " ⊎ " y
-  | SetUnion (x, y) -> add_infix b x " ∪ " y
-  | SetDiff (x, y) -> add_infix b x " ∖ " y
-  | Nil _ -> B.add_string b "[]"
-  | Cons (x, y) -> add_infix b x " :: " y
-  | Append (x, y) -> add_infix b x " ++ " y
+      Enc.tag w '?';
+      enc_prop w c;
+      enc_term w x;
+      enc_term w y
+  | NullLoc -> Enc.tag w '0'
+  | LocOfs (l, n) -> enc2 w 'o' l n
+  | MsEmpty -> Enc.tag w 'E'
+  | MsSingleton x ->
+      Enc.tag w 's';
+      enc_term w x
+  | MsUnion (x, y) -> enc2 w 'u' x y
+  | SetEmpty -> Enc.tag w 'F'
+  | SetSingleton x ->
+      Enc.tag w 'S';
+      enc_term w x
+  | SetUnion (x, y) -> enc2 w 'U' x y
+  | SetDiff (x, y) -> enc2 w '\\' x y
+  | Nil s ->
+      Enc.tag w 'n';
+      Sort.enc w s
+  | Cons (x, y) -> enc2 w ':' x y
+  | Append (x, y) -> enc2 w 'a' x y
   | Length x ->
-      B.add_string b "length ";
-      add_term b x
-  | Replicate (n, x) ->
-      B.add_string b "replicate ";
-      add_term b n;
-      B.add_char b ' ';
-      add_term b x
+      Enc.tag w 'l';
+      enc_term w x
+  | Replicate (n, x) -> enc2 w 'r' n x
   | NthDflt (d, i, l) ->
-      B.add_string b "nth ";
-      add_term b d;
-      B.add_char b ' ';
-      add_term b i;
-      B.add_char b ' ';
-      add_term b l
+      Enc.tag w 'N';
+      enc_term w d;
+      enc_term w i;
+      enc_term w l
   | SetListInsert (i, x, l) ->
-      B.add_string b "<[";
-      add_term b i;
-      B.add_string b " := ";
-      add_term b x;
-      B.add_string b "]> ";
-      add_term b l
-  | App (f, []) -> B.add_string b f
-  | App (f, args) -> add_app b f args
+      Enc.tag w 'I';
+      enc_term w i;
+      enc_term w x;
+      enc_term w l
+  | App (f, args) ->
+      Enc.tag w 'A';
+      Enc.enc_str w f;
+      Enc.enc_list enc_term w args
 
-(* "(x op y)" *)
-and add_infix b x op y =
-  B.add_char b '(';
-  add_term b x;
-  B.add_string b op;
-  add_term b y;
-  B.add_char b ')'
+(* a binary constructor: its tag, then both operands *)
+and enc2 w c x y =
+  Enc.tag w c;
+  enc_term w x;
+  enc_term w y
 
-(* "f(x, y)", [f] given with its parenthesis *)
-and add_call2 b f x y =
-  B.add_string b f;
-  add_term b x;
-  B.add_string b ", ";
-  add_term b y;
-  B.add_char b ')'
-
-(* "f(a,@ b,@ c)": [Fmt.comma] separators, break hints included *)
-and add_app b f args =
-  B.add_string b f;
-  B.add_char b '(';
-  B.list b ~sep:"," add_term args;
-  B.add_char b ')'
-
-and add_prop b (q : prop) =
+and enc_prop w (q : prop) =
   match q with
-  | PTrue -> B.add_string b "True"
-  | PFalse -> B.add_string b "False"
-  | PEq (x, y) -> add_rel b x " = " y
-  | PNot (PEq (x, y)) -> add_rel b x " ≠ " y
-  | PLe (x, y) -> add_rel b x " ≤ " y
-  | PLt (x, y) -> add_rel b x " < " y
-  | PAnd (x, y) -> add_connective b x " ∧ " y
-  | POr (x, y) -> add_connective b x " ∨ " y
-  | PNot x ->
-      B.add_string b "¬";
-      add_prop b x
-  | PImp (x, y) -> add_connective b x " → " y
+  | PTrue -> Enc.tag w 'T'
+  | PFalse -> Enc.tag w 'F'
+  | PEq (x, y) -> enc2 w '=' x y
+  | PLe (x, y) -> enc2 w 'L' x y
+  | PLt (x, y) -> enc2 w '<' x y
+  | PIn (x, y) -> enc2 w 'e' x y
+  | PAnd (p, q) -> enc_conn w '&' p q
+  | POr (p, q) -> enc_conn w '|' p q
+  | PImp (p, q) -> enc_conn w '>' p q
+  | PNot p ->
+      Enc.tag w '!';
+      enc_prop w p
   | PIsTrue t ->
-      B.add_string b "is_true ";
-      add_term b t
-  | PIn (x, y) -> add_rel b x " ∈ " y
-  | PForall (x, s, q) -> add_binder b "∀ " x s q
-  | PExists (x, s, q) -> add_binder b "∃ " x s q
-  | PPred (f, args) -> add_app b f args
+      Enc.tag w 't';
+      enc_term w t
+  | PForall (x, s, q) -> enc_binder w 'A' x s q
+  | PExists (x, s, q) -> enc_binder w 'E' x s q
+  | PPred (f, args) ->
+      Enc.tag w 'p';
+      Enc.enc_str w f;
+      Enc.enc_list enc_term w args
 
-(* "x rel y", unparenthesized *)
-and add_rel b x rel y =
-  add_term b x;
-  B.add_string b rel;
-  add_term b y
+and enc_conn w c p q =
+  Enc.tag w c;
+  enc_prop w p;
+  enc_prop w q
 
-(* "(p op q)" *)
-and add_connective b p op q =
-  B.add_char b '(';
-  add_prop b p;
-  B.add_string b op;
-  add_prop b q;
-  B.add_char b ')'
-
-(* "∀ x : s, q" *)
-and add_binder b quant x s q =
-  B.add_string b quant;
-  add_base b x;
-  B.add_string b " : ";
-  Sort.add b s;
-  B.add_string b ", ";
-  add_prop b q
+and enc_binder w c x s q =
+  Enc.tag w c;
+  Enc.enc_str w x;
+  Sort.enc w s;
+  enc_prop w q
 
 let term_to_string t = Fmt.str "%a" pp_term t
 let prop_to_string p = Fmt.str "%a" pp_prop p

@@ -9,21 +9,23 @@
     [Rules_stmt.direct_callee]).  This module makes that input cone
     explicit: a per-file graph whose edges are the direct spec-level
     dependencies and whose nodes carry content digests of the
-    body/invariants and of the exported interface (the spec signature).
+    body/invariants and of the exported interface (the spec).
 
     Edges are extracted eagerly — the driver's cold-run schedule
     ({!topo_order}) and the lockset analysis need them on every run.
     Digests are computed on first use, i.e. only when a verification
-    cache asks for a key.  The body digest hashes a hand-written
-    structural encoding of the Caesium function ([enc_func]:
-    constructor tags, length-prefixed strings, every [Layout.t] in
-    full), never printed text.
+    cache asks for a key.  Both digests hash injective structural
+    encodings ({!Rc_util.Enc}: constructor tags, every field,
+    length-prefixed strings and lists) — the body of the Caesium
+    function ([enc_func], every [Layout.t] in full) with its loop
+    invariants, and the spec ({!Rtype.enc_spec}) — never printed text,
+    which drops fields.
 
     The graph is what the driver keys the verification cache on
     ({!components}): a function's cache key digests its own body + spec
     + invariants and the *interface* digests of its direct callees —
     nothing else from the file.  That gives early cutoff for free: a
-    callee body edit that leaves its spec signature unchanged does not
+    callee body edit that leaves its spec unchanged does not
     appear anywhere in a caller's key, so the caller's entry still hits.
     Transitive dependencies are covered inductively — if a transitive
     callee's spec moves, the direct callee re-verifies (its own key
@@ -45,7 +47,7 @@ type node = {
       (** Caesium body + loop invariants; forced by the (sequential)
           cache probe, never from several domains at once *)
   n_iface_digest : string Lazy.t;
-      (** the exported interface: the spec signature — the only part of
+      (** the exported interface: the spec — the only part of
           this function a caller's check can observe *)
 }
 
@@ -153,147 +155,50 @@ let refs_of_invs (invs : (string * Lang.loop_inv) list) : SS.t =
 
 (* ---- digests ------------------------------------------------------ *)
 
-(* The body encoding is injective: each value is written as a
-   constructor tag followed by its fields, ints as decimal terminated by
-   [';'], strings and lists prefixed by their length, so no two distinct
-   functions share an encoding.  Every [Layout.t] is written in full —
-   struct name, fields, offsets, size and alignment — wherever it
-   occurs; a layout edit therefore always moves the digest.  Any change
-   to this encoding must bump the cache tag in
+(* The body encoding is the injective structural encoding of
+   {!Rc_util.Enc}: each value is written as a constructor tag followed
+   by its fields, so no two distinct functions share an encoding.  Every
+   [Layout.t] is written in full ({!Layout.enc}) wherever it occurs; a
+   layout edit therefore always moves the digest.  Any change to this
+   encoding must bump the cache tag in
    [Typecheck.toolchain_fingerprint] (a golden digest in
    test_incremental pins it). *)
 
-(* The writer: a growable byte array the encoders fill in place, so a
-   tag is one store and an int one store per digit, with no closure per
-   list or pair and no [Buffer] call per character. *)
-type enc = { mutable bytes : Bytes.t; mutable len : int }
-
-let enc_create n = { bytes = Bytes.create n; len = 0 }
-
-let grow (w : enc) n =
-  let bytes = Bytes.create (max (w.len + n) (2 * Bytes.length w.bytes)) in
-  Bytes.blit w.bytes 0 bytes 0 w.len;
-  w.bytes <- bytes
-
-(* room for [n] more bytes; inlined, so a write that fits costs a
-   comparison and a store *)
-let[@inline] reserve (w : enc) n =
-  if w.len + n > Bytes.length w.bytes then grow w n
-
-let[@inline] tag (w : enc) c =
-  reserve w 1;
-  Bytes.unsafe_set w.bytes w.len c;
-  w.len <- w.len + 1
-
-(* [string_of_int n ^ ";"]: the digits come from the non-positive
-   [-|n|], which exists for [min_int] too, written backwards from the
-   end of their counted width *)
-let enc_int (w : enc) n =
-  if n >= 0 && n < 10 then begin
-    (* the common case: a length, size, offset or small constant *)
-    reserve w 2;
-    Bytes.unsafe_set w.bytes w.len (Char.unsafe_chr (48 + n));
-    Bytes.unsafe_set w.bytes (w.len + 1) ';';
-    w.len <- w.len + 2
-  end
-  else begin
-    let m = if n < 0 then n else -n in
-    let rec width m k = if m <= -10 then width (m / 10) (k + 1) else k in
-    let digits = width m 1 in
-    let sign = if n < 0 then 1 else 0 in
-    reserve w (sign + digits + 1);
-    let b = w.bytes and start = w.len in
-    if n < 0 then Bytes.unsafe_set b start '-';
-    let rec put m i =
-      Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
-      if m <= -10 then put (m / 10) (i - 1)
-    in
-    put m (start + sign + digits - 1);
-    Bytes.unsafe_set b (start + sign + digits) ';';
-    w.len <- start + sign + digits + 1
-  end
-
-let enc_str (w : enc) s =
-  let n = String.length s in
-  enc_int w n;
-  reserve w n;
-  Bytes.unsafe_blit_string s 0 w.bytes w.len n;
-  w.len <- w.len + n
-
-let enc_bool w x = tag w (if x then 't' else 'f')
-
-let enc_int_type w (it : Int_type.t) =
-  enc_str w it.Int_type.it_name;
-  enc_int w it.Int_type.size;
-  tag w
-    (match it.Int_type.signedness with
-    | Int_type.Signed -> 's'
-    | Int_type.Unsigned -> 'u')
-
-let rec enc_layout w (l : Layout.t) =
-  match l with
-  | Layout.Int it ->
-      tag w 'I';
-      enc_int_type w it
-  | Layout.Ptr -> tag w 'P'
-  | Layout.FnPtr -> tag w 'F'
-  | Layout.Struct sl ->
-      tag w 'S';
-      enc_struct w sl
-  | Layout.Array (l, n) ->
-      tag w 'A';
-      enc_layout w l;
-      enc_int w n
-  | Layout.Void -> tag w 'V'
-
-and enc_struct w (sl : Layout.struct_layout) =
-  enc_str w sl.Layout.sl_name;
-  enc_int w (List.length sl.Layout.sl_fields);
-  enc_fields w sl.Layout.sl_fields;
-  enc_int w sl.Layout.sl_size;
-  enc_int w sl.Layout.sl_align
-
-and enc_fields w = function
-  | [] -> ()
-  | (f : Layout.field) :: rest ->
-      enc_str w f.Layout.fld_name;
-      enc_int w f.Layout.fld_ofs;
-      enc_layout w f.Layout.fld_layout;
-      enc_fields w rest
+module Enc = Rc_util.Enc
 
 let enc_ot w = function
   | Syntax.OInt it ->
-      tag w 'I';
-      enc_int_type w it
-  | Syntax.OPtr -> tag w 'P'
+      Enc.tag w 'I';
+      Int_type.enc w it
+  | Syntax.OPtr -> Enc.tag w 'P'
 
 let enc_binop w (op : Syntax.binop) =
   match op with
-  | Syntax.AddOp -> tag w '+'
-  | Syntax.SubOp -> tag w '-'
-  | Syntax.MulOp -> tag w '*'
-  | Syntax.DivOp -> tag w '/'
-  | Syntax.ModOp -> tag w '%'
-  | Syntax.AndOp -> tag w '&'
-  | Syntax.OrOp -> tag w '|'
-  | Syntax.XorOp -> tag w '^'
-  | Syntax.ShlOp -> tag w '<'
-  | Syntax.ShrOp -> tag w '>'
-  | Syntax.EqOp -> tag w '='
-  | Syntax.NeOp -> tag w '!'
-  | Syntax.LtOp -> tag w 'l'
-  | Syntax.LeOp -> tag w 'L'
-  | Syntax.GtOp -> tag w 'g'
-  | Syntax.GeOp -> tag w 'G'
+  | Syntax.AddOp -> Enc.tag w '+'
+  | Syntax.SubOp -> Enc.tag w '-'
+  | Syntax.MulOp -> Enc.tag w '*'
+  | Syntax.DivOp -> Enc.tag w '/'
+  | Syntax.ModOp -> Enc.tag w '%'
+  | Syntax.AndOp -> Enc.tag w '&'
+  | Syntax.OrOp -> Enc.tag w '|'
+  | Syntax.XorOp -> Enc.tag w '^'
+  | Syntax.ShlOp -> Enc.tag w '<'
+  | Syntax.ShrOp -> Enc.tag w '>'
+  | Syntax.EqOp -> Enc.tag w '='
+  | Syntax.NeOp -> Enc.tag w '!'
+  | Syntax.LtOp -> Enc.tag w 'l'
+  | Syntax.LeOp -> Enc.tag w 'L'
+  | Syntax.GtOp -> Enc.tag w 'g'
+  | Syntax.GeOp -> Enc.tag w 'G'
   | Syntax.PtrPlusOp l ->
-      tag w 'p';
-      enc_layout w l
+      Enc.tag w 'p';
+      Layout.enc w l
   | Syntax.PtrDiffOp l ->
-      tag w 'd';
-      enc_layout w l
+      Enc.tag w 'd';
+      Layout.enc w l
 
 let enc_unop w (op : Syntax.unop) =
-  tag w
+  Enc.tag w
     (match op with
     | Syntax.NegOp -> '-'
     | Syntax.BitNotOp -> '~'
@@ -302,169 +207,170 @@ let enc_unop w (op : Syntax.unop) =
 let rec enc_expr w (e : Syntax.expr) =
   match e with
   | Syntax.IntConst (n, it) ->
-      tag w 'i';
-      enc_int w n;
-      enc_int_type w it
-  | Syntax.NullConst -> tag w 'n'
+      Enc.tag w 'i';
+      Enc.enc_int w n;
+      Int_type.enc w it
+  | Syntax.NullConst -> Enc.tag w 'n'
   | Syntax.FnAddr f ->
-      tag w 'a';
-      enc_str w f
+      Enc.tag w 'a';
+      Enc.enc_str w f
   | Syntax.VarLoc x ->
-      tag w 'v';
-      enc_str w x
+      Enc.tag w 'v';
+      Enc.enc_str w x
   | Syntax.Use { atomic; layout; arg } ->
-      tag w 'u';
-      enc_bool w atomic;
-      enc_layout w layout;
+      Enc.tag w 'u';
+      Enc.enc_bool w atomic;
+      Layout.enc w layout;
       enc_expr w arg
   | Syntax.FieldOfs { arg; struct_; field } ->
-      tag w 'f';
+      Enc.tag w 'f';
       enc_expr w arg;
-      enc_struct w struct_;
-      enc_str w field
+      Layout.enc_struct w struct_;
+      Enc.enc_str w field
   | Syntax.BinOp { op; ot1; ot2; e1; e2 } ->
-      tag w 'b';
+      Enc.tag w 'b';
       enc_binop w op;
       enc_ot w ot1;
       enc_ot w ot2;
       enc_expr w e1;
       enc_expr w e2
   | Syntax.UnOp { op; ot; arg } ->
-      tag w 'o';
+      Enc.tag w 'o';
       enc_unop w op;
       enc_ot w ot;
       enc_expr w arg
   | Syntax.CastIntInt { from_; to_; arg } ->
-      tag w 'c';
-      enc_int_type w from_;
-      enc_int_type w to_;
+      Enc.tag w 'c';
+      Int_type.enc w from_;
+      Int_type.enc w to_;
       enc_expr w arg
   | Syntax.CastPtrPtr arg ->
-      tag w 'p';
+      Enc.tag w 'p';
       enc_expr w arg
 
 (* a list of (layout, expr) pairs: call arguments *)
 let rec enc_operands w = function
   | [] -> ()
   | (l, e) :: rest ->
-      enc_layout w l;
+      Layout.enc w l;
       enc_expr w e;
       enc_operands w rest
 
 let enc_dest w = function
-  | None -> tag w 'N'
+  | None -> Enc.tag w 'N'
   | Some (l, e) ->
-      tag w 'S';
-      enc_layout w l;
+      Enc.tag w 'S';
+      Layout.enc w l;
       enc_expr w e
 
 let enc_stmt w (s : Syntax.stmt) =
   match s with
   | Syntax.Assign { atomic; layout; lhs; rhs } ->
-      tag w 'A';
-      enc_bool w atomic;
-      enc_layout w layout;
+      Enc.tag w 'A';
+      Enc.enc_bool w atomic;
+      Layout.enc w layout;
       enc_expr w lhs;
       enc_expr w rhs
   | Syntax.Call { dest; fn; args } ->
-      tag w 'C';
+      Enc.tag w 'C';
       enc_dest w dest;
       enc_expr w fn;
-      enc_int w (List.length args);
+      Enc.enc_int w (List.length args);
       enc_operands w args
   | Syntax.Cas { layout; obj; expected; desired; dest } ->
-      tag w 'X';
-      enc_layout w layout;
+      Enc.tag w 'X';
+      Layout.enc w layout;
       enc_expr w obj;
       enc_expr w expected;
       enc_expr w desired;
       enc_dest w dest
-  | Syntax.Skip -> tag w 'S'
+  | Syntax.Skip -> Enc.tag w 'S'
   | Syntax.ExprStmt e ->
-      tag w 'E';
+      Enc.tag w 'E';
       enc_expr w e
   | Syntax.Free e ->
-      tag w 'F';
+      Enc.tag w 'F';
       enc_expr w e
 
 let rec enc_cases w = function
   | [] -> ()
   | (n, l) :: rest ->
-      enc_int w n;
-      enc_str w l;
+      Enc.enc_int w n;
+      Enc.enc_str w l;
       enc_cases w rest
 
 let enc_term w (t : Syntax.terminator) =
   match t with
   | Syntax.Goto l ->
-      tag w 'g';
-      enc_str w l
+      Enc.tag w 'g';
+      Enc.enc_str w l
   | Syntax.CondGoto { ot; cond; if_true; if_false } ->
-      tag w 'c';
+      Enc.tag w 'c';
       enc_ot w ot;
       enc_expr w cond;
-      enc_str w if_true;
-      enc_str w if_false
+      Enc.enc_str w if_true;
+      Enc.enc_str w if_false
   | Syntax.Switch { ot; scrut; cases; default } ->
-      tag w 's';
+      Enc.tag w 's';
       enc_ot w ot;
       enc_expr w scrut;
-      enc_int w (List.length cases);
+      Enc.enc_int w (List.length cases);
       enc_cases w cases;
-      enc_str w default
+      Enc.enc_str w default
   | Syntax.Return None ->
-      tag w 'r';
-      tag w 'N'
+      Enc.tag w 'r';
+      Enc.tag w 'N'
   | Syntax.Return (Some e) ->
-      tag w 'r';
-      tag w 'S';
+      Enc.tag w 'r';
+      Enc.tag w 'S';
       enc_expr w e
-  | Syntax.Unreachable -> tag w 'u'
+  | Syntax.Unreachable -> Enc.tag w 'u'
 
 let enc_block w (blk : Syntax.block) =
-  enc_int w (List.length blk.Syntax.stmts);
+  Enc.enc_int w (List.length blk.Syntax.stmts);
   List.iter (enc_stmt w) blk.Syntax.stmts;
   enc_term w blk.Syntax.term
 
 let rec enc_slots_of w = function
   | [] -> ()
   | (x, l) :: rest ->
-      enc_str w x;
-      enc_layout w l;
+      Enc.enc_str w x;
+      Layout.enc w l;
       enc_slots_of w rest
 
 let enc_slots w slots =
-  enc_int w (List.length slots);
+  Enc.enc_int w (List.length slots);
   enc_slots_of w slots
 
 let rec enc_blocks w = function
   | [] -> ()
   | (l, blk) :: rest ->
-      enc_str w l;
+      Enc.enc_str w l;
       enc_block w blk;
       enc_blocks w rest
 
 let enc_func w (f : Syntax.func) =
-  enc_str w f.Syntax.fname;
+  Enc.enc_str w f.Syntax.fname;
   enc_slots w f.Syntax.args;
   enc_slots w f.Syntax.locals;
-  enc_layout w f.Syntax.ret_layout;
-  enc_int w (List.length f.Syntax.blocks);
+  Layout.enc w f.Syntax.ret_layout;
+  Enc.enc_int w (List.length f.Syntax.blocks);
   enc_blocks w f.Syntax.blocks;
-  enc_str w f.Syntax.entry
-
-let digest (s : string) : string = Digest.to_hex (Digest.string s)
+  Enc.enc_str w f.Syntax.entry
 
 (** The body digest: the structural encoding of the Caesium function
-    followed by the loop-invariant signature. *)
+    followed by that of its loop invariants. *)
 let body_digest (ftc : Typecheck.fn_to_check) : string =
-  let w = enc_create 1024 in
+  let w = Enc.create 1024 in
   enc_func w ftc.Typecheck.func;
-  enc_str w (Typecheck.invs_signature ftc.Typecheck.invs);
-  Digest.to_hex (Digest.subbytes w.bytes 0 w.len)
+  Typecheck.enc_invs w ftc.Typecheck.invs;
+  Enc.digest w
 
+(** The interface digest: the structural encoding of the spec. *)
 let iface_digest (ftc : Typecheck.fn_to_check) : string =
-  digest (Rtype.spec_signature ftc.Typecheck.spec)
+  let w = Enc.create 256 in
+  Rtype.enc_spec w ftc.Typecheck.spec;
+  Enc.digest w
 
 (* ---- graph construction ------------------------------------------- *)
 
@@ -589,7 +495,7 @@ let cone (g : t) (roots : string list) : string list =
     ({!Rc_util.Vercache.find_keyed}).
 
     The config and budget components depend on the session only, and
-    the toolchain fingerprint prints every registered type definition:
+    the toolchain fingerprint encodes every registered type definition:
     [components ~session] computes both once, and the function it
     returns reuses them for every function it keys — the driver applies
     it once per check. *)

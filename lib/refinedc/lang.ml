@@ -343,33 +343,26 @@ let head_id_of_f = function
 
 (** Memoizable judgments.  ⊢GOTO is the only one: its continuation is
     fully implied by its own data (the target block's code, looked up in
-    [sigma]), so its printed identity plus the resolved Δ determines the
-    whole subtree.  Every other judgment carries its continuation as a
-    closure the printer cannot see.  The key includes the goto-inlining
-    depth (it bounds further inlining) and the parameter/variable
-    environments, which are the only [sigma] components that vary
-    between visits to the same target within one checked function. *)
+    [sigma]), so its identity plus the resolved Δ determines the whole
+    subtree.  Every other judgment carries its continuation as a closure
+    no encoder can see.  The key is the structural encoding
+    ({!Rc_util.Enc}) of the target, the goto-inlining depth (it bounds
+    further inlining) and the parameter/variable environments, which
+    are the only [sigma] components that vary between visits to the same
+    target within one checked function; their terms are written with
+    evars resolved. *)
 let memo_key_of_f (resolve : term -> term) = function
   | FGoto { sigma; target } ->
-      let b = Buffer.create 128 in
-      Buffer.add_string b target;
-      Buffer.add_char b '@';
-      Buffer.add_string b (string_of_int sigma.fc_depth);
-      List.iter
-        (fun (x, t) ->
-          Buffer.add_char b ';';
-          Buffer.add_string b x;
-          Buffer.add_char b '=';
-          Buffer.add_string b (term_to_string (resolve t)))
-        sigma.fc_penv;
-      List.iter
-        (fun (x, t) ->
-          Buffer.add_char b '!';
-          Buffer.add_string b x;
-          Buffer.add_char b '=';
-          Buffer.add_string b (term_to_string (resolve t)))
-        sigma.fc_env;
-      Some (Buffer.contents b)
+      let binding w (x, t) =
+        Enc.enc_str w x;
+        enc_term w (resolve t)
+      in
+      Some
+        (fun w ->
+          Enc.enc_str w target;
+          Enc.enc_int w sigma.fc_depth;
+          Enc.enc_list binding w sigma.fc_penv;
+          Enc.enc_list binding w sigma.fc_env)
   | _ -> None
 
 let loc_of_f = function
@@ -495,6 +488,7 @@ module L = struct
 
   let pp_f = pp_f
   let pp_atom = Rtype.pp_atom
+  let enc_atom = Rtype.enc_atom
   let head_of_f = head_of_f
   let head_id_of_f = head_id_of_f
   let head_names = head_names

@@ -282,166 +282,132 @@ let pp_hres ppf = function
   | HAtom a -> pp_atom ppf a
   | HProp p -> Fmt.pf ppf "⌜%a⌝" pp_prop p
 
-let rtype_to_string t = Fmt.str "%a" pp_rtype t
+(* ------------------------------------------------------------------ *)
+(* Structural encoding                                                 *)
+(* ------------------------------------------------------------------ *)
 
-(* [pp_rtype]/[pp_atom]/[pp_hres]'s text, written into a signature
-   buffer: the cache keys digest it, so it must stay byte-for-byte what
-   the [Fmt] printers above print (see {!Rc_util.Breakbuf}). *)
-module B = Rc_util.Breakbuf
+(* The injective encoding ({!Rc_util.Enc}) the cache keys, S-FNPTR,
+   S-ATOMICBOOL and the memo keys compare: a tag per constructor, then
+   every field — integer types and struct layouts in full, both
+   atomicbool resource lists, every [TNamed] argument.  An existential
+   is written with its binder instantiated by [Var (x, s)]; a function
+   pointer by its name only ({!Depgraph.refs_of_rtype} makes the named
+   function's interface a cache-key component).  The printers above are
+   for display only. *)
+module Enc = Rc_util.Enc
 
-let rec add_rtype b (ty : rtype) =
+let rec enc_rtype w (ty : rtype) =
   match ty with
   | TInt (it, n) ->
-      add_term b n;
-      B.add_string b " @ int<";
-      B.add_string b it.Int_type.it_name;
-      B.add_char b '>'
-  | TBool (_, q) ->
-      B.add_char b '{';
-      add_prop b q;
-      B.add_string b "} @ bool"
-  | TNull -> B.add_string b "null"
+      Enc.tag w 'i';
+      Int_type.enc w it;
+      enc_term w n
+  | TBool (it, q) ->
+      Enc.tag w 'b';
+      Int_type.enc w it;
+      enc_prop w q
+  | TNull -> Enc.tag w 'n'
   | TPtrV l ->
-      add_term b l;
-      B.add_string b " @ ptr"
-  | TOwn (Some l, t) ->
-      add_term b l;
-      B.add_string b " @ &own<";
-      add_rtype b t;
-      B.add_char b '>'
-  | TOwn (None, t) ->
-      B.add_string b "&own<";
-      add_rtype b t;
-      B.add_char b '>'
+      Enc.tag w 'p';
+      enc_term w l
+  | TOwn (l, t) ->
+      Enc.tag w 'o';
+      (match l with
+      | None -> Enc.tag w 'N'
+      | Some l ->
+          Enc.tag w 'S';
+          enc_term w l);
+      enc_rtype w t
   | TOptional (q, t1, t2) ->
-      B.add_char b '{';
-      add_prop b q;
-      B.add_string b "} @ optional<";
-      add_rtype b t1;
-      B.add_string b ", ";
-      add_rtype b t2;
-      B.add_char b '>'
+      Enc.tag w '?';
+      enc_prop w q;
+      enc_rtype w t1;
+      enc_rtype w t2
   | TUninit n ->
-      B.add_string b "uninit<";
-      add_term b n;
-      B.add_char b '>'
+      Enc.tag w 'u';
+      enc_term w n
   | TManaged n ->
-      B.add_string b "managed<";
-      B.add_int b n;
-      B.add_char b '>'
+      Enc.tag w 'm';
+      Enc.enc_int w n
   | TAnyInt it ->
-      B.add_string b "any_int<";
-      B.add_string b it.Int_type.it_name;
-      B.add_char b '>'
+      Enc.tag w 'a';
+      Int_type.enc w it
   | TStruct (sl, ts) ->
-      B.add_string b "struct ";
-      B.add_string b sl.Layout.sl_name;
-      B.add_char b '<';
-      B.list b ~sep:"," add_rtype ts;
-      B.add_char b '>'
+      Enc.tag w 's';
+      Layout.enc_struct w sl;
+      Enc.enc_list enc_rtype w ts
   | TArrayInt (it, len, xs) ->
-      B.add_string b "array<int<";
-      B.add_string b it.Int_type.it_name;
-      B.add_string b ">, ";
-      add_term b len;
-      B.add_string b ", ";
-      add_term b xs;
-      B.add_char b '>'
+      Enc.tag w 'A';
+      Int_type.enc w it;
+      enc_term w len;
+      enc_term w xs
   | TWand (a, t) ->
-      B.add_string b "wand<{";
-      add_atom b a;
-      B.add_string b "}, ";
-      add_rtype b t;
-      B.add_char b '>'
+      Enc.tag w 'w';
+      enc_atom w a;
+      enc_rtype w t
   | TExists (x, s, f) ->
-      B.add_string b "∃";
-      B.add_string b x;
-      B.add_char b ':';
-      Sort.add b s;
-      B.add_string b ". ";
-      add_rtype b (f (Var (x, s)))
+      Enc.tag w 'E';
+      Enc.enc_str w x;
+      Sort.enc w s;
+      enc_rtype w (f (Var (x, s)))
   | TConstr (t, q) ->
-      B.add_char b '{';
-      add_rtype b t;
-      B.add_string b " | ";
-      add_prop b q;
-      B.add_char b '}'
+      Enc.tag w 'c';
+      enc_rtype w t;
+      enc_prop w q
   | TPadded (t, n) ->
-      B.add_string b "padded<";
-      add_rtype b t;
-      B.add_string b ", ";
-      add_term b n;
-      B.add_char b '>'
-  | TNamed (n, args) -> (
-      match List.rev args with
-      | [] -> B.add_string b n
-      | r :: _ ->
-          add_term b r;
-          B.add_string b " @ ";
-          B.add_string b n)
+      Enc.tag w 'P';
+      enc_rtype w t;
+      enc_term w n
+  | TNamed (n, args) ->
+      Enc.tag w 'T';
+      Enc.enc_str w n;
+      Enc.enc_list enc_term w args
   | TFnPtr spec ->
-      B.add_string b "fn<";
-      B.add_string b spec.fs_name;
-      B.add_char b '>'
-  | TAtomicBool (_, q, _, _) ->
-      B.add_char b '{';
-      add_prop b q;
-      B.add_string b "} @ atomicbool"
+      Enc.tag w 'f';
+      Enc.enc_str w spec.fs_name
+  | TAtomicBool (it, q, ht, hf) ->
+      Enc.tag w 'B';
+      Int_type.enc w it;
+      enc_prop w q;
+      Enc.enc_list enc_hres w ht;
+      Enc.enc_list enc_hres w hf
 
-and add_atom b = function
+and enc_atom w = function
   | LocTy (l, t) ->
-      add_term b l;
-      B.add_string b " ◁ₗ ";
-      add_rtype b t
+      Enc.tag w 'l';
+      enc_term w l;
+      enc_rtype w t
   | ValTy (v, t) ->
-      add_term b v;
-      B.add_string b " ◁ᵥ ";
-      add_rtype b t
+      Enc.tag w 'v';
+      enc_term w v;
+      enc_rtype w t
 
-let add_hres b = function
-  | HAtom a -> add_atom b a
+and enc_hres w = function
+  | HAtom a ->
+      Enc.tag w 'a';
+      enc_atom w a
   | HProp p ->
-      B.add_string b "⌜";
-      add_prop b p;
-      B.add_string b "⌝"
+      Enc.tag w 'p';
+      enc_prop w p
 
-(** ["x:sort"], as the signatures print a binder *)
-let add_binder b (x, srt) =
-  B.add_string b x;
-  B.add_char b ':';
-  Sort.add b srt
+(** a binder [x : sort] *)
+let enc_binder w (x, s) =
+  Enc.enc_str w x;
+  Sort.enc w s
 
-(** A deterministic printed form of a function specification covering
-    every field that can influence a check (the source location is
-    deliberately excluded — it moves with unrelated edits and affects
-    only diagnostics).  Used as a component of the verification-cache
-    key, so it must change whenever the spec meaningfully changes.  Its
-    bytes are the [Fmt.str] rendering of
-    ["%s|params:%a|args:%a|pre:%a|exists:%a|ret:%a|post:%a|tactics:%s"]
-    with [Fmt.comma]-separated lists, line breaks included (pinned by
-    "golden spec and invariant signatures" in test_refinedc). *)
-let spec_signature (s : fn_spec) : string =
-  let b = B.create 256 in
-  B.add_string b s.fs_name;
-  B.add_string b "|params:";
-  B.list b ~sep:"," add_binder s.fs_params;
-  B.add_string b "|args:";
-  B.list b ~sep:"," add_rtype s.fs_args;
-  B.add_string b "|pre:";
-  B.list b ~sep:"," add_hres s.fs_pre;
-  B.add_string b "|exists:";
-  B.list b ~sep:"," add_binder s.fs_exists;
-  B.add_string b "|ret:";
-  add_rtype b s.fs_ret;
-  B.add_string b "|post:";
-  B.list b ~sep:"," add_hres s.fs_post;
-  B.add_string b "|tactics:";
-  List.iteri
-    (fun i t ->
-      if i > 0 then B.add_char b ',';
-      B.add_string b t)
-    s.fs_tactics;
-  B.contents b
+(** Every field of a function specification that can influence a check;
+    the source location is left out, since it moves with unrelated edits
+    and affects only diagnostics.  The interface digest of
+    {!Depgraph.iface_digest}. *)
+let enc_spec w (s : fn_spec) =
+  Enc.enc_str w s.fs_name;
+  Enc.enc_list enc_binder w s.fs_params;
+  Enc.enc_list enc_rtype w s.fs_args;
+  Enc.enc_list enc_hres w s.fs_pre;
+  Enc.enc_list enc_binder w s.fs_exists;
+  enc_rtype w s.fs_ret;
+  Enc.enc_list enc_hres w s.fs_post;
+  Enc.enc_list Enc.enc_str w s.fs_tactics
 
 (* ------------------------------------------------------------------ *)
 (* Atom subjects and relatedness (engine plumbing)                     *)

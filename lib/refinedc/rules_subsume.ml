@@ -342,11 +342,8 @@ let s_atomic_bool =
            } as p)
         when Int_type.equal it1 it2 ->
           let same_hres a b =
-            List.length a = List.length b
-            && List.for_all2
-                 (fun x y ->
-                   Fmt.str "%a" pp_hres x = Fmt.str "%a" pp_hres y)
-                 a b
+            Enc.encode (Enc.enc_list enc_hres) a
+            = Enc.encode (Enc.enc_list enc_hres) b
           in
           if same_hres ht1 ht2 && same_hres hf1 hf2 then
             Some (sides [ PAnd (PImp (p1, p2), PImp (p2, p1)) ] p.cont)
@@ -357,18 +354,16 @@ let s_atomic_bool =
    contracts up to the function's name — used when an implementation is
    passed where a specification prototype is expected). *)
 let fn_spec_compatible (s1 : fn_spec) (s2 : fn_spec) : bool =
+  let contract w (s : fn_spec) =
+    Enc.enc_list enc_rtype w s.fs_args;
+    enc_rtype w s.fs_ret;
+    Enc.enc_list enc_hres w s.fs_pre;
+    Enc.enc_list enc_hres w s.fs_post
+  in
   s1.fs_name = s2.fs_name
   || s1.fs_params = s2.fs_params
-     && List.length s1.fs_args = List.length s2.fs_args
-     && List.for_all2
-          (fun a b -> rtype_to_string a = rtype_to_string b)
-          s1.fs_args s2.fs_args
-     && rtype_to_string s1.fs_ret = rtype_to_string s2.fs_ret
-     && List.map (Fmt.str "%a" pp_hres) s1.fs_pre
-        = List.map (Fmt.str "%a" pp_hres) s2.fs_pre
      && s1.fs_exists = s2.fs_exists
-     && List.map (Fmt.str "%a" pp_hres) s1.fs_post
-        = List.map (Fmt.str "%a" pp_hres) s2.fs_post
+     && Enc.encode contract s1 = Enc.encode contract s2
 
 let s_fnptr =
   mk "S-FNPTR" 26 (fun _ri j ->

@@ -170,23 +170,29 @@ let check_fn ?(globals = []) ?(obs = Rc_util.Obs.off) ~(session : Session.t)
 (* A check's outcome is a pure function of the function body, its spec,
    the loop invariants, the specs it may call, the rule set + solver
    registry + type definitions + ablation switches, and the resource
-   budget.  Everything below prints those deterministically;
+   budget.  Everything below writes those down deterministically;
    {!Depgraph.components} turns them into a function's cache-key
    components. *)
 
 let type_defs_signature (te : Rtype.tenv) : string =
   (* definition *content* via a one-step unfold at canonical arguments,
      so editing a registered type invalidates entries that may use it *)
+  let def w (name, (td : Rtype.type_def)) =
+    Enc.enc_str w name;
+    let args =
+      List.map (fun (x, s) -> Term.Var (x, s)) td.Rtype.td_params
+    in
+    match Enc.encode Rtype.enc_rtype (td.Rtype.td_unfold args) with
+    | ty ->
+        Enc.tag w 'u';
+        Enc.enc_str w ty
+    | exception _ -> Enc.tag w 'x'
+  in
+  let w = Enc.create 256 in
   Hashtbl.fold (fun name td acc -> (name, td) :: acc) te []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map (fun (name, (td : Rtype.type_def)) ->
-         let args =
-           List.map (fun (x, s) -> Term.Var (x, s)) td.Rtype.td_params
-         in
-         name ^ "="
-         ^ (try Rtype.rtype_to_string (td.Rtype.td_unfold args)
-            with _ -> "<unfold-error>"))
-  |> String.concat ";"
+  |> Enc.enc_list def w;
+  Enc.digest w
 
 (** Everything in the session's configuration that can change verdicts:
     the compiled rule set, the solver/lemma registry (with its hooks and
@@ -221,8 +227,14 @@ let toolchain_fingerprint (session : Session.t) : string =
          five-pass registry would silently miss RC-L03x reports.  v6:
          the body digest became a structural encoding that keys every
          layout in full (it was printed text).  v7: [Stats.t], which a
-         cached verdict stores Marshal'd, lost [manual_detail] *)
-      "refinedc-check-v7";
+         cached verdict stores Marshal'd, lost [manual_detail].  v8: the
+         spec, invariant and type-definition components became the
+         structural encoding of {!Rc_util.Enc}; the printed text they
+         were dropped [bool]'s and [atomicbool]'s integer types, both
+         atomicbool resource lists, all but the last argument of a named
+         type and [[]]'s sort, so a spec or type-definition edit to one
+         of those replayed the old verdict *)
+      "refinedc-check-v8";
       Sys.ocaml_version;
       Rules.fingerprint session.Session.index;
       Registry.fingerprint session.Session.registry;
@@ -239,28 +251,19 @@ let budget_signature (b : Rc_util.Budget.limits) : string =
     (num Fmt.float) b.Rc_util.Budget.timeout (num Fmt.int)
     b.Rc_util.Budget.max_depth
 
-(** The printed loop invariants of one function, a component of its
-    body digest.  Its bytes are the [Fmt.str] rendering of
-    ["%s{ex:%a|vars:%a|cstr:%a}"] per invariant, [Fmt.comma] within and
-    [Fmt.semi] between invariants, line breaks included (pinned by
-    "golden spec and invariant signatures" in test_refinedc). *)
-let invs_signature (invs : (string * loop_inv) list) : string =
-  let module B = Rc_util.Breakbuf in
-  let var b (x, ty) =
-    B.add_string b x;
-    B.add_char b ':';
-    Rtype.add_rtype b ty
+(** The loop invariants of one function, a component of its body
+    digest: their number, then each one's label, existentials, variable
+    types and constraints.  A function without invariants writes
+    ["0;"]. *)
+let enc_invs w (invs : (string * loop_inv) list) =
+  let var w (x, ty) =
+    Enc.enc_str w x;
+    Rtype.enc_rtype w ty
   in
-  let inv b (label, (i : loop_inv)) =
-    B.add_string b label;
-    B.add_string b "{ex:";
-    B.list b ~sep:"," Rtype.add_binder i.li_exists;
-    B.add_string b "|vars:";
-    B.list b ~sep:"," var i.li_vars;
-    B.add_string b "|cstr:";
-    B.list b ~sep:"," Term.add_prop i.li_constraints;
-    B.add_char b '}'
-  in
-  let b = B.create 128 in
-  B.list b ~sep:";" inv invs;
-  B.contents b
+  Enc.enc_list
+    (fun w (label, (i : loop_inv)) ->
+      Enc.enc_str w label;
+      Enc.enc_list Rtype.enc_binder w i.li_exists;
+      Enc.enc_list var w i.li_vars;
+      Enc.enc_list enc_prop w i.li_constraints)
+    w invs

@@ -267,6 +267,88 @@ let cache_tests =
         expect "rewritten entries hit" ~hits:3 ~misses:0 (check cache));
   ]
 
+(* The key components are structural encodings, not printed text: edits
+   the human printer cannot see — a [bool]'s integer type, an
+   [atomicbool]'s resource list — still miss. *)
+
+let is_pos ret =
+  Printf.sprintf
+    {|
+[[rc::parameters("n: int")]]
+[[rc::args("n @ int<int>")]]
+[[rc::returns("{n > 0} @ bool<%s>")]]
+int is_pos(int n) {
+  return n > 0;
+}
+|}
+    ret
+
+let case_dir =
+  List.find Sys.file_exists
+    [
+      "case_studies"; "../case_studies"; "../../case_studies";
+      "../../../case_studies";
+    ]
+
+(* [lock_t] of the case-study library with an empty H⊥: the lock
+   protects nothing *)
+let empty_lock_t : Rc_refinedc.Rtype.type_def =
+  let open Rc_refinedc.Rtype in
+  let lock_t = Rc_studies.Studies.lock_t in
+  {
+    lock_t with
+    td_unfold =
+      (fun args ->
+        match lock_t.td_unfold args with
+        | TExists (x, s, f) ->
+            TExists
+              ( x,
+                s,
+                fun t ->
+                  match f t with
+                  | TAtomicBool (it, p, ht, _) -> TAtomicBool (it, p, ht, [])
+                  | ty -> ty )
+        | ty -> ty);
+  }
+
+let why (t : Driver.t) name =
+  (List.find (fun (r : Driver.check_result) -> r.name = name) t.Driver.results)
+    .Driver.why
+
+let failed (t : Driver.t) name = List.mem_assoc name (Driver.errors t)
+
+let key_tests =
+  [
+    Alcotest.test_case "a spec-only edit re-proves" `Quick (fun () ->
+        let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
+        expect "cold" ~hits:0 ~misses:1 (check ~cache (is_pos "int"));
+        let t = check ~cache (is_pos "uint8_t") in
+        Alcotest.(check (pair int int)) "the edit misses" (0, 1) (counters t);
+        Alcotest.(check (option string)) "explained" (Some "changed:spec")
+          (why t "is_pos");
+        Alcotest.(check bool) "and fails" true (failed t "is_pos");
+        Alcotest.(check bool) "as it does uncached" true
+          (failed (Driver.check_source ~file:"cache_test.c" (is_pos "uint8_t"))
+             "is_pos"));
+    Alcotest.test_case "the cache is keyed on type definitions" `Quick
+      (fun () ->
+        let file = Filename.concat case_dir "spinlock.c" in
+        let session_a () = Api.create_session ~case_studies:true () in
+        let session_b () =
+          Api.create_session ~case_studies:true ~type_defs:[ empty_lock_t ] ()
+        in
+        let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
+        let a = Driver.check_file ~session:(session_a ()) ~cache file in
+        if not (all_ok a) then Alcotest.fail "session A: verification failed";
+        let uncached = Driver.check_file ~session:(session_b ()) file in
+        Alcotest.(check bool) "B's spin_lock fails uncached" true
+          (failed uncached "spin_lock");
+        let b = Driver.check_file ~session:(session_b ()) ~cache file in
+        Alcotest.(check int) "B shares no verdict with A" 0 (fst (counters b));
+        Alcotest.(check bool) "B's spin_lock fails through the cache" true
+          (failed b "spin_lock"));
+  ]
+
 (* Regression tests for the degradation contract (ISSUE 6): failed
    stores must not leak [*.tmp] orphans, stale orphans are collected on
    open, injected read/write faults degrade to miss/skip, and a
@@ -529,4 +611,5 @@ let () =
       ("cache", cache_tests);
       ("robustness", robustness_tests);
       ("layout", layout_tests);
+      ("keys", key_tests);
     ]

@@ -147,6 +147,51 @@ let mutation_tests =
       ~fn:"page_free";
   ]
 
+(* A comparator whose result is a [bool<uint8_t>] does not implement
+   [cmp_spec], whose result is a [bool<int>]: S-FNPTR compares the specs'
+   structural encodings, which keep the integer type the printer drops.
+   (Passed through, the one-byte result would be read as four bytes.) *)
+let fnptr_test =
+  Alcotest.test_case "a uint8_t comparator is not a cmp_spec" `Quick
+    (fun () ->
+      let u8_lt =
+        "[[rc::parameters(\"x: int\", \"y: int\")]]\n\
+         [[rc::args(\"x @ int<int>\", \"y @ int<int>\")]]\n\
+         [[rc::returns(\"{x < y} @ bool<uint8_t>\")]]\n\
+         unsigned char u8_lt(int a, int b) {\n\
+        \  return a < b;\n\
+         }\n\n"
+      in
+      let src =
+        Str.replace_first
+          (Str.regexp_string "// Binary search for key")
+          (u8_lt ^ "// Binary search for key")
+          (read "binary_search.c")
+      in
+      let src =
+        Str.replace_first
+          (Str.regexp_string "bsearch_idx(arr, n, key, int_lt)")
+          "bsearch_idx(arr, n, key, u8_lt)" src
+      in
+      let t =
+        Driver.check_source ~session:(session ()) ~file:"bsearch_u8.c" src
+      in
+      let errs = Driver.errors t in
+      Alcotest.(check (list string)) "only the client fails"
+        [ "bsearch_client" ] (List.map fst errs);
+      match (List.assoc "bsearch_client" errs).Rc_lithium.Report.kind with
+      | Rc_lithium.Report.No_rule_applies j ->
+          let mentions sub =
+            match Str.search_forward (Str.regexp_string sub) j 0 with
+            | _ -> true
+            | exception Not_found -> false
+          in
+          Alcotest.(check bool) ("stuck at the subsumption: " ^ j) true
+            (mentions "fn<u8_lt> <:" && mentions "fn<cmp_spec>")
+      | _ ->
+          Alcotest.failf "unexpected failure: %s"
+            (Rc_lithium.Report.to_string (List.assoc "bsearch_client" errs)))
+
 (* --------------------------------------------------------------- *)
 (* Pinned Figure-7 columns                                          *)
 (* --------------------------------------------------------------- *)
@@ -299,7 +344,7 @@ let () =
       ("verify", verify_tests);
       ("certificates", cert_tests);
       ("semantic-soundness", semtest_tests);
-      ("mutations-rejected", mutation_tests);
+      ("mutations-rejected", mutation_tests @ [ fnptr_test ]);
       ("figure7", figure7_tests);
       ("struct-nest", struct_nest_tests);
       ("judgments", judgment_tests);

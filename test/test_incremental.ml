@@ -676,6 +676,114 @@ let study_fns ?(session = Rc_studies.Studies.session ()) file =
 let fn_name (f : Rc_refinedc.Typecheck.fn_to_check) =
   f.Rc_refinedc.Typecheck.spec.Rc_refinedc.Rtype.fs_name
 
+module Rtype = Rc_refinedc.Rtype
+module Term = Rc_pure.Term
+module Sort = Rc_pure.Sort
+
+(* One pass of the single-node spec mutator, as [mutate_site] for
+   bodies: rewrite the [k]-th site met in a fixed traversal order of the
+   spec — swap one integer type, change one sort (a binder's or a [[]]'s),
+   or drop one resource — and name its kind ([None] when the spec has at
+   most [k] sites).  An existential's body is mutated once, at its own
+   binder, and re-abstracted by substitution. *)
+let mutate_spec (spec : Rtype.fn_spec) (k : int) :
+    string option * Rtype.fn_spec =
+  let seen = ref 0 and kind = ref None in
+  let site name x change =
+    let i = !seen in
+    incr seen;
+    if i = k then begin
+      kind := Some name;
+      change x
+    end
+    else x
+  in
+  let int_type it =
+    site "int type" it (fun (it : Rc_caesium.Int_type.t) ->
+        if it.it_name = "unsigned char" then Rc_caesium.Int_type.i32
+        else Rc_caesium.Int_type.u8)
+  in
+  let sort s =
+    site "sort" s (function Sort.Int -> Sort.Nat | _ -> Sort.Int)
+  in
+  let binders = List.map (fun (x, s) -> (x, sort s)) in
+  let rec term (t : Term.term) =
+    match t with Term.Nil s -> Term.Nil (sort s) | _ -> Term.map_term term t
+  in
+  let prop = Term.map_prop term in
+  let rec rtype (ty : Rtype.rtype) : Rtype.rtype =
+    match ty with
+    | Rtype.TInt (it, n) ->
+        let it = int_type it in
+        Rtype.TInt (it, term n)
+    | Rtype.TBool (it, q) ->
+        let it = int_type it in
+        Rtype.TBool (it, prop q)
+    | Rtype.TNull | Rtype.TManaged _ | Rtype.TFnPtr _ -> ty
+    | Rtype.TPtrV l -> Rtype.TPtrV (term l)
+    | Rtype.TOwn (l, t) ->
+        let l = Option.map term l in
+        Rtype.TOwn (l, rtype t)
+    | Rtype.TOptional (q, t1, t2) ->
+        let q = prop q in
+        let t1 = rtype t1 in
+        Rtype.TOptional (q, t1, rtype t2)
+    | Rtype.TUninit n -> Rtype.TUninit (term n)
+    | Rtype.TAnyInt it -> Rtype.TAnyInt (int_type it)
+    | Rtype.TStruct (sl, ts) -> Rtype.TStruct (sl, List.map rtype ts)
+    | Rtype.TArrayInt (it, len, xs) ->
+        let it = int_type it in
+        let len = term len in
+        Rtype.TArrayInt (it, len, term xs)
+    | Rtype.TWand (a, t) ->
+        let a = atom a in
+        Rtype.TWand (a, rtype t)
+    | Rtype.TExists (x, s, f) ->
+        let s' = sort s in
+        let body = rtype (f (Term.Var (x, s))) in
+        Rtype.TExists (x, s', fun t -> Rtype.subst_rtype [ (x, t) ] body)
+    | Rtype.TConstr (t, q) ->
+        let t = rtype t in
+        Rtype.TConstr (t, prop q)
+    | Rtype.TPadded (t, n) ->
+        let t = rtype t in
+        Rtype.TPadded (t, term n)
+    | Rtype.TNamed (n, args) -> Rtype.TNamed (n, List.map term args)
+    | Rtype.TAtomicBool (it, q, ht, hf) ->
+        let it = int_type it in
+        let q = prop q in
+        let ht = hres_list ht in
+        Rtype.TAtomicBool (it, q, ht, hres_list hf)
+  and atom = function
+    | Rtype.LocTy (l, t) ->
+        let l = term l in
+        Rtype.LocTy (l, rtype t)
+    | Rtype.ValTy (v, t) ->
+        let v = term v in
+        Rtype.ValTy (v, rtype t)
+  and hres = function
+    | Rtype.HAtom a -> Rtype.HAtom (atom a)
+    | Rtype.HProp p -> Rtype.HProp (prop p)
+  and hres_list hs =
+    List.concat_map (fun h -> site "hres" [ h ] (fun _ -> [])) (List.map hres hs)
+  in
+  let fs_params = binders spec.Rtype.fs_params in
+  let fs_args = List.map rtype spec.Rtype.fs_args in
+  let fs_pre = hres_list spec.Rtype.fs_pre in
+  let fs_exists = binders spec.Rtype.fs_exists in
+  let fs_ret = rtype spec.Rtype.fs_ret in
+  let fs_post = hres_list spec.Rtype.fs_post in
+  (!kind, { spec with fs_params; fs_args; fs_pre; fs_exists; fs_ret; fs_post })
+
+(* every single-node mutant of [spec], with its kind *)
+let spec_mutants (spec : Rtype.fn_spec) : (string * Rtype.fn_spec) list =
+  let rec go k acc =
+    match mutate_spec spec k with
+    | None, _ -> List.rev acc
+    | Some kind, s -> go (k + 1) ((kind, s) :: acc)
+  in
+  go 0 []
+
 let digest_tests =
   [
     Alcotest.test_case "every single-node mutation moves the body digest"
@@ -712,6 +820,39 @@ let digest_tests =
             "constant"; "field name"; "layout size"; "field offset"; "label";
             "operator"; "atomic flag"; "struct name";
           ]);
+    Alcotest.test_case "every single-node spec mutation moves the iface digest"
+      `Quick (fun () ->
+        let kinds = Hashtbl.create 4 in
+        let stress =
+          List.map
+            (fun (p : Corpus.program) ->
+              let session = Api.create_session ~case_studies:true () in
+              ( p.Corpus.p_name,
+                (Driver.parse_and_elab ~session ~file:p.Corpus.p_name
+                   p.Corpus.p_src)
+                  .Rc_frontend.Elab.to_check ))
+            (Corpus.stress_corpus ~scale:1)
+        in
+        List.iter
+          (fun (file, fns) ->
+            List.iter
+              (fun (ftc : Rc_refinedc.Typecheck.fn_to_check) ->
+                let d0 = Depgraph.iface_digest ftc in
+                List.iter
+                  (fun (kind, spec) ->
+                    Hashtbl.replace kinds kind ();
+                    if Depgraph.iface_digest { ftc with spec } = d0 then
+                      Alcotest.failf "%s/%s: a %s mutation left the digest \
+                                      unchanged"
+                        file (fn_name ftc) kind)
+                  (spec_mutants ftc.Rc_refinedc.Typecheck.spec))
+              fns)
+          (List.map (fun f -> (f, study_fns f)) study_files @ stress);
+        List.iter
+          (fun kind ->
+            Alcotest.(check bool) ("mutated some " ^ kind) true
+              (Hashtbl.mem kinds kind))
+          [ "int type"; "sort"; "hres" ]);
     Alcotest.test_case "elaborating twice gives the same digests" `Quick
       (fun () ->
         List.iter
@@ -760,9 +901,9 @@ int get(struct pt* p) {
                   ]))
           (fun n ->
             (* from a one-byte writer: every int also grows it *)
-            let w = Depgraph.enc_create 1 in
-            Depgraph.enc_int w n;
-            Bytes.sub_string w.bytes 0 w.len = string_of_int n ^ ";");
+            let w = Rc_util.Enc.create 1 in
+            Rc_util.Enc.enc_int w n;
+            Rc_util.Enc.contents w = string_of_int n ^ ";");
       ]
 
 (* ------------------------------------------------------------------ *)

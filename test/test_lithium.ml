@@ -31,6 +31,10 @@ module Toy = struct
   (* Toy judgments carry their continuation as data, so none of them are
      memoizable; the memo layer is exercised on the real language. *)
   let memo_key_of_f _ _ = None
+
+  let enc_atom w (c, t) =
+    Rc_util.Enc.enc_str w c;
+    Rc_pure.Term.enc_term w t
   let loc_of_f _ = None
 
   let related ~exact:_ (c1, _) (c2, _) = String.equal c1 c2

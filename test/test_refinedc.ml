@@ -249,12 +249,52 @@ let add3_spec ~with_pre =
     fs_ret = TInt (Int_type.i32, Add (Var ("n", Sort.Int), Num 3));
   }
 
+(* void keep(struct lock* l) { }: hands the lock back as received *)
+let keep_fn =
+  {
+    fname = "keep";
+    args = [ ("l", Layout.Ptr) ];
+    locals = [];
+    ret_layout = Layout.Void;
+    entry = "b0";
+    blocks = [ ("b0", { stmts = []; term = Return None }) ];
+  }
+
+(* [keep] takes an atomicbool whose H⊥ owns a [bool<it>] cell and
+   promises one whose H⊥ owns a [bool<it'>] cell: S-ATOMIC-BOOL must
+   compare the resource lists in full, integer types included *)
+let keep_spec it it' =
+  let lock it =
+    TAtomicBool
+      ( Int_type.i32,
+        PTrue,
+        [],
+        [ HAtom (LocTy (Var ("c", Sort.Loc), TBool (it, PTrue))) ] )
+  in
+  {
+    fs_name = "keep";
+    fs_params = [ ("k", Sort.Loc); ("c", Sort.Loc) ];
+    fs_args = [ TOwn (Some (Var ("k", Sort.Loc)), lock it) ];
+    fs_pre = [];
+    fs_exists = [];
+    fs_ret = t_void;
+    fs_post = [ HAtom (LocTy (Var ("k", Sort.Loc), lock it')) ];
+    fs_tactics = [];
+    fs_loc = None;
+  }
+
 let basic_tests =
   [
     expect_ok "id" id_fn id_spec;
     expect_ok "add3 with precondition" add3_fn (add3_spec ~with_pre:true);
     expect_fail "add3 without range precondition" add3_fn
       (add3_spec ~with_pre:false);
+    Alcotest.test_case "atomicbool with another H⊥ is not subsumed" `Quick
+      (fun () ->
+        let verifies it' = Result.is_ok (check keep_fn (keep_spec Int_type.i32 it')) in
+        Alcotest.(check bool) "the same H⊥ is" true (verifies Int_type.i32);
+        Alcotest.(check bool) "a bool<uint8_t> cell for a bool<int> one is not"
+          false (verifies Int_type.u8));
   ]
 
 let alloc_tests =
@@ -364,14 +404,13 @@ let check_index file (func : Rc_caesium.Syntax.func) (m : Lang.fn_meta)
     (labels_of func m)
 
 (* -------------------------------------------------------------- *)
-(* The spec and invariant signatures the cache keys digest          *)
+(* The structural encodings the cache keys digest                   *)
 (* -------------------------------------------------------------- *)
 
-(* Pins the printed bytes of [Rtype.spec_signature] and
-   [Typecheck.invs_signature], line breaks included, and the interface
-   digest taken over them.  If one moves, the cache keys moved: bump the
-   cache tag in [Typecheck.toolchain_fingerprint] and update the values
-   here. *)
+(* Pins the bytes of [Rtype.enc_spec] and [Typecheck.enc_invs] and the
+   interface digest taken over the spec.  If one moves, the cache
+   keys moved: bump the cache tag in [Typecheck.toolchain_fingerprint]
+   and update the values here. *)
 let signature_tests =
   [
     Alcotest.test_case "golden spec and invariant signatures" `Quick
@@ -394,69 +433,20 @@ let signature_tests =
               f.spec.fs_name = "bsearch_idx")
             el.Rc_frontend.Elab.to_check
         in
-        Alcotest.(check string) "spec_signature"
-          "bsearch_idx|params:q:loc, n:nat, xs:list int,\n\
-           k:int|args:q @ &own<array<int<int>, n, xs>>, n @ int<size_t>, \
-           k @ int<int>,\n\
-           fn<cmp_spec>|pre:\226\140\156n \226\137\164 100000\226\140\157|\
-           exists:r:int|ret:r @ int<size_t>|post:\226\140\1560 \226\137\164 \
-           r\226\140\157,\n\
-           \226\140\156r \226\137\164 n\226\140\157,\n\
-           q \226\151\129\226\130\151 array<int<int>, n, xs>|tactics:"
-          (Rtype.spec_signature ftc.spec);
-        Alcotest.(check string) "invs_signature"
-          "loop0{ex:a:nat, b:nat|vars:lo:a @ int<size_t>,\n\
-           hi:b @ int<size_t>|cstr:0 \226\137\164 a, a \226\137\164 b,\n\
-           b \226\137\164 n}"
-          (Typecheck.invs_signature ftc.invs);
-        Alcotest.(check string) "iface_digest"
-          "033d3613d855a6aee74592cf875877bc"
+        Alcotest.(check string) "spec encoding"
+          "11;bsearch_idx4;1;qp1;nn2;xsli1;ki4;oSv1;qpA3;int4;sv1;nnv2;xslii6;\
+           size_t8;uv1;nni3;int4;sv1;kif8;cmp_spec1;pLv1;nn#100000;1;1;rii6;\
+           size_t8;uv1;ri3;pL#0;v1;ripLv1;riv1;nnalv1;qpA3;int4;sv1;nnv2;xsli0;"
+          (Enc.encode Rtype.enc_spec ftc.spec);
+        Alcotest.(check string) "invariant encoding"
+          "1;5;loop02;1;an1;bn2;2;loi6;size_t8;uv1;an2;hii6;size_t8;uv1;bn3;\
+           L#0;v1;anLv1;anv1;bnLv1;bnv1;nn"
+          (Enc.encode Typecheck.enc_invs ftc.invs);
+        Alcotest.(check string) "iface_digest" "f87b54f9ef030fd84d7e1693aeea6c17"
           (Depgraph.iface_digest ftc));
   ]
 
-(* The [Fmt] printers the signatures were first defined by: the oracle
-   of the differential checks below. *)
-let fmt_spec_signature (s : fn_spec) : string =
-  let binder ppf (x, srt) = Fmt.pf ppf "%s:%a" x Sort.pp srt in
-  Fmt.str "%s|params:%a|args:%a|pre:%a|exists:%a|ret:%a|post:%a|tactics:%s"
-    s.fs_name
-    Fmt.(list ~sep:comma binder)
-    s.fs_params
-    Fmt.(list ~sep:comma pp_rtype)
-    s.fs_args
-    Fmt.(list ~sep:comma pp_hres)
-    s.fs_pre
-    Fmt.(list ~sep:comma binder)
-    s.fs_exists pp_rtype s.fs_ret
-    Fmt.(list ~sep:comma pp_hres)
-    s.fs_post
-    (String.concat "," s.fs_tactics)
-
-let fmt_invs_signature (invs : (string * Lang.loop_inv) list) : string =
-  let binder ppf (x, srt) = Fmt.pf ppf "%s:%a" x Sort.pp srt in
-  let var ppf (x, ty) = Fmt.pf ppf "%s:%a" x pp_rtype ty in
-  let inv ppf (label, (i : Lang.loop_inv)) =
-    Fmt.pf ppf "%s{ex:%a|vars:%a|cstr:%a}" label
-      Fmt.(list ~sep:comma binder)
-      i.li_exists
-      Fmt.(list ~sep:comma var)
-      i.li_vars
-      Fmt.(list ~sep:comma pp_prop)
-      i.li_constraints
-  in
-  Fmt.str "%a" Fmt.(list ~sep:semi inv) invs
-
-(* random texts: runs of ASCII and multi-byte characters, with and
-   without separators, long enough to wrap several times *)
-let gen_chunks =
-  QCheck.Gen.(
-    list_size (int_range 0 40)
-      (pair
-         (map String.concat (pure "")
-         <*> list_size (int_range 0 12)
-               (oneofl [ "a"; "bc"; " "; "≤"; "⌜"; "x_1"; "@"; "int<int>" ]))
-         (oneofl [ None; None; Some ","; Some ";" ])))
-
+(* small terms over few leaves, so that equal pairs are common *)
 let sig_gen_term =
   QCheck.Gen.(
     sized_size (int_range 0 6)
@@ -465,9 +455,17 @@ let sig_gen_term =
              oneof
                [
                  map (fun i -> Num i) (oneofl [ 0; 7; -3; 100000; min_int ]);
-                 map (fun x -> Var (x, Sort.Int)) (oneofl [ "n"; "xs"; "a%4" ]);
+                 map2
+                   (fun x s -> Var (x, s))
+                   (oneofl [ "n"; "xs"; "a%4"; "a%5" ])
+                   (oneofl [ Sort.Int; Sort.Nat ]);
                  map (fun i -> Evar (i, Sort.Int)) (int_range 0 20);
+                 map
+                   (fun s -> Nil s)
+                   (oneofl [ Sort.Int; Sort.Nat; Sort.List Sort.Int ]);
                  pure NullLoc;
+                 pure MsEmpty;
+                 pure SetEmpty;
                  map (fun v -> BoolLit v) bool;
                ]
            in
@@ -495,77 +493,17 @@ let sig_gen_term =
 let signature_diff_tests =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:3000 ~name:"Breakbuf lays out text as Format"
-         (QCheck.make gen_chunks) (fun chunks ->
-           let b = Rc_util.Breakbuf.create 16 in
-           List.iter
-             (fun (text, sep) ->
-               match sep with
-               | None -> Rc_util.Breakbuf.add_string b text
-               | Some s ->
-                   Rc_util.Breakbuf.add_string b text;
-                   Rc_util.Breakbuf.sep b s)
-             chunks;
-           let expected =
-             Format.asprintf "%a"
-               (fun ppf ->
-                 List.iter (fun (text, sep) ->
-                     Format.pp_print_string ppf text;
-                     match sep with
-                     | None -> ()
-                     | Some s ->
-                         Format.pp_print_string ppf s;
-                         Format.pp_print_space ppf ()))
-               chunks
-           in
-           Rc_util.Breakbuf.contents b = expected));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:2000 ~name:"add_term prints as pp_term"
-         (QCheck.make ~print:term_to_string sig_gen_term) (fun t ->
-           let b = Rc_util.Breakbuf.create 16 in
-           Rc_util.Breakbuf.list b ~sep:"," add_term [ t; t ];
-           Rc_util.Breakbuf.contents b
-           = Fmt.str "%a" Fmt.(list ~sep:comma pp_term) [ t; t ]));
-    Alcotest.test_case "signatures print as the Fmt printers" `Quick
-      (fun () ->
-        let studies =
-          Sys.readdir case_dir |> Array.to_list
-          |> List.filter (fun f -> Filename.check_suffix f ".c")
-          |> List.map (fun f ->
-                 ( f,
-                   In_channel.with_open_bin (Filename.concat case_dir f)
-                     In_channel.input_all ))
-        in
-        let generated =
-          List.map
-            (fun (p : Rc_benchgen.Corpus.program) -> (p.p_name, p.p_src))
-            (Rc_benchgen.Corpus.stress_corpus ~scale:2)
-          @ [
-              ("loop_farm", Rc_benchgen.Corpus.loop_farm ~functions:6 ());
-              ("lock_farm", Rc_benchgen.Corpus.lock_farm ~functions:4 ());
-            ]
-        in
-        let n = ref 0 in
-        List.iter
-          (fun (file, src) ->
-            let session =
-              Rc_session.Refinedc_api.create_session ~case_studies:true ()
-            in
-            let el = Rc_frontend.Driver.parse_and_elab ~session ~file src in
-            List.iter
-              (fun (f : Typecheck.fn_to_check) ->
-                incr n;
-                Alcotest.(check string)
-                  (file ^ ": " ^ f.spec.fs_name)
-                  (fmt_spec_signature f.spec)
-                  (Rtype.spec_signature f.spec);
-                Alcotest.(check string)
-                  (file ^ ": invariants of " ^ f.spec.fs_name)
-                  (fmt_invs_signature f.invs)
-                  (Typecheck.invs_signature f.invs))
-              el.Rc_frontend.Elab.to_check)
-          (studies @ generated);
-        Alcotest.(check bool) "functions compared" true (!n > 80));
+      (QCheck.Test.make ~count:3000 ~name:"term encoding is injective"
+         (QCheck.make
+            ~print:(fun (a, b) -> term_to_string a ^ " / " ^ term_to_string b)
+            QCheck.Gen.(
+              oneof
+                [
+                  pair sig_gen_term sig_gen_term;
+                  map (fun t -> (t, t)) sig_gen_term;
+                ]))
+         (fun (a, b) ->
+           Enc.encode enc_term a = Enc.encode enc_term b = (a = b)));
   ]
 
 let index_tests =

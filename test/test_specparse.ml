@@ -46,7 +46,7 @@ let ty name input expected =
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string)
         name expected
-        (Rc_refinedc.Rtype.rtype_to_string (Sp.rtype ~env input)))
+        (Fmt.str "%a" Rc_refinedc.Rtype.pp_rtype (Sp.rtype ~env input)))
 
 let fails name input =
   Alcotest.test_case name `Quick (fun () ->
