@@ -46,14 +46,21 @@ val prove : ?scope:scope -> hyps:Term.prop list -> Term.prop -> bool
     those that would take the product of the hypotheses' branch counts
     past 512, choosing newest first. *)
 
+val scan : scope -> hyps:Term.prop list -> Term.prop -> bool
+(** [scan sc ~hyps goal]: [goal]'s normal form under no simplifier hooks
+    is [True] or one of the hypotheses' normal forms.  Those forms are
+    memoised in [sc]; the scan is not counted as a query. *)
+
+val decide : scope -> hyps:Term.prop list -> Term.prop -> bool
+(** [decide sc ~hyps goal] decides the sequent without the scan: it
+    substitutes non-numeric equalities away and refutes [Γ ∧ ¬φ].  It
+    counts one query.  [prove ~scope:sc] is [scan sc || decide sc],
+    counted once. *)
+
 val simp : scope -> Simp.hooks -> Term.prop -> Term.prop
 (** [simp sc hooks p] is [Simp.simp_prop ~hooks p], memoised in [sc]
     per hooks value (by physical identity) *)
 
-val simp_hyps : scope -> Simp.hooks -> Term.prop list -> Term.prop list
-(** [simp_hyps sc hooks hyps] is [List.map (simp sc hooks) hyps]; it
-    only looks up the hypotheses in front of the suffix the list shares
-    (physically) with the previous list given with the same hooks *)
 
 val flush : scope -> Rc_util.Obs.t -> unit
 (** Add the scope's counters to [obs], when it is on; call it once, when

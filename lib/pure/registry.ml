@@ -103,10 +103,11 @@ let rec default_prove (reg : t) ~hyps goal =
       | None -> true
       | Some hs -> default_prove reg ~hyps:(hs @ hyps) b)
   | _ ->
-      List.exists
-        (fun h -> equal_prop h goal)
-        (Linarith.simp_hyps scope reg.hooks hyps)
-      || Linarith.prove ~scope ~hyps goal
+      (* Γ is in the hooks' normal form (the engine simplifies every
+         hypothesis it adds under them), and so is [goal]: the scan under
+         no hooks finds what a scan under the hooks would *)
+      Linarith.scan scope ~hyps goal
+      || Linarith.decide scope ~hyps goal
       || List_solver.prove ~hooks:reg.hooks
            ~prove_pure:(Linarith.prove ~scope)
            ~hyps goal

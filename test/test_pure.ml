@@ -347,6 +347,16 @@ let list_tests =
       true;
   ]
 
+(* [lia_counters reg f]: [f]'s result on [reg] in a fresh solver scope,
+   and the [solver.lia.*] counts that scope flushes, by name *)
+let lia_counters reg f =
+  let reg = Registry.scoped reg in
+  let r = f reg in
+  let obs = Rc_util.Obs.create { c_trace = false; c_metrics = true } in
+  Registry.flush_scope reg obs;
+  let mx = Rc_util.Obs.mx obs in
+  (r, fun name -> Rc_util.Metrics.counter mx ("solver.lia." ^ name))
+
 let registry_tests =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -398,6 +408,43 @@ let registry_tests =
         Alcotest.(check bool) "default registry unaffected" true
           (Registry.solve Registry.default ~hyps:[ PLt (Num 0, nat "cap") ] g
            = Registry.Unsolved));
+    (* the registry scans Γ for the goal once, in the solver's normal
+       forms, and only a goal the scan misses costs a solver query *)
+    t "scan: non-linear hyp, any hooks" (fun () ->
+        let xs = Var ("xs", Sort.List Sort.Int) in
+        let ys = Var ("ys", Sort.List Sort.Int) in
+        List.iter
+          (fun (hooks_name, hooks) ->
+            List.iter
+              (fun goal ->
+                let reg = { Registry.default with Registry.hooks } in
+                let proved, count =
+                  lia_counters reg (fun reg ->
+                      Registry.default_prove reg
+                        ~hyps:[ PLe (a, b); goal; PLt (n, a) ]
+                        goal)
+                in
+                let what = hooks_name ^ ": " ^ prop_to_string goal in
+                Alcotest.(check bool) what true proved;
+                Alcotest.(check int) (what ^ " queries") 0 (count "queries"))
+              [ PPred ("sorted", [ xs ]); PEq (xs, Append (ys, xs)) ])
+          [ ("no hooks", Simp.no_hooks); ("studies", Rc_studies.Studies.hooks) ]);
+    t "scanned goal counts no query" (fun () ->
+        let proved, count =
+          lia_counters Registry.default (fun reg ->
+              Registry.default_prove reg ~hyps:[ PLe (a, b) ] (PLe (a, b)))
+        in
+        Alcotest.(check bool) "proved" true proved;
+        Alcotest.(check int) "solver.lia.queries" 0 (count "queries"));
+    t "refuted goal counts one query" (fun () ->
+        let proved, count =
+          lia_counters Registry.default (fun reg ->
+              Registry.default_prove reg ~hyps:[ PLe (a, b) ]
+                (PLe (a, Add (b, Num 1))))
+        in
+        Alcotest.(check bool) "proved" true proved;
+        Alcotest.(check int) "solver.lia.queries" 1 (count "queries");
+        Alcotest.(check int) "solver.lia.refuted" 1 (count "refuted"));
   ]
 
 (* property-based tests *)
@@ -506,9 +553,8 @@ let gen_simp_term =
   in
   frequency [ (1, arith); (1, loc) ]
 
-let gen_query_prop =
+let gen_prop_of t =
   let open QCheck.Gen in
-  let t = gen_query_term in
   frequency
     [
       (3, map2 (fun x y -> PLe (x, y)) t t);
@@ -517,12 +563,83 @@ let gen_query_prop =
       (1, map2 (fun x y -> PNot (PEq (x, y))) t t);
     ]
 
+let gen_query_prop = gen_prop_of gen_query_term
+
 let gen_query =
   QCheck.Gen.(pair (list_size (int_range 0 5) gen_query_prop) gen_query_prop)
 
 let print_query (hyps, goal) =
   String.concat "; " (List.map prop_to_string hyps)
   ^ " |- " ^ prop_to_string goal
+
+(* Hypotheses: the query shapes, disjunctions (several DNF branches)
+   and equalities whose integer solutions the coefficients may rule out
+   (2x = 4y + 1). *)
+let gen_hyp_of gen_prop t =
+  let open QCheck.Gen in
+  let var = oneofl [ a; b; n; i; j ] in
+  frequency
+    [
+      (4, gen_prop);
+      (1, map2 (fun p q -> POr (p, q)) gen_prop gen_prop);
+      ( 2,
+        map3
+          (fun (k, x) (m, y) c ->
+            PEq (Mul (Num k, x), Add (Mul (Num m, y), Num c)))
+          (pair (oneofl [ 1; 2; 3 ]) var)
+          (pair (oneofl [ 2; 4 ]) var)
+          (int_range (-3) 3) );
+      (1, map2 (fun x y -> PEq (x, y)) t t);
+    ]
+
+let gen_hyp = gen_hyp_of gen_query_prop gen_query_term
+
+(* the query terms plus [/] and [%] by literals (positive ones are
+   axiomatised, the rest are atoms), and more [min] and [∸] *)
+let gen_oracle_term =
+  let open QCheck.Gen in
+  let t = gen_query_term in
+  frequency
+    [
+      (4, t);
+      (1, map2 (fun x m -> Div (x, Num m)) t (int_range (-1) 4));
+      (1, map2 (fun x m -> Mod (x, Num m)) t (int_range (-1) 4));
+      (1, map2 (fun x y -> Min (x, y)) t t);
+      (1, map2 (fun x y -> NatSub (x, y)) t t);
+    ]
+
+let gen_oracle_prop = gen_prop_of gen_oracle_term
+let gen_oracle_hyp = gen_hyp_of gen_oracle_prop gen_oracle_term
+
+(* A search path as the engine's contexts walk one: a shared tail, two
+   heads over it, and goals.  [path_queries] asks every goal under both
+   branches, pops back to every shorter suffix and comes back to a
+   structurally equal but physically fresh list, so each transition of
+   a scope's prefix stack is taken. *)
+let gen_path gen_hyp gen_goal =
+  QCheck.Gen.(
+    pair
+      (triple
+         (list_size (int_range 0 5) gen_hyp)
+         (list_size (int_range 1 2) gen_hyp)
+         (list_size (int_range 1 2) gen_hyp))
+      (list_size (int_range 1 6) gen_goal))
+
+let print_path ((tail, h1, h2), goals) =
+  let hyps l = String.concat "; " (List.map prop_to_string l) in
+  Printf.sprintf "tail: %s; heads: [%s] [%s]; goals: %s" (hyps tail) (hyps h1)
+    (hyps h2)
+    (String.concat ", " (List.map prop_to_string goals))
+
+let path_queries ((tail, h1, h2), goals) =
+  let rec tails = function [] -> [ [] ] | _ :: t as l -> l :: tails t in
+  let fresh_copy (l : prop list) : prop list =
+    Marshal.from_string (Marshal.to_string l []) 0
+  in
+  let lists =
+    [ h1 @ tail; h2 @ tail ] @ tails tail @ [ fresh_copy (h1 @ tail); h2 @ tail ]
+  in
+  List.concat_map (fun g -> List.map (fun h -> (h, g)) lists) goals
 
 (* [dominated k p] is [p] loosened by [k]: the same coefficients, a
    looser constant *)
@@ -543,63 +660,11 @@ let prop_tests =
             goal)
   in
   let scope_independent =
-    (* the queries walk a search path as the engine's contexts do: they
-       share hypothesis tails physically, branch (two heads over one
-       tail), pop back to every shorter suffix and come back to a
-       structurally equal but physically fresh list, so each transition
-       of the scope's prefix stack is taken, in both query orders *)
-    let gen_hyp =
-      let open QCheck.Gen in
-      let t = gen_query_term in
-      let var = oneofl [ a; b; n; i; j ] in
-      frequency
-        [
-          (4, gen_query_prop);
-          (* several DNF branches *)
-          (1, map2 (fun p q -> POr (p, q)) gen_query_prop gen_query_prop);
-          (* an equality, whose integer solutions the coefficients may
-             rule out (2x = 4y + 1) *)
-          ( 2,
-            map3
-              (fun (k, x) (m, y) c ->
-                PEq (Mul (Num k, x), Add (Mul (Num m, y), Num c)))
-              (pair (oneofl [ 1; 2; 3 ]) var)
-              (pair (oneofl [ 2; 4 ]) var)
-              (int_range (-3) 3) );
-          (1, map2 (fun x y -> PEq (x, y)) t t);
-        ]
-    in
-    let gen =
-      QCheck.Gen.(
-        pair
-          (triple
-             (list_size (int_range 0 5) gen_hyp)
-             (list_size (int_range 1 2) gen_hyp)
-             (list_size (int_range 1 2) gen_hyp))
-          (list_size (int_range 1 6) gen_query_prop))
-    in
-    let print ((tail, h1, h2), goals) =
-      let hyps l = String.concat "; " (List.map prop_to_string l) in
-      Printf.sprintf "tail: %s; heads: [%s] [%s]; goals: %s" (hyps tail)
-        (hyps h1) (hyps h2)
-        (String.concat ", " (List.map prop_to_string goals))
-    in
     QCheck.Test.make ~count:100
       ~name:"answers in one scope equal answers in fresh scopes"
-      (QCheck.make ~print gen)
-      (fun ((tail, h1, h2), goals) ->
-        let rec tails = function [] -> [ [] ] | _ :: t as l -> l :: tails t in
-        let fresh_copy (l : prop list) : prop list =
-          Marshal.from_string (Marshal.to_string l []) 0
-        in
-        let lists =
-          [ h1 @ tail; h2 @ tail ]
-          @ tails tail
-          @ [ fresh_copy (h1 @ tail); h2 @ tail ]
-        in
-        let queries =
-          List.concat_map (fun g -> List.map (fun h -> (h, g)) lists) goals
-        in
+      (QCheck.make ~print:print_path (gen_path gen_hyp gen_query_prop))
+      (fun path ->
+        let queries = path_queries path in
         let fresh =
           List.map (fun (hyps, g) -> Linarith.prove ~hyps g) queries
         in
@@ -620,6 +685,50 @@ let prop_tests =
         let expect = List.combine fresh registry_fresh in
         shared queries = expect
         && List.rev (shared (List.rev queries)) = expect)
+  in
+  let oracle_agrees =
+    (* one scope per side, each query asked as [Linarith.prove] or the
+       way the registry asks it: [True] is proved outright, then come the
+       scan and the counted decision.  The oracle answers the second the
+       old way, with a scan of its own before [prove] *)
+    let gen =
+      QCheck.Gen.(
+        pair
+          (gen_path gen_oracle_hyp gen_oracle_prop)
+          (list_size (int_range 1 60) bool))
+    in
+    QCheck.Test.make ~count:200
+      ~name:"cell kernel answers as the oracle"
+      (QCheck.make ~print:(fun (p, _) -> print_path p) gen)
+      (fun (path, modes) ->
+        let module O = Linarith_oracle in
+        let queries = path_queries path in
+        let mode k = List.nth modes (k mod List.length modes) in
+        let sc = Linarith.scope () and osc = O.scope () in
+        let answers =
+          List.mapi
+            (fun k (hyps, g) ->
+              if mode k then
+                let og = O.simp osc Simp.no_hooks g in
+                let g = Linarith.simp sc Simp.no_hooks g in
+                ( g = PTrue
+                  || Linarith.scan sc ~hyps g
+                  || Linarith.decide sc ~hyps g,
+                  og = PTrue
+                  || List.exists (equal_prop og)
+                       (O.simp_hyps osc Simp.no_hooks hyps)
+                  || O.prove ~scope:osc ~hyps og )
+              else (Linarith.prove ~scope:sc ~hyps g, O.prove ~scope:osc ~hyps g))
+            queries
+        in
+        let counters flush =
+          let obs = Rc_util.Obs.create { c_trace = false; c_metrics = true } in
+          flush obs;
+          Rc_util.Metrics.counters_with_prefix (Rc_util.Obs.mx obs)
+            ~prefix:"solver.lia."
+        in
+        List.for_all (fun (x, y) -> x = y) answers
+        && counters (Linarith.flush sc) = counters (O.flush osc))
   in
   let lin_sound =
     QCheck.Test.make ~count:300 ~name:"linarith is sound on random goals"
@@ -658,7 +767,10 @@ let prop_tests =
         equal_term (Simp.simp_term s) s)
   in
   List.map QCheck_alcotest.to_alcotest
-    [ lin_sound; simp_sound; simp_idempotent; redundant_hyps; scope_independent ]
+    [
+      lin_sound; simp_sound; simp_idempotent; redundant_hyps; scope_independent;
+      oracle_agrees;
+    ]
 
 (* The traversal contract (DESIGN.md §16): a traversal returns its input
    itself when nothing below it changed, and calls [f] in the order the
