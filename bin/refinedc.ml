@@ -45,6 +45,7 @@ let checked base ~expected ok =
   Arg.conv ~docv:(Arg.conv_docv base) (parse, Arg.conv_printer base)
 
 let count = checked Arg.int ~expected:"a non-negative integer" (fun n -> n >= 0)
+let positive = checked Arg.int ~expected:"a positive integer" (fun n -> n >= 1)
 
 (* the cap in bytes must fit an [int]: a wrapped product prunes the
    whole store *)
@@ -59,6 +60,15 @@ let seconds =
 let probability =
   checked Arg.float ~expected:"a probability in [0, 1]" (fun p ->
       p >= 0. && p <= 1.)
+
+(* an unknown site or an empty list would silently inject nothing *)
+let site_list =
+  let site =
+    checked Arg.string
+      ~expected:("one of " ^ String.concat ", " Rc_util.Faultsim.sites)
+      (fun s -> List.mem s Rc_util.Faultsim.sites)
+  in
+  checked (Arg.list site) ~expected:"at least one site" (( <> ) [])
 
 let check_cmd =
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
@@ -266,9 +276,9 @@ let check_cmd =
       & info [ "fault-seed" ] ~docv:"SEED"
           ~doc:
             "Arm a deterministic fault-injection campaign with $(docv) \
-             (chaos testing).  Instrumented sites across the pipeline — \
-             solver calls, pool dispatch, cache read/write, file I/O — \
-             then fail with probability $(b,--fault-rate).")
+             (chaos testing).  The instrumented sites (see \
+             $(b,--fault-sites)) then fail with probability \
+             $(b,--fault-rate).")
   in
   let fault_rate =
     Arg.(
@@ -279,12 +289,14 @@ let check_cmd =
   let fault_sites =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some site_list) None
       & info [ "fault-sites" ] ~docv:"S1,S2"
           ~doc:
-            "Restrict injection to the named comma-separated sites (e.g. \
-             $(b,pool.dispatch,cache.read,cache.write,io.read,solver)); \
-             default: every site.")
+            (Fmt.str
+               "Restrict injection to the named comma-separated sites, \
+                from %s; default: every site."
+               (String.concat ", "
+                  (List.map (Fmt.str "$(b,%s)") Rc_util.Faultsim.sites))))
   in
   let fault_max =
     Arg.(
@@ -385,15 +397,10 @@ let check_cmd =
       }
     in
     let fault =
-      match fault_seed with
-      | None -> None
-      | Some seed ->
-          let sites =
-            Option.map (String.split_on_char ',') fault_sites
-          in
-          Some
-            (Rc_util.Faultsim.create ~rate:fault_rate ?sites
-               ~max_faults:fault_max seed)
+      Option.map
+        (Rc_util.Faultsim.create ~rate:fault_rate ?sites:fault_sites
+           ~max_faults:fault_max)
+        fault_seed
     in
     let interrupted = Atomic.make false in
     install_interrupt_handlers interrupted;
@@ -941,6 +948,10 @@ let cfg_cmd =
 (* refinedc stats: trends and regression checks over the run ledger      *)
 (* -------------------------------------------------------------------- *)
 
+let ratio =
+  checked Arg.float ~expected:"a finite positive number" (fun x ->
+      x > 0. && Float.is_finite x)
+
 let stats_cmd =
   let module J = Rc_util.Jsonout in
   let dir =
@@ -961,13 +972,13 @@ let stats_cmd =
   in
   let last =
     Arg.(
-      value & opt int 10
+      value & opt count 10
       & info [ "last" ] ~docv:"N"
           ~doc:"Show the last $(docv) ledger records (default 10).")
   in
   let window =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "window" ] ~docv:"N"
           ~doc:
             "Regression baseline: the $(docv) check runs before the \
@@ -975,7 +986,7 @@ let stats_cmd =
   in
   let threshold =
     Arg.(
-      value & opt float 0.75
+      value & opt ratio 0.75
       & info [ "threshold" ] ~docv:"R"
           ~doc:
             "Flag a regression when the latest run's apps/sec falls below \

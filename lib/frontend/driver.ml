@@ -17,9 +17,9 @@
     observationally identical to the sequential, uncached run — same
     verdicts, same aggregate statistics, same exit code.
 
-    The dispatch layer adds the robustness contract: a worker crash is
-    confined to its task (supervision re-queues and respawns), transient
-    faults can be re-attempted ([x_retries]), a whole-run deadline or a
+    The dispatch layer adds the robustness contract: a crash is
+    confined to its task's verdict slot, transient faults can be
+    re-attempted ([x_retries]), a whole-run deadline or a
     cooperative cancellation ([x_deadline]/[x_cancel]) stops *starting*
     functions and reports the rest as skipped — a partial report with
     every completed verdict intact, never a lost run. *)
@@ -71,7 +71,7 @@ type t = {
           whole-run deadline, or after an interrupt *)
   stop : stop;  (** why checking stopped, if before the end *)
   exec_stats : Supervisor.run_stats;
-      (** supervision counters (retries, crashes, respawns, …); all
+      (** supervision counters (retries, task faults, not-run); all
           zero on a fault-free, deadline-free run *)
   jobs : int;  (** the session pool's worker count, 1 without a pool *)
   cache_stats : (int * int) option;
@@ -440,7 +440,7 @@ let check_elaborated ?(fail_fast = false) ?cache ?(obs = Obs.off)
     Supervisor.run exec.Session.x_pool ?deadline:exec.Session.x_deadline
       ~cancel ~retries ~should_retry ~is_transient:is_transient_exn
       ~halt:(fun r -> fail_fast && Result.is_error r.outcome)
-      ?fault:campaign check_one dirty
+      check_one dirty
   in
   (* ---- assemble results, faults and skips in source order ----
      Cache hits and dirty verdicts merge by source index: the output
@@ -458,7 +458,7 @@ let check_elaborated ?(fail_fast = false) ?cache ?(obs = Obs.off)
               match outcome with
               | Supervisor.Done r -> Some r
               | Supervisor.Fault fl ->
-                  (* the task (or its worker) died [fl.f_attempts] times;
+                  (* the task died [fl.f_attempts] times;
                      the verdict slot survives as a structured checker
                      fault *)
                   Some
@@ -493,22 +493,6 @@ let check_elaborated ?(fail_fast = false) ?cache ?(obs = Obs.off)
     match exec_stats.Supervisor.rs_stop with
     | Some Supervisor.Deadline -> Deadline
     | _ -> if cancel () then Interrupted else Completed
-  in
-  let diagnostics =
-    if exec_stats.Supervisor.rs_degraded then
-      (* a Note, deliberately not a problem: degradation must never
-         change an exit code (even under --lint-werror), only explain
-         where the wall-clock went *)
-      Rc_util.Diagnostic.sort
-        (Rc_util.Diagnostic.make ~severity:Rc_util.Diagnostic.Note
-           ~code:"RC-X001"
-           ~loc:
-             (Rc_util.Srcloc.make ~file ~start_line:1 ~start_col:0
-                ~end_line:1 ~end_col:0)
-           "worker pool degraded to sequential execution (respawn \
-            allowance exhausted); verdicts are unaffected"
-        :: diagnostics)
-    else diagnostics
   in
   (* merge the kept results' observability by source index — skips and
      fail-fast discards contribute nothing, exactly as in a sequential
@@ -704,10 +688,7 @@ let exec_json (t : t) : Rc_util.Jsonout.t =
     [
       ("retries", Int e.Supervisor.rs_retries);
       ("task_faults", Int e.Supervisor.rs_task_faults);
-      ("worker_crashes", Int e.Supervisor.rs_crashes);
-      ("respawns", Int e.Supervisor.rs_respawns);
       ("not_run", Int e.Supervisor.rs_not_run);
-      ("degraded", Bool e.Supervisor.rs_degraded);
     ]
 
 let stop_json (t : t) : Rc_util.Jsonout.t =

@@ -2,14 +2,13 @@
 
     The toolchain claims to survive any single-function checker failure;
     this module lets the test suite *prove* it.  Instrumented points in
-    the pipeline (solver calls, rule lookup, evar resolution — and since
-    the supervised pool landed, the pool dispatch, cache read/write and
-    file-I/O boundaries) call {!point} with the campaign state threaded
-    to them by the verification session; each hit draws from a
-    splitmix64 stream derived from the campaign seed and raises
-    {!Injected} with the configured probability.  The stream depends
-    only on the seed and the sequence of hits, so sequential campaigns
-    replay bit-for-bit.
+    the pipeline (the six {!sites}: solver calls, rule lookup, evar
+    resolution, cache read/write and file reads) call {!point} with the
+    campaign state threaded to them by the verification session; each
+    hit draws from a splitmix64 stream derived from the campaign seed
+    and raises {!Injected} with the configured probability.  The stream
+    depends only on the seed and the sequence of hits, so sequential
+    campaigns replay bit-for-bit.
 
     There is deliberately no process-global "armed" switch: a campaign is
     a value ({!t}) owned by exactly one verification session, so two
@@ -41,12 +40,23 @@ type t = {
   injected : int Atomic.t;
 }
 
+(** The instrumented sites, by the name each passes to {!point}. *)
+let sites =
+  [ "solver"; "rule_lookup"; "evar_resolve"; "cache.read"; "cache.write";
+    "io.read" ]
+
 (** Create a campaign.  The resulting value is owned by one verification
     session but may be drawn from concurrently by that session's worker
-    domains; independent campaigns never observe each other. *)
-let create ?(rate = 0.001) ?sites ?(max_faults = -1) seed : t =
+    domains; independent campaigns never observe each other.  A [~sites]
+    name outside {!sites} raises [Invalid_argument]. *)
+let create ?(rate = 0.001) ?sites:only ?(max_faults = -1) seed : t =
+  Option.iter
+    (List.iter (fun site ->
+         if not (List.mem site sites) then
+           invalid_arg ("Faultsim.create: unknown site " ^ site)))
+    only;
   {
-    cfg = { seed; rate; sites; max_faults };
+    cfg = { seed; rate; sites = only; max_faults };
     prng = Atomic.make (Int64.of_int seed);
     injected = Atomic.make 0;
   }

@@ -1,13 +1,12 @@
-(* Supervised persistent domain pool.  See supervisor.mli.
+(* Persistent domain pool.  See supervisor.mli.
 
    Locking protocol: every mutable field of [t] is guarded by [t.m], and
    every mutable field of a batch by its [bm] — which is [t.m] itself
    when the batch runs on a pool.  Workers hold the lock while claiming
-   work (the chaos-injection draw included, which touches only the
-   campaign's own atomics) and publishing completions, and release it
-   around task execution.  The domain inside [run] holds it while
-   respawning and draining, releasing it around backoff sleeps and
-   inline task execution. *)
+   work and publishing completions, and release it around task
+   execution.  The domain inside [run] holds it while handing out the
+   batch and waiting for it (or draining it itself), releasing it
+   around inline task execution. *)
 
 let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 let worker_id () = (Domain.self () :> int)
@@ -19,22 +18,16 @@ and reason = Deadline | Cancelled | Halted
 type run_stats = {
   rs_retries : int;
   rs_task_faults : int;
-  rs_crashes : int;
-  rs_respawns : int;
   rs_not_run : int;
-  rs_degraded : bool;
   rs_stop : reason option;
 }
 
 let now_ns () : int64 = Monotonic_clock.now ()
 
-(* capped exponential backoff before re-attempt / respawn [k] (0-based);
-   kept tiny so degraded chaos runs stay test-friendly *)
+(* capped exponential backoff before re-attempt [k] (0-based); kept
+   tiny so chaos runs stay test-friendly *)
 let retry_backoff k =
   Unix.sleepf (Float.min 0.005 (0.0005 *. Float.of_int (1 lsl Stdlib.min k 4)))
-
-let respawn_backoff k =
-  Unix.sleepf (Float.min 0.01 (0.00025 *. Float.of_int (1 lsl Stdlib.min k 6)))
 
 (* A queued task: type-erased closures over the caller's result array.
    [t_exec] runs the full attempt loop, stores the outcome and says
@@ -57,7 +50,6 @@ type batch = {
   mutable completed : int;
   deadline_ns : int64 option;
   cancel : unit -> bool;
-  fault : Faultsim.t option;
   mutable stop : reason option;
   mutable not_run : int;
   mutable halt_at : int;
@@ -68,16 +60,10 @@ type batch = {
 type t = {
   m : Mutex.t;
   work : Condition.t;  (** workers wait here for tasks (or shutdown) *)
-  donec : Condition.t;  (** the supervisor waits here for completions/crashes *)
+  donec : Condition.t;  (** the supervisor waits here for completions *)
   n_jobs : int;
-  max_respawns : int;
   mutable current : batch option;
   mutable stopping : bool;
-  mutable live : int;
-  mutable crashed_pending : int;  (** crashes not yet handled by [run] *)
-  mutable respawns : int;
-  mutable crashes_total : int;
-  mutable degraded : bool;
   mutable domains : unit Domain.t list;
 }
 
@@ -137,35 +123,13 @@ let execute ~inline (b : batch) (task : task) =
 
 let rec worker_loop (t : t) : unit =
   (* invariant: t.m held here; released before returning *)
-  if t.stopping then begin
-    t.live <- t.live - 1;
-    Mutex.unlock t.m
-  end
+  if t.stopping then Mutex.unlock t.m
   else
     match t.current with
-    | Some b when not (Queue.is_empty b.q) -> (
-        let claimed = claim b in
+    | Some b when not (Queue.is_empty b.q) ->
+        Option.iter (execute ~inline:false b) (claim b);
         if b.completed = b.total then Condition.broadcast t.donec;
-        match claimed with
-        | None -> worker_loop t
-        | Some task -> (
-            (* the dispatch boundary: a chaos injection here kills the
-               *worker* between isolation scopes — the claimed task is
-               re-queued and the supervisor respawns the domain *)
-            match Faultsim.point b.fault "pool.dispatch" with
-            | exception _ ->
-                Queue.push task b.q;
-                t.live <- t.live - 1;
-                t.crashed_pending <- t.crashed_pending + 1;
-                t.crashes_total <- t.crashes_total + 1;
-                Condition.broadcast t.donec;
-                Condition.broadcast t.work;
-                Mutex.unlock t.m
-                (* the domain terminates (normally — join stays clean) *)
-            | () ->
-                execute ~inline:false b task;
-                if b.completed = b.total then Condition.broadcast t.donec;
-                worker_loop t))
+        worker_loop t
     | _ ->
         Condition.wait t.work t.m;
         worker_loop t
@@ -174,16 +138,11 @@ let worker (t : t) () =
   Mutex.lock t.m;
   worker_loop t
 
-(* caller holds t.m *)
-let spawn_worker (t : t) =
-  t.live <- t.live + 1;
-  t.domains <- Domain.spawn (worker t) :: t.domains
-
 (* ------------------------------------------------------------------ *)
 (* Pool lifecycle                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let create ?jobs ?(max_respawns = 16) () : t =
+let create ?jobs () : t =
   let n_jobs =
     match jobs with Some n when n > 0 -> n | _ -> recommended_jobs ()
   in
@@ -193,22 +152,13 @@ let create ?jobs ?(max_respawns = 16) () : t =
       work = Condition.create ();
       donec = Condition.create ();
       n_jobs;
-      max_respawns;
       current = None;
       stopping = false;
-      live = 0;
-      crashed_pending = 0;
-      respawns = 0;
-      crashes_total = 0;
-      degraded = false;
       domains = [];
     }
   in
-  Mutex.lock t.m;
-  for _ = 1 to n_jobs do
-    spawn_worker t
-  done;
-  Mutex.unlock t.m;
+  Mutex.protect t.m (fun () ->
+      t.domains <- List.init n_jobs (fun _ -> Domain.spawn (worker t)));
   t
 
 let jobs (t : t) = t.n_jobs
@@ -229,27 +179,10 @@ let shutdown (t : t) =
 (* Running a batch                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Respawn crashed workers with capped exponential backoff; once the
-   allowance is exhausted, mark the pool degraded.  Caller holds t.m. *)
-let handle_crashes (t : t) =
-  while t.crashed_pending > 0 do
-    t.crashed_pending <- t.crashed_pending - 1;
-    if t.respawns < t.max_respawns then begin
-      let k = t.respawns in
-      t.respawns <- t.respawns + 1;
-      Mutex.unlock t.m;
-      respawn_backoff k;
-      Mutex.lock t.m;
-      if not t.stopping then spawn_worker t
-    end
-    else t.degraded <- true
-  done
-
 (* The calling domain drains the queue itself: the whole run without a
-   pool, and the fallback of a degraded (or worker-less) one.  Same
-   isolation, halt, deadline and cancel semantics as a worker, no
-   parallelism, and crucially no pool-dispatch chaos site, so a
-   degraded run always terminates.  Caller holds [b.bm]. *)
+   pool, and on a pool that was shut down.  Same isolation, halt,
+   deadline and cancel semantics as a worker, no parallelism.  Caller
+   holds [b.bm]. *)
 let rec drain_inline (b : batch) =
   match claim b with
   | None -> ()
@@ -257,24 +190,19 @@ let rec drain_inline (b : batch) =
       execute ~inline:true b task;
       drain_inline b
 
-(* Hand [b] to the pool's workers and wait for it, draining inline once
-   no healthy worker is left.  Returns the crashes and respawns the
-   batch saw.  Caller holds [t.m] (which is [b.bm]). *)
-let supervise (t : t) (b : batch) : int * int =
-  let crashes0 = t.crashes_total and respawns0 = t.respawns in
-  t.current <- Some b;
-  Condition.broadcast t.work;
-  let rec wait () =
-    handle_crashes t;
-    if t.live = 0 || t.degraded then drain_inline b;
-    if b.completed < b.total then begin
-      Condition.wait t.donec t.m;
-      wait ()
-    end
-  in
-  wait ();
-  t.current <- None;
-  (t.crashes_total - crashes0, t.respawns - respawns0)
+(* Hand [b] to the pool's workers and wait for it; a shut-down pool has
+   none, so the calling domain drains it.  Caller holds [t.m] (which is
+   [b.bm]). *)
+let supervise (t : t) (b : batch) =
+  if t.stopping then drain_inline b
+  else begin
+    t.current <- Some b;
+    Condition.broadcast t.work;
+    while b.completed < b.total do
+      Condition.wait t.donec t.m
+    done;
+    t.current <- None
+  end
 
 (* [give_up] is polled before committing to another attempt, so a
    cancelled or past-deadline run stops retrying after the in-flight
@@ -308,7 +236,7 @@ let attempt_loop ~give_up ~retries ~should_retry ~is_transient ~retries_ctr
 
 let run (pool : t option) ?deadline ?(cancel = fun () -> false)
     ?(retries = 0) ?(should_retry = fun _ -> false)
-    ?(is_transient = fun _ -> false) ?(halt = fun _ -> false) ?fault
+    ?(is_transient = fun _ -> false) ?(halt = fun _ -> false)
     (f : 'a -> 'b) (items : 'a list) : 'b outcome list * run_stats =
   let input = Array.of_list items in
   let n = Array.length input in
@@ -325,7 +253,6 @@ let run (pool : t option) ?deadline ?(cancel = fun () -> false)
       completed = 0;
       deadline_ns = Option.map (Budget.ns_after (now_ns ())) deadline;
       cancel;
-      fault;
       stop = None;
       not_run = 0;
       halt_at = max_int;
@@ -356,21 +283,12 @@ let run (pool : t option) ?deadline ?(cancel = fun () -> false)
       b.q
   done;
   Mutex.lock b.bm;
-  let crashes, respawns =
-    match pool with
-    | Some t -> supervise t b
-    | None ->
-        drain_inline b;
-        (0, 0)
-  in
+  (match pool with Some t -> supervise t b | None -> drain_inline b);
   let stats =
     {
       rs_retries = Atomic.get retries_ctr;
       rs_task_faults = Atomic.get faults_ctr;
-      rs_crashes = crashes;
-      rs_respawns = respawns;
       rs_not_run = b.not_run;
-      rs_degraded = (match pool with Some t -> t.degraded | None -> false);
       rs_stop = b.stop;
     }
   in

@@ -1,16 +1,17 @@
 (** The one batch engine: {!run} applies a function to a list of items
     with per-task crash isolation, a transient-fault retry policy, a
     caller-defined early exit, whole-run deadlines and cancellation —
-    on a persistent, supervised worker pool when given one, on the
-    calling domain otherwise.
+    on a persistent worker pool when given one, on the calling domain
+    otherwise.
 
     A supervisor spawns its domains {e once} — per CLI invocation or per
     long-lived session — and feeds them batches through a shared work
-    queue.  Without a pool, and on a pool that has degraded, the calling
-    domain drains the same queue through the same code, so the two
-    differ only in who executes a task.  A task that crashes, times out
-    or is skipped becomes a structured {!outcome} for that one item;
-    completed results are never discarded.
+    queue; its workers live until {!shutdown}.  Without a pool, and on a
+    pool that was shut down, the calling domain drains the same queue
+    through the same code, so the two differ only in who executes a
+    task.  A task that crashes, times out or is skipped becomes a
+    structured {!outcome} for that one item; completed results are never
+    discarded.
 
     Supervision model:
 
@@ -20,12 +21,6 @@
       exception: masking an interrupt would be dishonest, so it
       propagates to the caller (cooperative interruption should use
       [~cancel] instead).
-    - {b Worker respawn.}  A worker domain that dies {e between} tasks
-      (the dispatch boundary — in practice only a {!Faultsim} injection
-      at the ["pool.dispatch"] site, or a runtime bug) has its claimed
-      task re-queued and is respawned with capped exponential backoff.
-      After [max_respawns] respawns the pool stops respawning and
-      degrades (see below); the run still completes.
     - {b Retry.}  A task whose {e result} the caller classifies as
       transiently faulted ([~should_retry]), or that raised an exception
       classified transient ([~is_transient]), is re-attempted up to
@@ -44,11 +39,6 @@
       unstarted task resolves to {!Not_run}.  In-flight tasks are not
       preempted — per-task wall-clock limits are the resource budget's
       job ({!Budget.limits}), enforced cooperatively inside the task.
-    - {b Graceful degradation.}  If every worker has died and the
-      respawn allowance is exhausted, the pool degrades for good and
-      the {e calling} domain drains the remaining queue, exactly as a
-      run without a pool does.  A degraded run never changes any
-      verdict, only the wall-clock ([rs_degraded] reports it).
 
     Concurrency contract: one [run] at a time per supervisor (batches
     are not re-entrant); any number of supervisors may coexist.  The
@@ -73,11 +63,9 @@ val worker_id : unit -> int
 
 type t
 
-val create : ?jobs:int -> ?max_respawns:int -> unit -> t
+val create : ?jobs:int -> unit -> t
 (** Spawn a pool of [jobs] persistent worker domains (default: the
-    runtime's recommended count).
-    [max_respawns] (default 16) caps worker respawns over the pool's
-    lifetime before it degrades. *)
+    runtime's recommended count). *)
 
 val jobs : t -> int
 (** The worker count the pool was created with. *)
@@ -114,10 +102,7 @@ and reason =
 type run_stats = {
   rs_retries : int;  (** task re-attempts (transient faults) *)
   rs_task_faults : int;  (** tasks that exhausted their attempts *)
-  rs_crashes : int;  (** worker domains that died at the dispatch boundary *)
-  rs_respawns : int;  (** worker domains respawned *)
   rs_not_run : int;  (** tasks resolved [Not_run Deadline|Cancelled] *)
-  rs_degraded : bool;  (** the run (partly) fell back to sequential *)
   rs_stop : reason option;
       (** the deadline or cancellation that stopped the run early, if
           one did; never [Halted] *)
@@ -131,7 +116,6 @@ val run :
   ?should_retry:('b -> bool) ->
   ?is_transient:(exn -> bool) ->
   ?halt:('b -> bool) ->
-  ?fault:Faultsim.t ->
   ('a -> 'b) ->
   'a list ->
   'b outcome list * run_stats
@@ -147,8 +131,4 @@ val run :
     (default 0) caps re-attempts per task; a re-attempt happens when
     [should_retry] accepts the returned value or [is_transient] accepts
     the raised exception.  [?halt] is checked against each task's final
-    [Done] value; see {b Halting} above.  [?fault] arms the
-    ["pool.dispatch"] chaos site at the worker dispatch boundary: an
-    injection there kills the worker itself, exercising the respawn and
-    redispatch machinery rather than the per-task isolation.  Without a
-    pool, or once a pool has degraded, the site is never drawn. *)
+    [Done] value; see {b Halting} above. *)

@@ -1122,6 +1122,70 @@ let cli_tests =
             [ "--deadline=inf" ];
             [ "--timeout=1e300" ];
           ]);
+    Alcotest.test_case "--fault-sites accepts only instrumented sites" `Quick
+      (fun () ->
+        Alcotest.check_raises "Faultsim.create rejects a misspelt site"
+          (Invalid_argument "Faultsim.create: unknown site solvr") (fun () ->
+            ignore (Rc_util.Faultsim.create ~sites:[ "solvr" ] 1));
+        let dir = fresh_cache_dir () in
+        Sys.mkdir dir 0o755;
+        let c = Filename.concat dir "t.c" in
+        Out_channel.with_open_bin c (fun oc ->
+            Out_channel.output_string oc (chain 2));
+        let exits site expected =
+          match
+            run_cli
+              [ "check"; "--fault-seed=1"; "--fault-rate=0"; "--fault-sites";
+                site; c ]
+          with
+          | None -> ()
+          | Some (code, stderr) ->
+              Alcotest.(check int) site expected code;
+              if expected = 124 then
+                Alcotest.(check bool) (site ^ " names the option") true
+                  (contains stderr "option '--fault-sites'")
+        in
+        exits "solvr" 124;
+        exits "pool.dispatch" 124;
+        exits "solver,pool.dispatch" 124;
+        exits "" 124;
+        List.iter (fun site -> exits site 0) Rc_util.Faultsim.sites;
+        exits (String.concat "," Rc_util.Faultsim.sites) 0);
+    Alcotest.test_case "stats options reject nonsense values" `Quick
+      (fun () ->
+        let dir = fresh_cache_dir () in
+        Sys.mkdir dir 0o755;
+        let c = Filename.concat dir "t.c" in
+        Out_channel.with_open_bin c (fun oc ->
+            Out_channel.output_string oc (chain 2));
+        let ledger = fresh_cache_dir () in
+        for _ = 1 to 3 do
+          ignore (run_cli [ "check"; "--runlog"; ledger; c ])
+        done;
+        let exits args expected =
+          match run_cli (("stats" :: args) @ [ ledger ]) with
+          | None -> ()
+          | Some (code, stderr) ->
+              let what = String.concat " " args in
+              Alcotest.(check int) what expected code;
+              if expected = 124 then
+                Alcotest.(check bool) (what ^ " names the value") true
+                  (contains stderr "invalid value")
+        in
+        List.iter
+          (fun args -> exits args 124)
+          [
+            [ "--window=0" ];
+            [ "--window=-2" ];
+            [ "--last=-1" ];
+            [ "--threshold=nan"; "--gate" ];
+            [ "--threshold=-1"; "--gate" ];
+            [ "--threshold=0"; "--gate" ];
+            [ "--threshold=inf"; "--gate" ];
+          ];
+        List.iter
+          (fun args -> exits args 0)
+          [ []; [ "--gate" ]; [ "--json" ]; [ "--last=0" ]; [ "--window=1" ] ]);
     Alcotest.test_case "--deriv warns under --cache and --json" `Quick
       (fun () ->
         let dir = fresh_cache_dir () in

@@ -1,4 +1,4 @@
-(* The supervised persistent worker pool (ISSUE 6).
+(* The supervised persistent worker pool.
 
    Contract under test:
    - [Supervisor.run] preserves input order and isolates per-task
@@ -11,12 +11,10 @@
      never discarded;
    - a task whose final value satisfies [~halt] stops later tasks from
      starting, with or without a pool, and is no supervision event;
-   - an injected worker crash at the ["pool.dispatch"] chaos site is
-     absorbed by respawn + redispatch; exhausting the respawn allowance
-     degrades the pool to the calling domain, which still completes the
-     batch;
-   - at the driver level, a chaos campaign over the corpus at the new
-     pool/cache sites never changes any non-faulted verdict, [-j 1] and
+   - a pool's workers live until [shutdown]; a batch on a shut-down
+     pool is drained by the calling domain and still completes;
+   - at the driver level, a chaos campaign over the corpus at the cache
+     sites never changes any non-faulted verdict, [-j 1] and
      [-j 4] agree under injection, and deadline/cancel produce partial
      reports with the documented exit codes. *)
 
@@ -44,8 +42,8 @@ let corpus =
 
 let path f = Filename.concat case_dir f
 
-let with_pool ?jobs ?max_respawns k =
-  let p = Supervisor.create ?jobs ?max_respawns () in
+let with_pool ?jobs k =
+  let p = Supervisor.create ?jobs () in
   Fun.protect ~finally:(fun () -> Supervisor.shutdown p) (fun () -> k p)
 
 let value_exn = function
@@ -65,10 +63,7 @@ let unit_tests =
             let outs, stats = Supervisor.run (Some p) succ xs in
             Alcotest.(check (list int))
               "order" (List.map succ xs) (List.map value_exn outs);
-            Alcotest.(check int) "no retries" 0 stats.Supervisor.rs_retries;
-            Alcotest.(check int) "no crashes" 0 stats.Supervisor.rs_crashes;
-            Alcotest.(check bool)
-              "not degraded" false stats.Supervisor.rs_degraded));
+            Alcotest.(check int) "no retries" 0 stats.Supervisor.rs_retries));
     Alcotest.test_case "a crashing task is confined to its slot" `Quick
       (fun () ->
         with_pool ~jobs:4 (fun p ->
@@ -262,48 +257,14 @@ let unit_tests =
               (List.for_all
                  (fun (i, o) -> o = Supervisor.Done i || (i > 3 && o = halted))
                  (check (Some p)))));
-    Alcotest.test_case "injected worker crashes respawn and redispatch"
-      `Quick (fun () ->
-        with_pool ~jobs:2 (fun p ->
-            let fault =
-              Faultsim.create ~rate:1.0 ~sites:[ "pool.dispatch" ]
-                ~max_faults:3 42
-            in
-            let outs, stats =
-              Supervisor.run (Some p) ~fault succ (List.init 20 Fun.id)
-            in
-            Alcotest.(check (list int))
-              "every task completes"
-              (List.init 20 (fun i -> i + 1))
-              (List.map value_exn outs);
-            Alcotest.(check int) "three crashes" 3 stats.Supervisor.rs_crashes;
-            Alcotest.(check int) "three respawns" 3
-              stats.Supervisor.rs_respawns;
-            Alcotest.(check bool)
-              "still healthy" false stats.Supervisor.rs_degraded));
-    Alcotest.test_case
-      "respawn exhaustion degrades but the batch still completes" `Quick
+    Alcotest.test_case "a batch on a shut-down pool still completes" `Quick
       (fun () ->
-        with_pool ~jobs:2 ~max_respawns:0 (fun p ->
-            let fault =
-              Faultsim.create ~rate:1.0 ~sites:[ "pool.dispatch" ] 7
-            in
-            let outs, stats =
-              Supervisor.run (Some p) ~fault succ (List.init 10 Fun.id)
-            in
-            Alcotest.(check (list int))
-              "inline drain completes the batch"
-              (List.init 10 (fun i -> i + 1))
-              (List.map value_exn outs);
-            Alcotest.(check bool) "degraded" true stats.Supervisor.rs_degraded;
-            (* a degraded pool keeps working sequentially *)
-            let outs2, stats2 =
-              Supervisor.run (Some p) ~fault succ [ 1; 2; 3 ]
-            in
-            Alcotest.(check (list int))
-              "subsequent runs too" [ 2; 3; 4 ] (List.map value_exn outs2);
-            Alcotest.(check bool) "still degraded" true
-              stats2.Supervisor.rs_degraded));
+        let p = Supervisor.create ~jobs:2 () in
+        Supervisor.shutdown p;
+        let outs, _ = Supervisor.run (Some p) succ (List.init 5 Fun.id) in
+        Alcotest.(check (list int))
+          "the calling domain drains it" [ 1; 2; 3; 4; 5 ]
+          (List.map value_exn outs));
     Alcotest.test_case "a pool survives many batches" `Quick (fun () ->
         with_pool ~jobs:4 (fun p ->
             for round = 1 to 20 do
@@ -348,8 +309,8 @@ let chaos_session ?(retries = 0) ?pool ~sites ~rate ?max_faults seed =
       Session.x_pool = pool;
     }
 
-(* an unclamped session pool (unlike {!Testutil.with_jobs}), so
-   worker-crash injection is exercised even on a single-core host, where
+(* an unclamped session pool (unlike {!Testutil.with_jobs}), so the
+   pool's dispatch path is exercised even on a single-core host, where
    a pool clamped to the cores would be no pool at all *)
 let with_session_pool k =
   let p = Supervisor.create ~jobs:4 () in
@@ -358,10 +319,10 @@ let with_session_pool k =
 let fresh_cache tag =
   Rc_util.Vercache.create (Testutil.scratch_dir ("supcache_" ^ tag))
 
-(* (a) injected pool crashes and cache corruption never change a
-   verdict: every function of the chaos run must report exactly the
-   fault-free verdict — these sites only cost redispatches and cache
-   misses, never checker faults *)
+(* (a) injected cache corruption never changes a verdict: every
+   function of the chaos run on a pool must report exactly the
+   fault-free verdict — these sites only cost cache misses and skipped
+   stores, never checker faults *)
 let verdict_equivalence_tests =
   List.map
     (fun file ->
@@ -369,8 +330,7 @@ let verdict_equivalence_tests =
           let clean = Driver.check_file ~session:(session ()) (path file) in
           with_session_pool (fun pool ->
               let s =
-                chaos_session ~pool
-                  ~sites:[ "pool.dispatch"; "cache.read"; "cache.write" ]
+                chaos_session ~pool ~sites:[ "cache.read"; "cache.write" ]
                   ~rate:0.3 ~max_faults:8 1234
               in
               let cache = fresh_cache ("eq_" ^ file) in
@@ -406,17 +366,16 @@ let retry_convergence_tests =
        exercise the "solver" site — use studies that do *)
     [ "linked_list.c"; "hashmap.c"; "queue.c" ]
 
-(* (c) -j 1 and -j 4 agree under injection at the scheduling and cache
-   sites: identically-configured (separately-owned) campaigns, same
-   verdict signatures *)
+(* (c) -j 1 and -j 4 agree under injection at the cache sites:
+   identically-configured (separately-owned) campaigns, same verdict
+   signatures *)
 let jobs_equivalence_tests =
   List.map
     (fun file ->
       Alcotest.test_case file `Quick (fun () ->
           let run ?pool tag =
             let s =
-              chaos_session ?pool
-                ~sites:[ "pool.dispatch"; "cache.read"; "cache.write" ]
+              chaos_session ?pool ~sites:[ "cache.read"; "cache.write" ]
                 ~rate:0.25 ~max_faults:6 555
             in
             let cache = fresh_cache (Fmt.str "j%s_%s" tag file) in
@@ -491,9 +450,7 @@ let partial_report_tests =
         let t = Driver.check_file ~session:(session ()) (path "queue.c") in
         let e = t.Driver.exec_stats in
         Alcotest.(check int) "retries" 0 e.Supervisor.rs_retries;
-        Alcotest.(check int) "crashes" 0 e.Supervisor.rs_crashes;
         Alcotest.(check int) "not_run" 0 e.Supervisor.rs_not_run;
-        Alcotest.(check bool) "not degraded" false e.Supervisor.rs_degraded;
         Alcotest.(check bool) "completed" true (t.Driver.stop = Driver.Completed));
   ]
 
