@@ -136,7 +136,7 @@ let check_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt count 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Check up to $(docv) functions in parallel on OCaml domains, \
@@ -259,16 +259,6 @@ let check_cmd =
              verdicts are reported, the rest are listed as skipped, and \
              the run exits 2 (budget exhaustion at the run level).")
   in
-  let retries =
-    Arg.(
-      value & opt count 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Re-attempt a function up to $(docv) times when its check \
-             faulted transiently (an injected chaos fault or other \
-             environment-level failure).  Deterministic verification \
-             failures are never retried.  Default 0.")
-  in
   let fault_seed =
     Arg.(
       value
@@ -282,9 +272,10 @@ let check_cmd =
   in
   let fault_rate =
     Arg.(
-      value & opt probability 0.01
+      value
+      & opt (some ~none:"0.01" probability) None
       & info [ "fault-rate" ] ~docv:"P"
-          ~doc:"Injection probability per instrumented site (default 0.01).")
+          ~doc:"Injection probability per instrumented site.")
   in
   let fault_sites =
     Arg.(
@@ -300,7 +291,8 @@ let check_cmd =
   in
   let fault_max =
     Arg.(
-      value & opt int (-1)
+      value
+      & opt (some int) None
       & info [ "fault-max" ] ~docv:"N"
           ~doc:"Stop injecting after $(docv) faults; negative = no cap.")
   in
@@ -337,8 +329,8 @@ let check_cmd =
   in
   let run file deriv cert semtest fuel timeout max_depth fail_fast json
       jobs cache explain_cache cache_stats cache_max_mb memo default_only
-      no_goal_simp trace profile no_lint lint_werror deadline retries
-      fault_seed fault_rate fault_sites fault_max explain_failure runlog =
+      no_goal_simp trace profile no_lint lint_werror deadline fault_seed
+      fault_rate fault_sites fault_max explain_failure runlog =
     let budget = { Rc_util.Budget.fuel; timeout; max_depth } in
     (* a --json report has no place for the trees *)
     let deriv =
@@ -396,16 +388,27 @@ let check_cmd =
         c_metrics = profile || trace <> None || json;
       }
     in
+    (* the campaign flags only shape a campaign --fault-seed arms: warn
+       once each, as for the cache-family flags, so none is silently
+       dropped *)
+    let fault_flag what v =
+      if v <> None && fault_seed = None then
+        Fmt.epr "warning: %s has no effect without --fault-seed@." what
+    in
+    fault_flag "--fault-rate" fault_rate;
+    fault_flag "--fault-sites" fault_sites;
+    fault_flag "--fault-max" fault_max;
     let fault =
       Option.map
-        (Rc_util.Faultsim.create ~rate:fault_rate ?sites:fault_sites
-           ~max_faults:fault_max)
+        (Rc_util.Faultsim.create
+           ~rate:(Option.value fault_rate ~default:0.01)
+           ?sites:fault_sites ?max_faults:fault_max)
         fault_seed
     in
     let interrupted = Atomic.make false in
     install_interrupt_handlers interrupted;
     let jobs =
-      if jobs <= 0 then Rc_util.Supervisor.recommended_jobs () else jobs
+      if jobs = 0 then Rc_util.Supervisor.recommended_jobs () else jobs
     in
     (* the persistent supervised pool: spawned once per invocation, owned
        here, threaded to the driver through the session.  [-j] is
@@ -426,7 +429,7 @@ let check_cmd =
             l_passes = None;
             l_werror = lint_werror;
           }
-        ?fault ?deadline ~retries ?pool
+        ?fault ?deadline ?pool
         ~cancel:(fun () -> Atomic.get interrupted)
         ~memo ~forensics:explain_failure ~judgments:deriv ()
     in
@@ -645,9 +648,8 @@ let check_cmd =
       const run $ file $ deriv $ cert $ semtest $ fuel $ timeout
       $ max_depth $ fail_fast $ json $ jobs $ cache $ explain_cache
       $ cache_stats $ cache_max_mb $ memo $ default_only $ no_goal_simp
-      $ trace $ profile $ no_lint $ lint_werror $ deadline $ retries
-      $ fault_seed $ fault_rate $ fault_sites $ fault_max $ explain_failure
-      $ runlog)
+      $ trace $ profile $ no_lint $ lint_werror $ deadline $ fault_seed
+      $ fault_rate $ fault_sites $ fault_max $ explain_failure $ runlog)
 
 let lint_cmd =
   let file = Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE") in

@@ -18,8 +18,7 @@
     verdicts, same aggregate statistics, same exit code.
 
     The dispatch layer adds the robustness contract: a crash is
-    confined to its task's verdict slot, transient faults can be
-    re-attempted ([x_retries]), a whole-run deadline or a
+    confined to its task's verdict slot, and a whole-run deadline or a
     cooperative cancellation ([x_deadline]/[x_cancel]) stops *starting*
     functions and reports the rest as skipped — a partial report with
     every completed verdict intact, never a lost run. *)
@@ -71,8 +70,8 @@ type t = {
           whole-run deadline, or after an interrupt *)
   stop : stop;  (** why checking stopped, if before the end *)
   exec_stats : Supervisor.run_stats;
-      (** supervision counters (retries, task faults, not-run); all
-          zero on a fault-free, deadline-free run *)
+      (** supervision counters (task faults, not-run); all zero on a
+          fault-free, deadline-free run *)
   jobs : int;  (** the session pool's worker count, 1 without a pool *)
   cache_stats : (int * int) option;
       (** (hits, misses) when a verification cache was supplied *)
@@ -126,9 +125,9 @@ let parse_and_elab ?(obs = Obs.off) ~(session : Session.t) ~file
     [Stack_overflow], which abort this function's proof but say nothing
     about its siblings.  [Sys.Break] alone is re-raised: masking Ctrl-C
     would be dishonest (the CLI interrupts cooperatively via the
-    session's [x_cancel] instead).  An injected fault is classified
-    {!Report.Transient_fault} — re-running the same check may succeed,
-    which is exactly what the supervisor's retry policy keys on. *)
+    session's [x_cancel] instead).  A fault planted by a chaos campaign
+    is an {!Report.Injected_fault}: a fault like any other, told apart
+    only so a report never blames the checker for it. *)
 let check_fn_isolated ?(obs = Obs.off) ~session ~specs
     (f : Rc_refinedc.Typecheck.fn_to_check) :
     (Rc_refinedc.Lang.E.result, Report.t) result =
@@ -137,7 +136,7 @@ let check_fn_isolated ?(obs = Obs.off) ~session ~specs
   | exception Report.Error e -> Error e
   | exception Sys.Break -> raise Sys.Break
   | exception Rc_util.Faultsim.Injected site ->
-      Error (Report.make (Report.Transient_fault ("injected fault at " ^ site)))
+      Error (Report.make (Report.Injected_fault ("injected fault at " ^ site)))
   | exception Out_of_memory ->
       Error (Report.make (Report.Checker_fault "Out_of_memory in checker"))
   | exception Stack_overflow ->
@@ -198,11 +197,11 @@ let replay_result (data : string) :
     store — never a wrong verdict, never an abort.
 
     With [~fail_fast] the dirty set goes out in source order and no
-    function starts once one's final verdict, after retries, is an
-    error; the functions after the first failure are skipped (and
-    listed in {!field-skipped}).  A pool may finish functions that were
-    already running beside the failing one; their results are cut, so
-    the report is the same with and without a pool.
+    function starts once one's verdict is an error; the functions after
+    the first failure are skipped (and listed in {!field-skipped}).  A
+    pool may finish functions that were already running beside the
+    failing one; their results are cut, so the report is the same with
+    and without a pool.
 
     [~obs] is the observability root (lane 0).  Every function check
     writes trace events and metrics into a private child handle (lane =
@@ -423,23 +422,14 @@ let check_elaborated ?(fail_fast = false) ?cache ?(obs = Obs.off)
   let cancel =
     match exec.Session.x_cancel with Some c -> c | None -> fun () -> false
   in
-  let retries = max 0 exec.Session.x_retries in
-  let should_retry (r : check_result) =
-    match r.outcome with Error e -> Report.is_transient e | Ok _ -> false
-  in
-  let is_transient_exn = function
-    | Rc_util.Faultsim.Injected _ -> true
-    | _ -> false
-  in
   let jobs =
     match exec.Session.x_pool with Some p -> Supervisor.jobs p | None -> 1
   in
-  (* fail-fast: no function starts after one whose final verdict, after
-     retries, is an error (the dirty set is in source order then) *)
+  (* fail-fast: no function starts after one whose verdict is an error
+     (the dirty set is in source order then) *)
   let outcomes, exec_stats =
     Supervisor.run exec.Session.x_pool ?deadline:exec.Session.x_deadline
-      ~cancel ~retries ~should_retry ~is_transient:is_transient_exn
-      ~halt:(fun r -> fail_fast && Result.is_error r.outcome)
+      ~cancel ~halt:(fun r -> fail_fast && Result.is_error r.outcome)
       check_one dirty
   in
   (* ---- assemble results, faults and skips in source order ----
@@ -458,9 +448,8 @@ let check_elaborated ?(fail_fast = false) ?cache ?(obs = Obs.off)
               match outcome with
               | Supervisor.Done r -> Some r
               | Supervisor.Fault fl ->
-                  (* the task died [fl.f_attempts] times;
-                     the verdict slot survives as a structured checker
-                     fault *)
+                  (* the task died; the verdict slot survives as a
+                     structured checker fault *)
                   Some
                     {
                       name = fn_name f;
@@ -468,9 +457,7 @@ let check_elaborated ?(fail_fast = false) ?cache ?(obs = Obs.off)
                         Error
                           (Report.make
                              (Report.Checker_fault
-                                (Fmt.str "worker fault after %d attempt(s): %s"
-                                   fl.Supervisor.f_attempts
-                                   fl.Supervisor.f_exn)));
+                                ("worker fault: " ^ fl.Supervisor.f_exn)));
                       time_s = 0.;
                       cached = false;
                       why;
@@ -686,7 +673,6 @@ let exec_json (t : t) : Rc_util.Jsonout.t =
   let e = t.exec_stats in
   Obj
     [
-      ("retries", Int e.Supervisor.rs_retries);
       ("task_faults", Int e.Supervisor.rs_task_faults);
       ("not_run", Int e.Supervisor.rs_not_run);
     ]

@@ -557,8 +557,7 @@ module Make (L : LANG) = struct
     | Report.Resource_exhausted { exh; _ } ->
         "subgoal exhausted the budget: "
         ^ Rc_util.Budget.exhaustion_label exh
-    | Report.Frontend _ | Report.Checker_fault _ | Report.Transient_fault _
-      ->
+    | Report.Frontend _ | Report.Checker_fault _ | Report.Injected_fault _ ->
         "subgoal failed"
 
   (** One printed line per evar entry: hint, id, sort and the resolved
@@ -1179,7 +1178,8 @@ module Make (L : LANG) = struct
             (Report.make ?loc:st.cur_loc
                (Report.Checker_fault "Stack_overflow during proof search"))
       | exception e ->
-          (* an injected fault: the driver classifies and may retry it *)
+          (* an injected fault or other escape: flush the statistics and
+             let the driver's isolation boundary classify it *)
           finish ();
           raise e
     in

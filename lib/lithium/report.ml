@@ -21,10 +21,9 @@ type kind =
   | Checker_fault of string
       (** an exception escaped the checker itself — a checker bug, not a
           verification failure *)
-  | Transient_fault of string
-      (** an environment-level failure (an injected chaos fault, a
-          flaky external resource) that may well succeed if re-run; the
-          supervisor's retry policy re-attempts exactly these *)
+  | Injected_fault of string
+      (** a fault planted by a chaos-testing campaign
+          ({!Rc_util.Faultsim}), not a property of the program *)
 
 (** {2 Proof-failure forensics}
 
@@ -84,17 +83,12 @@ exception Error of t
     as opposed to failures of verification; the CLI maps them to a
     distinct exit code. *)
 let is_fault_kind = function
-  | Resource_exhausted _ | Checker_fault _ | Transient_fault _ -> true
+  | Resource_exhausted _ | Checker_fault _ | Injected_fault _ -> true
   | Unsolved_side_condition _ | Evar_stuck _ | No_rule_applies _
   | No_ownership _ | Frontend _ ->
       false
 
 let is_fault (e : t) = is_fault_kind e.kind
-
-(** Transient faults are the retryable subset of faults: re-running the
-    same check may succeed (deterministic failures never qualify). *)
-let is_transient_kind = function Transient_fault _ -> true | _ -> false
-let is_transient (e : t) = is_transient_kind e.kind
 
 let make ?loc ?(trail = []) ?(context = []) ?forensics kind : t =
   { loc; trail; kind; context; forensics }
@@ -124,9 +118,10 @@ let pp_kind ppf = function
   | Checker_fault msg ->
       Fmt.pf ppf "Checker fault (this is a bug in the checker, not a@,\
                   property of the program):@,  %a" Fmt.string msg
-  | Transient_fault msg ->
-      Fmt.pf ppf "Transient fault (an environment failure, not a@,\
-                  property of the program — retrying may succeed):@,  %a"
+  | Injected_fault msg ->
+      Fmt.pf ppf
+        "Injected fault (planted by chaos testing, not a property of the \
+         program):@,  %a"
         Fmt.string msg
 
 let pp ppf (e : t) =
@@ -153,7 +148,7 @@ let kind_label = function
   | Frontend _ -> "frontend_error"
   | Resource_exhausted { exh; _ } -> Rc_util.Budget.exhaustion_label exh
   | Checker_fault _ -> "checker_fault"
-  | Transient_fault _ -> "transient_fault"
+  | Injected_fault _ -> "injected_fault"
 
 (** The human-readable forensic block ([--explain-failure]): the goal
     stack root→stuck, the stuck goal's candidate rules with rejection

@@ -33,27 +33,25 @@ let default_lint : lint_cfg =
 (** Execution-robustness configuration: how a run is *scheduled*, not
     what it *means*.  Deliberately not fingerprinted into the
     verification-cache key: only [Ok] verdicts are cached, and verdicts
-    are monotone in execution generosity (a deadline or retry policy can
-    only turn results into [skipped]/[Checker_fault], which are never
-    cached), so two runs differing only in [exec] can safely share
-    entries. *)
+    are monotone in execution generosity (a deadline or cancellation
+    can only turn results into [skipped], which are never cached), so
+    two runs differing only in [exec] can safely share entries. *)
 type exec_cfg = {
   x_deadline : float option;
       (** whole-run wall-clock budget (seconds, monotonic clock); hit it
           and remaining functions are reported [skipped] *)
-  x_retries : int;  (** re-attempts per function for transient faults *)
   x_pool : Rc_util.Supervisor.t option;
       (** the persistent supervised worker pool; [None] makes the driver
-          run sequentially (or spin up a transient pool for [-j N>1]).
-          The handle is owned by whoever created the session — the pool
-          outlives individual [check] calls, which is the whole point. *)
+          run sequentially on the calling domain.  The handle is owned
+          by whoever created the session — the pool outlives individual
+          [check] calls, which is the whole point. *)
   x_cancel : (unit -> bool) option;
       (** cooperative cancellation, polled between functions (the CLI
           wires its SIGINT/SIGTERM flag here) *)
 }
 
 let default_exec : exec_cfg =
-  { x_deadline = None; x_retries = 0; x_pool = None; x_cancel = None }
+  { x_deadline = None; x_pool = None; x_cancel = None }
 
 type t = {
   index : Lang.E.index;  (** compiled typing rules (head-indexed) *)
@@ -72,7 +70,7 @@ type t = {
           and metric registries are minted per check by the driver, one
           per function, so shared-session [-j N] runs stay race-free. *)
   lint : lint_cfg;  (** pre-verification static analysis configuration *)
-  exec : exec_cfg;  (** execution robustness: pool, deadline, retries *)
+  exec : exec_cfg;  (** execution robustness: pool, deadline, cancel *)
   memo : bool;
       (** within-run subgoal memoization ([--memo]).  Part of the session
           because it is part of the *proof search* configuration — it

@@ -45,11 +45,11 @@ type session = Session.t
       run under the session (see README "Observability");
     - [lint]: static-analysis configuration (enabled passes, werror) —
       see README "Static analysis";
-    - [deadline]/[retries]/[pool]/[cancel]: execution robustness — the
-      whole-run deadline, transient-fault retry allowance, persistent
-      supervised worker pool and cooperative-cancellation poll; absent,
-      there is none of each, as in {!Rc_refinedc.Session.default_exec}
-      (see README "Robustness & degradation");
+    - [deadline]/[pool]/[cancel]: execution robustness — the whole-run
+      deadline, persistent supervised worker pool and
+      cooperative-cancellation poll; absent, there is none of each, as
+      in {!Rc_refinedc.Session.default_exec} (see README "Robustness &
+      degradation");
     - [memo]: enable within-run subgoal memoization ([--memo]) — see
       README "Engine speed";
     - [forensics]: attach a bounded derivation snapshot (goal stack,
@@ -62,7 +62,7 @@ type session = Session.t
       checker reads, and proof search allocates much less. *)
 let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
     ?(lemmas = []) ?hooks ?(default_only = false) ?(no_goal_simp = false)
-    ?(type_defs = []) ?budget ?fault ?obs ?lint ?deadline ?retries ?pool
+    ?(type_defs = []) ?budget ?fault ?obs ?lint ?deadline ?pool
     ?cancel ?memo ?forensics ?judgments () : session =
   let hooks =
     match hooks with
@@ -86,7 +86,6 @@ let create_session ?(case_studies = false) ?(rules = []) ?(solvers = [])
   let exec =
     {
       Session.x_deadline = deadline;
-      x_retries = Option.value retries ~default:0;
       x_pool = pool;
       x_cancel = cancel;
     }

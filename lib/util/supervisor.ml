@@ -12,11 +12,10 @@ let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 let worker_id () = (Domain.self () :> int)
 
 type 'b outcome = Done of 'b | Fault of fault | Not_run of reason
-and fault = { f_exn : string; f_attempts : int }
+and fault = { f_exn : string }
 and reason = Deadline | Cancelled | Halted
 
 type run_stats = {
-  rs_retries : int;
   rs_task_faults : int;
   rs_not_run : int;
   rs_stop : reason option;
@@ -24,16 +23,11 @@ type run_stats = {
 
 let now_ns () : int64 = Monotonic_clock.now ()
 
-(* capped exponential backoff before re-attempt [k] (0-based); kept
-   tiny so chaos runs stay test-friendly *)
-let retry_backoff k =
-  Unix.sleepf (Float.min 0.005 (0.0005 *. Float.of_int (1 lsl Stdlib.min k 4)))
-
 (* A queued task: type-erased closures over the caller's result array.
-   [t_exec] runs the full attempt loop, stores the outcome and says
-   whether its final value halts the run; it never raises (except
-   [Sys.Break], see the defensive handlers at the call sites).
-   [t_fail]/[t_not_run] resolve the slot without running it. *)
+   [t_exec] runs the task once, stores its [Done] value and says
+   whether that value halts the run; whatever it raises is the task's
+   fault, which {!execute} stores through [t_fail].  [t_not_run]
+   resolves the slot without running it. *)
 type task = {
   t_index : int;  (** position in the batch's input list *)
   t_exec : unit -> bool;
@@ -53,7 +47,7 @@ type batch = {
   mutable stop : reason option;
   mutable not_run : int;
   mutable halt_at : int;
-      (** the least index whose final value satisfied [~halt]
+      (** the least index whose value satisfied [~halt]
           ([max_int] while none has) *)
 }
 
@@ -99,10 +93,10 @@ let rec claim (b : batch) : task option =
           claim b)
 
 (* Run a claimed task with [b.bm] released, then record it; caller
-   holds [b.bm].  [t_exec] isolates everything itself; the handler is a
-   belt-and-suspenders guarantee that a leak resolves the slot rather
-   than hanging the batch forever.  [Sys.Break] propagates only from
-   the calling domain ([~inline]): a worker has no caller to tell. *)
+   holds [b.bm].  This handler is the crash isolation: any exception
+   the task raises becomes its [Fault].  [Sys.Break] propagates only
+   from the calling domain ([~inline]): a worker has no caller to
+   tell. *)
 let execute ~inline (b : batch) (task : task) =
   Mutex.unlock b.bm;
   let halts =
@@ -204,47 +198,16 @@ let supervise (t : t) (b : batch) =
     t.current <- None
   end
 
-(* [give_up] is polled before committing to another attempt, so a
-   cancelled or past-deadline run stops retrying after the in-flight
-   attempt instead of burning the whole retry budget (with a large
-   [--retries] and a persistent fault that loop would otherwise be
-   uninterruptible).  Giving up keeps the last attempt's outcome. *)
-let attempt_loop ~give_up ~retries ~should_retry ~is_transient ~retries_ctr
-    ~faults_ctr (f : 'a -> 'b) (x : 'a) : 'b outcome =
-  let rec go k =
-    match f x with
-    | v ->
-        if k < retries && should_retry v && not (give_up ()) then begin
-          Atomic.incr retries_ctr;
-          retry_backoff k;
-          go (k + 1)
-        end
-        else Done v
-    | exception Sys.Break -> raise Sys.Break
-    | exception e ->
-        if k < retries && is_transient e && not (give_up ()) then begin
-          Atomic.incr retries_ctr;
-          retry_backoff k;
-          go (k + 1)
-        end
-        else begin
-          Atomic.incr faults_ctr;
-          Fault { f_exn = Printexc.to_string e; f_attempts = k + 1 }
-        end
-  in
-  go 0
-
 let run (pool : t option) ?deadline ?(cancel = fun () -> false)
-    ?(retries = 0) ?(should_retry = fun _ -> false)
-    ?(is_transient = fun _ -> false) ?(halt = fun _ -> false)
-    (f : 'a -> 'b) (items : 'a list) : 'b outcome list * run_stats =
+    ?(halt = fun _ -> false) (f : 'a -> 'b) (items : 'a list) :
+    'b outcome list * run_stats =
   let input = Array.of_list items in
   let n = Array.length input in
   (* a slot no resolution path fills (unreachable) reads as lost *)
   let out : 'b outcome array =
-    Array.make n (Fault { f_exn = "task lost by the pool"; f_attempts = 0 })
+    Array.make n (Fault { f_exn = "task lost by the pool" })
   in
-  let retries_ctr = Atomic.make 0 and faults_ctr = Atomic.make 0 in
+  let faults_ctr = Atomic.make 0 in
   let b =
     {
       bm = (match pool with Some t -> t.m | None -> Mutex.create ());
@@ -258,26 +221,19 @@ let run (pool : t option) ?deadline ?(cancel = fun () -> false)
       halt_at = max_int;
     }
   in
-  (* racy read of [b.stop], benign: a stale [None] just means one more
-     attempt.  A halt deliberately does not give up: a task dispatched
-     before the halting one must still reach its own final value *)
-  let give_up () = b.stop <> None || stop_reason_of b <> None in
   for i = 0 to n - 1 do
     Queue.push
       {
         t_index = i;
         t_exec =
           (fun () ->
-            let o =
-              attempt_loop ~give_up ~retries ~should_retry ~is_transient
-                ~retries_ctr ~faults_ctr f input.(i)
-            in
-            out.(i) <- o;
-            match o with Done v -> halt v | Fault _ | Not_run _ -> false);
+            let v = f input.(i) in
+            out.(i) <- Done v;
+            halt v);
         t_fail =
           (fun e ->
             Atomic.incr faults_ctr;
-            out.(i) <- Fault { f_exn = Printexc.to_string e; f_attempts = 1 });
+            out.(i) <- Fault { f_exn = Printexc.to_string e });
         t_not_run = (fun r -> out.(i) <- Not_run r);
       }
       b.q
@@ -286,7 +242,6 @@ let run (pool : t option) ?deadline ?(cancel = fun () -> false)
   (match pool with Some t -> supervise t b | None -> drain_inline b);
   let stats =
     {
-      rs_retries = Atomic.get retries_ctr;
       rs_task_faults = Atomic.get faults_ctr;
       rs_not_run = b.not_run;
       rs_stop = b.stop;

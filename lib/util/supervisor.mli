@@ -1,8 +1,7 @@
 (** The one batch engine: {!run} applies a function to a list of items
-    with per-task crash isolation, a transient-fault retry policy, a
-    caller-defined early exit, whole-run deadlines and cancellation —
-    on a persistent worker pool when given one, on the calling domain
-    otherwise.
+    with per-task crash isolation, a caller-defined early exit,
+    whole-run deadlines and cancellation — on a persistent worker pool
+    when given one, on the calling domain otherwise.
 
     A supervisor spawns its domains {e once} — per CLI invocation or per
     long-lived session — and feeds them batches through a shared work
@@ -20,20 +19,13 @@
       {!Fault} outcome.  [Sys.Break] on the calling domain is the single
       exception: masking an interrupt would be dishonest, so it
       propagates to the caller (cooperative interruption should use
-      [~cancel] instead).
-    - {b Retry.}  A task whose {e result} the caller classifies as
-      transiently faulted ([~should_retry]), or that raised an exception
-      classified transient ([~is_transient]), is re-attempted up to
-      [~retries] times with capped exponential backoff.  Deterministic
-      failures are never retried, and a cancelled or past-deadline run
-      stops retrying after the in-flight attempt (keeping that
-      attempt's outcome) — a large retry budget never makes the run
-      uninterruptible.
-    - {b Halting.}  Once a task's {e final} value (after its retries)
-      satisfies [~halt], no task queued after it is started; those
-      resolve [Not_run Halted].  Tasks queued before it still run to
-      their own final value, so the tasks that run are always at least
-      the input prefix up to the first halting one, whatever the pool.
+      [~cancel] instead).  Every task runs at most once: a fault is the
+      task's outcome, never a reason to run it again.
+    - {b Halting.}  Once a task's value satisfies [~halt], no task
+      queued after it is started; those resolve [Not_run Halted].
+      Tasks queued before it still run to their own value, so the
+      tasks that run are always at least the input prefix up to the
+      first halting one, whatever the pool.
     - {b Deadlines.}  [~deadline] bounds the whole run on the monotonic
       clock: once it passes, no further task is {e started} and every
       unstarted task resolves to {!Not_run}.  In-flight tasks are not
@@ -76,32 +68,28 @@ val shutdown : t -> unit
 
 (** The structured fate of one task. *)
 type 'b outcome =
-  | Done of 'b  (** the (last) attempt returned normally *)
+  | Done of 'b  (** the task returned normally *)
   | Fault of fault
-      (** every attempt raised; the task's slot holds the final
-          attempt's printed exception instead of aborting the batch *)
+      (** the task raised; its slot holds the printed exception instead
+          of aborting the batch *)
   | Not_run of reason
       (** never started: the run deadline passed, the run was
           cancelled, or an earlier task halted the run *)
 
-and fault = {
-  f_exn : string;  (** printed exception of the final attempt *)
-  f_attempts : int;  (** total attempts made (>= 1) *)
-}
+and fault = { f_exn : string  (** the printed exception *) }
 
 and reason =
   | Deadline
   | Cancelled
   | Halted
-      (** an earlier task's final value satisfied [~halt]: the caller's
+      (** an earlier task's value satisfied [~halt]: the caller's
           own early exit, not a supervision event *)
 
 (** Counters for one [run], for observability and reports.  All zero on
     a fault-free, deadline-free run, halted or not — which keeps [-j 1]
     and [-j 4] reports byte-identical. *)
 type run_stats = {
-  rs_retries : int;  (** task re-attempts (transient faults) *)
-  rs_task_faults : int;  (** tasks that exhausted their attempts *)
+  rs_task_faults : int;  (** tasks that raised *)
   rs_not_run : int;  (** tasks resolved [Not_run Deadline|Cancelled] *)
   rs_stop : reason option;
       (** the deadline or cancellation that stopped the run early, if
@@ -112,9 +100,6 @@ val run :
   t option ->
   ?deadline:float ->
   ?cancel:(unit -> bool) ->
-  ?retries:int ->
-  ?should_retry:('b -> bool) ->
-  ?is_transient:(exn -> bool) ->
   ?halt:('b -> bool) ->
   ('a -> 'b) ->
   'a list ->
@@ -127,8 +112,5 @@ val run :
     [?deadline] is the whole-run wall-clock budget in seconds, measured
     from the call on the monotonic clock.  [?cancel] is polled at every
     dispatch; once it returns [true] the remaining tasks resolve
-    [Not_run Cancelled] (the cooperative SIGINT path).  [?retries]
-    (default 0) caps re-attempts per task; a re-attempt happens when
-    [should_retry] accepts the returned value or [is_transient] accepts
-    the raised exception.  [?halt] is checked against each task's final
-    [Done] value; see {b Halting} above. *)
+    [Not_run Cancelled] (the cooperative SIGINT path).  [?halt] is
+    checked against each task's [Done] value; see {b Halting} above. *)

@@ -1055,6 +1055,33 @@ let cli_tests =
             check_flag "--cache-max-mb without --cache"
               [ "--cache-max-mb"; "1" ]
               "--cache-max-mb has no effect without --cache");
+    Alcotest.test_case "fault flags warn without --fault-seed" `Quick
+      (fun () ->
+        let dir = fresh_cache_dir () in
+        Sys.mkdir dir 0o755;
+        let c = Filename.concat dir "t.c" in
+        Out_channel.with_open_bin c (fun oc ->
+            Out_channel.output_string oc (chain 2));
+        let warning flag = flag ^ " has no effect without --fault-seed" in
+        List.iter
+          (fun (flag, value) ->
+            match run_cli [ "check"; flag; value; c ] with
+            | None -> () (* exe not built in this sandbox; covered by CI *)
+            | Some (code, stderr) ->
+                Alcotest.(check int) (flag ^ " still verifies") 0 code;
+                Alcotest.(check bool) (flag ^ " warns") true
+                  (contains stderr (warning flag));
+                (* an armed campaign takes the flag: no warning (the run
+                   may fault, exit 2, but is no usage error) *)
+                match run_cli [ "check"; "--fault-seed"; "1"; flag; value; c ]
+                with
+                | Some (code, stderr) ->
+                    Alcotest.(check bool) (flag ^ " parses") true (code <> 124);
+                    Alcotest.(check bool) (flag ^ " is taken") false
+                      (contains stderr (warning flag))
+                | None -> ())
+          [ ("--fault-rate", "0.5"); ("--fault-sites", "solver");
+            ("--fault-max", "3") ]);
     Alcotest.test_case "--explain-cache reports the plan" `Quick (fun () ->
         let dir = fresh_cache_dir () in
         Rc_util.Vercache.create dir |> ignore;
@@ -1099,7 +1126,8 @@ let cli_tests =
           [
             [ "--fuel=-1" ];
             [ "--max-depth=-1" ];
-            [ "--retries=-1" ];
+            [ "-j-1" ];
+            [ "--jobs=-1" ];
             [ "--cache"; cache_dir; "--cache-max-mb=-1" ];
             [ "--cache"; cache_dir; "--cache-max-mb=8796093022208" ];
             [ "--timeout=-1" ];
@@ -1118,7 +1146,6 @@ let cli_tests =
             [ "-j"; "0" ];
             [ "--fault-max=-1" ];
             [ "--fault-seed=1"; "--fault-rate=0" ];
-            [ "--retries=0" ];
             [ "--deadline=inf" ];
             [ "--timeout=1e300" ];
           ]);

@@ -126,9 +126,9 @@ let clamp_tests =
   ]
 
 (* Fail-fast has one rule at every [-j]: no function starts after one
-   whose final verdict, after retries, is an error, and the report keeps
-   the source-order prefix up to it.  So the report is the same with and
-   without a pool, also when a transient fault is retried away. *)
+   whose verdict is an error, and the report keeps the source-order
+   prefix up to it.  So the report is the same with and without a pool,
+   also when the error is an injected fault. *)
 let fail_fast_test name ?fault ~exit_code ~file src =
   Alcotest.test_case name `Quick (fun () ->
       let run ~jobs =
@@ -136,10 +136,6 @@ let fail_fast_test name ?fault ~exit_code ~file src =
         let s =
           Rc_refinedc.Session.with_fault (session ())
             (Option.map (fun f -> f ()) fault)
-        in
-        let s =
-          Rc_refinedc.Session.with_exec s
-            { s.Rc_refinedc.Session.exec with x_retries = 3 }
         in
         Testutil.with_jobs ~jobs s (fun session ->
             Driver.check_source ~session ~fail_fast:true ~file src)
@@ -168,10 +164,12 @@ let fail_fast_tests =
               ("same", "x", "n"); ("weird", "x", "n ^ 1");
               ("last", "(x + 1)", "n + 1");
             ]));
-    (* the first solver call faults once, and its retry must verify *)
-    fail_fast_test "a retried transient fault" ~exit_code:0
+    (* every solver call faults, so the first function that reaches one
+       halts the run; uncapped, so which function that is does not
+       depend on the schedule *)
+    fail_fast_test "an injected fault halts at every -j" ~exit_code:2
       ~fault:(fun () ->
-        Rc_util.Faultsim.create ~rate:1.0 ~sites:[ "solver" ] ~max_faults:1 1)
+        Rc_util.Faultsim.create ~rate:1.0 ~sites:[ "solver" ] 1)
       ~file:"binary_search.c"
       (In_channel.with_open_bin
          (Filename.concat case_dir "binary_search.c")

@@ -170,10 +170,10 @@ let isolation_tests =
         Alcotest.(check int) "one fault" 1 (List.length faults);
         (match faults with
         | [ (_, e) ] -> (
-            (* injected faults are classified transient — the retryable
-               subset of checker faults *)
+            (* an injected fault is labelled as such, never blamed on
+               the checker *)
             match e.Report.kind with
-            | Report.Transient_fault msg ->
+            | Report.Injected_fault msg ->
                 Alcotest.(check bool) "names the site" true
                   (Str.string_match (Str.regexp ".*solver") msg 0)
             | k -> Alcotest.failf "wrong kind %s" (Report.kind_label k))

@@ -3,9 +3,7 @@
    Contract under test:
    - [Supervisor.run] preserves input order and isolates per-task
      crashes ([Stack_overflow] included) as structured [Fault]s;
-   - transient faults are retried with backoff and converge; retry
-     exhaustion reports the attempt count; deterministic results are
-     never retried;
+   - every task runs exactly once, faulted or not;
    - whole-run deadlines and cooperative cancellation stop *starting*
      tasks, resolving the rest as [Not_run] — completed results are
      never discarded;
@@ -14,8 +12,9 @@
    - a pool's workers live until [shutdown]; a batch on a shut-down
      pool is drained by the calling domain and still completes;
    - at the driver level, a chaos campaign over the corpus at the cache
-     sites never changes any non-faulted verdict, [-j 1] and
-     [-j 4] agree under injection, and deadline/cancel produce partial
+     sites never changes any non-faulted verdict, [-j 1] and [-j 4]
+     agree under injection, an injected solver fault is the same fault
+     with and without a pool, and deadline/cancel produce partial
      reports with the documented exit codes. *)
 
 module Supervisor = Rc_util.Supervisor
@@ -60,10 +59,9 @@ let unit_tests =
     Alcotest.test_case "run preserves input order" `Quick (fun () ->
         with_pool ~jobs:4 (fun p ->
             let xs = List.init 100 Fun.id in
-            let outs, stats = Supervisor.run (Some p) succ xs in
+            let outs, _ = Supervisor.run (Some p) succ xs in
             Alcotest.(check (list int))
-              "order" (List.map succ xs) (List.map value_exn outs);
-            Alcotest.(check int) "no retries" 0 stats.Supervisor.rs_retries));
+              "order" (List.map succ xs) (List.map value_exn outs)));
     Alcotest.test_case "a crashing task is confined to its slot" `Quick
       (fun () ->
         with_pool ~jobs:4 (fun p ->
@@ -76,9 +74,8 @@ let unit_tests =
               (fun i o ->
                 match o with
                 | Supervisor.Done v -> Alcotest.(check int) "value" i v
-                | Supervisor.Fault f ->
-                    Alcotest.(check int) "only 37 faults" 37 i;
-                    Alcotest.(check int) "one attempt" 1 f.Supervisor.f_attempts
+                | Supervisor.Fault _ ->
+                    Alcotest.(check int) "only 37 faults" 37 i
                 | Supervisor.Not_run _ -> Alcotest.fail "Not_run")
               outs;
             Alcotest.(check int) "one task fault" 1
@@ -96,40 +93,11 @@ let unit_tests =
                 Alcotest.(check bool) "names the overflow" true
                   (f.Supervisor.f_exn = Printexc.to_string Stack_overflow)
             | _ -> Alcotest.fail "wrong shape"));
-    Alcotest.test_case "transient exceptions are retried and converge"
-      `Quick (fun () ->
-        let attempts = Array.make 5 0 in
-        let outs, stats =
-          Supervisor.run None ~retries:3
-            ~is_transient:(function Failure _ -> true | _ -> false)
-            (fun i ->
-              attempts.(i) <- attempts.(i) + 1;
-              if i = 2 && attempts.(i) <= 2 then failwith "flaky" else i)
-            (List.init 5 Fun.id)
-        in
-        Alcotest.(check (list int))
-          "all converge" [ 0; 1; 2; 3; 4 ] (List.map value_exn outs);
-        Alcotest.(check int) "two retries" 2 stats.Supervisor.rs_retries;
-        Alcotest.(check int) "third attempt won" 3 attempts.(2));
-    Alcotest.test_case "retry exhaustion reports the attempt count" `Quick
-      (fun () ->
-        let outs, stats =
-          Supervisor.run None ~retries:2
-            ~is_transient:(fun _ -> true)
-            (fun () -> failwith "always")
-            [ () ]
-        in
-        (match outs with
-        | [ Supervisor.Fault f ] ->
-            Alcotest.(check int) "attempts" 3 f.Supervisor.f_attempts
-        | _ -> Alcotest.fail "expected one fault");
-        Alcotest.(check int) "retries counted" 2 stats.Supervisor.rs_retries);
     Alcotest.test_case "deterministic results are never retried" `Quick
       (fun () ->
         let calls = ref 0 in
-        let outs, stats =
-          Supervisor.run None ~retries:5
-            ~should_retry:(fun _ -> false)
+        let outs, _ =
+          Supervisor.run None
             (fun i ->
               incr calls;
               i * 2)
@@ -137,8 +105,7 @@ let unit_tests =
         in
         Alcotest.(check (list int)) "values" [ 2; 4; 6 ]
           (List.map value_exn outs);
-        Alcotest.(check int) "one call each" 3 !calls;
-        Alcotest.(check int) "no retries" 0 stats.Supervisor.rs_retries);
+        Alcotest.(check int) "one call each" 3 !calls);
     Alcotest.test_case "deadline stops starting tasks" `Quick (fun () ->
         let outs, stats =
           Supervisor.run None ~deadline:0.02
@@ -197,42 +164,6 @@ let unit_tests =
         Alcotest.(check int) "four cancelled" 4 (List.length not_run);
         Alcotest.(check bool) "stop reason" true
           (stats.Supervisor.rs_stop = Some Supervisor.Cancelled));
-    Alcotest.test_case "cancellation interrupts a retry storm" `Quick
-      (fun () ->
-        (* a huge retry budget on a persistently-faulting task must not
-           make the run uninterruptible: once cancel flips, the attempt
-           loop gives up and keeps the last attempt's outcome *)
-        let attempts = ref 0 in
-        let outs, stats =
-          Supervisor.run None ~retries:1_000_000
-            ~cancel:(fun () -> !attempts >= 5)
-            ~is_transient:(fun _ -> true)
-            (fun () ->
-              incr attempts;
-              failwith "persistent")
-            [ () ]
-        in
-        (match outs with
-        | [ Supervisor.Fault f ] ->
-            Alcotest.(check bool) "gave up early" true
-              (f.Supervisor.f_attempts < 10)
-        | _ -> Alcotest.fail "expected one fault");
-        Alcotest.(check bool) "few retries" true
-          (stats.Supervisor.rs_retries < 10));
-    Alcotest.test_case "the deadline interrupts a retry storm" `Quick
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let outs, _ =
-          Supervisor.run None ~retries:1_000_000 ~deadline:0.02
-            ~is_transient:(fun _ -> true)
-            (fun () -> failwith "persistent")
-            [ () ]
-        in
-        let elapsed = Unix.gettimeofday () -. t0 in
-        (match outs with
-        | [ Supervisor.Fault _ ] -> ()
-        | _ -> Alcotest.fail "expected one fault");
-        Alcotest.(check bool) "bounded by the deadline" true (elapsed < 2.));
     Alcotest.test_case "halt starts nothing after the halting task" `Quick
       (fun () ->
         (* task 3's value halts the run: tasks 0-3 reach their values, a
@@ -299,15 +230,10 @@ let run_signature (t : Driver.t) : string list =
   List.map outcome_signature t.Driver.results
   @ List.map (fun fn -> fn ^ ":skipped") t.Driver.skipped
 
-let chaos_session ?(retries = 0) ?pool ~sites ~rate ?max_faults seed =
+let chaos_session ?pool ~sites ~rate ?max_faults seed =
   let campaign = Faultsim.create ~rate ~sites ?max_faults seed in
   let s = Session.with_fault (session ()) (Some campaign) in
-  Session.with_exec s
-    {
-      Session.default_exec with
-      Session.x_retries = retries;
-      Session.x_pool = pool;
-    }
+  Session.with_exec s { Session.default_exec with Session.x_pool = pool }
 
 (* an unclamped session pool (unlike {!Testutil.with_jobs}), so the
    pool's dispatch path is exercised even on a single-core host, where
@@ -343,25 +269,41 @@ let verdict_equivalence_tests =
                 (Driver.exit_code chaos))))
     corpus
 
-(* (b) transient solver faults converge under the retry policy: the
-   campaign's injection cap is exhausted by the first attempts, the
-   retries then re-prove cleanly *)
-let retry_convergence_tests =
+(* (b) an injected solver fault is a fault, with and without a pool:
+   under an uncapped campaign at rate 1 every function that reaches the
+   solver reads [injected_fault] — the functions that never call it
+   keep their clean verdicts — and a 4-worker pool reports the same *)
+let fault_equivalence_tests =
   List.map
     (fun file ->
       Alcotest.test_case file `Quick (fun () ->
           let clean = Driver.check_file ~session:(session ()) (path file) in
-          let s =
-            chaos_session ~retries:3 ~sites:[ "solver" ] ~rate:1.0
-              ~max_faults:2 99
+          let run ?pool () =
+            Driver.check_file
+              ~session:(chaos_session ?pool ~sites:[ "solver" ] ~rate:1.0 99)
+              (path file)
           in
-          let chaos = Driver.check_file ~session:s (path file) in
+          let seq = run () in
+          let par = with_session_pool (fun pool -> run ~pool ()) in
           Alcotest.(check (list string))
-            "retried transients converge to the clean verdicts"
-            (run_signature clean) (run_signature chaos);
-          Alcotest.(check bool)
-            "retries actually happened" true
-            (chaos.Driver.exec_stats.Supervisor.rs_retries >= 1)))
+            "run None = 4-worker pool" (run_signature seq) (run_signature par);
+          let expected =
+            List.map
+              (fun (r : Driver.check_result) ->
+                match r.outcome with
+                | Ok res
+                  when let s = res.Rc_refinedc.Lang.E.stats in
+                       s.Rc_lithium.Stats.side_auto
+                       + s.Rc_lithium.Stats.side_manual
+                       > 0 ->
+                    r.name ^ ":error:injected_fault"
+                | _ -> outcome_signature r)
+              clean.Driver.results
+          in
+          Alcotest.(check (list string))
+            "every solver-reaching function faults" expected
+            (run_signature seq);
+          Alcotest.(check int) "exit 2" 2 (Driver.exit_code seq)))
     (* spinlock/barrier never reach a named solver, so they cannot
        exercise the "solver" site — use studies that do *)
     [ "linked_list.c"; "hashmap.c"; "queue.c" ]
@@ -449,7 +391,7 @@ let partial_report_tests =
       `Quick (fun () ->
         let t = Driver.check_file ~session:(session ()) (path "queue.c") in
         let e = t.Driver.exec_stats in
-        Alcotest.(check int) "retries" 0 e.Supervisor.rs_retries;
+        Alcotest.(check int) "task_faults" 0 e.Supervisor.rs_task_faults;
         Alcotest.(check int) "not_run" 0 e.Supervisor.rs_not_run;
         Alcotest.(check bool) "completed" true (t.Driver.stop = Driver.Completed));
   ]
@@ -459,7 +401,7 @@ let () =
     [
       ("unit", unit_tests);
       ("verdict-equivalence", verdict_equivalence_tests);
-      ("retry-convergence", retry_convergence_tests);
+      ("fault-equivalence", fault_equivalence_tests);
       ("jobs-equivalence", jobs_equivalence_tests);
       ("partial-reports", partial_report_tests);
     ]
